@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from asmref import build_table, extend_matrix
-from asmref.documents import TableCache, document_from_entries
+from asmref.documents import TableCache, matrix_document, table_document
 
 
 def main(argv=None) -> int:
@@ -28,15 +28,9 @@ def main(argv=None) -> int:
             if d > n:
                 continue
             table = build_table(n, d)
-            cache.store(document_from_entries(n, d, "refined", dict(table.entries)))
+            cache.store(table_document(table))
             if d == 2:
-                matrix = extend_matrix(table)
-                entries = {
-                    (i, j): matrix.entry(i, j)
-                    for i in range(1, n + 1)
-                    for j in range(1, n + 1)
-                }
-                cache.store(document_from_entries(n, 2, "extended", entries))
+                cache.store(matrix_document(extend_matrix(table)))
     count = len(list(args.out_dir.glob("*.json")))
     print(f"wrote {count} documents to {args.out_dir}")
     return 0

@@ -11,7 +11,8 @@ import argparse
 import sys
 import time
 
-from asmref.cli import CLAIM_RANGES, main as cli_main
+from asmref.claims import CLAIMS
+from asmref.cli import main as cli_main
 
 
 def main(argv=None) -> int:
@@ -19,8 +20,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--claims", nargs="*", default=sorted(CLAIM_RANGES),
-        help="subset of claims to run (default: all)",
+        "--claims", nargs="*", choices=sorted(CLAIMS), default=sorted(CLAIMS),
+        metavar="CLAIM", help="subset of claims to run (default: all)",
     )
     args = parser.parse_args(argv)
 

@@ -1,0 +1,210 @@
+"""The registry of checkable claims and the table provider they share.
+
+Each claim checks one order n at a time and returns VerificationReports; a
+mathematical failure is a failing report with its witnesses, never an
+exception.  Registry entries call their verifiers through this module's
+global names, looked up at call time, so a verifier replaced here (by a test
+or a tracer) is the one that runs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+from .combinat import refined_asm_count, total_asm_count
+from .documents import TableCache, table_document
+from .errors import NonIntegralError
+from .extension import (
+    ExtendedMatrix,
+    extend_matrix,
+    solve_sufficiency,
+    verify_conjecture2,
+    verify_conjecture3,
+    verify_conjecture4,
+    verify_ilse,
+    verify_special_values,
+    verify_theorem1,
+    verify_theorem2,
+    verify_triangular_system,
+    verify_zw_chain,
+)
+from .polynomials import (
+    expand_in_binomial_basis,
+    gn_poly,
+    verify_alpha_identities,
+    verify_gn_reflection,
+)
+from .reports import VerificationReport, Witness
+from .triangles import (
+    RefinedTable,
+    alpha_count,
+    asm_to_mt,
+    build_table,
+    complete_monotone_triangles,
+    enumerate_asms,
+    mt_to_asm,
+    refined_count,
+)
+
+
+def refined_table(n: int, d: int, cache: TableCache | None = None) -> RefinedTable:
+    """The depth-d table of order n, read from the cache or built and stored there."""
+    if cache is not None:
+        doc = cache.load("refined", n, d)
+        if doc is not None:
+            return RefinedTable(n, d, doc.int_entries())
+    table = build_table(n, d)
+    if cache is not None:
+        cache.store(table_document(table))
+    return table
+
+
+def extended_matrix(n: int, cache: TableCache | None = None) -> ExtendedMatrix:
+    """The extended square array of order n, from the cached depth-2 table."""
+    return extend_matrix(refined_table(n, 2, cache))
+
+
+def verify_bijection(n: int) -> VerificationReport:
+    """Matrices and complete monotone triangles round-trip and match the total."""
+    asms = enumerate_asms(n)
+    witnesses = []
+    triangles = set()
+    for a in asms:
+        t = asm_to_mt(a)
+        triangles.add(t)
+        back = mt_to_asm(t)
+        if back != a:
+            witnesses.append(Witness((n,), a.entries, back.entries))
+    expected = total_asm_count(n)
+    if len(asms) != expected:
+        witnesses.append(Witness((n,), len(asms), expected))
+    if len(set(asms)) != len(asms):
+        witnesses.append(Witness((n,), "duplicate matrices", len(asms)))
+    complete = set(complete_monotone_triangles(n))
+    if triangles != complete:
+        witnesses.append(Witness((n,), len(triangles), len(complete)))
+    return VerificationReport.from_witnesses(
+        "bijection", f"n={n}, {len(asms)} matrices round-tripped", witnesses
+    )
+
+
+def verify_product_formulas(n: int) -> VerificationReport:
+    """The counted singly refined row and total equal the product formulas."""
+    witnesses = []
+    counted_row = [refined_count(n, (k,)) for k in range(1, n + 1)]
+    for k in range(1, n + 1):
+        formula = refined_asm_count(n, k)
+        if counted_row[k - 1] != formula:
+            witnesses.append(Witness((n, k), counted_row[k - 1], formula))
+    total = total_asm_count(n)
+    if sum(counted_row) != total:
+        witnesses.append(Witness((n,), sum(counted_row), total))
+    if alpha_count(range(1, n + 1)) != total:
+        witnesses.append(Witness((n,), alpha_count(range(1, n + 1)), total))
+    return VerificationReport.from_witnesses(
+        "product-formulas", f"n={n}, row of {n} counts plus total", witnesses
+    )
+
+
+def verify_theorem4(n: int, cache: TableCache | None = None) -> VerificationReport:
+    """Binomial-basis coefficients of the depth-2 specialization equal the array."""
+    expansion = expand_in_binomial_basis(gn_poly(n, 2), n, 2)
+    matrix = extended_matrix(n, cache)
+    witnesses = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            value = expansion.coefficient((i, j))
+            expected = matrix.entry(i, j)
+            if value != expected:
+                witnesses.append(Witness((i, j), value, expected))
+    return VerificationReport.from_witnesses(
+        "theorem4", f"n={n}, all {n * n} coefficients", witnesses
+    )
+
+
+def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationReport:
+    """The assembled system has full rank and its solution is the extended array."""
+    checked = f"n={n}, rank of {n * n} unknowns plus solution comparison"
+    try:
+        result = solve_sufficiency(n)
+    except NonIntegralError as exc:
+        witness = Witness((n,), str(exc), "an integer")
+        return VerificationReport.from_witnesses("conj1", checked, [witness])
+    witnesses = []
+    if result.rank != result.num_unknowns:
+        witnesses.append(Witness((n,), f"rank {result.rank}", result.num_unknowns))
+    elif result.solution is not None:
+        matrix = extended_matrix(n, cache)
+        if result.solution != matrix:
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    got = result.solution.entry(i, j)
+                    expected = matrix.entry(i, j)
+                    if got != expected:
+                        witnesses.append(Witness((i, j), got, expected))
+    return VerificationReport.from_witnesses("conj1", checked, witnesses)
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim: its default orders, its default depth and its check of one order.
+
+    depth maps an order to the claim's default depth; it is None when the
+    claim takes no depth.
+    """
+
+    name: str
+    orders: tuple[int, int]
+    run: Callable[[int, int | None, int, TableCache | None], list[VerificationReport]]
+    depth: Callable[[int], int] | None = None
+
+    def reports(self, n: int, d: int | None, seed: int, cache: TableCache | None):
+        """The reports at order n; d None stands for the default depth."""
+        if d is None and self.depth is not None:
+            d = self.depth(n)
+        return self.run(n, d, seed, cache)
+
+
+CLAIMS: dict[str, Claim] = {
+    claim.name: claim
+    for claim in (
+        Claim("theorem1", (3, 12), lambda n, d, seed, cache: [
+            verify_theorem1(extended_matrix(n, cache))
+        ]),
+        Claim("theorem2", (3, 12), lambda n, d, seed, cache: [
+            verify_theorem2(
+                extended_matrix(n, cache), total_asm_count(n - 1), total_asm_count(n - 2)
+            )
+        ]),
+        Claim("theorem4", (3, 8), lambda n, d, seed, cache: [verify_theorem4(n, cache)]),
+        Claim("special-values", (3, 12), lambda n, d, seed, cache: [
+            verify_special_values(extended_matrix(n, cache))
+        ]),
+        Claim("ilse", (3, 8), lambda n, d, seed, cache: [
+            verify_ilse(n, refined_table(n, 2, cache))
+        ]),
+        Claim("zw-chain", (3, 6), lambda n, d, seed, cache: [
+            verify_zw_chain(n, extended_matrix(n, cache))
+        ]),
+        Claim("conj1", (3, 10), lambda n, d, seed, cache: [verify_conjecture1(n, cache)]),
+        Claim("conj2", (3, 12), lambda n, d, seed, cache: [
+            verify_conjecture2(n, extended_matrix(n, cache))
+        ]),
+        Claim("conj3", (4, 6), lambda n, d, seed, cache: [verify_conjecture3(n, d)],
+              depth=lambda n: 3),
+        Claim("conj4", (4, 6), lambda n, d, seed, cache: [verify_conjecture4(n, d)],
+              depth=lambda n: 3),
+        Claim("alpha-identities", (1, 5), lambda n, d, seed, cache: list(
+            verify_alpha_identities(n, seed=seed)
+        )),
+        Claim("gn-reflection", (1, 5), lambda n, d, seed, cache: list(
+            verify_gn_reflection(n, d, seed=seed)
+        ), depth=lambda n: min(n, 2)),
+        Claim("triangular-system", (3, 12), lambda n, d, seed, cache: [
+            verify_triangular_system(n, extended_matrix(n, cache))
+        ]),
+        Claim("bijection", (1, 5), lambda n, d, seed, cache: [verify_bijection(n)]),
+        Claim("product-formulas", (1, 8), lambda n, d, seed, cache: [verify_product_formulas(n)]),
+    )
+}

@@ -13,66 +13,21 @@ import sys
 import urllib.request
 from pathlib import Path
 
+from .claims import CLAIMS, extended_matrix, refined_table
 from .combinat import refined_asm_count, total_asm_count
-from .config import DEFAULT_BUDGET, DEFAULT_SEED
+from .config import DEFAULT_SEED
 from .documents import (
     OeisReference,
     TOOL_NAME,
     TOOL_VERSION,
     TableCache,
     TableDocument,
-    document_from_entries,
+    matrix_document,
+    table_document,
 )
-from .errors import AsmrefError, IdentityViolationError
-from .extension import (
-    extend_matrix,
-    solve_sufficiency,
-    verify_conjecture2,
-    verify_conjecture3,
-    verify_conjecture4,
-    verify_ilse,
-    verify_special_values,
-    verify_theorem1,
-    verify_theorem2,
-    verify_triangular_system,
-    verify_zw_chain,
-)
-from .polynomials import (
-    expand_in_binomial_basis,
-    gn_poly,
-    verify_alpha_identities,
-    verify_gn_reflection,
-)
-from .reports import VerificationReport, Witness
-from .triangles import (
-    RefinedTable,
-    alpha_count,
-    asm_to_mt,
-    build_table,
-    complete_monotone_triangles,
-    enumerate_asms,
-    mt_to_asm,
-    refined_count,
-)
-
-#: default verification ranges per claim: (lo, hi, default depth or None)
-CLAIM_RANGES = {
-    "theorem1": (3, 12, None),
-    "theorem2": (3, 12, None),
-    "theorem4": (3, 8, None),
-    "special-values": (3, 12, None),
-    "ilse": (3, 8, None),
-    "zw-chain": (3, 6, None),
-    "conj1": (3, 10, None),
-    "conj2": (3, 12, None),
-    "conj3": (4, 6, 3),
-    "conj4": (4, 6, 3),
-    "alpha-identities": (1, 5, None),
-    "gn-reflection": (1, 5, None),
-    "triangular-system": (3, 12, None),
-    "bijection": (1, 5, None),
-    "product-formulas": (1, 8, None),
-}
+from .errors import AsmrefError
+from .reports import VerificationReport
+from .triangles import refined_count
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -141,12 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", parents=[common], help="verify one claim over a range of orders"
     )
-    p_verify.add_argument("claim", choices=sorted(CLAIM_RANGES), help="claim to check")
+    p_verify.add_argument("claim", choices=sorted(CLAIMS), help="claim to check")
     p_verify.add_argument(
         "--n", type=_parse_range, default=None, metavar="LO..HI",
         help="order range, e.g. 5 or 3..12 (default: the claim's full range)",
     )
-    p_verify.add_argument("--d", type=int, default=None, help="refinement depth where relevant")
+    p_verify.add_argument(
+        "--d", type=int, default=None, help="depth, for conj3, conj4 and gn-reflection only"
+    )
 
     sub.add_parser(
         "appendix-a", parents=[common],
@@ -179,30 +136,6 @@ def _cache_from(args) -> TableCache | None:
         env = os.environ.get("ASMREF_CACHE")
         directory = Path(env) if env else None
     return TableCache(directory) if directory else None
-
-
-def _load_or_build_table(n: int, d: int, cache: TableCache | None) -> RefinedTable:
-    if cache is not None:
-        doc = cache.load("refined", n, d)
-        if doc is not None:
-            return RefinedTable(n, d, doc.int_entries())
-    table = build_table(n, d)
-    if cache is not None:
-        cache.store(document_from_entries(n, d, "refined", dict(table.entries)))
-    return table
-
-
-def _table_document(table: RefinedTable) -> TableDocument:
-    return document_from_entries(table.n, table.d, "refined", dict(table.entries))
-
-
-def _matrix_document(matrix) -> TableDocument:
-    entries = {
-        (i, j): matrix.entry(i, j)
-        for i in range(1, matrix.n + 1)
-        for j in range(1, matrix.n + 1)
-    }
-    return document_from_entries(matrix.n, 2, "extended", entries)
 
 
 def _grid_lines(rows: list[list[int]]) -> list[str]:
@@ -253,15 +186,14 @@ def _cmd_count(args) -> int:
             print(value)
         return 0
     d = 1 if args.d is None else args.d
-    table = _load_or_build_table(args.n, d, cache)
-    sys.stdout.write(_render_table(_table_document(table), args.format))
+    table = refined_table(args.n, d, cache)
+    sys.stdout.write(_render_table(table_document(table), args.format))
     return 0
 
 
 def _cmd_extend(args) -> int:
-    cache = _cache_from(args)
-    table = _load_or_build_table(args.n, 2, cache)
-    sys.stdout.write(_render_table(_matrix_document(extend_matrix(table)), args.format))
+    matrix = extended_matrix(args.n, _cache_from(args))
+    sys.stdout.write(_render_table(matrix_document(matrix), args.format))
     return 0
 
 
@@ -277,8 +209,7 @@ def _cmd_appendix_a(args) -> int:
     }
     matrices = {}
     for n in _APPENDIX_MATRIX_ORDERS:
-        matrix = extend_matrix(_load_or_build_table(n, 2, cache))
-        matrices[n] = [list(row) for row in matrix.rows]
+        matrices[n] = [list(row) for row in extended_matrix(n, cache).rows]
 
     if args.format == "json":
         payload = {
@@ -318,154 +249,18 @@ def _cmd_appendix_a(args) -> int:
     return 0
 
 
-def _check_bijection(n: int) -> VerificationReport:
-    asms = enumerate_asms(n)
-    witnesses = []
-    triangles = set()
-    for a in asms:
-        t = asm_to_mt(a)
-        triangles.add(t)
-        back = mt_to_asm(t)
-        if back != a:
-            witnesses.append(Witness((n,), a.entries, back.entries))
-    expected = total_asm_count(n)
-    if len(asms) != expected:
-        witnesses.append(Witness((n,), len(asms), expected))
-    if len(set(asms)) != len(asms):
-        witnesses.append(Witness((n,), "duplicate matrices", len(asms)))
-    complete = set(complete_monotone_triangles(n))
-    if triangles != complete:
-        witnesses.append(Witness((n,), len(triangles), len(complete)))
-    return VerificationReport(
-        "bijection",
-        f"n={n}, {len(asms)} matrices round-tripped",
-        not witnesses,
-        tuple(witnesses),
-    )
-
-
-def _check_product_formulas(n: int) -> VerificationReport:
-    witnesses = []
-    counted_row = [refined_count(n, (k,)) for k in range(1, n + 1)]
-    for k in range(1, n + 1):
-        formula = refined_asm_count(n, k)
-        if counted_row[k - 1] != formula:
-            witnesses.append(Witness((n, k), counted_row[k - 1], formula))
-    total = total_asm_count(n)
-    if sum(counted_row) != total:
-        witnesses.append(Witness((n,), sum(counted_row), total))
-    if alpha_count(range(1, n + 1)) != total:
-        witnesses.append(Witness((n,), alpha_count(range(1, n + 1)), total))
-    return VerificationReport(
-        "product-formulas",
-        f"n={n}, row of {n} counts plus total",
-        not witnesses,
-        tuple(witnesses),
-    )
-
-
-def _check_theorem4(n: int, cache: TableCache | None) -> VerificationReport:
-    expansion = expand_in_binomial_basis(gn_poly(n, 2), n, 2)
-    matrix = extend_matrix(_load_or_build_table(n, 2, cache))
-    witnesses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            value = expansion.coefficient((i, j))
-            expected = matrix.entry(i, j)
-            if value != expected:
-                witnesses.append(Witness((i, j), value, expected))
-    return VerificationReport(
-        "theorem4", f"n={n}, all {n * n} coefficients", not witnesses, tuple(witnesses)
-    )
-
-
-def _check_conj1(n: int, cache: TableCache | None) -> VerificationReport:
-    result = solve_sufficiency(n)
-    witnesses = []
-    if result.rank != result.num_unknowns:
-        witnesses.append(Witness((n,), f"rank {result.rank}", result.num_unknowns))
-    elif result.solution is not None:
-        matrix = extend_matrix(_load_or_build_table(n, 2, cache))
-        if result.solution != matrix:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    got = result.solution.entry(i, j)
-                    expected = matrix.entry(i, j)
-                    if got != expected:
-                        witnesses.append(Witness((i, j), got, expected))
-    return VerificationReport(
-        "conj1",
-        f"n={n}, rank of {result.num_unknowns} unknowns plus solution comparison",
-        not witnesses,
-        tuple(witnesses),
-    )
-
-
-def _run_claim(claim: str, n: int, d: int | None, seed: int, cache) -> list[VerificationReport]:
-    if claim == "theorem1":
-        return [verify_theorem1(extend_matrix(_load_or_build_table(n, 2, cache)))]
-    if claim == "theorem2":
-        return [
-            verify_theorem2(
-                extend_matrix(_load_or_build_table(n, 2, cache)),
-                total_asm_count(n - 1),
-                total_asm_count(n - 2),
-            )
-        ]
-    if claim == "theorem4":
-        return [_check_theorem4(n, cache)]
-    if claim == "special-values":
-        return [verify_special_values(extend_matrix(_load_or_build_table(n, 2, cache)))]
-    if claim == "ilse":
-        return [verify_ilse(n)]
-    if claim == "zw-chain":
-        return [verify_zw_chain(n)]
-    if claim == "conj1":
-        return [_check_conj1(n, cache)]
-    if claim == "conj2":
-        return [verify_conjecture2(n, extend_matrix(_load_or_build_table(n, 2, cache)))]
-    if claim == "conj3":
-        return [verify_conjecture3(n, d if d is not None else 3)]
-    if claim == "conj4":
-        return [verify_conjecture4(n, d if d is not None else 3)]
-    if claim == "alpha-identities":
-        try:
-            return list(verify_alpha_identities(n, seed=seed))
-        except IdentityViolationError as exc:
-            return [
-                VerificationReport(
-                    exc.identity, f"n={n}", False, (Witness(exc.point, exc.lhs, exc.rhs),)
-                )
-            ]
-    if claim == "gn-reflection":
-        depth = d if d is not None else min(n, 2)
-        try:
-            return list(verify_gn_reflection(n, depth, seed=seed))
-        except IdentityViolationError as exc:
-            return [
-                VerificationReport(
-                    exc.identity, f"n={n}", False, (Witness(exc.point, exc.lhs, exc.rhs),)
-                )
-            ]
-    if claim == "triangular-system":
-        return [verify_triangular_system(n, extend_matrix(_load_or_build_table(n, 2, cache)))]
-    if claim == "bijection":
-        return [_check_bijection(n)]
-    if claim == "product-formulas":
-        return [_check_product_formulas(n)]
-    raise AsmrefError(f"unknown claim {claim!r}")
-
-
 def _cmd_verify(args) -> int:
+    claim = CLAIMS[args.claim]
+    if args.d is not None and claim.depth is None:
+        print(f"error: {args.claim} takes no --d", file=sys.stderr)
+        return 2
     cache = _cache_from(args)
-    lo, hi, default_d = CLAIM_RANGES[args.claim]
-    if args.n is not None:
-        lo, hi = args.n
-    d = args.d if args.d is not None else default_d
-    results: list[tuple[int, VerificationReport]] = []
-    for n in range(lo, hi + 1):
-        for report in _run_claim(args.claim, n, d, args.seed, cache):
-            results.append((n, report))
+    lo, hi = args.n or claim.orders
+    results: list[tuple[int, VerificationReport]] = [
+        (n, report)
+        for n in range(lo, hi + 1)
+        for report in claim.reports(n, args.d, args.seed, cache)
+    ]
     all_passed = all(report.passed for _, report in results)
 
     if args.format == "json":

@@ -132,6 +132,18 @@ def document_from_entries(
     )
 
 
+def table_document(table) -> TableDocument:
+    """The document of a refined counting table."""
+    return document_from_entries(table.n, table.d, "refined", dict(table.entries))
+
+
+def matrix_document(matrix) -> TableDocument:
+    """The document of an extended square array."""
+    cells = range(1, matrix.n + 1)
+    entries = {(i, j): matrix.entry(i, j) for i in cells for j in cells}
+    return document_from_entries(matrix.n, 2, "extended", entries)
+
+
 @dataclass(frozen=True)
 class TableCache:
     """Directory-backed cache of table documents, keyed by kind, n, d, version."""

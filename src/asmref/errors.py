@@ -31,16 +31,5 @@ class FormulaDomainError(AsmrefError):
     """The closed-form entry formula hit a zero denominator outside its harmonic window."""
 
 
-class IdentityViolationError(AsmrefError):
-    """A checked identity failed at a sample point."""
-
-    def __init__(self, identity: str, point, lhs, rhs):
-        super().__init__(f"identity {identity!r} violated at {point}: {lhs} != {rhs}")
-        self.identity = identity
-        self.point = point
-        self.lhs = lhs
-        self.rhs = rhs
-
-
 class BFileError(AsmrefError, ValueError):
     """A sequence b-file could not be parsed."""

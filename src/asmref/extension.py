@@ -95,8 +95,8 @@ def verify_theorem1(matrix: ExtendedMatrix) -> VerificationReport:
             lhs = matrix.entry(i, j)
             if lhs != rhs:
                 witnesses.append(Witness((i, j), lhs, rhs))
-    return VerificationReport(
-        "theorem1", f"n={n}, all {n * n} index pairs", not witnesses, tuple(witnesses)
+    return VerificationReport.from_witnesses(
+        "theorem1", f"n={n}, all {n * n} index pairs", witnesses
     )
 
 
@@ -125,11 +125,8 @@ def verify_theorem2(
                     witnesses.append(Witness((i, j), value, f"!= mirror {mirrored}"))
             elif value != mirrored:
                 witnesses.append(Witness((i, j), value, mirrored))
-    return VerificationReport(
-        "theorem2",
-        f"n={n}, all pairs, exceptional entries ({n - 1},1) and ({n},2)",
-        not witnesses,
-        tuple(witnesses),
+    return VerificationReport.from_witnesses(
+        "theorem2", f"n={n}, all pairs, exceptional entries ({n - 1},1) and ({n},2)", witnesses
     )
 
 
@@ -157,8 +154,8 @@ def verify_special_values(matrix: ExtendedMatrix) -> VerificationReport:
         witnesses.append(Witness((1, 1), matrix.entry(1, 1), alternating))
     if matrix.entry(n, n) != 0:
         witnesses.append(Witness((n, n), matrix.entry(n, n), 0))
-    return VerificationReport(
-        "special-values", f"n={n}, bottom row and corners", not witnesses, tuple(witnesses)
+    return VerificationReport.from_witnesses(
+        "special-values", f"n={n}, bottom row and corners", witnesses
     )
 
 
@@ -191,11 +188,11 @@ def entry_closed_form(n: int, i: int, j: int, table: RefinedTable) -> int:
     return value
 
 
-def verify_ilse(n: int, matrix: ExtendedMatrix | None = None) -> VerificationReport:
+def verify_ilse(n: int, table: RefinedTable | None = None) -> VerificationReport:
     """The closed i < j representation reproduces every extended entry."""
-    table = build_table(n, 2)
-    if matrix is None:
-        matrix = extend_matrix(table)
+    if table is None:
+        table = build_table(n, 2)
+    matrix = extend_matrix(table)
     witnesses = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -203,9 +200,7 @@ def verify_ilse(n: int, matrix: ExtendedMatrix | None = None) -> VerificationRep
             expected = matrix.entry(i, j)
             if direct != expected:
                 witnesses.append(Witness((i, j), direct, expected))
-    return VerificationReport(
-        "ilse", f"n={n}, all {n * n} index pairs", not witnesses, tuple(witnesses)
-    )
+    return VerificationReport.from_witnesses("ilse", f"n={n}, all {n * n} index pairs", witnesses)
 
 
 def z_value(n: int, p: int, i: int) -> int:
@@ -263,8 +258,8 @@ def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> Verificatio
             expected = matrix.entry(i, j)
             if value != expected:
                 witnesses.append(Witness((i, j), value, expected))
-    return VerificationReport(
-        "zw-chain", f"n={n}, all {n * n} index pairs", not witnesses, tuple(witnesses)
+    return VerificationReport.from_witnesses(
+        "zw-chain", f"n={n}, all {n * n} index pairs", witnesses
     )
 
 
@@ -512,11 +507,8 @@ def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> Verifica
                 continue
             if value != expected:
                 witnesses.append(Witness((i, j), value, expected))
-    return VerificationReport(
-        "conj2",
-        f"n={n}, all pairs except the {len(excluded)} excluded",
-        not witnesses,
-        tuple(witnesses),
+    return VerificationReport.from_witnesses(
+        "conj2", f"n={n}, all pairs except the {len(excluded)} excluded", witnesses
     )
 
 
@@ -557,7 +549,12 @@ def verify_conjecture3(
             f"depth-3 reflection check at n={n} exceeds the budget cap "
             f"{budget.conjecture3_max_n}"
         )
-    coeffs = _coefficient_array(n, d, budget)
+    checked = f"n={n}, d={d}, all {n ** d} index tuples"
+    try:
+        coeffs = _coefficient_array(n, d, budget)
+    except NonIntegralError as exc:
+        witness = Witness((n, d), str(exc), "an integer")
+        return VerificationReport.from_witnesses("conj3", checked, [witness])
     global_sign = 1 if (n * d) % 2 == 0 else -1
     witnesses = []
     for index in itertools.product(range(1, n + 1), repeat=d):
@@ -573,31 +570,26 @@ def verify_conjecture3(
         lhs = coeffs[index]
         if lhs != rhs:
             witnesses.append(Witness(index, lhs, rhs))
-    return VerificationReport(
-        "conj3",
-        f"n={n}, d={d}, all {n ** d} index tuples",
-        not witnesses,
-        tuple(witnesses),
-    )
+    return VerificationReport.from_witnesses("conj3", checked, witnesses)
 
 
 def verify_conjecture4(
     n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Expansion coefficients equal the refined counts on increasing index tuples."""
-    expansion = drefined_F(n, d, budget)
+    checked = f"n={n}, d={d}, all {math.comb(n, d)} increasing tuples"
+    try:
+        expansion = drefined_F(n, d, budget)
+    except NonIntegralError as exc:
+        witness = Witness((n, d), str(exc), "an integer")
+        return VerificationReport.from_witnesses("conj4", checked, [witness])
     witnesses = []
     for combo in itertools.combinations(range(1, n + 1), d):
         value = expansion.coefficient(combo)
         expected = refined_count(n, combo)
         if value != expected:
             witnesses.append(Witness(combo, value, expected))
-    return VerificationReport(
-        "conj4",
-        f"n={n}, d={d}, all {math.comb(n, d)} increasing tuples",
-        not witnesses,
-        tuple(witnesses),
-    )
+    return VerificationReport.from_witnesses("conj4", checked, witnesses)
 
 
 def verify_triangular_system(
@@ -639,9 +631,6 @@ def verify_triangular_system(
             if total != 0:
                 witnesses.append(Witness(("below", i, j), total, 0))
 
-    return VerificationReport(
-        "triangular-system",
-        f"n={n}, full system and reduced forms",
-        not witnesses,
-        tuple(witnesses),
+    return VerificationReport.from_witnesses(
+        "triangular-system", f"n={n}, full system and reduced forms", witnesses
     )

@@ -21,14 +21,9 @@ from typing import Callable, Sequence
 
 from .combinat import binom, binom_at
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
-from .errors import (
-    BudgetError,
-    IdentityViolationError,
-    NonIntegralError,
-    ValidationError,
-)
+from .errors import BudgetError, NonIntegralError, ValidationError
 from .linalg import invert_matrix
-from .reports import VerificationReport
+from .reports import VerificationReport, Witness
 from .triangles import alpha_count
 
 
@@ -376,8 +371,10 @@ def verify_alpha_identities(
     polynomials in the difference operators, and the expansion of a repeated
     shift in one variable through shift subsets of the remaining variables.
 
-    Returns one report per identity; raises IdentityViolationError as soon as
-    any identity fails, naming the identity and the witness point.
+    Returns one report per identity.  A failing report lists every witness:
+    the sample point, preceded for the six-term, annihilation and
+    shift-expansion identities by the failing positions, q or variable and
+    power.
     """
     if n < 1:
         raise ValidationError(f"order must be positive, got {n}")
@@ -398,38 +395,35 @@ def verify_alpha_identities(
     rng = random.Random(seed)
     bound = 3 * n
     reports = []
+    witnesses: list[Witness] = []
+
+    def check(label: tuple, pt: tuple, lhs, rhs):
+        if lhs != rhs:
+            witnesses.append(Witness(label + pt, lhs, rhs))
 
     def finish(name: str, detail: str = ""):
         checked = f"n={n}, {num_points} rational points (seed {seed})" + detail
-        reports.append(VerificationReport(name, checked, True))
+        reports.append(VerificationReport.from_witnesses(name, checked, witnesses))
+        witnesses.clear()
 
     # translation invariance
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
         (t,) = _draw_point(rng, 1, bound)
-        lhs = ev(pt)
-        rhs = poly.evaluate(tuple(x + t for x in pt))
-        if lhs != rhs:
-            raise IdentityViolationError("translation", pt, lhs, rhs)
+        check((), pt, ev(pt), poly.evaluate(tuple(x + t for x in pt)))
     finish("translation")
 
     # reverse and negate
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
-        lhs = ev(pt)
-        rhs = ev(tuple(-x for x in reversed(pt)))
-        if lhs != rhs:
-            raise IdentityViolationError("reversal", pt, lhs, rhs)
+        check((), pt, ev(pt), ev(tuple(-x for x in reversed(pt))))
     finish("reversal")
 
     # rotation: moving the first variable to the end, shifted down by n
     sign = 1 if n % 2 == 1 else -1
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
-        lhs = ev(pt[1:] + (pt[0] - n,))
-        rhs = sign * ev(pt)
-        if lhs != rhs:
-            raise IdentityViolationError("rotation", pt, lhs, rhs)
+        check((), pt, ev(pt[1:] + (pt[0] - n,)), sign * ev(pt))
     finish("rotation")
 
     # six-term exchange of two neighbouring variables
@@ -443,8 +437,7 @@ def verify_alpha_identities(
 
             lhs = at(a, b) + at(a + 1, b + 1) - at(a, b + 1)
             rhs = -at(b, a) - at(b + 1, a + 1) + at(b, a + 1)
-            if lhs != rhs:
-                raise IdentityViolationError(f"six-term (positions {i+1},{i+2})", pt, lhs, rhs)
+            check((f"positions {i + 1},{i + 2}",), pt, lhs, rhs)
     finish("six-term", f", all {max(n - 1, 0)} neighbour pairs")
 
     # elementary symmetric polynomials in the difference operators annihilate
@@ -458,10 +451,7 @@ def verify_alpha_identities(
                     term_sign = 1 if (q - t_size) % 2 == 0 else -1
                     for chosen in itertools.combinations(subset, t_size):
                         total += term_sign * ev(_shift(pt, chosen))
-            if total != 0:
-                raise IdentityViolationError(
-                    f"symmetric-difference-annihilation (q={q})", pt, total, 0
-                )
+            check((f"q={q}",), pt, total, 0)
     finish("symmetric-difference-annihilation", f", q=1..{n - 1}")
 
     # repeated shift in one variable expanded over shift subsets of the others
@@ -479,10 +469,7 @@ def verify_alpha_identities(
                     for subset in itertools.combinations(others, p):
                         rhs += coeff * ev(_shift(pt, subset))
                 rhs *= 1 if z % 2 == 0 else -1
-                if lhs != rhs:
-                    raise IdentityViolationError(
-                        f"shift-expansion (variable {r + 1}, power {z})", pt, lhs, rhs
-                    )
+                check((f"variable {r + 1}, power {z}",), pt, lhs, rhs)
     finish("shift-expansion", ", powers 0..3, every variable")
 
     return tuple(reports)
@@ -499,7 +486,7 @@ def verify_gn_reflection(
     """Check the reflection symmetry of the d-variable specialization.
 
     For d = 2 the six-term exchange identity of the specialization is checked
-    as well.  Raises IdentityViolationError on any failure.
+    as well.  A failing report lists every witness point.
     """
     poly = gn_poly(n, d, budget)
     sign = 1 if ((n - 1) * d) % 2 == 0 else -1
@@ -508,15 +495,17 @@ def verify_gn_reflection(
     reports = []
     detail = f"n={n}, d={d}, {num_points} rational points (seed {seed})"
 
+    witnesses = []
     for _ in range(num_points):
         pt = _draw_point(rng, d, bound)
         lhs = poly.evaluate(pt)
         rhs = sign * poly.evaluate(tuple(-2 * n - x for x in reversed(pt)))
         if lhs != rhs:
-            raise IdentityViolationError("gn-reflection", pt, lhs, rhs)
-    reports.append(VerificationReport("gn-reflection", detail, True))
+            witnesses.append(Witness(pt, lhs, rhs))
+    reports.append(VerificationReport.from_witnesses("gn-reflection", detail, witnesses))
 
     if d == 2:
+        witnesses = []
         for _ in range(num_points):
             x, y = _draw_point(rng, 2, bound)
             lhs = (
@@ -530,8 +519,8 @@ def verify_gn_reflection(
                 + poly.evaluate((y + 1, x))
             )
             if lhs != rhs:
-                raise IdentityViolationError("gn-six-term", (x, y), lhs, rhs)
-        reports.append(VerificationReport("gn-six-term", detail, True))
+                witnesses.append(Witness((x, y), lhs, rhs))
+        reports.append(VerificationReport.from_witnesses("gn-six-term", detail, witnesses))
 
     return tuple(reports)
 

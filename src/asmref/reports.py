@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -14,7 +15,8 @@ class Witness:
     rhs: object
 
     def to_dict(self) -> dict:
-        return {"indices": list(self.indices), "lhs": str(self.lhs), "rhs": str(self.rhs)}
+        indices = [v if isinstance(v, (int, str)) else str(v) for v in self.indices]
+        return {"indices": indices, "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
 @dataclass(frozen=True)
@@ -29,6 +31,13 @@ class VerificationReport:
     def __post_init__(self):
         if not self.passed and not self.witnesses:
             raise ValueError("a failing report requires at least one witness")
+
+    @classmethod
+    def from_witnesses(
+        cls, claim: str, checked: str, witnesses: Sequence[Witness]
+    ) -> "VerificationReport":
+        """The report that passes exactly when there is no witness."""
+        return cls(claim, checked, not witnesses, tuple(witnesses))
 
     def to_dict(self) -> dict:
         return {

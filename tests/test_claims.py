@@ -1,4 +1,4 @@
-"""Golden stdout of every claim and table command.
+"""The claim registry: golden output, depth handling, failures and the cache.
 
 The sha256 digests below were recorded from the implementation before the
 claim registry existed; the registry must reproduce that output byte for
@@ -7,11 +7,20 @@ byte in every format, together with the exit code.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import importlib.util
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import asmref.claims as claims
 import asmref.cli as cli
+from asmref import extension
+from asmref.claims import CLAIMS
+from asmref.polynomials import BinomBasisExpansion
 
 #: argv -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -80,3 +89,112 @@ def test_golden_output(argv, capsys):
     code = cli.main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+def _verify_choices() -> set[str]:
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = commands.choices["verify"]
+    return set(next(a for a in verify._actions if a.dest == "claim").choices)
+
+
+@pytest.fixture
+def script(monkeypatch):
+    """scripts/run_full_verification.py, recording the claims it would run."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_full_verification.py"
+    spec = importlib.util.spec_from_file_location("run_full_verification", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.ran = []
+    monkeypatch.setattr(module, "cli_main", lambda argv: module.ran.append(argv[1]) or 0)
+    return module
+
+
+def test_registry_cli_and_script_name_the_same_claims(script, capsys):
+    names = set(CLAIMS)
+    assert len(names) == 15
+    assert _verify_choices() == names
+    assert script.main([]) == 0
+    assert set(script.ran) == names
+    assert {argv.split()[1] for argv in GOLDEN if argv.startswith("verify")} == names
+
+
+def test_depth_on_a_claim_without_depth_is_usage_error(capsys):
+    code = cli.main(["verify", "theorem1", "--n", "4", "--d", "7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "theorem1 takes no --d" in captured.err
+
+
+def test_depth_is_accepted_where_it_applies(capsys):
+    assert {name for name, claim in CLAIMS.items() if claim.depth} == {
+        "conj3", "conj4", "gn-reflection",
+    }
+    assert cli.main(["verify", "gn-reflection", "--n", "3", "--d", "1"]) == 0
+    assert "gn-reflection n=3: PASS" in capsys.readouterr().out
+
+
+@pytest.fixture
+def non_integral_expansion(monkeypatch):
+    """Every binomial-basis expansion gets a half added to its first coefficient."""
+    real = extension.expand_in_binomial_basis
+
+    def expand(poly, n, d):
+        coeffs = real(poly, n, d).coeffs
+        return BinomBasisExpansion(n, d, (coeffs[0] + Fraction(1, 2),) + coeffs[1:])
+
+    monkeypatch.setattr(extension, "expand_in_binomial_basis", expand)
+
+
+@pytest.mark.parametrize("claim", ["conj3", "conj4"])
+def test_non_integral_coefficient_is_a_failed_claim(claim, non_integral_expansion, capsys):
+    code = cli.main(["verify", claim, "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"{claim} n=4: FAIL" in captured.out
+    assert "non-integer" in captured.out
+    assert captured.err == ""
+
+
+def test_non_integral_solution_is_a_failed_claim(monkeypatch, capsys):
+    real = extension.solve_integer_system
+
+    def solve(matrix, rhs):
+        result = real(matrix, rhs)
+        return replace(result, solution=(Fraction(1, 2),) + result.solution[1:])
+
+    monkeypatch.setattr(extension, "solve_integer_system", solve)
+    code = cli.main(["verify", "conj1", "--n", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "conj1 n=4: FAIL" in captured.out
+    assert "not an integer" in captured.out
+    assert captured.err == ""
+
+
+TABLE_CLAIMS = (
+    "theorem1", "theorem2", "theorem4", "special-values", "ilse", "zw-chain",
+    "conj1", "conj2", "triangular-system",
+)
+
+
+@pytest.mark.parametrize("claim", TABLE_CLAIMS)
+def test_table_claims_use_the_cache(claim, tmp_path, monkeypatch, capsys):
+    argv = f"verify {claim} --n 3..6 --format pretty"
+    cached = argv.split() + ["--cache-dir", str(tmp_path)]
+    for _ in ("cold", "warm"):
+        code = cli.main(cached)
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+        assert all((tmp_path / f"refined-n{n}-d2.json").exists() for n in range(3, 7))
+        # the warm run must be served from the cache alone
+        monkeypatch.setattr(claims, "build_table", None)
+
+
+def test_script_rejects_an_unknown_claim_before_running_any(script, capsys):
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--claims", "theorem1", "theorem9"])
+    assert exc.value.code == 2
+    assert script.ran == []
+    assert "invalid choice" in capsys.readouterr().err

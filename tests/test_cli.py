@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import asmref.claims as claims
 import asmref.cli as cli
 from asmref.combinat import total_asm_count
 from asmref.reports import VerificationReport, Witness
@@ -111,7 +112,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = VerificationReport(
         "theorem1", "n=4", False, (Witness((1, 1), 0, 1),)
     )
-    monkeypatch.setattr(cli, "verify_theorem1", lambda matrix: failing)
+    monkeypatch.setattr(claims, "verify_theorem1", lambda matrix: failing)
     code, out, _ = run(capsys, "verify", "theorem1", "--n", "4")
     assert code == 1
     assert "FAIL" in out

@@ -9,6 +9,7 @@ and the polynomial disagree in meaning (weakly increasing vs arbitrary).
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -16,13 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asmref.cli as cli
+from asmref import polynomials
 from asmref.config import Budget
-from asmref.errors import (
-    BudgetError,
-    IdentityViolationError,
-    NonIntegralError,
-    ValidationError,
-)
+from asmref.errors import BudgetError, NonIntegralError, ValidationError
 from asmref.polynomials import (
     BinomBasisExpansion,
     PolyMulti,
@@ -272,12 +270,56 @@ def test_verify_gn_reflection_passes():
     assert all(r.passed for r in reports)
 
 
-def test_identity_violation_error_carries_witness():
-    err = IdentityViolationError("demo", (1, 2), Fraction(3), Fraction(4))
-    assert err.identity == "demo"
-    assert err.point == (1, 2)
-    assert err.lhs == 3 and err.rhs == 4
-    assert "demo" in str(err)
+def _first_coordinate(num_vars: int) -> PolyMulti:
+    # p(x_1, ..., x_m) = x_1 is neither translation invariant nor reflection symmetric
+    grid = list(itertools.product((0, 1), repeat=num_vars))
+    return PolyMulti.interpolate([(0, 1)] * num_vars, [pt[0] for pt in grid])
+
+
+def test_violated_identity_yields_failing_report(monkeypatch):
+    monkeypatch.setattr(polynomials, "alpha_polynomial", lambda n, budget: _first_coordinate(n))
+    reports = verify_alpha_identities(2, num_points=5, seed=11)
+    assert [r.claim for r in reports][:3] == ["translation", "reversal", "rotation"]
+    translation = reports[0]
+    assert not translation.passed
+    assert translation.checked == "n=2, 5 rational points (seed 11)"
+    # every point is listed whose translation amount t is nonzero
+    rng = random.Random(11)
+    expected = []
+    for _ in range(5):
+        point = polynomials._draw_point(rng, 2, 6)
+        (t,) = polynomials._draw_point(rng, 1, 6)
+        if t != 0:
+            expected.append((point, point[0], point[0] + t))
+    assert expected
+    assert [(w.indices, w.lhs, w.rhs) for w in translation.witnesses] == expected
+    # witnesses of a parametrised identity name the failing case before the point
+    six_term = reports[3]
+    assert six_term.claim == "six-term" and not six_term.passed
+    assert {w.indices[0] for w in six_term.witnesses} == {"positions 1,2"}
+
+
+def test_failed_identity_lists_every_witness_in_json(monkeypatch, capsys):
+    monkeypatch.setattr(polynomials, "alpha_polynomial", lambda n, budget: _first_coordinate(n))
+    code = cli.main(["verify", "alpha-identities", "--n", "2", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert data["passed"] is False
+    translation = data["reports"][0]
+    assert translation["claim"] == "translation"
+    assert len(translation["witnesses"]) > 1
+    for witness in translation["witnesses"]:
+        assert Fraction(witness["lhs"]) == Fraction(witness["indices"][0])
+
+
+def test_violated_specialization_identity_yields_failing_report(monkeypatch):
+    monkeypatch.setattr(polynomials, "gn_poly", lambda n, d, budget: _first_coordinate(d))
+    reflection, six_term = verify_gn_reflection(3, 2, num_points=4)
+    assert (reflection.claim, six_term.claim) == ("gn-reflection", "gn-six-term")
+    assert not reflection.passed
+    for witness in reflection.witnesses:
+        x, y = witness.indices
+        assert (witness.lhs, witness.rhs) == (x, -6 - y)
 
 
 def test_reflection_of_specialization_at_integer_points():
