@@ -144,7 +144,7 @@ def verify_special_values(matrix: ExtendedMatrix) -> VerificationReport:
         value = matrix.entry(n, j)
         if value != expected:
             witnesses.append(Witness((n, j), value, expected))
-    total_prev = alpha_count(range(1, n))
+    total_prev = refined_count(n, (n,))
     if matrix.entry(n, 1) != -total_prev:
         witnesses.append(Witness((n, 1), matrix.entry(n, 1), -total_prev))
     alternating = sum(
@@ -171,7 +171,7 @@ def entry_closed_form(n: int, i: int, j: int, table: RefinedTable) -> int:
     if j < i:
         value -= table.value(j, i)
     if i == n - 1 and j == 1:
-        value += alpha_count(range(1, n))
+        value += refined_count(n, (n,))
     if i != n:
         for a in range(1, i):
             for b in range(a + 1, i + 1):
@@ -246,7 +246,7 @@ def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> Verificatio
     """The shift-subset route reproduces every extended entry."""
     if matrix is None:
         matrix = extend_matrix(build_table(n, 2))
-    total_prev = alpha_count(range(1, n))
+    total_prev = refined_count(n, (n,))
     witnesses = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):

@@ -1,11 +1,19 @@
 """Alternating sign matrices, monotone triangles, and refined counting tables.
 
-The workhorse is alpha_count, the number of triangular arrays over a prescribed
-weakly increasing bottom row in which every row is weakly increasing, every row
-above a strictly increasing row is strictly increasing, and consecutive rows
-interlace.  All refined ASM counts reduce to it: deleting d columns from the
-staircase row (1, ..., n) counts the order-n matrices whose last d rows are
-unit rows with their 1s in those columns, read upward in increasing order.
+Counting rests on alpha_count, the number of triangular arrays over a
+prescribed weakly increasing bottom row in which every row is weakly
+increasing, every row above a strictly increasing row is strictly increasing,
+and consecutive rows interlace.  All refined ASM counts reduce to it: deleting
+d columns from the staircase row (1, ..., n) counts the order-n matrices whose
+last d rows are unit rows with their 1s in those columns, read upward in
+increasing order.
+
+Two kernels compute it.  Bottom rows that are subsets of the staircase, which
+is every refined table and refined_count, come from one column sweep per order
+(_staircase_counts): the six-vertex transfer over partial column sums counts
+every subset of {1..n} at once.  alpha_count itself is the interlacing DFS; it
+alone handles tied and wide rows (polynomial sampling, shift-subset sums) and
+serves the tests as the oracle of the sweep.
 """
 
 from __future__ import annotations
@@ -214,13 +222,15 @@ def enumerate_asms(n: int, budget: Budget = DEFAULT_BUDGET) -> list[Asm]:
     return asms
 
 
-def refined_count(n: int, indices: Sequence[int]) -> int:
+def refined_count(n: int, indices: Sequence[int], budget: Budget = DEFAULT_BUDGET) -> int:
     """Count order-n ASMs refined by the 1-columns of their leading rows.
 
     With d = len(indices), this is the number of order-n ASMs whose first d
     rows place their fresh 1s in the given columns; it equals the number of
     monotone triangles of order n - d over the complement of the indices in
-    1..n, and is 1 by convention when d = n.
+    1..n, and is 1 by convention when d = n.  The count is read from the column
+    sweep of order n, which costs what the depth-1 table does, so it is capped
+    by budget.table_max_n[1] for every depth.
     """
     idx = tuple(int(i) for i in indices)
     if n < 1:
@@ -229,10 +239,8 @@ def refined_count(n: int, indices: Sequence[int]) -> int:
         raise ValidationError("at least one index is required")
     if idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValidationError(f"indices must be strictly increasing in 1..{n}: {idx}")
-    if len(idx) == n:
-        return 1
-    keep = set(idx)
-    return alpha_count(tuple(v for v in range(1, n + 1) if v not in keep))
+    _check_table_budget(n, 1, budget)
+    return _staircase_counts(n)[_complement_mask(n, idx)]
 
 
 @dataclass(frozen=True)
@@ -271,18 +279,73 @@ def build_table(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> RefinedTable
         raise ValidationError(f"order must be positive, got {n}")
     if not 1 <= d <= n:
         raise ValidationError(f"depth must lie in 1..{n}, got {d}")
-    cap = budget.table_max_n.get(d)
-    if cap is None:
-        raise BudgetError(f"no table budget is configured for depth d={d}")
-    if n > cap:
-        raise BudgetError(f"table at n={n}, d={d} exceeds the budget cap {cap}")
+    _check_table_budget(n, d, budget)
+    counts = _staircase_counts(n)
     entries = {
-        combo: refined_count(n, combo)
+        combo: counts[_complement_mask(n, combo)]
         for combo in itertools.combinations(range(1, n + 1), d)
     }
     return RefinedTable(n, d, entries)
 
 
+def _check_table_budget(n: int, d: int, budget: Budget) -> None:
+    cap = budget.table_max_n.get(d)
+    if cap is None:
+        raise BudgetError(f"no table budget is configured for depth d={d}")
+    if n > cap:
+        raise BudgetError(f"table at n={n}, d={d} exceeds the budget cap {cap}")
+
+
+# Column sweeps by order.  A sweep of order N maps the bitmask of every subset
+# S of {1..N} (column j is bit j) to alpha_count(S).  The count does not depend
+# on N, because every row of a triangle lies between the ends of its bottom
+# row, so one sweep also answers every lower order.
+_sweep_memo: dict[int, dict[int, int]] = {}
+
+
+def _staircase_counts(n: int) -> dict[int, int]:
+    for order, counts in _sweep_memo.items():
+        if order >= n:
+            return counts
+    counts = _sweep_memo[n] = _column_sweep(n)
+    return counts
+
+
+def _column_sweep(n: int) -> dict[int, int]:
+    """alpha_count of every subset of {1..n}, from the six-vertex transfer.
+
+    The ASM rows are added one entry at a time.  A state holds the partial
+    column sums as bits 1..n and the running row sum h as bit 0.  In column j
+    a 0 keeps the state; a +1 needs h = 0 and column sum 0, a -1 needs h = 1
+    and column sum 1, and either flips both bits.  A row is complete when h is
+    1.  After row k the states are the k-subsets that are the bottom rows of
+    k-row monotone triangles, with their counts.
+    """
+    counts = {0: 1}
+    states = {0: 1}
+    for _ in range(n):
+        for j in range(1, n + 1):
+            flip = (1 << j) | 1
+            after = dict(states)
+            for state, ways in states.items():
+                if not (state ^ (state >> j)) & 1:
+                    key = state ^ flip
+                    after[key] = after.get(key, 0) + ways
+            states = after
+        states = {state ^ 1: ways for state, ways in states.items() if state & 1}
+        counts.update(states)
+    return counts
+
+
+def _complement_mask(n: int, indices: Sequence[int]) -> int:
+    """Bitmask of {1..n} minus the indices: the bottom row of a refined count."""
+    mask = (1 << (n + 1)) - 2
+    for i in indices:
+        mask ^= 1 << i
+    return mask
+
+
 def clear_caches() -> None:
-    """Drop the shared counting memo (mainly for cache-behaviour tests)."""
+    """Drop the shared counting memos: the DFS memo and the column sweeps."""
     _alpha_memo.clear()
+    _sweep_memo.clear()

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import asmref
 import asmref.claims as claims
 import asmref.cli as cli
+import asmref.triangles as triangles
 from asmref.combinat import total_asm_count
 from asmref.reports import VerificationReport, Witness
 
@@ -61,6 +63,19 @@ def test_count_budget_exceeded_is_usage_error(capsys):
     code, _, err = run(capsys, "count", "--n", "17", "--d", "1")
     assert code == 2
     assert "budget" in err.lower() or "exceeds" in err.lower()
+
+
+def test_count_indices_budget_exceeded_before_counting(capsys, monkeypatch):
+    def counted(*args):
+        raise AssertionError("counting started")
+
+    asmref.clear_caches()
+    monkeypatch.setattr(triangles, "_column_sweep", counted)
+    monkeypatch.setattr(triangles, "_alpha", counted)
+    code, out, err = run(capsys, "count", "--n", "22", "--indices", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
 
 
 def test_extend_pretty_grid(capsys):

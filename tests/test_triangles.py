@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asmref
+from asmref import triangles
 from asmref.combinat import refined_asm_count, total_asm_count
 from asmref.config import Budget
 from asmref.errors import BudgetError, ValidationError
@@ -263,8 +265,79 @@ def test_budget_limits_enforced():
     assert len(enumerate_asms(3, tight)) == 7
 
 
+def fail_if_counting(monkeypatch):
+    """Make any count by either kernel fail the test."""
+
+    def counted(*args):
+        raise AssertionError("counting started")
+
+    monkeypatch.setattr(triangles, "_column_sweep", counted)
+    monkeypatch.setattr(triangles, "_alpha", counted)
+
+
+def test_refined_count_budget_raises_before_counting(monkeypatch):
+    asmref.clear_caches()
+    fail_if_counting(monkeypatch)
+    tight = Budget(table_max_n={1: 5, 2: 9, 3: 9})
+    for indices in ((1,), (2, 6), (1, 2, 3)):
+        with pytest.raises(BudgetError):
+            refined_count(6, indices, tight)
+    with pytest.raises(BudgetError):
+        refined_count(3, (1,), Budget(table_max_n={2: 9}))
+    with pytest.raises(BudgetError):
+        refined_count(22, (1,))
+    assert not triangles._sweep_memo and not triangles._alpha_memo
+
+
+def mask(subset) -> int:
+    return sum(1 << j for j in subset)
+
+
+def test_sweep_matches_dfs_on_every_staircase_subset():
+    for n in range(1, 10):
+        asmref.clear_caches()
+        counts = triangles._staircase_counts(n)
+        assert len(counts) == 2**n
+        for size in range(n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                assert counts[mask(subset)] == alpha_count(subset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=13).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(min_value=1, max_value=n)))
+    )
+)
+def test_sweep_matches_dfs_on_random_subsets(case):
+    n, subset = case
+    assert triangles._staircase_counts(n)[mask(subset)] == alpha_count(sorted(subset))
+
+
+def test_tables_of_every_depth_match_dfs_of_complements():
+    deep = Budget(table_max_n={d: 8 for d in range(1, 9)})
+    for n in range(1, 9):
+        asmref.clear_caches()
+        for d in range(1, n + 1):
+            table = build_table(n, d, deep)
+            for combo, value in table.entries.items():
+                rest = [v for v in range(1, n + 1) if v not in combo]
+                assert value == alpha_count(rest)
+
+
+def test_clear_caches_empties_both_kernels_memos(monkeypatch):
+    build_table(8, 1)
+    alpha_count((1, 1, 4, 9))
+    assert triangles._sweep_memo and triangles._alpha_memo
+    # a higher order's sweep answers every lower order without a new sweep
+    fail_if_counting(monkeypatch)
+    assert build_table(5, 1).entries == {(k,): refined_asm_count(5, k) for k in range(1, 6)}
+    asmref.clear_caches()
+    assert not triangles._sweep_memo and not triangles._alpha_memo
+
+
 def test_refined_row_matches_product_formula():
-    for n in range(1, 7):
+    for n in range(1, 15):
         for k in range(1, n + 1):
             assert refined_count(n, (k,)) == refined_asm_count(n, k)
         assert sum(refined_count(n, (k,)) for k in range(1, n + 1)) == total_asm_count(n)
