@@ -14,7 +14,7 @@ from typing import Callable
 
 from .combinat import refined_asm_count, total_asm_count
 from .documents import TableCache, table_document
-from .errors import NonIntegralError
+from .errors import NonIntegralError, ValidationError
 from .extension import (
     ExtendedMatrix,
     extend_matrix,
@@ -91,6 +91,8 @@ def verify_bijection(n: int) -> VerificationReport:
 
 def verify_product_formulas(n: int) -> VerificationReport:
     """The counted singly refined row and total equal the product formulas."""
+    if n < 1:
+        raise ValidationError(f"order must be positive, got {n}")
     witnesses = []
     counted_row = [refined_count(n, (k,)) for k in range(1, n + 1)]
     for k in range(1, n + 1):

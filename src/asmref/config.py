@@ -15,25 +15,24 @@ from typing import Mapping
 DEFAULT_SEED = 1729
 
 
-def _default_table_caps() -> Mapping[int, int]:
-    return MappingProxyType({1: 16, 2: 16, 3: 8})
-
-
 def _default_gn_caps() -> Mapping[int, int]:
     return MappingProxyType({1: 12, 2: 10, 3: 7})
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Caps on the exhaustive computations, keyed by refinement depth where relevant."""
+    """Caps on the exhaustive computations, keyed by refinement depth where relevant.
+
+    table_max_n caps the order of every refined table and count: all depths
+    of an order are lookups into the same column sweep.
+    """
 
     enumeration_max_n: int = 6
-    table_max_n: Mapping[int, int] = field(default_factory=_default_table_caps)
+    table_max_n: int = 16
     alpha_poly_max_n: int = 6
     gn_poly_max_n: Mapping[int, int] = field(default_factory=_default_gn_caps)
     identity_max_n: int = 5
     sufficiency_max_n: int = 10
-    drefined_max_n: int = 7
     conjecture3_max_n: int = 6
 
 

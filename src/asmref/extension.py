@@ -514,10 +514,6 @@ def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> Verifica
 
 def drefined_F(n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET) -> BinomBasisExpansion:
     """Integer expansion coefficients of the depth-d specialization."""
-    if d == 3 and n > budget.drefined_max_n:
-        raise BudgetError(
-            f"depth-3 expansion at n={n} exceeds the budget cap {budget.drefined_max_n}"
-        )
     expansion = expand_in_binomial_basis(gn_poly(n, d, budget), n, d)
     expansion.integer_grid()  # integrality is part of the claim; raises if violated
     return expansion

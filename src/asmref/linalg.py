@@ -96,7 +96,11 @@ def solve_integer_system(
 
 
 def invert_matrix(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix via Gauss-Jordan over the rationals."""
+    """Exact inverse of a square matrix via Gauss-Jordan over the rationals.
+
+    The package itself expands in the binomial basis by back-substitution;
+    this inverse is the test oracle of that expansion.
+    """
     n = len(rows)
     work = [[Fraction(v) for v in row] for row in rows]
     if any(len(row) != n for row in work):

@@ -7,13 +7,17 @@ entries of the staircase row, expands those specializations in a shifted
 binomial product basis, and checks the operator and symmetry identities the
 counting function is known to satisfy.
 
-All interpolation is tensor-product Newton form over integer node grids, with
-fractions.Fraction coefficients, so every evaluation is exact.
+Newton form over integer node grids, with fractions.Fraction coefficients,
+is the one polynomial representation, so every evaluation is exact.  The
+specializations are resampled level by level onto the grid 0..n-1 and
+interpolated there once; the binomial basis is only the output of a
+unit-triangular change of basis from those Newton coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +26,6 @@ from typing import Callable, Sequence
 from .combinat import binom, binom_at
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .errors import BudgetError, NonIntegralError, ValidationError
-from .linalg import invert_matrix
 from .reports import VerificationReport, Witness
 from .triangles import alpha_count
 
@@ -33,6 +36,14 @@ def _divided_differences(nodes: Sequence[int], values: Sequence) -> list[Fractio
         for i in range(len(coeffs) - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
     return coeffs
+
+
+def _newton_value(nodes: Sequence[int], coeffs: Sequence[Fraction], x) -> Fraction:
+    """One-variable Newton form at x, by Horner."""
+    acc = coeffs[-1]
+    for i in range(len(coeffs) - 2, -1, -1):
+        acc = acc * (x - nodes[i]) + coeffs[i]
+    return acc
 
 
 def _apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> list:
@@ -53,16 +64,14 @@ def _apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> l
 class PolyMulti:
     """Dense multivariate polynomial in tensor-product Newton form.
 
-    coeffs and values are row-major flat tuples of shape
-    (degree_bound + 1,) ** num_vars, with the last variable fastest; values
-    holds the original samples on the node grid.
+    coeffs is a row-major flat tuple of shape (degree_bound + 1,) ** num_vars,
+    with the last variable fastest.
     """
 
     num_vars: int
     degree_bound: int
     nodes: tuple[tuple[int, ...], ...]
     coeffs: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -74,8 +83,8 @@ class PolyMulti:
             if len(node_list) != k or len(set(node_list)) != k:
                 raise ValidationError(f"need {k} distinct nodes per variable")
         size = k**self.num_vars
-        if len(self.coeffs) != size or len(self.values) != size:
-            raise ValidationError(f"coefficient and value tensors must have size {size}")
+        if len(self.coeffs) != size:
+            raise ValidationError(f"coefficient tensor must have size {size}")
 
     @classmethod
     def interpolate(cls, nodes: Sequence[Sequence[int]], values: Sequence) -> "PolyMulti":
@@ -103,7 +112,6 @@ class PolyMulti:
             degree_bound=k - 1,
             nodes=node_tuples,
             coeffs=tuple(flat),
-            values=tuple(Fraction(v) for v in values),
         )
 
     def evaluate(self, point: Sequence) -> Fraction:
@@ -173,28 +181,14 @@ def alpha_eval(n: int, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> Frac
     return alpha_polynomial(n, budget).evaluate(point)
 
 
-def _monomial_eval(flat: list[Fraction], k: int, point: Sequence) -> Fraction:
-    cur = flat
-    for axis in range(len(point) - 1, -1, -1):
-        x = Fraction(point[axis])
-        reduced = []
-        for s in range(0, len(cur), k):
-            acc = cur[s + k - 1]
-            for i in range(k - 2, -1, -1):
-                acc = acc * x + cur[s + i]
-            reduced.append(acc)
-        cur = reduced
-    return cur[0]
-
-
 def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     """The counting polynomial with only the last d staircase entries perturbed.
 
     Variable r (1-based) shifts entry n - d + r of the reference bottom row
-    1..n.  Samples are taken on an integer staircase that keeps the perturbed
-    row weakly increasing, interpolated one variable at a time into monomial
-    form, and the result is re-anchored as Newton form on the tensor grid
-    0..n-1 per variable.
+    1..n.  Each variable is sampled on an integer staircase of n shifts that
+    keeps the perturbed row weakly increasing; every level of the recursion
+    interpolates its fibers on those shifts and resamples them onto the grid
+    0..n-1, so one tensor interpolation on that grid gives the Newton form.
     """
     if d < 1:
         raise ValidationError(f"depth must be positive, got {d}")
@@ -210,37 +204,27 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     if cached is not None:
         return cached
 
-    prefix = tuple(range(1, n - d + 1))
+    grid = range(n)
 
-    def build(args: tuple[int, ...], r: int) -> list[Fraction]:
-        # returns the monomial tensor in variables r.. (0-based), x_r axis major
+    def resample(nodes: range, fiber: list) -> list[Fraction]:
+        coeffs = _divided_differences(nodes, fiber)
+        return [_newton_value(nodes, coeffs, t) for t in grid]
+
+    def build(args: tuple[int, ...], r: int) -> list:
+        # values of variables r.. (0-based) on the grid, x_r axis major
         if r == d:
-            return [Fraction(alpha_count(args))]
+            return [alpha_count(args)]
         base = n - d + r + 1
         last = args[-1] if args else base - 1
         lo = last - base  # smallest shift keeping the row weakly increasing
-        node_list = list(range(lo, lo + n))
-        children = [build(args + (base + x,), r + 1) for x in node_list]
-        width = len(children[0])
-        # componentwise divided differences over the children
-        rows = [list(child) for child in children]
-        for j in range(1, n):
-            for i in range(n - 1, j - 1, -1):
-                dd = node_list[i] - node_list[i - j]
-                rows[i] = [(a - b) / dd for a, b in zip(rows[i], rows[i - 1])]
-        # Newton form -> monomial coefficients in x_r (Horner with tensor slots)
-        out = [[Fraction(0)] * width for _ in range(n)]
-        for i in range(n - 1, -1, -1):
-            node = node_list[i]
-            for e in range(n - 1, 0, -1):
-                out[e] = [a - node * b for a, b in zip(out[e - 1], out[e])]
-            out[0] = [a - node * b for a, b in zip(rows[i], out[0])]
-        return [c for slot in out for c in slot]
+        nodes = range(lo, lo + n)
+        flat = [v for x in nodes for v in build(args + (base + x,), r + 1)]
+        if lo == 0:
+            return flat
+        return _apply_axis(flat, n, d - r, 0, lambda fiber: resample(nodes, fiber))
 
-    mono = build(prefix, 0)
-    grid = tuple(tuple(range(n)) for _ in range(d))
-    values = [_monomial_eval(mono, n, pt) for pt in itertools.product(*grid)]
-    poly = PolyMulti.interpolate(grid, values)
+    values = build(tuple(range(1, n - d + 1)), 0)
+    poly = PolyMulti.interpolate((grid,) * d, values)
     _gn_poly_cache[key] = poly
     return poly
 
@@ -303,9 +287,12 @@ class BinomBasisExpansion:
 def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpansion:
     """Exact expansion of a d-variable polynomial in the shifted binomial basis.
 
-    The expansion is computed from samples on the grid 0..n-1 per variable by
-    exact per-axis solves; the basis matrices are triangular in degree, hence
-    invertible, so the coefficients are unique.
+    A change of basis from the Newton coefficients on the grid 0..n-1, axis by
+    axis; any other polynomial is first re-interpolated on that grid.  There
+    the Newton basis element of degree k is k! * binom(x, k), and by
+    Vandermonde binom(x + m + a, m) = sum_k binom(m + a, m - k) * binom(x, k)
+    on axis a (0-based).  The change of basis is unit upper triangular, so the
+    coefficients are unique and come out by back-substitution.
     """
     if poly.num_vars != d:
         raise ValidationError(f"polynomial has {poly.num_vars} variables, expected {d}")
@@ -313,23 +300,27 @@ def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpan
         raise ValidationError(
             f"degree bound {poly.degree_bound} exceeds basis degree {n - 1}"
         )
-    grid = tuple(tuple(range(n)) for _ in range(d))
-    if poly.nodes == grid:
-        vals = list(poly.values)
-    else:
-        vals = [poly.evaluate(pt) for pt in itertools.product(*grid)]
-    for axis in range(d):
-        basis_matrix = [
-            [binom(x + j + axis - 1, j - 1) for j in range(1, n + 1)] for x in range(n)
-        ]
-        inv = invert_matrix(basis_matrix)
-        vals = _apply_axis(
-            vals, n, d, axis,
-            lambda fiber, inv=inv: [
-                sum(row[t] * fiber[t] for t in range(n)) for row in inv
-            ],
+    grid = (tuple(range(n)),) * d
+    if poly.nodes != grid:
+        poly = PolyMulti.interpolate(
+            grid, [poly.evaluate(pt) for pt in itertools.product(*grid)]
         )
-    return BinomBasisExpansion(n, d, tuple(Fraction(v) for v in vals))
+    factorials = [math.factorial(k) for k in range(n)]
+
+    def back_substitute(fiber: list, weights: list[list[int]]) -> list[Fraction]:
+        out = [a * f for a, f in zip(fiber, factorials)]
+        for k in range(n - 2, -1, -1):
+            out[k] -= sum(c * w for c, w in zip(out[k + 1 :], weights[k]))
+        return out
+
+    coeffs = list(poly.coeffs)
+    for axis in range(d):
+        # weights[k] lists binom(m + axis, m - k) for m = k + 1 .. n - 1
+        weights = [[binom(m + axis, m - k) for m in range(k + 1, n)] for k in range(n)]
+        coeffs = _apply_axis(
+            coeffs, n, d, axis, lambda fiber, w=weights: back_substitute(fiber, w)
+        )
+    return BinomBasisExpansion(n, d, tuple(coeffs))
 
 
 def _draw_point(rng: random.Random, dim: int, bound: int) -> tuple[Fraction, ...]:

@@ -229,8 +229,7 @@ def refined_count(n: int, indices: Sequence[int], budget: Budget = DEFAULT_BUDGE
     rows place their fresh 1s in the given columns; it equals the number of
     monotone triangles of order n - d over the complement of the indices in
     1..n, and is 1 by convention when d = n.  The count is read from the column
-    sweep of order n, which costs what the depth-1 table does, so it is capped
-    by budget.table_max_n[1] for every depth.
+    sweep of order n, so it is capped by budget.table_max_n like every table.
     """
     idx = tuple(int(i) for i in indices)
     if n < 1:
@@ -239,7 +238,7 @@ def refined_count(n: int, indices: Sequence[int], budget: Budget = DEFAULT_BUDGE
         raise ValidationError("at least one index is required")
     if idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValidationError(f"indices must be strictly increasing in 1..{n}: {idx}")
-    _check_table_budget(n, 1, budget)
+    _check_table_budget(n, budget)
     return _staircase_counts(n)[_complement_mask(n, idx)]
 
 
@@ -279,7 +278,7 @@ def build_table(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> RefinedTable
         raise ValidationError(f"order must be positive, got {n}")
     if not 1 <= d <= n:
         raise ValidationError(f"depth must lie in 1..{n}, got {d}")
-    _check_table_budget(n, d, budget)
+    _check_table_budget(n, budget)
     counts = _staircase_counts(n)
     entries = {
         combo: counts[_complement_mask(n, combo)]
@@ -288,12 +287,10 @@ def build_table(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> RefinedTable
     return RefinedTable(n, d, entries)
 
 
-def _check_table_budget(n: int, d: int, budget: Budget) -> None:
-    cap = budget.table_max_n.get(d)
-    if cap is None:
-        raise BudgetError(f"no table budget is configured for depth d={d}")
+def _check_table_budget(n: int, budget: Budget) -> None:
+    cap = budget.table_max_n
     if n > cap:
-        raise BudgetError(f"table at n={n}, d={d} exceeds the budget cap {cap}")
+        raise BudgetError(f"refined counts at n={n} exceed the budget cap {cap}")
 
 
 # Column sweeps by order.  A sweep of order N maps the bitmask of every subset

@@ -65,17 +65,43 @@ def test_count_budget_exceeded_is_usage_error(capsys):
     assert "budget" in err.lower() or "exceeds" in err.lower()
 
 
-def test_count_indices_budget_exceeded_before_counting(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "22", "--indices", "1"),
+        ("count", "--n", "17", "--d", "3"),
+        ("verify", "conj4", "--n", "8"),
+    ],
+    ids=["count-indices", "count-depth-3", "verify-conj4"],
+)
+def test_budget_exceeded_before_counting(capsys, monkeypatch, argv):
     def counted(*args):
         raise AssertionError("counting started")
 
     asmref.clear_caches()
     monkeypatch.setattr(triangles, "_column_sweep", counted)
     monkeypatch.setattr(triangles, "_alpha", counted)
-    code, out, err = run(capsys, "count", "--n", "22", "--indices", "1")
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+def test_count_tables_of_every_depth_share_one_budget(capsys):
+    # every depth of an order is read from the same sweep, so one cap holds
+    code, out, _ = run(capsys, "count", "--n", "10", "--d", "3", "--format", "csv")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 120
+    for row in rows:
+        indices, value = row.split(",")
+        indices = indices.replace(" ", ",")
+        code, single, _ = run(capsys, "count", "--n", "10", "--indices", indices)
+        assert code == 0
+        assert single == f"{value}\n"
+    code, out, _ = run(capsys, "count", "--n", "6", "--d", "4")
+    assert code == 0
+    assert len(out.splitlines()) == 15
 
 
 def test_extend_pretty_grid(capsys):
@@ -132,6 +158,13 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "(1, 1)" in out
+
+
+def test_verify_product_formulas_order_zero_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "product-formulas", "--n", "0")
+    assert code == 2
+    assert "FAIL" not in out
+    assert err.startswith("error: ")
 
 
 def test_verify_csv(capsys):

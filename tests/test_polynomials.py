@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 
 import asmref.cli as cli
 from asmref import polynomials
+from asmref.combinat import binom
 from asmref.config import Budget
 from asmref.errors import BudgetError, NonIntegralError, ValidationError
+from asmref.linalg import invert_matrix
 from asmref.polynomials import (
     BinomBasisExpansion,
     PolyMulti,
@@ -149,11 +152,11 @@ def test_interpolate_rejects_bad_shapes():
 
 def test_gn_poly_matches_counts_at_integer_shifts():
     # variable r perturbs staircase entry n-d+r; integer shift vectors that
-    # keep the row weakly increasing must give genuine counts
-    for n, d in ((3, 1), (4, 1), (3, 2), (4, 2), (4, 3)):
+    # keep the row weakly increasing must give genuine counts, on the grid
+    # 0..n-1 and off it
+    for n, d in ((3, 1), (4, 1), (3, 2), (4, 2), (3, 3), (4, 3), (5, 3)):
         poly = gn_poly(n, d)
-        shifts = itertools.product(range(0, 3), repeat=d)
-        for shift in shifts:
+        for shift in itertools.product(range(-2, n + 3), repeat=d):
             row = list(range(1, n + 1))
             for r, z in enumerate(shift):
                 row[n - d + r] += z
@@ -207,6 +210,43 @@ def test_expansion_reconstructs_polynomial():
                 Fraction(rng.randint(-25, 25), rng.randint(1, 6)) for _ in range(d)
             )
             assert expansion.evaluate(pt) == poly.evaluate(pt)
+
+
+def gauss_jordan_expansion(poly: PolyMulti, n: int, d: int) -> tuple[Fraction, ...]:
+    """The expansion by inverting the basis matrix of each axis on 0..n-1."""
+    inverses = [
+        invert_matrix([[binom(x + m + axis, m) for m in range(n)] for x in range(n)])
+        for axis in range(d)
+    ]
+    grid = list(itertools.product(range(n), repeat=d))
+    values = [poly.evaluate(pt) for pt in grid]
+    return tuple(
+        sum(
+            value * math.prod(inv[m][x] for inv, m, x in zip(inverses, index, pt))
+            for pt, value in zip(grid, values)
+        )
+        for index in grid
+    )
+
+
+@pytest.mark.parametrize("d, max_n", [(1, 8), (2, 6), (3, 5)])
+def test_expansion_matches_gauss_jordan_oracle(d, max_n):
+    for n in range(d, max_n + 1):
+        poly = gn_poly(n, d)
+        expansion = expand_in_binomial_basis(poly, n, d)
+        assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_off_grid_expansion_matches_gauss_jordan_oracle(d):
+    # nodes (3, 5, 9) are off the grid and the degree bound 2 is below n - 1
+    # for n = 4, 5, so the polynomial is re-interpolated before the expansion
+    rng = random.Random(d)
+    values = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3**d)]
+    poly = PolyMulti.interpolate(((3, 5, 9),) * d, values)
+    for n in (3, 4, 5):
+        expansion = expand_in_binomial_basis(poly, n, d)
+        assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
 
 
 def test_expansion_flags_non_integral_coefficients():

@@ -1,0 +1,32 @@
+"""The traced benchmark run can still find every function it wraps.
+
+perfbench/tracer.py names its targets as (module, attribute) pairs; a
+deleted or renamed function would break the traced run, so each pair must
+resolve in the package.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+_spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+tracer = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracer)
+
+
+@pytest.mark.parametrize("module_name, attr, span", tracer.TARGETS)
+def test_traced_target_resolves(module_name, attr, span):
+    module = importlib.import_module(f"asmref.{module_name}")
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        assert method in vars(getattr(module, cls_name))
+    else:
+        assert callable(getattr(module, attr))
+    assert span.split(".")[0] in tracer.MODULES

@@ -201,7 +201,7 @@ def bottom_up_unit_columns(a: Asm, d: int) -> tuple[int, ...] | None:
 
 
 def test_refined_count_against_enumeration():
-    deep = Budget(table_max_n={1: 5, 2: 5, 3: 5, 4: 5})
+    deep = Budget(table_max_n=5)
     for n in range(1, 5):
         asms = enumerate_asms(n)
         for d in range(1, n + 1):
@@ -255,7 +255,7 @@ def test_refined_table_validation():
 
 
 def test_budget_limits_enforced():
-    tight = Budget(enumeration_max_n=3, table_max_n={1: 3, 2: 3, 3: 3})
+    tight = Budget(enumeration_max_n=3, table_max_n=3)
     with pytest.raises(BudgetError):
         enumerate_asms(4, tight)
     with pytest.raises(BudgetError):
@@ -278,12 +278,12 @@ def fail_if_counting(monkeypatch):
 def test_refined_count_budget_raises_before_counting(monkeypatch):
     asmref.clear_caches()
     fail_if_counting(monkeypatch)
-    tight = Budget(table_max_n={1: 5, 2: 9, 3: 9})
+    tight = Budget(table_max_n=5)
     for indices in ((1,), (2, 6), (1, 2, 3)):
         with pytest.raises(BudgetError):
             refined_count(6, indices, tight)
-    with pytest.raises(BudgetError):
-        refined_count(3, (1,), Budget(table_max_n={2: 9}))
+        with pytest.raises(BudgetError):
+            build_table(6, len(indices), tight)
     with pytest.raises(BudgetError):
         refined_count(22, (1,))
     assert not triangles._sweep_memo and not triangles._alpha_memo
@@ -315,11 +315,10 @@ def test_sweep_matches_dfs_on_random_subsets(case):
 
 
 def test_tables_of_every_depth_match_dfs_of_complements():
-    deep = Budget(table_max_n={d: 8 for d in range(1, 9)})
     for n in range(1, 9):
         asmref.clear_caches()
         for d in range(1, n + 1):
-            table = build_table(n, d, deep)
+            table = build_table(n, d)
             for combo, value in table.entries.items():
                 rest = [v for v in range(1, n + 1) if v not in combo]
                 assert value == alpha_count(rest)
