@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -165,6 +166,7 @@ class TableCache:
         return doc
 
     def store(self, doc: TableDocument) -> None:
+        """Write the document atomically, stamped with the time if it has none."""
         directory = Path(self.directory)
         directory.mkdir(parents=True, exist_ok=True)
         if doc.generated is None:
@@ -172,7 +174,18 @@ class TableCache:
                 doc,
                 generated=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             )
-        self.path_for(doc.kind, doc.n, doc.d).write_text(doc.to_json_text())
+        # write a temporary file beside the target and rename it over the
+        # target, so a failed or concurrent store never leaves a partial file
+        path = self.path_for(doc.kind, doc.n, doc.d)
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        handle = open(tmp, "x")
+        try:
+            with handle:
+                handle.write(doc.to_json_text())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def parse_b_file(text: str) -> list[tuple[int, int]]:

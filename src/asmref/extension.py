@@ -62,7 +62,6 @@ def extend_matrix(table: RefinedTable) -> ExtendedMatrix:
     if table.d != 2:
         raise ValidationError(f"a depth-2 table is required, got depth {table.d}")
     n = table.n
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
     rows = []
     for i in range(1, n + 1):
         row = []
@@ -70,7 +69,13 @@ def extend_matrix(table: RefinedTable) -> ExtendedMatrix:
             if i < j:
                 row.append(table.value(i, j))
             else:
-                row.append(sum(c_coeff(i, j, p, q) * table.value(p, q) for p, q in pairs))
+                # c_coeff(i, j, p, q) vanishes unless j <= p and
+                # i <= q <= p + i - j + 1, so only those pairs p < q are summed
+                row.append(sum(
+                    c_coeff(i, j, p, q) * table.value(p, q)
+                    for p in range(j, n + 1)
+                    for q in range(max(p + 1, i), min(n, p + i - j + 1) + 1)
+                ))
         rows.append(tuple(row))
     return ExtendedMatrix(n, tuple(rows))
 

@@ -7,17 +7,19 @@ entries of the staircase row, expands those specializations in a shifted
 binomial product basis, and checks the operator and symmetry identities the
 counting function is known to satisfy.
 
-Newton form over integer node grids, with fractions.Fraction coefficients,
-is the one polynomial representation, so every evaluation is exact.  The
-specializations are resampled level by level onto the grid 0..n-1 and
-interpolated there once; the binomial basis is only the output of a
-unit-triangular change of basis from those Newton coefficients.
+Newton form over integer node grids, with integer numerators over one common
+denominator, is the one polynomial representation; it is evaluated at rational
+points by integer Horner, so every evaluation is exact.  The specializations
+are resampled level by level onto the grid 0..n-1 and interpolated there
+once; the binomial basis is only the output of a unit-triangular change of
+basis from those Newton coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,18 +62,30 @@ def _apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> l
     return out
 
 
+def _check_point(point: Sequence, num_vars: int) -> None:
+    """Raise unless the point has num_vars coordinates, each an int or a Fraction."""
+    if len(point) != num_vars:
+        raise ValidationError(f"point must have {num_vars} coordinates, got {len(point)}")
+    for x in point:
+        if not isinstance(x, numbers.Rational):
+            raise ValidationError(f"coordinates must be rational, got {x!r}")
+
+
 @dataclass(frozen=True)
 class PolyMulti:
     """Dense multivariate polynomial in tensor-product Newton form.
 
-    coeffs is a row-major flat tuple of shape (degree_bound + 1,) ** num_vars,
+    The Newton coefficients are numerators / denominator, with integer
+    numerators over one positive common denominator in lowest terms.
+    numerators is a row-major flat tuple of shape (degree_bound + 1,) ** num_vars,
     with the last variable fastest.
     """
 
     num_vars: int
     degree_bound: int
     nodes: tuple[tuple[int, ...], ...]
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -83,8 +97,10 @@ class PolyMulti:
             if len(node_list) != k or len(set(node_list)) != k:
                 raise ValidationError(f"need {k} distinct nodes per variable")
         size = k**self.num_vars
-        if len(self.coeffs) != size:
+        if len(self.numerators) != size:
             raise ValidationError(f"coefficient tensor must have size {size}")
+        if self.denominator < 1 or math.gcd(self.denominator, *self.numerators) != 1:
+            raise ValidationError("the denominator must be positive and in lowest terms")
 
     @classmethod
     def interpolate(cls, nodes: Sequence[Sequence[int]], values: Sequence) -> "PolyMulti":
@@ -107,32 +123,39 @@ class PolyMulti:
                 flat, k, num_vars, axis,
                 lambda fiber, ns=node_tuples[axis]: _divided_differences(ns, fiber),
             )
+        denominator = math.lcm(*(c.denominator for c in flat))
         return cls(
             num_vars=num_vars,
             degree_bound=k - 1,
             nodes=node_tuples,
-            coeffs=tuple(flat),
+            numerators=tuple(c.numerator * (denominator // c.denominator) for c in flat),
+            denominator=denominator,
         )
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point (nested Horner in Newton form)."""
-        if len(point) != self.num_vars:
-            raise ValidationError(
-                f"point must have {self.num_vars} coordinates, got {len(point)}"
-            )
+        """Exact value at a rational point, by homogenised integer Horner.
+
+        With x = p/q on an axis, q^(k-1) times the Newton form of degree k - 1
+        is the integer Horner sum acc*(p - node*q) + c_i*q^(k-1-i), so every
+        axis is reduced in ints and one Fraction is built at the end.
+        """
+        _check_point(point, self.num_vars)
         k = self.degree_bound + 1
-        flat: list[Fraction] = list(self.coeffs)
+        flat = self.numerators
+        scale = self.denominator
         for axis in range(self.num_vars - 1, -1, -1):
-            x = Fraction(point[axis])
-            diffs = [x - node for node in self.nodes[axis]]
+            p, q = point[axis].numerator, point[axis].denominator
+            diffs = [p - node * q for node in self.nodes[axis]]
+            powers = [q ** (k - 1 - i) for i in range(k)]
             reduced = []
             for s in range(0, len(flat), k):
                 acc = flat[s + k - 1]
                 for i in range(k - 2, -1, -1):
-                    acc = acc * diffs[i] + flat[s + i]
+                    acc = acc * diffs[i] + flat[s + i] * powers[i]
                 reduced.append(acc)
             flat = reduced
-        return flat[0]
+            scale *= powers[0]
+        return Fraction(flat[0], scale)
 
     def newton_degrees(self) -> tuple[int, ...]:
         """Per-variable degree as witnessed by the nonzero Newton coefficients."""
@@ -141,7 +164,7 @@ class PolyMulti:
         for axis in range(self.num_vars):
             stride = k ** (self.num_vars - axis - 1)
             top = -1
-            for pos, c in enumerate(self.coeffs):
+            for pos, c in enumerate(self.numerators):
                 if c != 0:
                     idx = (pos // stride) % k
                     if idx > top:
@@ -258,11 +281,10 @@ class BinomBasisExpansion:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Reconstruct the polynomial value at a rational point."""
-        if len(point) != self.d:
-            raise ValidationError(f"point must have {self.d} coordinates")
+        _check_point(point, self.d)
         cur = list(self.coeffs)
         for axis in range(self.d - 1, -1, -1):
-            x = Fraction(point[axis])
+            x = point[axis]
             basis = [binom_at(x + j + axis - 1, j - 1) for j in range(1, self.n + 1)]
             cur = [
                 sum(cur[s + t] * basis[t] for t in range(self.n))
@@ -292,7 +314,8 @@ def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpan
     the Newton basis element of degree k is k! * binom(x, k), and by
     Vandermonde binom(x + m + a, m) = sum_k binom(m + a, m - k) * binom(x, k)
     on axis a (0-based).  The change of basis is unit upper triangular, so the
-    coefficients are unique and come out by back-substitution.
+    coefficients are unique and come out by back-substitution, in ints on the
+    numerators, with one division by the common denominator at the end.
     """
     if poly.num_vars != d:
         raise ValidationError(f"polynomial has {poly.num_vars} variables, expected {d}")
@@ -307,20 +330,22 @@ def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpan
         )
     factorials = [math.factorial(k) for k in range(n)]
 
-    def back_substitute(fiber: list, weights: list[list[int]]) -> list[Fraction]:
+    def back_substitute(fiber: list, weights: list[list[int]]) -> list[int]:
         out = [a * f for a, f in zip(fiber, factorials)]
         for k in range(n - 2, -1, -1):
             out[k] -= sum(c * w for c, w in zip(out[k + 1 :], weights[k]))
         return out
 
-    coeffs = list(poly.coeffs)
+    numerators = list(poly.numerators)
     for axis in range(d):
         # weights[k] lists binom(m + axis, m - k) for m = k + 1 .. n - 1
         weights = [[binom(m + axis, m - k) for m in range(k + 1, n)] for k in range(n)]
-        coeffs = _apply_axis(
-            coeffs, n, d, axis, lambda fiber, w=weights: back_substitute(fiber, w)
+        numerators = _apply_axis(
+            numerators, n, d, axis, lambda fiber, w=weights: back_substitute(fiber, w)
         )
-    return BinomBasisExpansion(n, d, tuple(coeffs))
+    return BinomBasisExpansion(
+        n, d, tuple(Fraction(c, poly.denominator) for c in numerators)
+    )
 
 
 def _draw_point(rng: random.Random, dim: int, bound: int) -> tuple[Fraction, ...]:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from asmref import documents
 from asmref.documents import (
     OeisReference,
     TOOL_VERSION,
@@ -85,6 +86,47 @@ def test_cache_round_trip(tmp_path):
     assert loaded.int_entries() == SAMPLE_ENTRIES
     # stored files carry a timestamp even when the source document had none
     assert loaded.generated is not None
+
+
+class _FailingHandle:
+    """A file handle that writes the first half of the text, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_store_keeps_previous_document(tmp_path, monkeypatch, failure):
+    cache = TableCache(tmp_path)
+    cache.store(sample_doc())
+    path = cache.path_for("refined", 3, 1)
+    before = path.read_text()
+    if failure == "write":
+        monkeypatch.setattr(
+            documents, "open", lambda *a: _FailingHandle(open(*a)), raising=False
+        )
+    else:
+        def replace(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(documents.os, "replace", replace)
+    changed = document_from_entries(3, 1, "refined", {(1,): 5, (2,): 6, (3,): 5})
+    with pytest.raises(OSError):
+        cache.store(changed)
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert cache.load("refined", 3, 1).int_entries() == SAMPLE_ENTRIES
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_cache_rejects_version_mismatch(tmp_path):

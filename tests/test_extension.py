@@ -54,6 +54,18 @@ def test_extend_matrix_reproduces_published_arrays():
         assert matrix.rows == expected
 
 
+def test_extend_matrix_matches_sum_over_all_pairs():
+    # the extension sums only the pairs where c_coeff can be nonzero
+    for n in range(3, 13):
+        table = build_table(n, 2)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        matrix = extend_matrix(table)
+        for i in range(1, n + 1):
+            for j in range(1, i + 1):
+                full = sum(c_coeff(i, j, p, q) * table.value(p, q) for p, q in pairs)
+                assert matrix.entry(i, j) == full
+
+
 def test_extended_upper_part_is_plain_table():
     for n in (3, 4, 5):
         table = build_table(n, 2)

@@ -143,6 +143,93 @@ def test_interpolate_exact_for_low_degree(coeffs, px, py):
     )
 
 
+def fraction_newton_horner(poly: PolyMulti, point) -> Fraction:
+    """The polynomial at a point by nested Newton-Horner in Fractions."""
+    k = poly.degree_bound + 1
+    flat = [Fraction(c, poly.denominator) for c in poly.numerators]
+    for axis in range(poly.num_vars - 1, -1, -1):
+        x = Fraction(point[axis])
+        diffs = [x - node for node in poly.nodes[axis]]
+        reduced = []
+        for s in range(0, len(flat), k):
+            acc = flat[s + k - 1]
+            for i in range(k - 2, -1, -1):
+                acc = acc * diffs[i] + flat[s + i]
+            reduced.append(acc)
+        flat = reduced
+    return flat[0]
+
+
+def _off_grid_polynomial(d: int) -> PolyMulti:
+    rng = random.Random(d)
+    values = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3**d)]
+    return PolyMulti.interpolate(((3, 5, 9),) * d, values)
+
+
+ORACLE_CASES = [
+    *(("alpha", n) for n in range(1, 5)),
+    ("gn", 5, 1),
+    ("gn", 6, 2),
+    ("gn", 5, 3),
+    *(("off-grid", d) for d in (1, 2, 3)),
+]
+
+
+def oracle_polynomial(case: tuple) -> PolyMulti:
+    kind, *args = case
+    make = {"alpha": alpha_polynomial, "gn": gn_poly, "off-grid": _off_grid_polynomial}
+    return make[kind](*args)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_evaluate_matches_fraction_newton_horner(case):
+    poly = oracle_polynomial(case)
+    m = poly.num_vars
+    rng = random.Random(2024 + m)
+    points = [
+        tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(m))
+        for _ in range(30)
+    ]
+    # integer points, in the int and in the Fraction type
+    points += [tuple(rng.randint(-12, 12) for _ in range(m)) for _ in range(10)]
+    points += [tuple(Fraction(rng.randint(-12, 12)) for _ in range(m)) for _ in range(5)]
+    # points on the nodes, where p - node * q vanishes, in every coordinate
+    # or only in some, with denominators up to 7 elsewhere
+    points += [tuple(ns[t % len(ns)] for ns in poly.nodes) for t in range(3)]
+    for q in range(1, 8):
+        points.append(tuple(
+            Fraction(ns[rng.randrange(len(ns))]) if rng.random() < 0.5
+            else Fraction(rng.randint(-30, 30), q)
+            for ns in poly.nodes
+        ))
+    for point in points:
+        value = poly.evaluate(point)
+        assert isinstance(value, Fraction)
+        assert value == fraction_newton_horner(poly, point)
+
+
+def test_newton_numerators_are_in_lowest_terms():
+    for case in ORACLE_CASES:
+        poly = oracle_polynomial(case)
+        assert poly.denominator >= 1
+        assert math.gcd(poly.denominator, *poly.numerators) == 1
+    with pytest.raises(ValidationError):
+        PolyMulti(1, 1, ((0, 1),), (2, 4), 2)
+    with pytest.raises(ValidationError):
+        PolyMulti(1, 1, ((0, 1),), (1, 1), 0)
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, complex(1, 0), "1", None], ids=repr)
+def test_evaluation_rejects_non_rational_coordinates(bad):
+    with pytest.raises(ValidationError):
+        alpha_eval(3, (bad, 1, 2))
+    with pytest.raises(ValidationError):
+        gn_poly(3, 2).evaluate((Fraction(1, 2), bad))
+    expansion = expand_in_binomial_basis(gn_poly(3, 2), 3, 2)
+    with pytest.raises(ValidationError):
+        expansion.evaluate((bad, 1))
+
+
 def test_interpolate_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         PolyMulti.interpolate(((0, 0),), [Fraction(1), Fraction(2)])
@@ -241,9 +328,7 @@ def test_expansion_matches_gauss_jordan_oracle(d, max_n):
 def test_off_grid_expansion_matches_gauss_jordan_oracle(d):
     # nodes (3, 5, 9) are off the grid and the degree bound 2 is below n - 1
     # for n = 4, 5, so the polynomial is re-interpolated before the expansion
-    rng = random.Random(d)
-    values = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3**d)]
-    poly = PolyMulti.interpolate(((3, 5, 9),) * d, values)
+    poly = _off_grid_polynomial(d)
     for n in (3, 4, 5):
         expansion = expand_in_binomial_basis(poly, n, d)
         assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
