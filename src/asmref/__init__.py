@@ -56,6 +56,8 @@ from .triangles import (
     MonotoneTriangle,
     RefinedTable,
     alpha_count,
+    alpha_count_dfs,
+    alpha_count_fiber,
     asm_to_mt,
     build_table,
     complete_monotone_triangles,
@@ -93,6 +95,8 @@ __all__ = [
     "VerificationReport",
     "Witness",
     "alpha_count",
+    "alpha_count_dfs",
+    "alpha_count_fiber",
     "alpha_eval",
     "alpha_polynomial",
     "asm_to_mt",

@@ -38,7 +38,7 @@ from .polynomials import (
 from .reports import VerificationReport, Witness
 from .triangles import (
     RefinedTable,
-    alpha_count,
+    alpha_count_dfs,
     asm_to_mt,
     build_table,
     complete_monotone_triangles,
@@ -102,8 +102,9 @@ def verify_product_formulas(n: int) -> VerificationReport:
     total = total_asm_count(n)
     if sum(counted_row) != total:
         witnesses.append(Witness((n,), sum(counted_row), total))
-    if alpha_count(range(1, n + 1)) != total:
-        witnesses.append(Witness((n,), alpha_count(range(1, n + 1)), total))
+    dfs_total = alpha_count_dfs(range(1, n + 1))
+    if dfs_total != total:
+        witnesses.append(Witness((n,), dfs_total, total))
     return VerificationReport.from_witnesses(
         "product-formulas", f"n={n}, row of {n} counts plus total", witnesses
     )

@@ -256,10 +256,10 @@ def _cmd_verify(args) -> int:
         return 2
     cache = _cache_from(args)
     lo, hi = args.n or claim.orders
+    # highest order first: its column sweep answers every lower order
+    by_order = {n: claim.reports(n, args.d, args.seed, cache) for n in range(hi, lo - 1, -1)}
     results: list[tuple[int, VerificationReport]] = [
-        (n, report)
-        for n in range(lo, hi + 1)
-        for report in claim.reports(n, args.d, args.seed, cache)
+        (n, report) for n in range(lo, hi + 1) for report in by_order[n]
     ]
     all_passed = all(report.passed for _, report in results)
 

@@ -24,7 +24,8 @@ class Budget:
     """Caps on the exhaustive computations, keyed by refinement depth where relevant.
 
     table_max_n caps the order of every refined table and count: all depths
-    of an order are lookups into the same column sweep.
+    of an order are lookups into the same column sweep.  It also caps the row
+    transfer behind alpha_count at the cost of that largest sweep.
     """
 
     enumeration_max_n: int = 6
@@ -33,7 +34,6 @@ class Budget:
     gn_poly_max_n: Mapping[int, int] = field(default_factory=_default_gn_caps)
     identity_max_n: int = 5
     sufficiency_max_n: int = 10
-    conjecture3_max_n: int = 6
 
 
 DEFAULT_BUDGET = Budget()

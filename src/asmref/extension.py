@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinat import binom, binom_plus, harmonic, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, Budget
@@ -237,12 +237,17 @@ def w_value(n: int, i: int, j: int) -> int:
         raise ValidationError(f"first index must lie in 0..{n}, got {i}")
     if not 1 <= j <= n + 1:
         raise ValidationError(f"second index must lie in 1..{n + 1}, got {j}")
+    return _binomial_transform(n, j, lambda p: z_value(n, p, i))
+
+
+def _binomial_transform(n: int, j: int, z: Callable[[int], int]) -> int:
+    """Sum of (-1)^(p+j+n) binom(p, n-j) z(p) over p in 0..n-2, skipping zero terms."""
     total = 0
     for p in range(n - 1):
         coeff = binom(p, n - j)
         if coeff == 0:
             continue
-        term = coeff * z_value(n, p, i)
+        term = coeff * z(p)
         total += term if (p + j + n) % 2 == 0 else -term
     return total
 
@@ -252,12 +257,18 @@ def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> Verificatio
     if matrix is None:
         matrix = extend_matrix(build_table(n, 2))
     total_prev = refined_count(n, (n,))
+    # every w at column index i reads the same shift-subset sums; count them once
+    z = [[z_value(n, p, i) for p in range(n - 1)] for i in range(n)]
+
+    def w(i: int, j: int) -> int:
+        return _binomial_transform(n, j, z[i].__getitem__)
+
     witnesses = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            value = -w_value(n, i - 1, j + 1)
+            value = -w(i - 1, j + 1)
             if i != n:
-                value += w_value(n, i, j)
+                value += w(i, j)
             if i == n - 1 and j == 1:
                 value += total_prev
             expected = matrix.entry(i, j)
@@ -545,11 +556,6 @@ def verify_conjecture3(
     """The depth-d reflection equations hold for the expansion coefficients."""
     if d < 2:
         raise ValidationError(f"depth must be at least 2, got {d}")
-    if d == 3 and n > budget.conjecture3_max_n:
-        raise BudgetError(
-            f"depth-3 reflection check at n={n} exceeds the budget cap "
-            f"{budget.conjecture3_max_n}"
-        )
     checked = f"n={n}, d={d}, all {n ** d} index tuples"
     try:
         coeffs = _coefficient_array(n, d, budget)

@@ -29,7 +29,7 @@ from .combinat import binom, binom_at
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .errors import BudgetError, NonIntegralError, ValidationError
 from .reports import VerificationReport, Witness
-from .triangles import alpha_count
+from .triangles import alpha_count_fiber
 
 
 def _divided_differences(nodes: Sequence[int], values: Sequence) -> list[Fraction]:
@@ -182,7 +182,8 @@ def alpha_polynomial(n: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
 
     Samples live on the block grid where variable i (1-based) ranges over
     (i-1)*n .. i*n - 1, so every grid point is strictly increasing and the
-    samples are genuine monotone triangle counts.
+    samples are genuine monotone triangle counts.  The n samples along the
+    last axis share their prefix and come from one row transfer.
     """
     if n < 1:
         raise ValidationError(f"order must be positive, got {n}")
@@ -193,7 +194,11 @@ def alpha_polynomial(n: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     cached = _alpha_poly_cache.get(n)
     if cached is None:
         nodes = tuple(tuple(range(i * n, i * n + n)) for i in range(n))
-        values = [alpha_count(pt) for pt in itertools.product(*nodes)]
+        values = [
+            value
+            for prefix in itertools.product(*nodes[:-1])
+            for value in alpha_count_fiber(prefix, nodes[-1], budget)
+        ]
         cached = PolyMulti.interpolate(nodes, values)
         _alpha_poly_cache[n] = cached
     return cached
@@ -208,10 +213,12 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     """The counting polynomial with only the last d staircase entries perturbed.
 
     Variable r (1-based) shifts entry n - d + r of the reference bottom row
-    1..n.  Each variable is sampled on an integer staircase of n shifts that
-    keeps the perturbed row weakly increasing; every level of the recursion
-    interpolates its fibers on those shifts and resamples them onto the grid
-    0..n-1, so one tensor interpolation on that grid gives the Newton form.
+    1..n.  Each variable is sampled on the n smallest shifts that keep the
+    row strictly increasing, so level 0 lands on the grid 0..n-1 itself.
+    Every other level interpolates its fibers on its shifts and resamples them
+    onto that grid, so one tensor interpolation on the grid gives the Newton
+    form.  The n samples of the innermost variable share their prefix and
+    come from one row transfer.
     """
     if d < 1:
         raise ValidationError(f"depth must be positive, got {d}")
@@ -235,14 +242,15 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
 
     def build(args: tuple[int, ...], r: int) -> list:
         # values of variables r.. (0-based) on the grid, x_r axis major
-        if r == d:
-            return [alpha_count(args)]
         base = n - d + r + 1
         last = args[-1] if args else base - 1
-        lo = last - base  # smallest shift keeping the row weakly increasing
-        nodes = range(lo, lo + n)
-        flat = [v for x in nodes for v in build(args + (base + x,), r + 1)]
-        if lo == 0:
+        first = last - base + 1  # smallest shift keeping the row strictly increasing
+        nodes = range(first, first + n)
+        if r == d - 1:
+            flat = alpha_count_fiber(args, [base + x for x in nodes], budget)
+        else:
+            flat = [v for x in nodes for v in build(args + (base + x,), r + 1)]
+        if first == 0:
             return flat
         return _apply_axis(flat, n, d - r, 0, lambda fiber: resample(nodes, fiber))
 

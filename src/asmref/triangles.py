@@ -8,12 +8,20 @@ d columns from the staircase row (1, ..., n) counts the order-n matrices whose
 last d rows are unit rows with their 1s in those columns, read upward in
 increasing order.
 
-Two kernels compute it.  Bottom rows that are subsets of the staircase, which
-is every refined table and refined_count, come from one column sweep per order
-(_staircase_counts): the six-vertex transfer over partial column sums counts
-every subset of {1..n} at once.  alpha_count itself is the interlacing DFS; it
-alone handles tied and wide rows (polynomial sampling, shift-subset sums) and
-serves the tests as the oracle of the sweep.
+Three kernels compute it, two of them one six-vertex cell rule (_cell) read
+along either axis of the ASM <-> domain-wall correspondence:
+
+- the column sweep (_column_sweep) adds the matrix row by row and counts every
+  subset of {1..n} at once; every refined table and refined_count is a lookup
+  into the sweep of its order (_staircase_counts);
+- the row transfer (_row_transfer) adds the n x W matrix of one strictly
+  increasing row of width W column by column, in at most W * n * 2^n cell
+  updates; alpha_count_fiber reads the counts of a row prefix with every
+  candidate last entry off one transfer, and alpha_count sends every strictly
+  increasing row there, under a budget;
+- the interlacing DFS (alpha_count_dfs) counts tied rows for alpha_count
+  (the shift-subset sums of z_value), and serves as the independent total of
+  the product-formulas check and as the oracle of both other kernels.
 """
 
 from __future__ import annotations
@@ -122,26 +130,78 @@ def mt_to_asm(t: MonotoneTriangle) -> Asm:
     return Asm(tuple(entries))
 
 
-# Counting rows are translation invariant, so memo keys are normalized to start
-# at zero; this lets every table, polynomial grid and identity check share one
-# cache.
+# The DFS memo.  Counting rows are translation invariant, so keys are
+# normalized to start at zero.  Only the DFS reads and writes it, so the DFS
+# stays independent of the six-vertex kernels it checks.
 _alpha_memo: dict[tuple[int, ...], int] = {}
 
 
-def alpha_count(bottom: Sequence[int]) -> int:
+def alpha_count(bottom: Sequence[int], budget: Budget = DEFAULT_BUDGET) -> int:
     """Number of almost-monotone triangles over a weakly increasing bottom row.
 
     For a strictly increasing bottom row this counts ordinary monotone
     triangles.  Ties are allowed; rows above a tie are only required to be
     weakly increasing, which keeps the recurrence well defined.
+
+    A strictly increasing row is counted by the row transfer, as
+    alpha_count_fiber with one last entry, and raises BudgetError before
+    counting when the transfer would exceed the budget.  A row with a tie is
+    counted by the interlacing DFS, which takes no budget.
     """
-    row = tuple(int(v) for v in bottom)
-    if not row:
+    row = _normalized(bottom)
+    if len(row) < 2:
         return 1
+    if any(a == b for a, b in zip(row, row[1:])):
+        return _alpha(row)
+    return alpha_count_fiber(row[:-1], (row[-1],), budget)[0]
+
+
+def alpha_count_dfs(bottom: Sequence[int]) -> int:
+    """alpha_count by the interlacing DFS alone, for any weakly increasing row.
+
+    Independent of both six-vertex kernels, it is the oracle that checks them.
+    It takes no budget: a wide row runs for a long time.
+    """
+    row = _normalized(bottom)
+    return _alpha(row) if row else 1
+
+
+def alpha_count_fiber(
+    prefix: Sequence[int], lasts: Sequence[int], budget: Budget = DEFAULT_BUDGET
+) -> list[int]:
+    """alpha_count(prefix + (last,)) for every candidate last, from one row transfer.
+
+    The prefix must be strictly increasing and every candidate larger than its
+    last entry.  The transfer runs to the largest candidate, so with W from the
+    first entry to that candidate and n entries it raises BudgetError before
+    counting when W * n * 2^n exceeds table_max_n^2 * 2^table_max_n, the cost
+    of the largest column sweep the budget allows.
+    """
+    head = tuple(int(v) for v in prefix)
+    tails = [int(v) for v in lasts]
+    if any(a >= b for a, b in zip(head, head[1:])):
+        raise ValidationError(f"prefix must be strictly increasing: {head}")
+    if head and any(last <= head[-1] for last in tails):
+        raise ValidationError(f"every last entry must exceed {head[-1]}: {tails}")
+    if not tails:
+        return []
+    n = len(head) + 1
+    width = max(tails) - head[0] + 1 if head else 1
+    cap = budget.table_max_n
+    if width * n * 2**n > cap * cap * 2**cap:
+        raise BudgetError(
+            f"row transfer over {n} entries of width {width} exceeds the budget "
+            f"of an order-{cap} sweep"
+        )
+    return _row_transfer(head, tails)
+
+
+def _normalized(bottom: Sequence[int]) -> tuple[int, ...]:
+    """The row as ints translated to start at zero; raises unless weakly increasing."""
+    row = tuple(int(v) for v in bottom)
     if any(a > b for a, b in zip(row, row[1:])):
         raise ValidationError(f"bottom row must be weakly increasing: {row}")
-    first = row[0]
-    return _alpha(tuple(v - first for v in row))
+    return tuple(v - row[0] for v in row)
 
 
 def _alpha(row: tuple[int, ...]) -> int:
@@ -312,26 +372,63 @@ def _column_sweep(n: int) -> dict[int, int]:
     """alpha_count of every subset of {1..n}, from the six-vertex transfer.
 
     The ASM rows are added one entry at a time.  A state holds the partial
-    column sums as bits 1..n and the running row sum h as bit 0.  In column j
-    a 0 keeps the state; a +1 needs h = 0 and column sum 0, a -1 needs h = 1
-    and column sum 1, and either flips both bits.  A row is complete when h is
-    1.  After row k the states are the k-subsets that are the bottom rows of
-    k-row monotone triangles, with their counts.
+    column sums as bits 1..n and the running row sum h as bit 0; the entry in
+    column j is the cell between h and bit j.  A row is complete when h is 1.
+    After row k the states are the k-subsets that are the bottom rows of k-row
+    monotone triangles, with their counts.
     """
     counts = {0: 1}
     states = {0: 1}
     for _ in range(n):
         for j in range(1, n + 1):
-            flip = (1 << j) | 1
-            after = dict(states)
-            for state, ways in states.items():
-                if not (state ^ (state >> j)) & 1:
-                    key = state ^ flip
-                    after[key] = after.get(key, 0) + ways
-            states = after
+            states = _cell(states, j)
         states = {state ^ 1: ways for state, ways in states.items() if state & 1}
         counts.update(states)
     return counts
+
+
+def _row_transfer(prefix: tuple[int, ...], lasts: Sequence[int]) -> list[int]:
+    """alpha_count(prefix + (last,)) for each last, from one six-vertex transfer.
+
+    The transpose of _column_sweep: the n x W matrix of the row's triangles is
+    added one column at a time, top to bottom.  A state holds the partial row
+    sums as bits 1..n and the column's running sum as bit 0, under the same
+    cell rule.  Column c ends with its sum at 1 if c is an entry of the row and
+    at 0 otherwise.  The count of a row ending at c is the weight of the
+    all-ones state at the end of column c, with every row and that column
+    summing to 1; the states whose column c sums to 0 go on to later columns.
+    """
+    if not prefix:
+        return [1] * len(lasts)
+    n = len(prefix) + 1
+    done = (1 << (n + 1)) - 1
+    entries = set(prefix)
+    wanted = set(lasts)
+    found = {}
+    states = {0: 1}
+    for c in range(prefix[0], max(lasts) + 1):
+        for i in range(1, n + 1):
+            states = _cell(states, i)
+        if c in wanted:
+            found[c] = states.get(done, 0)
+        end = 1 if c in entries else 0
+        states = {state & ~1: ways for state, ways in states.items() if state & 1 == end}
+    return [found[c] for c in lasts]
+
+
+def _cell(states: dict[int, int], bit: int) -> dict[int, int]:
+    """One six-vertex cell between the line sums at bit 0 and at the given bit.
+
+    A 0 keeps the state; a +1 needs both sums at 0 and a -1 both at 1, and
+    either flips both bits.
+    """
+    flip = (1 << bit) | 1
+    after = dict(states)
+    for state, ways in states.items():
+        if not (state ^ (state >> bit)) & 1:
+            key = state ^ flip
+            after[key] = after.get(key, 0) + ways
+    return after
 
 
 def _complement_mask(n: int, indices: Sequence[int]) -> int:

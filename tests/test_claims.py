@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
+import asmref
 import asmref.claims as claims
 import asmref.cli as cli
-from asmref import extension
+from asmref import extension, triangles
 from asmref.claims import CLAIMS
 from asmref.polynomials import BinomBasisExpansion
 
@@ -198,3 +199,33 @@ def test_script_rejects_an_unknown_claim_before_running_any(script, capsys):
     assert exc.value.code == 2
     assert script.ran == []
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_product_formulas_take_their_total_from_the_dfs(monkeypatch, capsys):
+    def counted(*args):
+        raise AssertionError("the row transfer ran")
+
+    asmref.clear_caches()
+    monkeypatch.setattr(triangles, "_row_transfer", counted)
+    assert cli.main(["verify", "product-formulas"]) == 0
+    assert "product-formulas: PASS (1..8)" in capsys.readouterr().out
+    # the total is checked: a wrong DFS total fails the claim
+    monkeypatch.setattr(claims, "alpha_count_dfs", lambda row: 0)
+    assert cli.main(["verify", "product-formulas", "--n", "4"]) == 1
+    assert "product-formulas n=4: FAIL" in capsys.readouterr().out
+
+
+def test_verify_range_runs_one_sweep(monkeypatch, capsys):
+    real = triangles._column_sweep
+    orders = []
+
+    def sweep(n):
+        orders.append(n)
+        return real(n)
+
+    asmref.clear_caches()
+    monkeypatch.setattr(triangles, "_column_sweep", sweep)
+    assert cli.main(["verify", "theorem1", "--n", "3..8"]) == 0
+    assert orders == [8]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"theorem1 n={n}: PASS" for n in range(3, 9)] + ["theorem1: PASS (3..8)"]

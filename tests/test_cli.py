@@ -71,8 +71,9 @@ def test_count_budget_exceeded_is_usage_error(capsys):
         ("count", "--n", "22", "--indices", "1"),
         ("count", "--n", "17", "--d", "3"),
         ("verify", "conj4", "--n", "8"),
+        ("verify", "conj3", "--n", "8"),
     ],
-    ids=["count-indices", "count-depth-3", "verify-conj4"],
+    ids=["count-indices", "count-depth-3", "verify-conj4", "verify-conj3"],
 )
 def test_budget_exceeded_before_counting(capsys, monkeypatch, argv):
     def counted(*args):
@@ -80,6 +81,7 @@ def test_budget_exceeded_before_counting(capsys, monkeypatch, argv):
 
     asmref.clear_caches()
     monkeypatch.setattr(triangles, "_column_sweep", counted)
+    monkeypatch.setattr(triangles, "_row_transfer", counted)
     monkeypatch.setattr(triangles, "_alpha", counted)
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -260,8 +260,11 @@ def test_conjecture3_depth2_is_theorem1():
 
 
 def test_conjecture3_budget():
+    # depth 3 is held by the specialization cap gn_poly_max_n[3] = 7 alone
     with pytest.raises(BudgetError):
-        verify_conjecture3(7, 3)
+        verify_conjecture3(8, 3)
+    with pytest.raises(BudgetError):
+        verify_conjecture3(5, 3, Budget(gn_poly_max_n={1: 12, 2: 10, 3: 4}))
 
 
 def test_triangular_system():

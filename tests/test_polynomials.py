@@ -35,7 +35,8 @@ from asmref.polynomials import (
     verify_alpha_identities,
     verify_gn_reflection,
 )
-from asmref.triangles import alpha_count
+from asmref import triangles
+from asmref.triangles import alpha_count, alpha_count_dfs
 
 from reference_tables import EXTENDED_MATRICES
 
@@ -94,7 +95,7 @@ def test_alpha_eval_agrees_with_counts_outside_sample_grid():
             tuple([30] * n),
         ]
         for row in rows:
-            assert alpha_eval(n, row) == alpha_count(row)
+            assert alpha_eval(n, row) == alpha_count_dfs(row)
 
 
 def test_alpha_polynomial_degree_bound():
@@ -249,7 +250,32 @@ def test_gn_poly_matches_counts_at_integer_shifts():
                 row[n - d + r] += z
             if any(a > b for a, b in zip(row, row[1:])):
                 continue
-            assert poly.evaluate(shift) == alpha_count(tuple(row))
+            assert poly.evaluate(shift) == alpha_count_dfs(tuple(row))
+
+
+def test_sampling_counts_only_strict_rows_by_transfer(monkeypatch):
+    # every sample row of alpha_polynomial and gn_poly is strictly increasing,
+    # so the DFS never runs; one transfer serves each last-axis fiber
+    real = triangles._row_transfer
+    fibers = []
+
+    def transfer(prefix, lasts):
+        fibers.append(len(lasts))
+        return real(prefix, lasts)
+
+    def dfs(row):
+        raise AssertionError(f"the DFS counted {row}")
+
+    polynomials.clear_caches()
+    monkeypatch.setattr(triangles, "_row_transfer", transfer)
+    monkeypatch.setattr(triangles, "_alpha", dfs)
+    alpha_polynomial(4)
+    assert fibers == [4] * 4**3
+    for n, d in ((1, 1), (5, 1), (5, 2), (4, 3), (3, 3)):
+        fibers.clear()
+        gn_poly(n, d)
+        assert fibers == [n] * n ** (d - 1)
+    polynomials.clear_caches()
 
 
 def test_gn_poly_relates_to_full_polynomial():

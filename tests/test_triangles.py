@@ -8,6 +8,7 @@ the defining inequalities, with no shared code with the package internals.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from asmref.triangles import (
     MonotoneTriangle,
     RefinedTable,
     alpha_count,
+    alpha_count_dfs,
+    alpha_count_fiber,
     asm_to_mt,
     build_table,
     complete_monotone_triangles,
@@ -272,6 +275,7 @@ def fail_if_counting(monkeypatch):
         raise AssertionError("counting started")
 
     monkeypatch.setattr(triangles, "_column_sweep", counted)
+    monkeypatch.setattr(triangles, "_row_transfer", counted)
     monkeypatch.setattr(triangles, "_alpha", counted)
 
 
@@ -300,7 +304,7 @@ def test_sweep_matches_dfs_on_every_staircase_subset():
         assert len(counts) == 2**n
         for size in range(n + 1):
             for subset in itertools.combinations(range(1, n + 1), size):
-                assert counts[mask(subset)] == alpha_count(subset)
+                assert counts[mask(subset)] == alpha_count_dfs(subset)
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,7 +315,7 @@ def test_sweep_matches_dfs_on_every_staircase_subset():
 )
 def test_sweep_matches_dfs_on_random_subsets(case):
     n, subset = case
-    assert triangles._staircase_counts(n)[mask(subset)] == alpha_count(sorted(subset))
+    assert triangles._staircase_counts(n)[mask(subset)] == alpha_count_dfs(sorted(subset))
 
 
 def test_tables_of_every_depth_match_dfs_of_complements():
@@ -321,7 +325,74 @@ def test_tables_of_every_depth_match_dfs_of_complements():
             table = build_table(n, d)
             for combo, value in table.entries.items():
                 rest = [v for v in range(1, n + 1) if v not in combo]
-                assert value == alpha_count(rest)
+                assert value == alpha_count_dfs(rest)
+
+
+def random_strict_rows(count: int, seed: int):
+    """Seeded strictly increasing rows of n <= 6 entries and width <= 2n + 3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        start = rng.randint(-5, 5)
+        values = rng.sample(range(2 * n + 3), n)
+        yield tuple(start + v for v in sorted(values))
+
+
+def test_transfer_matches_dfs_and_brute_force_on_random_strict_rows():
+    for row in random_strict_rows(150, seed=2009):
+        transfer = alpha_count_fiber(row[:-1], (row[-1],))[0]
+        assert alpha_count(row) == transfer == alpha_count_dfs(row)
+        if len(row) <= 4:
+            assert transfer == brute_triangle_count(row)
+
+
+def test_fiber_matches_counts_of_each_row():
+    cases = [
+        ((), (3, -2, 7)),
+        ((0,), (1, 2, 9)),
+        ((1, 2, 3), (4, 5, 6, 9)),
+        ((0, 2, 3, 7), (12, 8, 8, 10)),
+        ((-3, 0, 1, 4, 6), (7, 11, 15)),
+    ]
+    for prefix, lasts in cases:
+        counts = alpha_count_fiber(prefix, lasts)
+        assert counts == [alpha_count_dfs(prefix + (last,)) for last in lasts]
+        assert counts == [alpha_count(prefix + (last,)) for last in lasts]
+    for row in random_strict_rows(40, seed=1996):
+        if len(row) > 1:
+            lasts = range(row[-1], row[-1] + 6)
+            assert alpha_count_fiber(row[:-1], lasts) == [
+                alpha_count_dfs(row[:-1] + (last,)) for last in lasts
+            ]
+    assert alpha_count_fiber((1, 2), ()) == []
+
+
+def test_fiber_rejects_rows_that_are_not_strict():
+    with pytest.raises(ValidationError):
+        alpha_count_fiber((1, 1), (4,))
+    with pytest.raises(ValidationError):
+        alpha_count_fiber((1, 4), (4,))
+
+
+def test_transfer_counts_a_wide_row():
+    assert alpha_count((0, 40, 80, 120, 160, 200)) == 1554815612822925439671100
+
+
+def test_transfer_budget_raises_before_counting(monkeypatch):
+    # the cap is the cost of the order-3 sweep: 3 * 3 * 2**3 = 72 cell updates
+    tight = Budget(table_max_n=3)
+    assert alpha_count((0, 8), tight) == 9  # width 9: 9 * 2 * 2**2 = 72
+    assert alpha_count((0, 0, 9), tight) == alpha_count_dfs((0, 0, 9))  # tied: DFS
+    asmref.clear_caches()
+    fail_if_counting(monkeypatch)
+    with pytest.raises(BudgetError):
+        alpha_count((0, 9), tight)
+    with pytest.raises(BudgetError):
+        alpha_count_fiber((0,), (1, 9), tight)
+    with pytest.raises(BudgetError):
+        alpha_count((0, 10**9))
+    with pytest.raises(BudgetError):
+        alpha_count(range(17))
 
 
 def test_clear_caches_empties_both_kernels_memos(monkeypatch):
