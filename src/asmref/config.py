@@ -33,7 +33,7 @@ class Budget:
     alpha_poly_max_n: int = 6
     gn_poly_max_n: Mapping[int, int] = field(default_factory=_default_gn_caps)
     identity_max_n: int = 5
-    sufficiency_max_n: int = 10
+    sufficiency_max_n: int = 14
 
 
 DEFAULT_BUDGET = Budget()

@@ -1,57 +1,19 @@
-"""Exact linear algebra: fraction-free elimination, rank, solving, inversion."""
+"""Exact linear algebra: sparse integer elimination for rank and solving, inversion.
+
+Everything is in Python ints and Fraction.  solve_integer_system works on
+sparse rows and touches only the rows that have a nonzero in the pivot
+column.  The dense Bareiss elimination it replaced, which rescales every
+remaining row at every pivot, is kept in the tests as its oracle.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import SingularSystemError
-
-
-def fraction_free_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Bareiss elimination on an integer matrix.
-
-    Returns the echelon matrix and the pivot column indices.  Every
-    intermediate entry is a minor of the input, so the arithmetic stays in the
-    integers with no rational blow-up; the interior divisions are exact.
-    """
-    m = [[int(v) for v in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    if any(len(row) != ncols for row in m):
-        raise ValueError("matrix rows must all have the same length")
-    pivot_cols: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        # smallest nonzero magnitude as pivot to damp coefficient growth
-        best = None
-        for i in range(r, nrows):
-            v = m[i][c]
-            if v != 0 and (best is None or abs(v) < abs(m[best][c])):
-                best = i
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            factor = m[i][c]
-            row_i, row_r = m[i], m[r]
-            for j in range(c + 1, ncols):
-                num = pivot * row_i[j] - factor * row_r[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("fraction-free update was not exact")
-                row_i[j] = q
-            row_i[c] = 0
-        prev = pivot
-        pivot_cols.append(c)
-        r += 1
-    return m, pivot_cols
 
 
 @dataclass(frozen=True)
@@ -71,28 +33,82 @@ class LinearSolveResult:
 def solve_integer_system(
     matrix: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> LinearSolveResult:
-    """Exact rank/consistency analysis and solve of an integer system A x = b."""
-    nrows = len(matrix)
-    if nrows != len(rhs):
+    """Exact rank/consistency analysis and solve of an integer system A x = b.
+
+    Each row is held as a dict from column to nonzero int, with the
+    right-hand side at key ncols.  The columns are eliminated in order
+    0..ncols; a pivot on the right-hand side means the system is
+    inconsistent.  Of the unused rows with a nonzero in the column, the pivot
+    row is the one with the fewest nonzeros, then the smallest entry there,
+    then the lowest index.  Every other row with a nonzero f there becomes
+    (p/g)*row - (f/g)*pivot_row, with p the pivot and g = gcd(p, f), and is
+    then divided by the gcd of its entries.  Rows with a zero in the pivot
+    column are not touched.
+
+    Both steps are exact: the update multiplies a row by a nonzero integer
+    and subtracts an integer multiple of another row, and the division by the
+    content of a row leaves integers.  Both can be undone, so the rank, the
+    consistency and the solution set are those of the input, whatever the
+    pivot order; dividing out the content keeps the entries from growing
+    with every pivot.  The unique solution is back-substituted in Fraction
+    over the pivot rows in reverse order.
+    """
+    if len(matrix) != len(rhs):
         raise ValueError("matrix and right-hand side sizes disagree")
-    ncols = len(matrix[0]) if nrows else 0
-    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    echelon, pivot_cols = fraction_free_echelon(augmented)
-    consistent = ncols not in pivot_cols
-    rank = sum(1 for c in pivot_cols if c < ncols)
+    ncols = len(matrix[0]) if matrix else 0
+    rows: list[dict[int, int]] = []
+    for row, value in zip(matrix, rhs):
+        if len(row) != ncols:
+            raise ValueError("matrix rows must all have the same length")
+        entries = {c: int(v) for c, v in enumerate(row) if v}
+        if value:
+            entries[ncols] = int(value)
+        rows.append(entries)
+    unused = [i for i, row in enumerate(rows) if row]
+    pivots: list[tuple[int, dict[int, int]]] = []
+    for c in range(ncols + 1):
+        hits = [i for i in unused if c in rows[i]]
+        if not hits:
+            continue
+        if c == ncols:
+            return LinearSolveResult(len(pivots), ncols, False, None)
+        chosen = min(hits, key=lambda i: (len(rows[i]), abs(rows[i][c]), i))
+        pivot_row = rows[chosen]
+        p = pivot_row[c]
+        pivots.append((c, pivot_row))
+        unused.remove(chosen)
+        for i in hits:
+            if i == chosen:
+                continue
+            f = rows[i][c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            updated = rows[i].copy() if a == 1 else {k: a * v for k, v in rows[i].items()}
+            for k, v in pivot_row.items():
+                w = updated.get(k, 0) - b * v
+                if w:
+                    updated[k] = w
+                else:
+                    del updated[k]
+            if updated:
+                content = gcd(*updated.values())
+                if content != 1:
+                    updated = {k: v // content for k, v in updated.items()}
+            else:
+                unused.remove(i)
+            rows[i] = updated
+    rank = len(pivots)
     solution = None
-    if consistent and rank == ncols:
+    if rank == ncols:
         x = [Fraction(0)] * ncols
-        for row_idx in reversed(range(rank)):
-            c = pivot_cols[row_idx]
-            row = echelon[row_idx]
-            acc = Fraction(row[ncols])
-            for j in range(c + 1, ncols):
-                if row[j]:
-                    acc -= row[j] * x[j]
+        for c, row in reversed(pivots):
+            acc = Fraction(row.get(ncols, 0))
+            for j, v in row.items():
+                if c < j < ncols:
+                    acc -= v * x[j]
             x[c] = acc / row[c]
         solution = tuple(x)
-    return LinearSolveResult(rank, ncols, consistent, solution)
+    return LinearSolveResult(rank, ncols, True, solution)
 
 
 def invert_matrix(rows: Sequence[Sequence]) -> list[list[Fraction]]:

@@ -157,21 +157,6 @@ class PolyMulti:
             scale *= powers[0]
         return Fraction(flat[0], scale)
 
-    def newton_degrees(self) -> tuple[int, ...]:
-        """Per-variable degree as witnessed by the nonzero Newton coefficients."""
-        k = self.degree_bound + 1
-        degrees = []
-        for axis in range(self.num_vars):
-            stride = k ** (self.num_vars - axis - 1)
-            top = -1
-            for pos, c in enumerate(self.numerators):
-                if c != 0:
-                    idx = (pos // stride) % k
-                    if idx > top:
-                        top = idx
-            degrees.append(top)
-        return tuple(degrees)
-
 
 _alpha_poly_cache: dict[int, PolyMulti] = {}
 _gn_poly_cache: dict[tuple[int, int], PolyMulti] = {}
@@ -299,10 +284,6 @@ class BinomBasisExpansion:
                 for s in range(0, len(cur), self.n)
             ]
         return cur[0]
-
-    @property
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def integer_grid(self) -> tuple[int, ...]:
         """All coefficients as ints; raises if any has a nontrivial denominator."""

@@ -9,6 +9,7 @@ import pytest
 import asmref
 import asmref.claims as claims
 import asmref.cli as cli
+import asmref.extension as extension
 import asmref.triangles as triangles
 from asmref.combinat import total_asm_count
 from asmref.reports import VerificationReport, Witness
@@ -84,6 +85,24 @@ def test_budget_exceeded_before_counting(capsys, monkeypatch, argv):
     monkeypatch.setattr(triangles, "_row_transfer", counted)
     monkeypatch.setattr(triangles, "_alpha", counted)
     code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
+def test_verify_conj1_beyond_its_default_range(capsys):
+    code, out, err = run(capsys, "verify", "conj1", "--n", "11..14")
+    assert code == 0
+    assert out.strip().endswith("conj1: PASS (11..14)")
+    assert err == ""
+
+
+def test_conj1_budget_exceeded_before_solving(capsys, monkeypatch):
+    def solve(*args):
+        raise AssertionError("solving started")
+
+    monkeypatch.setattr(extension, "solve_integer_system", solve)
+    code, out, err = run(capsys, "verify", "conj1", "--n", "15")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
