@@ -56,7 +56,6 @@ from .triangles import (
     MonotoneTriangle,
     RefinedTable,
     alpha_count,
-    alpha_count_dfs,
     alpha_count_fiber,
     asm_to_mt,
     build_table,
@@ -95,7 +94,6 @@ __all__ = [
     "VerificationReport",
     "Witness",
     "alpha_count",
-    "alpha_count_dfs",
     "alpha_count_fiber",
     "alpha_eval",
     "alpha_polynomial",

@@ -38,7 +38,7 @@ from .polynomials import (
 from .reports import VerificationReport, Witness
 from .triangles import (
     RefinedTable,
-    alpha_count_dfs,
+    alpha_count,
     asm_to_mt,
     build_table,
     complete_monotone_triangles,
@@ -49,15 +49,33 @@ from .triangles import (
 
 
 def refined_table(n: int, d: int, cache: TableCache | None = None) -> RefinedTable:
-    """The depth-d table of order n, read from the cache or built and stored there."""
+    """The depth-d table of order n, read from the cache or built and stored there.
+
+    The cache returns only files whose entries match their stored digest.  A
+    cached table is also rejected when its cells with a product formula
+    disagree with it: the d=1 row, and at d=2 the last column, whose entry
+    (i, n) is refined_asm_count(n - 1, i).  A rejected table is rebuilt and
+    overwritten.
+    """
     if cache is not None:
         doc = cache.load("refined", n, d)
         if doc is not None:
-            return RefinedTable(n, d, doc.int_entries())
+            table = RefinedTable(n, d, doc.int_entries())
+            if _matches_product_formulas(table):
+                return table
     table = build_table(n, d)
     if cache is not None:
         cache.store(table_document(table))
     return table
+
+
+def _matches_product_formulas(table: RefinedTable) -> bool:
+    n = table.n
+    if table.d == 1:
+        return all(table.value(k) == refined_asm_count(n, k) for k in range(1, n + 1))
+    if table.d == 2:
+        return all(table.value(i, n) == refined_asm_count(n - 1, i) for i in range(1, n))
+    return True
 
 
 def extended_matrix(n: int, cache: TableCache | None = None) -> ExtendedMatrix:
@@ -102,9 +120,10 @@ def verify_product_formulas(n: int) -> VerificationReport:
     total = total_asm_count(n)
     if sum(counted_row) != total:
         witnesses.append(Witness((n,), sum(counted_row), total))
-    dfs_total = alpha_count_dfs(range(1, n + 1))
-    if dfs_total != total:
-        witnesses.append(Witness((n,), dfs_total, total))
+    # the row transfer counts the staircase apart from the sweep behind the row
+    transfer_total = alpha_count(range(1, n + 1))
+    if transfer_total != total:
+        witnesses.append(Witness((n,), transfer_total, total))
     return VerificationReport.from_witnesses(
         "product-formulas", f"n={n}, row of {n} counts plus total", witnesses
     )

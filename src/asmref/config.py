@@ -24,8 +24,10 @@ class Budget:
     """Caps on the exhaustive computations, keyed by refinement depth where relevant.
 
     table_max_n caps the order of every refined table and count: all depths
-    of an order are lookups into the same column sweep.  It also caps the row
-    transfer behind alpha_count at the cost of that largest sweep.
+    of an order are lookups into the same column sweep.  It also caps the
+    width of a row with a tie, whose alpha_count sums lookups into the sweep
+    of that width, and the row transfer behind alpha_count of a strictly
+    increasing row at the cost of the largest sweep.
     """
 
     enumeration_max_n: int = 6

@@ -6,6 +6,7 @@ exact integers of any size survive a round trip unchanged.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -49,6 +50,7 @@ class TableDocument:
     tool: str = TOOL_NAME
     version: str = TOOL_VERSION
     generated: str | None = None
+    sha256: str | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -67,10 +69,17 @@ class TableDocument:
     def int_entries(self) -> dict[tuple[int, ...], int]:
         return {indices: int(value) for indices, value in self.entries}
 
+    def digest(self) -> str:
+        """sha256 of the entries in their canonical JSON form."""
+        text = json.dumps([[list(indices), value] for indices, value in self.entries])
+        return hashlib.sha256(text.encode()).hexdigest()
+
     def to_json_dict(self) -> dict:
         meta = {"tool": self.tool, "version": self.version}
         if self.generated is not None:
             meta["generated"] = self.generated
+        if self.sha256 is not None:
+            meta["sha256"] = self.sha256
         return {
             "n": self.n,
             "d": self.d,
@@ -104,6 +113,7 @@ class TableDocument:
                 tool=str(meta["tool"]),
                 version=str(meta["version"]),
                 generated=meta.get("generated"),
+                sha256=meta.get("sha256"),
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed table document: {exc}") from exc
@@ -118,18 +128,14 @@ class TableDocument:
 
 
 def document_from_entries(
-    n: int, d: int, kind: str, entries: dict[tuple[int, ...], int], stamped: bool = False
+    n: int, d: int, kind: str, entries: dict[tuple[int, ...], int]
 ) -> TableDocument:
-    """Build a document from integer entries, optionally with a timestamp."""
-    generated = (
-        datetime.now(timezone.utc).isoformat(timespec="seconds") if stamped else None
-    )
+    """Build a document from integer entries."""
     return TableDocument(
         n=n,
         d=d,
         kind=kind,
         entries=tuple((indices, str(value)) for indices, value in entries.items()),
-        generated=generated,
     )
 
 
@@ -155,7 +161,10 @@ class TableCache:
         return Path(self.directory) / f"{kind}-n{n}-d{d}.json"
 
     def load(self, kind: str, n: int, d: int) -> TableDocument | None:
-        """The cached document, or None when missing, stale, or unreadable."""
+        """The cached document, or None when missing, stale, unreadable, or corrupt.
+
+        A document is corrupt when its entries do not match its stored digest.
+        """
         path = self.path_for(kind, n, d)
         try:
             doc = TableDocument.from_json_text(path.read_text())
@@ -163,17 +172,23 @@ class TableCache:
             return None
         if (doc.kind, doc.n, doc.d) != (kind, n, d) or doc.version != TOOL_VERSION:
             return None
+        if doc.sha256 != doc.digest():
+            return None
         return doc
 
     def store(self, doc: TableDocument) -> None:
-        """Write the document atomically, stamped with the time if it has none."""
+        """Write the document atomically with the digest of its entries.
+
+        It is stamped with the time if it has none.
+        """
         directory = Path(self.directory)
         directory.mkdir(parents=True, exist_ok=True)
-        if doc.generated is None:
-            doc = replace(
-                doc,
-                generated=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            )
+        doc = replace(
+            doc,
+            generated=doc.generated
+            or datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            sha256=doc.digest(),
+        )
         # write a temporary file beside the target and rename it over the
         # target, so a failed or concurrent store never leaves a partial file
         path = self.path_for(doc.kind, doc.n, doc.d)

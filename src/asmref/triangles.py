@@ -1,27 +1,25 @@
 """Alternating sign matrices, monotone triangles, and refined counting tables.
 
 Counting rests on alpha_count, the number of triangular arrays over a
-prescribed weakly increasing bottom row in which every row is weakly
-increasing, every row above a strictly increasing row is strictly increasing,
-and consecutive rows interlace.  All refined ASM counts reduce to it: deleting
-d columns from the staircase row (1, ..., n) counts the order-n matrices whose
-last d rows are unit rows with their 1s in those columns, read upward in
-increasing order.
+prescribed weakly increasing bottom row in which every row above the bottom
+is strictly increasing and consecutive rows interlace.  All refined ASM counts
+reduce to it: deleting d columns from the staircase row (1, ..., n) counts the
+order-n matrices whose last d rows are unit rows with their 1s in those
+columns, read upward in increasing order.
 
-Three kernels compute it, two of them one six-vertex cell rule (_cell) read
-along either axis of the ASM <-> domain-wall correspondence:
+Two kernels compute it, one six-vertex cell rule (_cell) read along either
+axis of the ASM <-> domain-wall correspondence:
 
 - the column sweep (_column_sweep) adds the matrix row by row and counts every
   subset of {1..n} at once; every refined table and refined_count is a lookup
-  into the sweep of its order (_staircase_counts);
+  into the sweep of its order (_staircase_counts), and so is every term of a
+  row with a tie, which alpha_count sums over the strictly increasing rows
+  that interlace it from above (the shift-subset sums of z_value);
 - the row transfer (_row_transfer) adds the n x W matrix of one strictly
   increasing row of width W column by column, in at most W * n * 2^n cell
   updates; alpha_count_fiber reads the counts of a row prefix with every
   candidate last entry off one transfer, and alpha_count sends every strictly
-  increasing row there, under a budget;
-- the interlacing DFS (alpha_count_dfs) counts tied rows for alpha_count
-  (the shift-subset sums of z_value), and serves as the independent total of
-  the product-formulas check and as the oracle of both other kernels.
+  increasing row there, under a budget.
 """
 
 from __future__ import annotations
@@ -130,40 +128,31 @@ def mt_to_asm(t: MonotoneTriangle) -> Asm:
     return Asm(tuple(entries))
 
 
-# The DFS memo.  Counting rows are translation invariant, so keys are
-# normalized to start at zero.  Only the DFS reads and writes it, so the DFS
-# stays independent of the six-vertex kernels it checks.
-_alpha_memo: dict[tuple[int, ...], int] = {}
-
-
 def alpha_count(bottom: Sequence[int], budget: Budget = DEFAULT_BUDGET) -> int:
-    """Number of almost-monotone triangles over a weakly increasing bottom row.
+    """Number of monotone triangles over a weakly increasing bottom row.
 
-    For a strictly increasing bottom row this counts ordinary monotone
-    triangles.  Ties are allowed; rows above a tie are only required to be
-    weakly increasing, which keeps the recurrence well defined.
+    Ties are allowed in the bottom row only: every row above it is strictly
+    increasing, so a row with a tie counts the triangles over the strictly
+    increasing rows that interlace it from above.
 
     A strictly increasing row is counted by the row transfer, as
     alpha_count_fiber with one last entry, and raises BudgetError before
-    counting when the transfer would exceed the budget.  A row with a tie is
-    counted by the interlacing DFS, which takes no budget.
+    counting when the transfer would exceed the budget.  A row with a tie of
+    width W sums lookups into the column sweep of order W, and raises
+    BudgetError before counting when W exceeds table_max_n, like every table.
     """
     row = _normalized(bottom)
     if len(row) < 2:
         return 1
-    if any(a == b for a, b in zip(row, row[1:])):
-        return _alpha(row)
-    return alpha_count_fiber(row[:-1], (row[-1],), budget)[0]
-
-
-def alpha_count_dfs(bottom: Sequence[int]) -> int:
-    """alpha_count by the interlacing DFS alone, for any weakly increasing row.
-
-    Independent of both six-vertex kernels, it is the oracle that checks them.
-    It takes no budget: a wide row runs for a long time.
-    """
-    row = _normalized(bottom)
-    return _alpha(row) if row else 1
+    if all(a < b for a, b in zip(row, row[1:])):
+        return alpha_count_fiber(row[:-1], (row[-1],), budget)[0]
+    width = row[-1] + 1
+    cap = budget.table_max_n
+    if width > cap:
+        raise BudgetError(f"a tied row of width {width} exceeds the budget cap {cap}")
+    # entry v of a row above is column v + 1 of the sweep, bit v + 1 of its mask
+    counts = _staircase_counts(width)
+    return sum(counts[sum(2 << v for v in above)] for above in _interlacing_rows(row))
 
 
 def alpha_count_fiber(
@@ -202,33 +191,6 @@ def _normalized(bottom: Sequence[int]) -> tuple[int, ...]:
     if any(a > b for a, b in zip(row, row[1:])):
         raise ValidationError(f"bottom row must be weakly increasing: {row}")
     return tuple(v - row[0] for v in row)
-
-
-def _alpha(row: tuple[int, ...]) -> int:
-    if len(row) == 1:
-        return 1
-    cached = _alpha_memo.get(row)
-    if cached is not None:
-        return cached
-    m = len(row)
-    buf = [0] * (m - 1)
-
-    # depth-first accumulation over interlacing predecessor rows; kept free of
-    # generator overhead because this loop dominates every table build
-    def descend(pos: int, lo: int) -> int:
-        if pos == m - 1:
-            first = buf[0]
-            return _alpha(tuple(v - first for v in buf))
-        total = 0
-        start = row[pos] if row[pos] > lo else lo
-        for v in range(start, row[pos + 1] + 1):
-            buf[pos] = v
-            total += descend(pos + 1, v + 1)
-        return total
-
-    result = descend(0, row[0])
-    _alpha_memo[row] = result
-    return result
 
 
 def _interlacing_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -440,6 +402,5 @@ def _complement_mask(n: int, indices: Sequence[int]) -> int:
 
 
 def clear_caches() -> None:
-    """Drop the shared counting memos: the DFS memo and the column sweeps."""
-    _alpha_memo.clear()
+    """Drop the shared counting memo, the column sweeps."""
     _sweep_memo.clear()

@@ -201,16 +201,21 @@ def test_script_rejects_an_unknown_claim_before_running_any(script, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_product_formulas_take_their_total_from_the_dfs(monkeypatch, capsys):
-    def counted(*args):
-        raise AssertionError("the row transfer ran")
+def test_product_formulas_take_their_total_from_the_transfer(monkeypatch, capsys):
+    real = triangles._row_transfer
+    rows = []
+
+    def transfer(prefix, lasts):
+        rows.append(prefix + tuple(lasts))
+        return real(prefix, lasts)
 
     asmref.clear_caches()
-    monkeypatch.setattr(triangles, "_row_transfer", counted)
+    monkeypatch.setattr(triangles, "_row_transfer", transfer)
     assert cli.main(["verify", "product-formulas"]) == 0
     assert "product-formulas: PASS (1..8)" in capsys.readouterr().out
-    # the total is checked: a wrong DFS total fails the claim
-    monkeypatch.setattr(claims, "alpha_count_dfs", lambda row: 0)
+    assert rows == [tuple(range(n)) for n in range(8, 1, -1)]
+    # the total is checked: a wrong transfer total fails the claim
+    monkeypatch.setattr(claims, "alpha_count", lambda row: 0)
     assert cli.main(["verify", "product-formulas", "--n", "4"]) == 1
     assert "product-formulas n=4: FAIL" in capsys.readouterr().out
 

@@ -12,6 +12,7 @@ import asmref.cli as cli
 import asmref.extension as extension
 import asmref.triangles as triangles
 from asmref.combinat import total_asm_count
+from asmref.documents import TableCache, TableDocument
 from asmref.reports import VerificationReport, Witness
 
 from reference_tables import EXTENDED_MATRICES, REFINED_TRIANGLE
@@ -83,7 +84,6 @@ def test_budget_exceeded_before_counting(capsys, monkeypatch, argv):
     asmref.clear_caches()
     monkeypatch.setattr(triangles, "_column_sweep", counted)
     monkeypatch.setattr(triangles, "_row_transfer", counted)
-    monkeypatch.setattr(triangles, "_alpha", counted)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -234,18 +234,51 @@ def test_cache_transparency(tmp_path, capsys):
     assert cold == warm
 
 
+def edit_cached_entry(path, indices, value, sign=False):
+    """Set one entry of a cached table file; sign stores the digest of the edit."""
+    data = json.loads(path.read_text())
+    for entry in data["entries"]:
+        if entry[0] == list(indices):
+            entry[1] = str(value)
+    if sign:
+        data["meta"]["sha256"] = TableDocument.from_json_dict(data).digest()
+    path.write_text(json.dumps(data))
+
+
 def test_cache_is_actually_read(tmp_path, capsys):
     args = ("count", "--n", "4", "--d", "2", "--cache-dir", str(tmp_path),
             "--format", "csv")
     run(capsys, *args)
-    path = tmp_path / "refined-n4-d2.json"
-    data = json.loads(path.read_text())
-    for entry in data["entries"]:
-        if entry[0] == [1, 2]:
-            entry[1] = "999"
-    path.write_text(json.dumps(data))
+    # an entry without a product formula, signed with its digest, is trusted
+    edit_cached_entry(tmp_path / "refined-n4-d2.json", (1, 2), 999, sign=True)
     _, out, _ = run(capsys, *args)
     assert "1 2,999" in out.splitlines()
+
+
+@pytest.mark.parametrize("sign", [False, True], ids=["digest", "product-formula"])
+def test_corrupt_cached_row_is_recomputed(tmp_path, capsys, sign):
+    args = ("count", "--n", "5", "--d", "1", "--cache-dir", str(tmp_path))
+    path = tmp_path / "refined-n5-d1.json"
+    run(capsys, *args)
+    edit_cached_entry(path, (2,), 106, sign)
+    code, out, _ = run(capsys, *args)
+    assert (code, out) == (0, "42 105 135 105 42\n")
+    # the rejected file is overwritten with the recomputed table
+    assert TableCache(tmp_path).load("refined", 5, 1).int_entries()[(2,)] == 105
+
+
+@pytest.mark.parametrize(
+    "indices, sign", [((1, 2), False), ((4, 5), True)], ids=["digest", "product-formula"]
+)
+def test_corrupt_cached_depth_2_table_keeps_theorem2_passing(tmp_path, capsys, indices, sign):
+    args = ("verify", "theorem2", "--n", "5", "--cache-dir", str(tmp_path))
+    path = tmp_path / "refined-n5-d2.json"
+    run(capsys, *args)
+    edit_cached_entry(path, indices, 1, sign)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == "theorem2 n=5: PASS\ntheorem2: PASS (5..5)\n"
+    assert TableCache(tmp_path).load("refined", 5, 2).int_entries()[indices] != 1
 
 
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +22,8 @@ from asmref.errors import BFileError, ValidationError
 SAMPLE_ENTRIES = {(1,): 2, (2,): 3, (3,): 2}
 
 
-def sample_doc(stamped: bool = False) -> TableDocument:
-    return document_from_entries(3, 1, "refined", SAMPLE_ENTRIES, stamped=stamped)
+def sample_doc() -> TableDocument:
+    return document_from_entries(3, 1, "refined", SAMPLE_ENTRIES)
 
 
 def test_json_round_trip():
@@ -35,8 +36,8 @@ def test_json_round_trip():
 def test_unstamped_json_has_no_timestamp():
     data = json.loads(sample_doc().to_json_text())
     assert set(data["meta"]) == {"tool", "version"}
-    stamped = json.loads(sample_doc(stamped=True).to_json_text())
-    assert "generated" in stamped["meta"]
+    stamped = replace(sample_doc(), generated="2009-03-30T00:00:00+00:00")
+    assert "generated" in json.loads(stamped.to_json_text())["meta"]
 
 
 def test_json_text_is_deterministic():
@@ -84,8 +85,17 @@ def test_cache_round_trip(tmp_path):
     loaded = cache.load("refined", 3, 1)
     assert loaded is not None
     assert loaded.int_entries() == SAMPLE_ENTRIES
-    # stored files carry a timestamp even when the source document had none
+    # stored files carry a timestamp even when the source document had none,
+    # and the digest of their entries
     assert loaded.generated is not None
+    assert loaded.sha256 == sample_doc().digest()
+
+
+def test_cache_keeps_a_given_timestamp(tmp_path):
+    cache = TableCache(tmp_path)
+    stamp = "2009-03-30T00:00:00+00:00"
+    cache.store(replace(sample_doc(), generated=stamp))
+    assert cache.load("refined", 3, 1).generated == stamp
 
 
 class _FailingHandle:
@@ -137,6 +147,32 @@ def test_cache_rejects_version_mismatch(tmp_path):
     data["meta"]["version"] = "0.0.0"
     path.write_text(json.dumps(data))
     assert cache.load("refined", 3, 1) is None
+
+
+@pytest.mark.parametrize("edit", ["entry", "digest", "no-digest"])
+def test_cache_rejects_entries_that_do_not_match_their_digest(tmp_path, edit):
+    cache = TableCache(tmp_path)
+    cache.store(sample_doc())
+    path = cache.path_for("refined", 3, 1)
+    data = json.loads(path.read_text())
+    if edit == "entry":
+        data["entries"][1][1] = "4"
+    elif edit == "digest":
+        data["meta"]["sha256"] = "0" * 64
+    else:
+        del data["meta"]["sha256"]
+    path.write_text(json.dumps(data))
+    assert TableDocument.from_json_text(path.read_text()) is not None
+    assert cache.load("refined", 3, 1) is None
+
+
+def test_digest_depends_on_every_entry():
+    digest = sample_doc().digest()
+    assert len(digest) == 64
+    assert digest == sample_doc().digest()
+    for key in SAMPLE_ENTRIES:
+        changed = document_from_entries(3, 1, "refined", {**SAMPLE_ENTRIES, key: 9})
+        assert changed.digest() != digest
 
 
 def test_cache_rejects_corrupt_file(tmp_path):

@@ -36,8 +36,9 @@ from asmref.polynomials import (
     verify_gn_reflection,
 )
 from asmref import triangles
-from asmref.triangles import alpha_count, alpha_count_dfs
+from asmref.triangles import alpha_count
 
+from oracles import alpha_count_dfs
 from reference_tables import EXTENDED_MATRICES
 
 
@@ -275,7 +276,7 @@ def test_gn_poly_matches_counts_at_integer_shifts():
 
 def test_sampling_counts_only_strict_rows_by_transfer(monkeypatch):
     # every sample row of alpha_polynomial and gn_poly is strictly increasing,
-    # so the DFS never runs; one transfer serves each last-axis fiber
+    # so the column sweep never runs; one transfer serves each last-axis fiber
     real = triangles._row_transfer
     fibers = []
 
@@ -283,12 +284,13 @@ def test_sampling_counts_only_strict_rows_by_transfer(monkeypatch):
         fibers.append(len(lasts))
         return real(prefix, lasts)
 
-    def dfs(row):
-        raise AssertionError(f"the DFS counted {row}")
+    def sweep(n):
+        raise AssertionError(f"the column sweep of order {n} ran")
 
     polynomials.clear_caches()
+    triangles.clear_caches()
     monkeypatch.setattr(triangles, "_row_transfer", transfer)
-    monkeypatch.setattr(triangles, "_alpha", dfs)
+    monkeypatch.setattr(triangles, "_column_sweep", sweep)
     alpha_polynomial(4)
     assert fibers == [4] * 4**3
     for n, d in ((1, 1), (5, 1), (5, 2), (4, 3), (3, 3)):

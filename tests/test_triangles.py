@@ -24,7 +24,6 @@ from asmref.triangles import (
     MonotoneTriangle,
     RefinedTable,
     alpha_count,
-    alpha_count_dfs,
     alpha_count_fiber,
     asm_to_mt,
     build_table,
@@ -34,6 +33,7 @@ from asmref.triangles import (
     refined_count,
 )
 
+from oracles import alpha_count_dfs
 from reference_tables import REFINED_TRIANGLE, TOTALS
 
 
@@ -276,7 +276,6 @@ def fail_if_counting(monkeypatch):
 
     monkeypatch.setattr(triangles, "_column_sweep", counted)
     monkeypatch.setattr(triangles, "_row_transfer", counted)
-    monkeypatch.setattr(triangles, "_alpha", counted)
 
 
 def test_refined_count_budget_raises_before_counting(monkeypatch):
@@ -290,7 +289,7 @@ def test_refined_count_budget_raises_before_counting(monkeypatch):
             build_table(6, len(indices), tight)
     with pytest.raises(BudgetError):
         refined_count(22, (1,))
-    assert not triangles._sweep_memo and not triangles._alpha_memo
+    assert not triangles._sweep_memo
 
 
 def mask(subset) -> int:
@@ -374,6 +373,39 @@ def test_fiber_rejects_rows_that_are_not_strict():
         alpha_count_fiber((1, 4), (4,))
 
 
+def tied_rows():
+    """Every weakly increasing row with a tie: n <= 6 entries in 0..n+1, 7 in 0..5."""
+    shapes = [(n, n + 1) for n in range(2, 7)] + [(7, 5)]
+    for n, top in shapes:
+        for row in itertools.combinations_with_replacement(range(top + 1), n):
+            if any(a == b for a, b in zip(row, row[1:])):
+                yield row
+
+
+def test_tied_rows_match_dfs():
+    asmref.clear_caches()
+    rows = list(tied_rows())
+    assert len(rows) == 3061
+    for row in rows:
+        assert alpha_count(row) == alpha_count_dfs(row)
+    # a shifted tied row sums the same counts
+    assert alpha_count((-3, -3, 0, 4)) == alpha_count_dfs((0, 0, 3, 7))
+    # wider seeded rows, up to 8 entries in -3..9
+    rng = random.Random(2006)
+    for _ in range(300):
+        row = sorted(rng.choices(range(-3, 10), k=rng.randint(2, 8)))
+        assert alpha_count(row) == alpha_count_dfs(row)
+
+
+def test_tied_row_budget_raises_before_counting(monkeypatch):
+    asmref.clear_caches()
+    fail_if_counting(monkeypatch)
+    for row in ((0, 0, 40, 80, 120, 160, 200), (0, 0, 10**9), tuple(range(16)) + (16, 16)):
+        with pytest.raises(BudgetError, match="tied row of width"):
+            alpha_count(row)
+    assert not triangles._sweep_memo
+
+
 def test_transfer_counts_a_wide_row():
     assert alpha_count((0, 40, 80, 120, 160, 200)) == 1554815612822925439671100
 
@@ -382,9 +414,12 @@ def test_transfer_budget_raises_before_counting(monkeypatch):
     # the cap is the cost of the order-3 sweep: 3 * 3 * 2**3 = 72 cell updates
     tight = Budget(table_max_n=3)
     assert alpha_count((0, 8), tight) == 9  # width 9: 9 * 2 * 2**2 = 72
-    assert alpha_count((0, 0, 9), tight) == alpha_count_dfs((0, 0, 9))  # tied: DFS
+    # a tied row is capped by its width like a table
+    assert alpha_count((0, 0, 2), tight) == alpha_count_dfs((0, 0, 2))
     asmref.clear_caches()
     fail_if_counting(monkeypatch)
+    with pytest.raises(BudgetError):
+        alpha_count((0, 0, 9), tight)
     with pytest.raises(BudgetError):
         alpha_count((0, 9), tight)
     with pytest.raises(BudgetError):
@@ -396,14 +431,14 @@ def test_transfer_budget_raises_before_counting(monkeypatch):
 
 
 def test_clear_caches_empties_both_kernels_memos(monkeypatch):
-    build_table(8, 1)
-    alpha_count((1, 1, 4, 9))
-    assert triangles._sweep_memo and triangles._alpha_memo
+    asmref.clear_caches()
+    alpha_count((1, 1, 4, 9))  # a tied row of width 9 fills the order-9 sweep
+    assert list(triangles._sweep_memo) == [9]
     # a higher order's sweep answers every lower order without a new sweep
     fail_if_counting(monkeypatch)
     assert build_table(5, 1).entries == {(k,): refined_asm_count(5, k) for k in range(1, 6)}
     asmref.clear_caches()
-    assert not triangles._sweep_memo and not triangles._alpha_memo
+    assert not triangles._sweep_memo
 
 
 def test_refined_row_matches_product_formula():
