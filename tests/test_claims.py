@@ -21,7 +21,9 @@ import asmref.claims as claims
 import asmref.cli as cli
 from asmref import extension, triangles
 from asmref.claims import CLAIMS
+from asmref.documents import TableCache, table_document
 from asmref.polynomials import BinomBasisExpansion
+from asmref.triangles import RefinedTable
 
 #: argv -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -90,6 +92,52 @@ def test_golden_output(argv, capsys):
     code = cli.main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+#: argv -> (exit code, sha256 of stdout) on corrupted input, recorded before
+#: the claims read the extended array's equations from one definition each.
+#: The table claims read order-5 and order-6 tables whose entry (2, 3) is one
+#: too large; conj3 reads expansions whose coefficient at (2, 3, 4) is one
+#: too large.
+GOLDEN_FAILING = {
+    "verify theorem1 --n 5..6 --format pretty": (1, "835a073ee85d967df6397d31bba8b2408a0280c62084d0e7ce8f47f60c20a952"),
+    "verify theorem1 --n 5..6 --format json": (1, "4c1fb24b1e5d34ce7a27060e1df6dfc2aea83e6d852b37f1558cf69d045d6fe7"),
+    "verify theorem2 --n 5..6 --format pretty": (1, "7a2eef735bffcafb0ba0e729416ff68b0bba6e836dadc2af0c5fdbef7aa31860"),
+    "verify theorem2 --n 5..6 --format json": (1, "d1109d4009ce261342773060595af5a22fd33bf0fe836c088da95dba10f791b5"),
+    "verify conj1 --n 5..6 --format pretty": (1, "ae514d25ed30a9199bada582f1634997d8e37b202a7846a6e53aeeb5c0bc6ad3"),
+    "verify conj1 --n 5..6 --format json": (1, "a183a602d174d429928e28641effb04d413b1aef9274cd80aff7b64caf205a9d"),
+    "verify conj3 --n 4..5 --format pretty": (1, "50a5f87dee476d6a8d828345f726d74d277f5cf9c11793983cd7d5a612cadd0c"),
+    "verify conj3 --n 4..5 --format json": (1, "afef07eb7421ad0d0354571e98c0b4e88c71e768800a11060ce353033ca743df"),
+}
+
+
+@pytest.mark.parametrize("argv", [a for a in GOLDEN_FAILING if "conj3" not in a])
+def test_golden_failing_output_of_a_corrupt_cached_table(argv, tmp_path, capsys):
+    cache = TableCache(tmp_path)
+    for n in (5, 6):
+        # the edit is signed, and entry (2, 3) has no product formula, so the
+        # cache serves it
+        entries = dict(claims.refined_table(n, 2, cache).entries)
+        entries[(2, 3)] += 1
+        cache.store(table_document(RefinedTable(n, 2, entries)))
+    code = cli.main(argv.split() + ["--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_FAILING[argv]
+
+
+@pytest.mark.parametrize("argv", [a for a in GOLDEN_FAILING if "conj3" in a])
+def test_golden_failing_output_of_a_wrong_expansion_coefficient(argv, monkeypatch, capsys):
+    real = extension.expand_in_binomial_basis
+
+    def expand(poly, n, d):
+        coeffs = list(real(poly, n, d).coeffs)
+        coeffs[(1 * n + 2) * n + 3] += 1  # the row-major position of (2, 3, 4)
+        return BinomBasisExpansion(n, d, tuple(coeffs))
+
+    monkeypatch.setattr(extension, "expand_in_binomial_basis", expand)
+    code = cli.main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_FAILING[argv]
 
 
 def _verify_choices() -> set[str]:
