@@ -17,7 +17,9 @@ from .documents import TableCache, table_document
 from .errors import NonIntegralError, ValidationError
 from .extension import (
     ExtendedMatrix,
+    entry_witnesses,
     extend_matrix,
+    last_column,
     solve_sufficiency,
     verify_conjecture2,
     verify_conjecture3,
@@ -74,7 +76,7 @@ def _matches_product_formulas(table: RefinedTable) -> bool:
     if table.d == 1:
         return all(table.value(k) == refined_asm_count(n, k) for k in range(1, n + 1))
     if table.d == 2:
-        return all(table.value(i, n) == refined_asm_count(n - 1, i) for i in range(1, n))
+        return all(table.value(index) == value for index, value in last_column(n).items())
     return True
 
 
@@ -132,14 +134,9 @@ def verify_product_formulas(n: int) -> VerificationReport:
 def verify_theorem4(n: int, cache: TableCache | None = None) -> VerificationReport:
     """Binomial-basis coefficients of the depth-2 specialization equal the array."""
     expansion = expand_in_binomial_basis(gn_poly(n, 2), n, 2)
-    matrix = extended_matrix(n, cache)
-    witnesses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            value = expansion.coefficient((i, j))
-            expected = matrix.entry(i, j)
-            if value != expected:
-                witnesses.append(Witness((i, j), value, expected))
+    witnesses = entry_witnesses(
+        extended_matrix(n, cache), lambda i, j: expansion.coefficient((i, j))
+    )
     return VerificationReport.from_witnesses(
         "theorem4", f"n={n}, all {n * n} coefficients", witnesses
     )
@@ -157,14 +154,7 @@ def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationR
     if result.rank != result.num_unknowns:
         witnesses.append(Witness((n,), f"rank {result.rank}", result.num_unknowns))
     elif result.solution is not None:
-        matrix = extended_matrix(n, cache)
-        if result.solution != matrix:
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    got = result.solution.entry(i, j)
-                    expected = matrix.entry(i, j)
-                    if got != expected:
-                        witnesses.append(Witness((i, j), got, expected))
+        witnesses = entry_witnesses(extended_matrix(n, cache), result.solution.entry)
     return VerificationReport.from_witnesses("conj1", checked, witnesses)
 
 

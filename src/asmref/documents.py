@@ -20,7 +20,7 @@ from .errors import BFileError, ValidationError
 TOOL_NAME = "asmref"
 TOOL_VERSION = "0.1.0"
 
-_KINDS = ("refined", "extended", "coefficients")
+_KINDS = ("refined", "extended")
 
 
 def _expected_entry_count(kind: str, n: int, d: int) -> int:

@@ -6,6 +6,11 @@ entries.  The extended array satisfies a reflection system of linear
 equations, a near-symmetry with exactly two exceptional entries, closed
 special values along the boundary, an explicit entry formula, and (at depth
 d >= 3) conjectural analogues; the verifiers here check all of them exactly.
+
+Each family of equations is stated once: reflection_equations at every depth
+(theorem1, conj3), the near-symmetry _mirror with _exceptional_entries
+(theorem2) and the boundary last_column.  conj1 solves all three together,
+so it solves the same equations that theorem1 and theorem2 check.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from .combinat import binom, binom_plus, harmonic, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, Budget
@@ -80,29 +85,98 @@ def extend_matrix(table: RefinedTable) -> ExtendedMatrix:
     return ExtendedMatrix(n, tuple(rows))
 
 
+def reflection_equations(
+    n: int, d: int
+) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
+    """The depth-d reflection equations, one per index tuple in row-major order.
+
+    The equation at (i_1, ..., i_d) is E(i_1, ..., i_d) = (-1)^(nd) times the
+    sum over j_r >= i_r of prod_r (-1)^(j_r) binom(2n - i_r - d, j_r - i_r)
+    times E(j_d, ..., j_1).  It is yielded as the index and its nonzero terms
+    (target, coefficient).  At d = 2, E is the extended array (theorem1); at
+    d >= 3 it is the coefficient array of the depth-d specialization (conj3).
+    """
+    weights = {
+        i: [(j, (-1) ** j * b) for j in range(i, n + 1) if (b := binom(2 * n - i - d, j - i))]
+        for i in range(1, n + 1)
+    }
+    sign = (-1) ** (n * d)
+    for index in itertools.product(range(1, n + 1), repeat=d):
+        # prepending each axis's j builds the reversed target
+        terms = [((), sign)]
+        for i in index:
+            terms = [((j,) + target, c * w) for target, c in terms for j, w in weights[i]]
+        yield index, terms
+
+
+def _reflection_witnesses(n: int, d: int, values: Mapping[tuple[int, ...], int]) -> list[Witness]:
+    witnesses = []
+    for index, terms in reflection_equations(n, d):
+        lhs = values[index]
+        rhs = sum(c * values[target] for target, c in terms)
+        if lhs != rhs:
+            witnesses.append(Witness(index, lhs, rhs))
+    return witnesses
+
+
+def _entries(matrix: ExtendedMatrix) -> dict[tuple[int, int], int]:
+    return {
+        (i, j): value
+        for i, row in enumerate(matrix.rows, 1)
+        for j, value in enumerate(row, 1)
+    }
+
+
+def entry_witnesses(
+    matrix: ExtendedMatrix,
+    value: Callable[[int, int], object],
+    skip: Container[tuple[int, int]] = (),
+) -> list[Witness]:
+    """Witnesses (i, j) where value(i, j) differs from the extended entry, row-major.
+
+    Pairs in skip are not compared; a value that raises NonIntegralError is a
+    witness with the error text on its left side.
+    """
+    witnesses = []
+    for index, expected in _entries(matrix).items():
+        if index in skip:
+            continue
+        try:
+            got = value(*index)
+        except NonIntegralError as exc:
+            got = str(exc)
+        if got != expected:
+            witnesses.append(Witness(index, got, expected))
+    return witnesses
+
+
 def verify_theorem1(matrix: ExtendedMatrix) -> VerificationReport:
     """Check the reflection system of linear equations on the extended array."""
     n = matrix.n
-    witnesses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            rhs = 0
-            for p in range(i, n + 1):
-                bp = binom(2 * n - i - 2, p - i)
-                if bp == 0:
-                    continue
-                for q in range(j, n + 1):
-                    bq = binom(2 * n - j - 2, q - j)
-                    if bq == 0:
-                        continue
-                    term = bp * bq * matrix.entry(q, p)
-                    rhs += term if (p + q) % 2 == 0 else -term
-            lhs = matrix.entry(i, j)
-            if lhs != rhs:
-                witnesses.append(Witness((i, j), lhs, rhs))
+    witnesses = _reflection_witnesses(n, 2, _entries(matrix))
     return VerificationReport.from_witnesses(
         "theorem1", f"n={n}, all {n * n} index pairs", witnesses
     )
+
+
+def _mirror(n: int, i: int, j: int) -> tuple[int, int]:
+    """The partner of (i, j) under the near-symmetry of the extended array."""
+    return n + 1 - j, n + 1 - i
+
+
+def _exceptional_entries(
+    n: int, total_minus_1: int, total_minus_2: int
+) -> dict[tuple[int, int], int]:
+    """The two entries that break the near-symmetry, with their values."""
+    return {
+        (n - 1, 1): total_minus_2,
+        (n, 2): total_minus_2 - total_minus_1,
+    }
+
+
+def last_column(n: int) -> dict[tuple[int, int], int]:
+    """The boundary A(n; i, n) = A_{n-1, i} for i < n, by the product formula."""
+    return {(i, n): refined_asm_count(n - 1, i) for i in range(1, n)}
 
 
 def verify_theorem2(
@@ -112,24 +186,20 @@ def verify_theorem2(
     n = matrix.n
     if n < 3:
         raise ValidationError(f"order must be at least 3, got {n}")
-    exceptional = {
-        (n - 1, 1): total_minus_2,
-        (n, 2): total_minus_2 - total_minus_1,
-    }
+    exceptional = _exceptional_entries(n, total_minus_1, total_minus_2)
+    values = _entries(matrix)
     witnesses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            mirrored = matrix.entry(n + 1 - j, n + 1 - i)
-            value = matrix.entry(i, j)
-            if (i, j) in exceptional:
-                expected = exceptional[(i, j)]
-                if value != expected:
-                    witnesses.append(Witness((i, j), value, expected))
-                # the exception must be genuine, not an accidental symmetry
-                if value == mirrored:
-                    witnesses.append(Witness((i, j), value, f"!= mirror {mirrored}"))
-            elif value != mirrored:
-                witnesses.append(Witness((i, j), value, mirrored))
+    for index, value in values.items():
+        mirrored = values[_mirror(n, *index)]
+        if index in exceptional:
+            expected = exceptional[index]
+            if value != expected:
+                witnesses.append(Witness(index, value, expected))
+            # the exception must be genuine, not an accidental symmetry
+            if value == mirrored:
+                witnesses.append(Witness(index, value, f"!= mirror {mirrored}"))
+        elif value != mirrored:
+            witnesses.append(Witness(index, value, mirrored))
     return VerificationReport.from_witnesses(
         "theorem2", f"n={n}, all pairs, exceptional entries ({n - 1},1) and ({n},2)", witnesses
     )
@@ -197,14 +267,9 @@ def verify_ilse(n: int, table: RefinedTable | None = None) -> VerificationReport
     """The closed i < j representation reproduces every extended entry."""
     if table is None:
         table = build_table(n, 2)
-    matrix = extend_matrix(table)
-    witnesses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            direct = entry_closed_form(n, i, j, table)
-            expected = matrix.entry(i, j)
-            if direct != expected:
-                witnesses.append(Witness((i, j), direct, expected))
+    witnesses = entry_witnesses(
+        extend_matrix(table), lambda i, j: entry_closed_form(n, i, j, table)
+    )
     return VerificationReport.from_witnesses("ilse", f"n={n}, all {n * n} index pairs", witnesses)
 
 
@@ -263,17 +328,15 @@ def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> Verificatio
     def w(i: int, j: int) -> int:
         return _binomial_transform(n, j, z[i].__getitem__)
 
-    witnesses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            value = -w(i - 1, j + 1)
-            if i != n:
-                value += w(i, j)
-            if i == n - 1 and j == 1:
-                value += total_prev
-            expected = matrix.entry(i, j)
-            if value != expected:
-                witnesses.append(Witness((i, j), value, expected))
+    def value(i: int, j: int) -> int:
+        total = -w(i - 1, j + 1)
+        if i != n:
+            total += w(i, j)
+        if i == n - 1 and j == 1:
+            total += total_prev
+        return total
+
+    witnesses = entry_witnesses(matrix, value)
     return VerificationReport.from_witnesses(
         "zw-chain", f"n={n}, all {n * n} index pairs", witnesses
     )
@@ -298,60 +361,28 @@ def sufficiency_system(n: int) -> LinearSystem:
     """
     if n < 3:
         raise ValidationError(f"order must be at least 3, got {n}")
-    size = n * n
     labels = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-
-    def idx(i: int, j: int) -> int:
-        return (i - 1) * n + (j - 1)
-
-    rows: list[list[int]] = []
+    column = {label: k for k, label in enumerate(labels)}
+    rows: list[tuple[int, ...]] = []
     rhs: list[int] = []
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            coeffs = [0] * size
-            coeffs[idx(i, j)] += 1
-            for p in range(i, n + 1):
-                bp = binom(2 * n - i - 2, p - i)
-                if bp == 0:
-                    continue
-                for q in range(j, n + 1):
-                    bq = binom(2 * n - j - 2, q - j)
-                    if bq == 0:
-                        continue
-                    term = bp * bq
-                    coeffs[idx(q, p)] -= term if (p + q) % 2 == 0 else -term
-            rows.append(coeffs)
-            rhs.append(0)
-
-    exceptional = {
-        (n - 1, 1): total_asm_count(n - 2),
-        (n, 2): total_asm_count(n - 2) - total_asm_count(n - 1),
-    }
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) in exceptional or (i, j) == (n + 1 - j, n + 1 - i):
-                continue
-            coeffs = [0] * size
-            coeffs[idx(i, j)] += 1
-            coeffs[idx(n + 1 - j, n + 1 - i)] -= 1
-            rows.append(coeffs)
-            rhs.append(0)
-    for (i, j), value in exceptional.items():
-        coeffs = [0] * size
-        coeffs[idx(i, j)] = 1
-        rows.append(coeffs)
+    def add_row(terms: Iterable[tuple[tuple[int, int], int]], value: int) -> None:
+        coeffs = [0] * len(labels)
+        for index, c in terms:
+            coeffs[column[index]] += c
+        rows.append(tuple(coeffs))
         rhs.append(value)
 
-    for i in range(1, n):
-        coeffs = [0] * size
-        coeffs[idx(i, n)] = 1
-        rows.append(coeffs)
-        rhs.append(refined_asm_count(n - 1, i))
-
-    return LinearSystem(
-        tuple(tuple(r) for r in rows), tuple(rhs), labels
-    )
+    for index, terms in reflection_equations(n, 2):
+        add_row([(index, 1)] + [(target, -c) for target, c in terms], 0)
+    exceptional = _exceptional_entries(n, total_asm_count(n - 1), total_asm_count(n - 2))
+    for index in labels:
+        mirrored = _mirror(n, *index)
+        if index not in exceptional and index != mirrored:
+            add_row([(index, 1), (mirrored, -1)], 0)
+    for index, value in itertools.chain(exceptional.items(), last_column(n).items()):
+        add_row([(index, 1)], value)
+    return LinearSystem(tuple(rows), tuple(rhs), labels)
 
 
 @dataclass(frozen=True)
@@ -389,11 +420,7 @@ def solve_sufficiency(n: int, budget: Budget = DEFAULT_BUDGET) -> SufficiencyRes
             if value.denominator != 1:
                 raise NonIntegralError(f"solved entry {value} is not an integer")
             flat.append(value.numerator)
-        rows = tuple(
-            tuple(flat[(i - 1) * n + (j - 1)] for j in range(1, n + 1))
-            for i in range(1, n + 1)
-        )
-        solution = ExtendedMatrix(n, rows)
+        solution = ExtendedMatrix(n, tuple(tuple(flat[k:k + n]) for k in range(0, n * n, n)))
     return SufficiencyResult(result.rank, n * n, solution, system)
 
 
@@ -510,19 +537,7 @@ def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> Verifica
     if matrix is None:
         matrix = extend_matrix(build_table(n, 2))
     excluded = _excluded_pairs(n)
-    witnesses = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if (i, j) in excluded:
-                continue
-            expected = matrix.entry(i, j)
-            try:
-                value = explicit_formula(n, i, j)
-            except NonIntegralError as exc:
-                witnesses.append(Witness((i, j), str(exc), expected))
-                continue
-            if value != expected:
-                witnesses.append(Witness((i, j), value, expected))
+    witnesses = entry_witnesses(matrix, lambda i, j: explicit_formula(n, i, j), excluded)
     return VerificationReport.from_witnesses(
         "conj2", f"n={n}, all pairs except the {len(excluded)} excluded", witnesses
     )
@@ -537,12 +552,7 @@ def drefined_F(n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET) -> BinomBasi
 
 def _coefficient_array(n: int, d: int, budget: Budget) -> dict[tuple[int, ...], int]:
     if d == 2:
-        matrix = extend_matrix(build_table(n, 2, budget))
-        return {
-            (i, j): matrix.entry(i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        }
+        return _entries(extend_matrix(build_table(n, 2, budget)))
     expansion = drefined_F(n, d, budget)
     return {
         idx: int(expansion.coefficient(idx))
@@ -562,21 +572,7 @@ def verify_conjecture3(
     except NonIntegralError as exc:
         witness = Witness((n, d), str(exc), "an integer")
         return VerificationReport.from_witnesses("conj3", checked, [witness])
-    global_sign = 1 if (n * d) % 2 == 0 else -1
-    witnesses = []
-    for index in itertools.product(range(1, n + 1), repeat=d):
-        rhs = 0
-        for shifted in itertools.product(*(range(i, n + 1) for i in index)):
-            term = coeffs[tuple(reversed(shifted))]
-            if term == 0:
-                continue
-            for i_r, j_r in zip(index, shifted):
-                term *= binom(2 * n - i_r - d, j_r - i_r)
-            rhs += term if sum(shifted) % 2 == 0 else -term
-        rhs *= global_sign
-        lhs = coeffs[index]
-        if lhs != rhs:
-            witnesses.append(Witness(index, lhs, rhs))
+    witnesses = _reflection_witnesses(n, d, coeffs)
     return VerificationReport.from_witnesses("conj3", checked, witnesses)
 
 
@@ -602,7 +598,13 @@ def verify_conjecture4(
 def verify_triangular_system(
     n: int, matrix: ExtendedMatrix | None = None
 ) -> VerificationReport:
-    """The six-term expansion equations and their triangular reduction."""
+    """The six-term expansion equations and their triangular reduction.
+
+    These equations follow from the extension alone: the array that
+    extend_matrix builds from any depth-2 table, random counts included,
+    satisfies them.  So this claim checks the algebra of extend_matrix, not
+    the counts; theorem1, theorem2 and special-values reject wrong counts.
+    """
     if matrix is None:
         matrix = extend_matrix(build_table(n, 2))
     f = matrix.entry

@@ -175,6 +175,24 @@ def test_digest_depends_on_every_entry():
         assert changed.digest() != digest
 
 
+def test_unknown_kind_is_rejected():
+    entries = tuple(((i, j), "0") for i in (1, 2) for j in (1, 2))
+    with pytest.raises(ValidationError):
+        TableDocument(2, 2, "coefficients", entries)
+
+
+def test_cache_file_of_an_unknown_kind_is_a_miss(tmp_path):
+    cache = TableCache(tmp_path)
+    entries = {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 0}
+    cache.store(document_from_entries(2, 2, "extended", entries))
+    # the same signed file, claiming a kind the cache does not know
+    data = json.loads(cache.path_for("extended", 2, 2).read_text())
+    data["kind"] = "coefficients"
+    cache.path_for("coefficients", 2, 2).write_text(json.dumps(data))
+    assert cache.load("coefficients", 2, 2) is None
+    assert cache.load("extended", 2, 2).int_entries() == entries
+
+
 def test_cache_rejects_corrupt_file(tmp_path):
     cache = TableCache(tmp_path)
     path = cache.path_for("refined", 3, 1)

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from asmref import extension
 from asmref.combinat import refined_asm_count, total_asm_count
 from asmref.config import Budget
-from asmref.errors import BudgetError, ExcludedIndexError, ValidationError
+from asmref.errors import BudgetError, ExcludedIndexError, NonIntegralError, ValidationError
 from asmref.extension import (
     ExtendedMatrix,
     c_coeff,
     drefined_F,
+    entry_witnesses,
     explicit_formula,
     extend_matrix,
     entry_closed_form,
@@ -30,8 +33,10 @@ from asmref.extension import (
     w_value,
     z_value,
 )
-from asmref.triangles import alpha_count, build_table, refined_count
+from asmref.reports import Witness
+from asmref.triangles import RefinedTable, alpha_count, build_table, refined_count
 
+from oracles import conjecture3_witnesses, dense_sufficiency_system, theorem1_witnesses
 from reference_tables import EXTENDED_MATRICES
 
 
@@ -109,6 +114,60 @@ def test_theorem1_detects_corruption():
     report = verify_theorem1(ExtendedMatrix(n, tuple(tuple(r) for r in rows)))
     assert not report.passed
     assert report.witnesses
+
+
+def perturbed(values: dict, rng: random.Random) -> dict:
+    """values with a few entries moved by small nonzero amounts."""
+    out = dict(values)
+    for key in rng.sample(sorted(out), 3):
+        out[key] += rng.choice([-2, -1, 1, 2])
+    return out
+
+
+def as_matrix(n: int, values: dict) -> ExtendedMatrix:
+    cells = range(1, n + 1)
+    return ExtendedMatrix(n, tuple(tuple(values[i, j] for j in cells) for i in cells))
+
+
+def test_theorem1_witnesses_match_the_double_sum_oracle():
+    rng = random.Random(9)
+    for n in range(3, 13):
+        matrix = matrix_for(n)
+        values = {(i, j): matrix.entry(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+        arrays = [matrix] + [as_matrix(n, perturbed(values, rng)) for _ in range(5)]
+        for array in arrays:
+            report = verify_theorem1(array)
+            assert list(report.witnesses) == theorem1_witnesses(array)
+        assert not report.passed
+
+
+@pytest.mark.parametrize("d, orders", [(2, range(3, 9)), (3, (4, 5))])
+def test_conjecture3_witnesses_match_the_shift_loop_oracle(d, orders, monkeypatch):
+    rng = random.Random(d)
+    real = extension._coefficient_array
+    for n in orders:
+        coeffs = real(n, d, Budget())
+        for array in [coeffs] + [perturbed(coeffs, rng) for _ in range(5)]:
+            monkeypatch.setattr(extension, "_coefficient_array", lambda n, d, budget: array)
+            report = verify_conjecture3(n, d)
+            assert list(report.witnesses) == conjecture3_witnesses(array, n, d)
+        assert not report.passed
+
+
+def test_entry_witnesses_skip_pairs_and_record_non_integral_values():
+    matrix = matrix_for(3)
+
+    def value(i, j):
+        if (i, j) == (1, 2):
+            raise NonIntegralError("half")
+        return matrix.entry(i, j) + (i == 3)
+
+    witnesses = entry_witnesses(matrix, value, skip={(3, 2)})
+    assert witnesses == [
+        Witness((1, 2), "half", 1),
+        Witness((3, 1), -1, -2),
+        Witness((3, 3), 1, 0),
+    ]
 
 
 def test_theorem2_holds_and_is_sharp():
@@ -196,6 +255,11 @@ def test_sufficiency_system_shape():
     assert len(system.matrix) > n * n
 
 
+def test_sufficiency_system_matches_the_dense_oracle():
+    for n in range(3, 15):
+        assert sufficiency_system(n) == dense_sufficiency_system(n)
+
+
 def test_solve_sufficiency_unique_and_correct():
     for n in (3, 4, 5):
         result = solve_sufficiency(n)
@@ -271,3 +335,15 @@ def test_triangular_system():
     for n in range(3, 7):
         report = verify_triangular_system(n)
         assert report.passed, report.witnesses
+
+
+def test_triangular_system_passes_any_table():
+    # the six-term equations follow from the extension alone, so a table of
+    # random counts passes them while the reflection system rejects it
+    rng = random.Random(3)
+    for n in range(3, 9):
+        pairs = itertools.combinations(range(1, n + 1), 2)
+        table = RefinedTable(n, 2, {pair: rng.randrange(1, 1000) for pair in pairs})
+        matrix = extend_matrix(table)
+        assert verify_triangular_system(n, matrix).passed
+        assert not verify_theorem1(matrix).passed
