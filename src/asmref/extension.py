@@ -208,8 +208,9 @@ def verify_theorem2(
 def verify_special_values(matrix: ExtendedMatrix) -> VerificationReport:
     """Check the closed special values of the extended array.
 
-    Bottom row partial sums of singly refined counts of order n - 1, the
-    corner values, and the alternating-sum expression for the (1, 1) entry.
+    Bottom row partial sums of singly refined counts of order n - 1, which
+    include the corners (n, 1) = -A_(n-1) and (n, n) = 0, and the
+    alternating-sum expression for the (1, 1) entry.
     """
     n = matrix.n
     witnesses = []
@@ -219,16 +220,11 @@ def verify_special_values(matrix: ExtendedMatrix) -> VerificationReport:
         value = matrix.entry(n, j)
         if value != expected:
             witnesses.append(Witness((n, j), value, expected))
-    total_prev = refined_count(n, (n,))
-    if matrix.entry(n, 1) != -total_prev:
-        witnesses.append(Witness((n, 1), matrix.entry(n, 1), -total_prev))
     alternating = sum(
         (1 if i % 2 == 1 else -1) * matrix.entry(i, i + 1) for i in range(1, n)
     )
     if matrix.entry(1, 1) != alternating:
         witnesses.append(Witness((1, 1), matrix.entry(1, 1), alternating))
-    if matrix.entry(n, n) != 0:
-        witnesses.append(Witness((n, n), matrix.entry(n, n), 0))
     return VerificationReport.from_witnesses(
         "special-values", f"n={n}, bottom row and corners", witnesses
     )

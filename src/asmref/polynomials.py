@@ -9,7 +9,9 @@ counting function is known to satisfy.
 
 Newton form over integer node grids, with integer numerators over one common
 denominator, is the one polynomial representation; it is evaluated at rational
-points by integer Horner, so every evaluation is exact.  The specializations
+points by integer Horner, so every evaluation is exact.  The identity checks
+evaluate it at integer shifts of a point together, as one stencil that shares
+its partial reductions.  The specializations
 are resampled level by level onto the grid 0..n-1 and interpolated there
 once; the binomial basis is only the output of a unit-triangular change of
 basis from those Newton coefficients.
@@ -23,7 +25,7 @@ import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .combinat import binom, binom_at
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
@@ -38,14 +40,6 @@ def _divided_differences(nodes: Sequence[int], values: Sequence) -> list[Fractio
         for i in range(len(coeffs) - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
     return coeffs
-
-
-def _newton_value(nodes: Sequence[int], coeffs: Sequence[Fraction], x) -> Fraction:
-    """One-variable Newton form at x, by Horner."""
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        acc = acc * (x - nodes[i]) + coeffs[i]
-    return acc
 
 
 def _apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> list:
@@ -133,29 +127,58 @@ class PolyMulti:
         )
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point, by homogenised integer Horner.
+        """Exact value at a rational point: the zero shift of evaluate_shifts."""
+        numerators, scale = self.evaluate_shifts(point, [(0,) * self.num_vars])
+        return Fraction(numerators[0], scale)
 
-        With x = p/q on an axis, q^(k-1) times the Newton form of degree k - 1
-        is the integer Horner sum acc*(p - node*q) + c_i*q^(k-1-i), so every
-        axis is reduced in ints and one Fraction is built at the end.
+    def evaluate_shifts(
+        self, point: Sequence, shifts: Iterable[Sequence[int]]
+    ) -> tuple[list[int], int]:
+        """Integer numerators of the values at point + s for every integer shift s.
+
+        Returns the numerators in the order of shifts and their one common
+        scale.  With x = p/q on an axis, q^(k-1) times the Newton form of
+        degree k - 1 at x + s is the integer Horner sum
+        acc*(p + (s - node)*q) + c_i*q^(k-1-i), so an integer shift changes
+        only the differences and every value shares the scale
+        denominator * prod q^(k-1).  Axes are reduced from the last to the
+        first, and shifts that agree on the axes reduced so far share that
+        partial reduction: the 2^m corners of a unit cube cost about
+        2 * k^m / (1 - 2/k) multiply-adds instead of 2^m * k^m.
         """
         _check_point(point, self.num_vars)
+        shifts = [tuple(s) for s in shifts]
+        for s in shifts:
+            if len(s) != self.num_vars or not all(isinstance(v, int) for v in s):
+                raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
         k = self.degree_bound + 1
-        flat = self.numerators
+        # partial reductions keyed by the shift components of the axes reduced so far
+        partial = {(): self.numerators}
         scale = self.denominator
         for axis in range(self.num_vars - 1, -1, -1):
             p, q = point[axis].numerator, point[axis].denominator
-            diffs = [p - node * q for node in self.nodes[axis]]
+            nodes = self.nodes[axis]
             powers = [q ** (k - 1 - i) for i in range(k)]
-            reduced = []
-            for s in range(0, len(flat), k):
-                acc = flat[s + k - 1]
-                for i in range(k - 2, -1, -1):
-                    acc = acc * diffs[i] + flat[s + i] * powers[i]
-                reduced.append(acc)
-            flat = reduced
+            steps: dict[tuple, dict[int, None]] = {}
+            for s in shifts:
+                steps.setdefault(s[axis + 1 :], {})[s[axis]] = None
+            reduced = {}
+            for tail, axis_steps in steps.items():
+                flat = partial[tail]
+                # column i holds c_i * q^(k-1-i) of every fiber along this axis
+                columns = [
+                    [c * w for c in flat[i::k]] if w != 1 else flat[i::k]
+                    for i, w in enumerate(powers)
+                ]
+                for step in axis_steps:
+                    acc = columns[-1]
+                    for i in range(k - 2, -1, -1):
+                        diff = p + (step - nodes[i]) * q
+                        acc = [a * diff + c for a, c in zip(acc, columns[i])]
+                    reduced[(step,) + tail] = acc
+            partial = reduced
             scale *= powers[0]
-        return Fraction(flat[0], scale)
+        return [partial[s][0] for s in shifts], scale
 
 
 _alpha_poly_cache: dict[int, PolyMulti] = {}
@@ -221,9 +244,22 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
 
     grid = range(n)
 
-    def resample(nodes: range, fiber: list) -> list[Fraction]:
-        coeffs = _divided_differences(nodes, fiber)
-        return [_newton_value(nodes, coeffs, t) for t in grid]
+    def resample(first: int, fiber: list[int]) -> list[int]:
+        # Newton's forward formula f(t) = sum_m D^m f(first) * binom(t - first, m)
+        # on the integer fiber at first..first+n-1, in ints
+        heads = []
+        row = fiber
+        while row:
+            heads.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        out = []
+        for t in grid:
+            x, weight, value = t - first, 1, 0
+            for m, head in enumerate(heads):
+                value += head * weight
+                weight = weight * (x - m) // (m + 1)  # binom(x, m + 1), exactly
+            out.append(value)
+        return out
 
     def build(args: tuple[int, ...], r: int) -> list:
         # values of variables r.. (0-based) on the grid, x_r axis major
@@ -237,7 +273,7 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
             flat = [v for x in nodes for v in build(args + (base + x,), r + 1)]
         if first == 0:
             return flat
-        return _apply_axis(flat, n, d - r, 0, lambda fiber: resample(nodes, fiber))
+        return _apply_axis(flat, n, d - r, 0, lambda fiber: resample(first, fiber))
 
     values = build(tuple(range(1, n - d + 1)), 0)
     poly = PolyMulti.interpolate((grid,) * d, values)
@@ -354,11 +390,8 @@ def sample_rational_points(
     return [_draw_point(rng, dim, bound) for _ in range(count)]
 
 
-def _shift(point: tuple, positions: Sequence[int], amount: int = 1) -> tuple:
-    out = list(point)
-    for pos in positions:
-        out[pos] += amount
-    return tuple(out)
+def _unit_shift(n: int, positions: Sequence[int], amount: int = 1) -> tuple[int, ...]:
+    return tuple(amount if pos in positions else 0 for pos in range(n))
 
 
 def verify_alpha_identities(
@@ -375,6 +408,8 @@ def verify_alpha_identities(
     six-term neighbour exchange, annihilation by the elementary symmetric
     polynomials in the difference operators, and the expansion of a repeated
     shift in one variable through shift subsets of the remaining variables.
+    The last three evaluate the polynomial at integer shifts of a point, as
+    one evaluate_shifts stencil, and sum the numerators in ints.
 
     Returns one report per identity.  A failing report lists every witness:
     the sample point, preceded for the six-term, annihilation and
@@ -388,23 +423,15 @@ def verify_alpha_identities(
             f"identity checks at n={n} exceed the budget cap {budget.identity_max_n}"
         )
     poly = alpha_polynomial(n, budget)
-    cache: dict[tuple, Fraction] = {}
-
-    def ev(point: tuple) -> Fraction:
-        value = cache.get(point)
-        if value is None:
-            value = poly.evaluate(point)
-            cache[point] = value
-        return value
-
     rng = random.Random(seed)
     bound = 3 * n
     reports = []
     witnesses: list[Witness] = []
 
-    def check(label: tuple, pt: tuple, lhs, rhs):
+    def check(label: tuple, pt: tuple, lhs, rhs, scale: int = 1):
+        # lhs and rhs are values, or numerators over the scale of a stencil
         if lhs != rhs:
-            witnesses.append(Witness(label + pt, lhs, rhs))
+            witnesses.append(Witness(label + pt, Fraction(lhs, scale), Fraction(rhs, scale)))
 
     def finish(name: str, detail: str = ""):
         checked = f"n={n}, {num_points} rational points (seed {seed})" + detail
@@ -415,66 +442,75 @@ def verify_alpha_identities(
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
         (t,) = _draw_point(rng, 1, bound)
-        check((), pt, ev(pt), poly.evaluate(tuple(x + t for x in pt)))
+        check((), pt, poly.evaluate(pt), poly.evaluate(tuple(x + t for x in pt)))
     finish("translation")
 
     # reverse and negate
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
-        check((), pt, ev(pt), ev(tuple(-x for x in reversed(pt))))
+        check((), pt, poly.evaluate(pt), poly.evaluate(tuple(-x for x in reversed(pt))))
     finish("reversal")
 
     # rotation: moving the first variable to the end, shifted down by n
     sign = 1 if n % 2 == 1 else -1
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
-        check((), pt, ev(pt[1:] + (pt[0] - n,)), sign * ev(pt))
+        check((), pt, poly.evaluate(pt[1:] + (pt[0] - n,)), sign * poly.evaluate(pt))
     finish("rotation")
 
-    # six-term exchange of two neighbouring variables
+    # six-term exchange of two neighbouring variables i, i + 1: the shifts 0,
+    # e_i + e_(i+1) and e_(i+1) at the point and at the point with the two
+    # swapped, which has the same denominators and so the same scale
+    stencils = [
+        [_unit_shift(n, ()), _unit_shift(n, (i, i + 1)), _unit_shift(n, (i + 1,))]
+        for i in range(n - 1)
+    ]
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
-        for i in range(n - 1):
-            a, b = pt[i], pt[i + 1]
-
-            def at(u, v):
-                return ev(pt[:i] + (u, v) + pt[i + 2 :])
-
-            lhs = at(a, b) + at(a + 1, b + 1) - at(a, b + 1)
-            rhs = -at(b, a) - at(b + 1, a + 1) + at(b, a + 1)
-            check((f"positions {i + 1},{i + 2}",), pt, lhs, rhs)
+        for i, stencil in enumerate(stencils):
+            left, scale = poly.evaluate_shifts(pt, stencil)
+            swapped = pt[:i] + (pt[i + 1], pt[i]) + pt[i + 2 :]
+            right, _ = poly.evaluate_shifts(swapped, stencil)
+            lhs = left[0] + left[1] - left[2]
+            rhs = -right[0] - right[1] + right[2]
+            check((f"positions {i + 1},{i + 2}",), pt, lhs, rhs, scale)
     finish("six-term", f", all {max(n - 1, 0)} neighbour pairs")
 
-    # elementary symmetric polynomials in the difference operators annihilate
-    positions = range(n)
+    # elementary symmetric polynomials in the difference operators annihilate:
+    # e_q(D) = sum over corners T of the unit cube of
+    # (-1)^(q - |T|) * binom(n - |T|, q - |T|) * E^T
+    corners = list(itertools.product((0, 1), repeat=n))
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
+        values, scale = poly.evaluate_shifts(pt, corners)
+        by_size = [0] * (n + 1)
+        for corner, value in zip(corners, values):
+            by_size[sum(corner)] += value
         for q in range(1, n):
-            total = Fraction(0)
-            for subset in itertools.combinations(positions, q):
-                for t_size in range(q + 1):
-                    term_sign = 1 if (q - t_size) % 2 == 0 else -1
-                    for chosen in itertools.combinations(subset, t_size):
-                        total += term_sign * ev(_shift(pt, chosen))
-            check((f"q={q}",), pt, total, 0)
+            total = sum(
+                (1 if (q - t) % 2 == 0 else -1) * binom(n - t, q - t) * by_size[t]
+                for t in range(q + 1)
+            )
+            check((f"q={q}",), pt, total, 0, scale)
     finish("symmetric-difference-annihilation", f", q=1..{n - 1}")
 
     # repeated shift in one variable expanded over shift subsets of the others
+    repeated = {(r, z): _unit_shift(n, (r,), z) for r in range(n) for z in range(4)}
+    shifts = corners + [s for (_, z), s in repeated.items() if z > 1]
     for _ in range(num_points):
         pt = _draw_point(rng, n, bound)
+        values, scale = poly.evaluate_shifts(pt, shifts)
+        at = dict(zip(shifts, values))
         for r in range(n):
-            others = [pos for pos in positions if pos != r]
+            # sums over the corners of the other variables, by size
+            by_size = [0] * n
+            for corner in corners:
+                if corner[r] == 0:
+                    by_size[sum(corner)] += at[corner]
             for z in range(4):
-                lhs = ev(_shift(pt, (r,), z))
-                rhs = Fraction(0)
-                for p in range(z + 1):
-                    coeff = binom(-n, z - p)
-                    if coeff == 0:
-                        continue
-                    for subset in itertools.combinations(others, p):
-                        rhs += coeff * ev(_shift(pt, subset))
+                rhs = sum(binom(-n, z - p) * total for p, total in enumerate(by_size[: z + 1]))
                 rhs *= 1 if z % 2 == 0 else -1
-                check((f"variable {r + 1}, power {z}",), pt, lhs, rhs)
+                check((f"variable {r + 1}, power {z}",), pt, at[repeated[r, z]], rhs, scale)
     finish("shift-expansion", ", powers 0..3, every variable")
 
     return tuple(reports)
@@ -513,18 +549,13 @@ def verify_gn_reflection(
         witnesses = []
         for _ in range(num_points):
             x, y = _draw_point(rng, 2, bound)
-            lhs = (
-                poly.evaluate((x, y))
-                + poly.evaluate((x + 1, y + 1))
-                - poly.evaluate((x, y + 1))
-            )
-            rhs = (
-                -poly.evaluate((y + 1, x - 1))
-                - poly.evaluate((y + 2, x))
-                + poly.evaluate((y + 1, x))
-            )
+            # (y, x) has the denominators of (x, y), so both stencils share a scale
+            left, scale = poly.evaluate_shifts((x, y), [(0, 0), (1, 1), (0, 1)])
+            right, _ = poly.evaluate_shifts((y, x), [(1, -1), (2, 0), (1, 0)])
+            lhs = left[0] + left[1] - left[2]
+            rhs = -right[0] - right[1] + right[2]
             if lhs != rhs:
-                witnesses.append(Witness((x, y), lhs, rhs))
+                witnesses.append(Witness((x, y), Fraction(lhs, scale), Fraction(rhs, scale)))
         reports.append(VerificationReport.from_witnesses("gn-six-term", detail, witnesses))
 
     return tuple(reports)

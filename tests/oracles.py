@@ -11,17 +11,25 @@ out the reflection equations, the near-symmetry and the last-column boundary
 by hand, each on its own, as asmref.extension did before it stated every
 family of equations once.  The tests require the same witnesses and the same
 linear system from asmref.extension.
+
+alpha_identity_reports evaluates the counting polynomial once per shifted
+point, in Fractions with a per-point memo, as asmref.polynomials did before it
+evaluated the shifts of each identity as one stencil.  The tests require the
+same reports, witnesses included, from verify_alpha_identities.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 from typing import Sequence
 
 from asmref.combinat import binom, refined_asm_count, total_asm_count
 from asmref.errors import ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem
-from asmref.reports import Witness
+from asmref.polynomials import PolyMulti, _draw_point
+from asmref.reports import VerificationReport, Witness
 
 # The DFS memo.  Counting rows are translation invariant, so keys are
 # normalized to start at zero.
@@ -168,3 +176,100 @@ def dense_sufficiency_system(n: int) -> LinearSystem:
         rhs.append(refined_asm_count(n - 1, i))
 
     return LinearSystem(tuple(tuple(r) for r in rows), tuple(rhs), labels)
+
+
+def _shift(point: tuple, positions: Sequence[int], amount: int = 1) -> tuple:
+    out = list(point)
+    for pos in positions:
+        out[pos] += amount
+    return tuple(out)
+
+
+def alpha_identity_reports(
+    poly: PolyMulti, n: int, seed: int, num_points: int
+) -> tuple[VerificationReport, ...]:
+    """verify_alpha_identities on poly, one memoized evaluation per shifted point."""
+    cache: dict[tuple, Fraction] = {}
+
+    def ev(point: tuple) -> Fraction:
+        value = cache.get(point)
+        if value is None:
+            value = poly.evaluate(point)
+            cache[point] = value
+        return value
+
+    rng = random.Random(seed)
+    bound = 3 * n
+    reports = []
+    witnesses: list[Witness] = []
+
+    def check(label: tuple, pt: tuple, lhs, rhs):
+        if lhs != rhs:
+            witnesses.append(Witness(label + pt, lhs, rhs))
+
+    def finish(name: str, detail: str = ""):
+        checked = f"n={n}, {num_points} rational points (seed {seed})" + detail
+        reports.append(VerificationReport.from_witnesses(name, checked, witnesses))
+        witnesses.clear()
+
+    for _ in range(num_points):
+        pt = _draw_point(rng, n, bound)
+        (t,) = _draw_point(rng, 1, bound)
+        check((), pt, ev(pt), poly.evaluate(tuple(x + t for x in pt)))
+    finish("translation")
+
+    for _ in range(num_points):
+        pt = _draw_point(rng, n, bound)
+        check((), pt, ev(pt), ev(tuple(-x for x in reversed(pt))))
+    finish("reversal")
+
+    sign = 1 if n % 2 == 1 else -1
+    for _ in range(num_points):
+        pt = _draw_point(rng, n, bound)
+        check((), pt, ev(pt[1:] + (pt[0] - n,)), sign * ev(pt))
+    finish("rotation")
+
+    for _ in range(num_points):
+        pt = _draw_point(rng, n, bound)
+        for i in range(n - 1):
+            a, b = pt[i], pt[i + 1]
+
+            def at(u, v):
+                return ev(pt[:i] + (u, v) + pt[i + 2 :])
+
+            lhs = at(a, b) + at(a + 1, b + 1) - at(a, b + 1)
+            rhs = -at(b, a) - at(b + 1, a + 1) + at(b, a + 1)
+            check((f"positions {i + 1},{i + 2}",), pt, lhs, rhs)
+    finish("six-term", f", all {max(n - 1, 0)} neighbour pairs")
+
+    positions = range(n)
+    for _ in range(num_points):
+        pt = _draw_point(rng, n, bound)
+        for q in range(1, n):
+            total = Fraction(0)
+            for subset in itertools.combinations(positions, q):
+                for t_size in range(q + 1):
+                    term_sign = 1 if (q - t_size) % 2 == 0 else -1
+                    for chosen in itertools.combinations(subset, t_size):
+                        total += term_sign * ev(_shift(pt, chosen))
+            check((f"q={q}",), pt, total, 0)
+    finish("symmetric-difference-annihilation", f", q=1..{n - 1}")
+
+    for _ in range(num_points):
+        pt = _draw_point(rng, n, bound)
+        for r in range(n):
+            others = [pos for pos in positions if pos != r]
+            for z in range(4):
+                lhs = ev(_shift(pt, (r,), z))
+                rhs = Fraction(0)
+                for p in range(z + 1):
+                    coeff = binom(-n, z - p)
+                    if coeff == 0:
+                        continue
+                    for subset in itertools.combinations(others, p):
+                        rhs += coeff * ev(_shift(pt, subset))
+                rhs *= 1 if z % 2 == 0 else -1
+                check((f"variable {r + 1}, power {z}",), pt, lhs, rhs)
+    finish("shift-expansion", ", powers 0..3, every variable")
+
+    return tuple(reports)

@@ -2,7 +2,9 @@
 
 Each test prints a single pass/fail line (visible with pytest -s or -rA) and
 asserts both the mathematical outcome and its wall-clock limit.  Criteria are
-numbered; the descriptions state exactly what was checked.
+numbered; the descriptions state exactly what was checked.  A last test runs
+every claim of the registry at the lowest order of its default range, so a
+newly registered claim is tested too.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 import itertools
 import time
 
+import pytest
+
+import asmref.cli as cli
 from asmref import (
     alpha_count,
     asm_to_mt,
@@ -37,6 +42,7 @@ from asmref import (
     verify_triangular_system,
     verify_zw_chain,
 )
+from asmref.claims import CLAIMS
 
 from reference_tables import EXTENDED_MATRICES, REFINED_TRIANGLE, TOTALS
 
@@ -169,3 +175,13 @@ def test_criterion_12_structural_identities():
         ok = ok and verify_special_values(matrix).passed
         ok = ok and verify_triangular_system(n, matrix).passed
     _finish(12, "boundary values and triangular-system identities, orders 3..12", started, 60, ok)
+
+
+@pytest.mark.parametrize("name", sorted(CLAIMS))
+def test_every_registered_claim_passes_at_its_lowest_order(name, monkeypatch, capsys):
+    monkeypatch.delenv("ASMREF_CACHE", raising=False)
+    lo = CLAIMS[name].orders[0]
+    code = cli.main(["verify", name, "--n", str(lo)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.splitlines()[-1] == f"{name}: PASS ({lo}..{lo})"

@@ -195,6 +195,16 @@ def test_special_values_hold():
         assert report.passed, report.witnesses
 
 
+def test_special_values_name_each_corner_once():
+    # the bottom-row partial sums already cover both bottom corners
+    values = {(i, j): matrix_for(5).entry(i, j) for i in range(1, 6) for j in range(1, 6)}
+    for witness in (Witness((5, 1), -41, -42), Witness((5, 5), 1, 0)):
+        raised = dict(values)
+        raised[witness.indices] += 1
+        report = verify_special_values(as_matrix(5, raised))
+        assert report.witnesses == (witness,)
+
+
 def test_special_values_explicit():
     for n in (3, 4, 5, 6):
         matrix = matrix_for(n)

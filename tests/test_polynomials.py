@@ -8,6 +8,7 @@ and the polynomial disagree in meaning (weakly increasing vs arbitrary).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import asmref.cli as cli
 from asmref import polynomials
 from asmref.combinat import binom
-from asmref.config import Budget
+from asmref.config import DEFAULT_SEED, Budget
 from asmref.errors import BudgetError, NonIntegralError, ValidationError
 from asmref.linalg import invert_matrix
 from asmref.polynomials import (
@@ -35,10 +36,11 @@ from asmref.polynomials import (
     verify_alpha_identities,
     verify_gn_reflection,
 )
+from asmref.reports import Witness
 from asmref import triangles
 from asmref.triangles import alpha_count
 
-from oracles import alpha_count_dfs
+from oracles import alpha_count_dfs, alpha_identity_reports
 from reference_tables import EXTENDED_MATRICES
 
 
@@ -228,6 +230,33 @@ def test_evaluate_matches_fraction_newton_horner(case):
         value = poly.evaluate(point)
         assert isinstance(value, Fraction)
         assert value == fraction_newton_horner(poly, point)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_evaluate_shifts_equals_evaluate_at_every_shifted_point(case):
+    poly = oracle_polynomial(case)
+    m = poly.num_vars
+    k = poly.degree_bound + 1
+    rng = random.Random(4049 + m)
+    for _ in range(6):
+        point = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(m))
+        # negative shifts, a repeated shift, the zero shift and the unit-cube corners
+        shifts = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(7)]
+        shifts += [shifts[0], (0,) * m, *itertools.product((0, 1), repeat=m)]
+        numerators, scale = poly.evaluate_shifts(point, shifts)
+        assert len(numerators) == len(shifts)
+        assert all(isinstance(v, int) for v in numerators)
+        assert scale == poly.denominator * math.prod(x.denominator ** (k - 1) for x in point)
+        for shift, numerator in zip(shifts, numerators):
+            shifted = tuple(x + s for x, s in zip(point, shift))
+            assert Fraction(numerator, scale) == poly.evaluate(shifted)
+        assert poly.evaluate_shifts(point, []) == ([], scale)
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (Fraction(1, 2), 0), (0.0, 1)], ids=repr)
+def test_evaluate_shifts_rejects_non_integer_shifts(bad):
+    with pytest.raises(ValidationError):
+        gn_poly(3, 2).evaluate_shifts((Fraction(1, 2), 3), [(0, 0), bad])
 
 
 def test_newton_numerators_are_in_lowest_terms():
@@ -430,6 +459,26 @@ def test_verify_alpha_identities_names_and_passes():
     assert all(r.passed for r in reports)
 
 
+@pytest.mark.parametrize("seed", (1729, 5))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_identity_stencils_match_the_per_point_oracle(n, seed):
+    reports = verify_alpha_identities(n, seed=seed)
+    assert all(r.passed for r in reports)
+    assert reports == alpha_identity_reports(alpha_polynomial(n), n, seed, 20)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_identity_stencils_match_the_oracle_on_a_corrupted_polynomial(n, monkeypatch):
+    poly = alpha_polynomial(n)
+    numerators = list(poly.numerators)
+    numerators[len(numerators) // 2] += 1
+    corrupted = dataclasses.replace(poly, numerators=tuple(numerators))
+    monkeypatch.setitem(polynomials._alpha_poly_cache, n, corrupted)
+    reports = verify_alpha_identities(n)
+    assert not any(r.passed for r in reports)
+    assert reports == alpha_identity_reports(corrupted, n, DEFAULT_SEED, 20)
+
+
 def test_verify_alpha_identities_budget():
     with pytest.raises(BudgetError):
         verify_alpha_identities(6)
@@ -493,6 +542,28 @@ def test_violated_specialization_identity_yields_failing_report(monkeypatch):
     for witness in reflection.witnesses:
         x, y = witness.indices
         assert (witness.lhs, witness.rhs) == (x, -6 - y)
+
+
+def test_specialization_six_term_witnesses_match_single_evaluations(monkeypatch):
+    poly = gn_poly(4, 2)
+    numerators = list(poly.numerators)
+    numerators[7] += 1
+    corrupted = dataclasses.replace(poly, numerators=tuple(numerators))
+    monkeypatch.setitem(polynomials._gn_poly_cache, (4, 2), corrupted)
+    _, six_term = verify_gn_reflection(4, 2)
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(20):  # the points of the reflection check
+        polynomials._draw_point(rng, 2, 12)
+    ev = corrupted.evaluate
+    expected = []
+    for _ in range(20):
+        x, y = polynomials._draw_point(rng, 2, 12)
+        lhs = ev((x, y)) + ev((x + 1, y + 1)) - ev((x, y + 1))
+        rhs = -ev((y + 1, x - 1)) - ev((y + 2, x)) + ev((y + 1, x))
+        if lhs != rhs:
+            expected.append(Witness((x, y), lhs, rhs))
+    assert expected
+    assert six_term.witnesses == tuple(expected)
 
 
 def test_reflection_of_specialization_at_integer_points():
