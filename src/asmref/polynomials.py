@@ -7,14 +7,17 @@ entries of the staircase row, expands those specializations in a shifted
 binomial product basis, and checks the operator and symmetry identities the
 counting function is known to satisfy.
 
-Newton form over integer node grids, with integer numerators over one common
-denominator, is the one polynomial representation; it is evaluated at rational
-points by integer Horner, so every evaluation is exact.  The identity checks
-evaluate it at integer shifts of a point together, as one stencil that shares
-its partial reductions.  The specializations
-are resampled level by level onto the grid 0..n-1 and interpolated there
-once; the binomial basis is only the output of a unit-triangular change of
-basis from those Newton coefficients.
+Every sample grid is a tensor product of runs of consecutive integers and
+every sample is an integer count, so each polynomial takes integer values at
+integer points.  Its coefficients in the basis prod binom(x_r - a_r, m_r),
+with a_r the first node on axis r, are the integer forward differences of
+the samples; that is the one polynomial representation.  It is evaluated at
+rational points by integer Horner, so every evaluation is exact.  The
+identity checks evaluate it at integer shifts of a point together, as one
+stencil that shares its partial reductions.  The specializations are
+resampled level by level onto the grid 0..n-1 and interpolated there once;
+the shifted binomial basis of the expansion is a unit-triangular change of
+basis from those coefficients.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ from .reports import VerificationReport, Witness
 from .triangles import alpha_count_fiber
 
 
-def _divided_differences(nodes: Sequence[int], values: Sequence) -> list[Fraction]:
-    coeffs = [Fraction(v) for v in values]
-    for j in range(1, len(coeffs)):
-        for i in range(len(coeffs) - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
-    return coeffs
+def _forward_differences(values: Sequence[int]) -> list[int]:
+    """D^m f(a), m < k, of samples at a..a+k-1: the coefficients in binom(x - a, m)."""
+    heads = []
+    row = values
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return heads
 
 
 def _apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> list:
@@ -67,64 +72,57 @@ def _check_point(point: Sequence, num_vars: int) -> None:
 
 @dataclass(frozen=True)
 class PolyMulti:
-    """Dense multivariate polynomial in tensor-product Newton form.
+    """Dense multivariate polynomial with integer coefficients in a binomial basis.
 
-    The Newton coefficients are numerators / denominator, with integer
-    numerators over one positive common denominator in lowest terms.
-    numerators is a row-major flat tuple of shape (degree_bound + 1,) ** num_vars,
-    with the last variable fastest.
+    coeffs[m] is the coefficient of prod_r binom(x_r - origins[r], m_r) for the
+    multi-index m, each m_r in 0..degree_bound.  coeffs is a row-major flat
+    tuple of shape (degree_bound + 1,) ** num_vars, with the last variable
+    fastest.  Integer coefficients in this basis are exactly the polynomials
+    that take integer values at integer points.
     """
 
     num_vars: int
     degree_bound: int
-    nodes: tuple[tuple[int, ...], ...]
-    numerators: tuple[int, ...]
-    denominator: int
+    origins: tuple[int, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValidationError("polynomial needs at least one variable")
-        k = self.degree_bound + 1
-        if len(self.nodes) != self.num_vars:
-            raise ValidationError("one node list per variable is required")
-        for node_list in self.nodes:
-            if len(node_list) != k or len(set(node_list)) != k:
-                raise ValidationError(f"need {k} distinct nodes per variable")
-        size = k**self.num_vars
-        if len(self.numerators) != size:
+        if len(self.origins) != self.num_vars:
+            raise ValidationError("one origin per variable is required")
+        size = (self.degree_bound + 1) ** self.num_vars
+        if len(self.coeffs) != size:
             raise ValidationError(f"coefficient tensor must have size {size}")
-        if self.denominator < 1 or math.gcd(self.denominator, *self.numerators) != 1:
-            raise ValidationError("the denominator must be positive and in lowest terms")
 
     @classmethod
     def interpolate(cls, nodes: Sequence[Sequence[int]], values: Sequence) -> "PolyMulti":
-        """Interpolate exact samples given on the tensor grid spanned by nodes."""
+        """Interpolate integer samples on the grid of runs of consecutive integers.
+
+        Every node list is an ascending run of one length k; a sample may also
+        be a Fraction equal to an int.  The coefficients are the forward
+        differences, axis by axis.
+        """
         node_tuples = tuple(tuple(int(v) for v in ns) for ns in nodes)
         if not node_tuples:
             raise ValidationError("at least one variable is required")
         k = len(node_tuples[0])
         num_vars = len(node_tuples)
         for ns in node_tuples:
-            if len(ns) != k or len(set(ns)) != k:
-                raise ValidationError(f"need {k} distinct nodes per variable, got {ns}")
-        flat = [Fraction(v) for v in values]
+            if not ns or ns != tuple(range(ns[0], ns[0] + k)):
+                raise ValidationError(f"need {k} ascending consecutive nodes, got {ns}")
+        flat = []
+        for v in values:
+            if not isinstance(v, numbers.Rational) or v.denominator != 1:
+                raise ValidationError(f"samples must be integers, got {v!r}")
+            flat.append(int(v))
         if len(flat) != k**num_vars:
             raise ValidationError(
                 f"value tensor must have size {k**num_vars}, got {len(flat)}"
             )
         for axis in range(num_vars):
-            flat = _apply_axis(
-                flat, k, num_vars, axis,
-                lambda fiber, ns=node_tuples[axis]: _divided_differences(ns, fiber),
-            )
-        denominator = math.lcm(*(c.denominator for c in flat))
-        return cls(
-            num_vars=num_vars,
-            degree_bound=k - 1,
-            nodes=node_tuples,
-            numerators=tuple(c.numerator * (denominator // c.denominator) for c in flat),
-            denominator=denominator,
-        )
+            flat = _apply_axis(flat, k, num_vars, axis, _forward_differences)
+        return cls(num_vars, k - 1, tuple(ns[0] for ns in node_tuples), tuple(flat))
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point: the zero shift of evaluate_shifts."""
@@ -137,13 +135,13 @@ class PolyMulti:
         """Integer numerators of the values at point + s for every integer shift s.
 
         Returns the numerators in the order of shifts and their one common
-        scale.  With x = p/q on an axis, q^(k-1) times the Newton form of
-        degree k - 1 at x + s is the integer Horner sum
-        acc*(p + (s - node)*q) + c_i*q^(k-1-i), so an integer shift changes
-        only the differences and every value shares the scale
-        denominator * prod q^(k-1).  Axes are reduced from the last to the
-        first, and shifts that agree on the axes reduced so far share that
-        partial reduction: the 2^m corners of a unit cube cost about
+        scale.  With x = p/q on an axis of origin a, (k-1)! * q^(k-1) times
+        the sum of c_i * binom(x + s - a, i) over i < k is the integer Horner
+        sum acc*(p + (s - a - i)*q) + c_i*((k-1)!/i!)*q^(k-1-i), so an integer
+        shift changes only the differences and every value shares the scale
+        prod (k-1)! * q^(k-1).  Axes are reduced from the last to the first,
+        and shifts that agree on the axes reduced so far share that partial
+        reduction: the 2^m corners of a unit cube cost about
         2 * k^m / (1 - 2/k) multiply-adds instead of 2^m * k^m.
         """
         _check_point(point, self.num_vars)
@@ -152,32 +150,33 @@ class PolyMulti:
             if len(s) != self.num_vars or not all(isinstance(v, int) for v in s):
                 raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
         k = self.degree_bound + 1
+        falling = [math.prod(range(i + 1, k)) for i in range(k)]  # (k-1)!/i!
         # partial reductions keyed by the shift components of the axes reduced so far
-        partial = {(): self.numerators}
-        scale = self.denominator
+        partial = {(): self.coeffs}
+        scale = 1
         for axis in range(self.num_vars - 1, -1, -1):
             p, q = point[axis].numerator, point[axis].denominator
-            nodes = self.nodes[axis]
-            powers = [q ** (k - 1 - i) for i in range(k)]
+            origin = self.origins[axis]
+            weights = [f * q ** (k - 1 - i) for i, f in enumerate(falling)]
             steps: dict[tuple, dict[int, None]] = {}
             for s in shifts:
                 steps.setdefault(s[axis + 1 :], {})[s[axis]] = None
             reduced = {}
             for tail, axis_steps in steps.items():
                 flat = partial[tail]
-                # column i holds c_i * q^(k-1-i) of every fiber along this axis
+                # column i holds c_i * (k-1)!/i! * q^(k-1-i) of every fiber along this axis
                 columns = [
                     [c * w for c in flat[i::k]] if w != 1 else flat[i::k]
-                    for i, w in enumerate(powers)
+                    for i, w in enumerate(weights)
                 ]
                 for step in axis_steps:
                     acc = columns[-1]
                     for i in range(k - 2, -1, -1):
-                        diff = p + (step - nodes[i]) * q
+                        diff = p + (step - origin - i) * q
                         acc = [a * diff + c for a, c in zip(acc, columns[i])]
                     reduced[(step,) + tail] = acc
             partial = reduced
-            scale *= powers[0]
+            scale *= weights[0]
         return [partial[s][0] for s in shifts], scale
 
 
@@ -224,9 +223,9 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     1..n.  Each variable is sampled on the n smallest shifts that keep the
     row strictly increasing, so level 0 lands on the grid 0..n-1 itself.
     Every other level interpolates its fibers on its shifts and resamples them
-    onto that grid, so one tensor interpolation on the grid gives the Newton
-    form.  The n samples of the innermost variable share their prefix and
-    come from one row transfer.
+    onto that grid, so one tensor interpolation on the grid gives the
+    polynomial at origin 0.  The n samples of the innermost variable share
+    their prefix and come from one row transfer.
     """
     if d < 1:
         raise ValidationError(f"depth must be positive, got {d}")
@@ -247,11 +246,7 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     def resample(first: int, fiber: list[int]) -> list[int]:
         # Newton's forward formula f(t) = sum_m D^m f(first) * binom(t - first, m)
         # on the integer fiber at first..first+n-1, in ints
-        heads = []
-        row = fiber
-        while row:
-            heads.append(row[0])
-            row = [b - a for a, b in zip(row, row[1:])]
+        heads = _forward_differences(fiber)
         out = []
         for t in grid:
             x, weight, value = t - first, 1, 0
@@ -287,18 +282,18 @@ class BinomBasisExpansion:
 
     Basis element (j_1, ..., j_d), all 1-based in 1..n, is the product over
     axes r of binom(x_r + j_r + r - 2, j_r - 1); coeffs is row-major with the
-    last index fastest.
+    last index fastest.  expand_in_binomial_basis gives int coefficients.
     """
 
     n: int
     d: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[numbers.Rational, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.n**self.d:
             raise ValidationError(f"expected {self.n ** self.d} coefficients")
 
-    def coefficient(self, indices: Sequence[int]) -> Fraction:
+    def coefficient(self, indices: Sequence[int]) -> numbers.Rational:
         if len(indices) != self.d:
             raise ValidationError(f"need {self.d} indices, got {len(indices)}")
         pos = 0
@@ -334,13 +329,13 @@ class BinomBasisExpansion:
 def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpansion:
     """Exact expansion of a d-variable polynomial in the shifted binomial basis.
 
-    A change of basis from the Newton coefficients on the grid 0..n-1, axis by
-    axis; any other polynomial is first re-interpolated on that grid.  There
-    the Newton basis element of degree k is k! * binom(x, k), and by
-    Vandermonde binom(x + m + a, m) = sum_k binom(m + a, m - k) * binom(x, k)
-    on axis a (0-based).  The change of basis is unit upper triangular, so the
-    coefficients are unique and come out by back-substitution, in ints on the
-    numerators, with one division by the common denominator at the end.
+    A change of basis from the coefficients in binom(x, k), k = 0..n-1, axis
+    by axis; a polynomial with another origin or degree bound is first
+    re-interpolated on the grid 0..n-1.  By Vandermonde
+    binom(x + m + a, m) = sum_k binom(m + a, m - k) * binom(x, k) on axis a
+    (0-based).  The change of basis is unit upper triangular with integer
+    entries, so the coefficients are unique integers and come out by
+    back-substitution in ints.
     """
     if poly.num_vars != d:
         raise ValidationError(f"polynomial has {poly.num_vars} variables, expected {d}")
@@ -348,29 +343,25 @@ def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpan
         raise ValidationError(
             f"degree bound {poly.degree_bound} exceeds basis degree {n - 1}"
         )
-    grid = (tuple(range(n)),) * d
-    if poly.nodes != grid:
+    if poly.origins != (0,) * d or poly.degree_bound != n - 1:
+        grid = (range(n),) * d
         poly = PolyMulti.interpolate(
             grid, [poly.evaluate(pt) for pt in itertools.product(*grid)]
         )
-    factorials = [math.factorial(k) for k in range(n)]
 
-    def back_substitute(fiber: list, weights: list[list[int]]) -> list[int]:
-        out = [a * f for a, f in zip(fiber, factorials)]
+    def back_substitute(fiber: list[int], weights: list[list[int]]) -> list[int]:
         for k in range(n - 2, -1, -1):
-            out[k] -= sum(c * w for c, w in zip(out[k + 1 :], weights[k]))
-        return out
+            fiber[k] -= sum(c * w for c, w in zip(fiber[k + 1 :], weights[k]))
+        return fiber
 
-    numerators = list(poly.numerators)
+    coeffs = list(poly.coeffs)
     for axis in range(d):
         # weights[k] lists binom(m + axis, m - k) for m = k + 1 .. n - 1
         weights = [[binom(m + axis, m - k) for m in range(k + 1, n)] for k in range(n)]
-        numerators = _apply_axis(
-            numerators, n, d, axis, lambda fiber, w=weights: back_substitute(fiber, w)
+        coeffs = _apply_axis(
+            coeffs, n, d, axis, lambda fiber, w=weights: back_substitute(fiber, w)
         )
-    return BinomBasisExpansion(
-        n, d, tuple(Fraction(c, poly.denominator) for c in numerators)
-    )
+    return BinomBasisExpansion(n, d, tuple(coeffs))
 
 
 def _draw_point(rng: random.Random, dim: int, bound: int) -> tuple[Fraction, ...]:

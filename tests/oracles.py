@@ -12,6 +12,13 @@ by hand, each on its own, as asmref.extension did before it stated every
 family of equations once.  The tests require the same witnesses and the same
 linear system from asmref.extension.
 
+newton_interpolant_value interpolates in Fractions by divided differences on
+any distinct nodes, axis by axis, as asmref.polynomials did before it took
+integer forward differences on runs of consecutive integers.  The tests
+interpolate counts taken with alpha_count_dfs on the sample rows of
+alpha_polynomial and gn_poly and require the same values from
+PolyMulti.evaluate.
+
 alpha_identity_reports evaluates the counting polynomial once per shifted
 point, in Fractions with a per-point memo, as asmref.polynomials did before it
 evaluated the shifts of each identity as one stencil.  The tests require the
@@ -23,7 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from asmref.combinat import binom, refined_asm_count, total_asm_count
 from asmref.errors import ValidationError
@@ -75,6 +82,37 @@ def _alpha(row: tuple[int, ...]) -> int:
     result = descend(0, row[0])
     _alpha_memo[row] = result
     return result
+
+
+def newton_value(nodes: Sequence[int], values: Sequence, x) -> Fraction:
+    """The interpolant of values on distinct nodes at x: divided differences, then Horner."""
+    coeffs = [Fraction(v) for v in values]
+    for j in range(1, len(coeffs)):
+        for i in range(len(coeffs) - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - j])
+    acc = coeffs[-1]
+    for i in range(len(coeffs) - 2, -1, -1):
+        acc = acc * (x - nodes[i]) + coeffs[i]
+    return acc
+
+
+def newton_interpolant_value(
+    point: Sequence,
+    nodes_at: Callable[[tuple], Sequence[int]],
+    sample: Callable[[tuple], int],
+    prefix: tuple = (),
+) -> Fraction:
+    """The interpolant of sample at point, one axis after another from the first.
+
+    The axis after prefix is interpolated on nodes_at(prefix), where prefix
+    holds the nodes taken on the axes before it, so a node list may depend on
+    the nodes before it.  sample(nodes) is the value at a full tuple of nodes.
+    """
+    if len(prefix) == len(point):
+        return Fraction(sample(prefix))
+    nodes = tuple(nodes_at(prefix))
+    values = [newton_interpolant_value(point, nodes_at, sample, prefix + (x,)) for x in nodes]
+    return newton_value(nodes, values, Fraction(point[len(prefix)]))
 
 
 def theorem1_witnesses(matrix: ExtendedMatrix) -> list[Witness]:

@@ -40,18 +40,18 @@ from asmref.reports import Witness
 from asmref import triangles
 from asmref.triangles import alpha_count
 
-from oracles import alpha_count_dfs, alpha_identity_reports
+from oracles import alpha_count_dfs, alpha_identity_reports, newton_interpolant_value
 from reference_tables import EXTENDED_MATRICES
 
 
 def newton_degrees(poly: PolyMulti) -> tuple[int, ...]:
-    """Per-variable degree as witnessed by the nonzero Newton coefficients."""
+    """Per-variable degree as witnessed by the nonzero binomial-basis coefficients."""
     k = poly.degree_bound + 1
     degrees = []
     for axis in range(poly.num_vars):
         stride = k ** (poly.num_vars - axis - 1)
         top = -1
-        for pos, c in enumerate(poly.numerators):
+        for pos, c in enumerate(poly.coeffs):
             if c != 0:
                 idx = (pos // stride) % k
                 if idx > top:
@@ -150,44 +150,37 @@ def test_interpolate_reproduces_samples():
     st.lists(st.integers(min_value=-8, max_value=8), min_size=4, max_size=4),
     st.integers(min_value=-5, max_value=5),
     st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-5, max_value=5),
 )
-def test_interpolate_exact_for_low_degree(coeffs, px, py):
+def test_interpolate_exact_for_low_degree(coeffs, origin, px, py):
     a, b, c, d = coeffs
 
     def f(x, y):
         return a + b * x + c * y + d * x * y
 
-    nodes = ((0, 1), (0, 1))
-    poly = PolyMulti.interpolate(
-        nodes, [Fraction(f(x, y)) for x, y in itertools.product(*nodes)]
-    )
+    nodes = ((origin, origin + 1),) * 2
+    poly = PolyMulti.interpolate(nodes, [f(x, y) for x, y in itertools.product(*nodes)])
+    assert poly.origins == (origin, origin)
     assert poly.evaluate((px, py)) == f(px, py)
     assert poly.evaluate((Fraction(1, 2), Fraction(-3, 2))) == f(
         Fraction(1, 2), Fraction(-3, 2)
     )
 
 
-def fraction_newton_horner(poly: PolyMulti, point) -> Fraction:
-    """The polynomial at a point by nested Newton-Horner in Fractions."""
-    k = poly.degree_bound + 1
-    flat = [Fraction(c, poly.denominator) for c in poly.numerators]
-    for axis in range(poly.num_vars - 1, -1, -1):
-        x = Fraction(point[axis])
-        diffs = [x - node for node in poly.nodes[axis]]
-        reduced = []
-        for s in range(0, len(flat), k):
-            acc = flat[s + k - 1]
-            for i in range(k - 2, -1, -1):
-                acc = acc * diffs[i] + flat[s + i]
-            reduced.append(acc)
-        flat = reduced
-    return flat[0]
+def _off_grid_samples(d: int) -> dict[tuple[int, ...], int]:
+    # integer samples on the run 3, 4, 5 of every axis: off the grid 0..n-1
+    # of the expansion, with a degree bound 2 below n - 1 for n = 4, 5
+    rng = random.Random(d)
+    return {pt: rng.randint(-20, 20) for pt in itertools.product((3, 4, 5), repeat=d)}
 
 
 def _off_grid_polynomial(d: int) -> PolyMulti:
-    rng = random.Random(d)
-    values = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(3**d)]
-    return PolyMulti.interpolate(((3, 5, 9),) * d, values)
+    return PolyMulti.interpolate(((3, 4, 5),) * d, list(_off_grid_samples(d).values()))
+
+
+def _gn_row(n: int, d: int, shifts: tuple[int, ...]) -> tuple[int, ...]:
+    # the staircase 1..n with entry n - d + r shifted by shifts[r - 1]
+    return tuple(range(1, n - d + 1)) + tuple(n - d + r + 1 + x for r, x in enumerate(shifts))
 
 
 ORACLE_CASES = [
@@ -199,16 +192,48 @@ ORACLE_CASES = [
 ]
 
 
-def oracle_polynomial(case: tuple) -> PolyMulti:
+def oracle_case(case: tuple):
+    """The polynomial of a case and its Fraction Newton interpolant on the same samples.
+
+    The interpolant counts the sample rows of alpha_polynomial and gn_poly with
+    alpha_count_dfs: the block grid, and for gn_poly the n shifts of each
+    variable from the shift of the variable before it.
+    """
     kind, *args = case
-    make = {"alpha": alpha_polynomial, "gn": gn_poly, "off-grid": _off_grid_polynomial}
-    return make[kind](*args)
+    if kind == "alpha":
+        (n,) = args
+        poly = alpha_polynomial(n)
+
+        def nodes_at(prefix):
+            return range(len(prefix) * n, len(prefix) * n + n)
+
+        sample = alpha_count_dfs
+    elif kind == "gn":
+        n, d = args
+        poly = gn_poly(n, d)
+
+        def nodes_at(prefix):
+            first = prefix[-1] if prefix else 0
+            return range(first, first + n)
+
+        def sample(shifts):
+            return alpha_count_dfs(_gn_row(n, d, shifts))
+    else:
+        (d,) = args
+        poly = _off_grid_polynomial(d)
+
+        def nodes_at(prefix):
+            return (3, 4, 5)
+
+        sample = _off_grid_samples(d).__getitem__
+    return poly, lambda point: newton_interpolant_value(point, nodes_at, sample)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_evaluate_matches_fraction_newton_horner(case):
-    poly = oracle_polynomial(case)
+    poly, oracle = oracle_case(case)
     m = poly.num_vars
+    nodes = [range(a, a + poly.degree_bound + 1) for a in poly.origins]
     rng = random.Random(2024 + m)
     points = [
         tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(m))
@@ -217,24 +242,24 @@ def test_evaluate_matches_fraction_newton_horner(case):
     # integer points, in the int and in the Fraction type
     points += [tuple(rng.randint(-12, 12) for _ in range(m)) for _ in range(10)]
     points += [tuple(Fraction(rng.randint(-12, 12)) for _ in range(m)) for _ in range(5)]
-    # points on the nodes, where p - node * q vanishes, in every coordinate
-    # or only in some, with denominators up to 7 elsewhere
-    points += [tuple(ns[t % len(ns)] for ns in poly.nodes) for t in range(3)]
+    # points on the nodes, where a Horner difference vanishes, in every
+    # coordinate or only in some, with denominators up to 7 elsewhere
+    points += [tuple(ns[t % len(ns)] for ns in nodes) for t in range(3)]
     for q in range(1, 8):
         points.append(tuple(
             Fraction(ns[rng.randrange(len(ns))]) if rng.random() < 0.5
             else Fraction(rng.randint(-30, 30), q)
-            for ns in poly.nodes
+            for ns in nodes
         ))
     for point in points:
         value = poly.evaluate(point)
         assert isinstance(value, Fraction)
-        assert value == fraction_newton_horner(poly, point)
+        assert value == oracle(point)
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_evaluate_shifts_equals_evaluate_at_every_shifted_point(case):
-    poly = oracle_polynomial(case)
+    poly, oracle = oracle_case(case)
     m = poly.num_vars
     k = poly.degree_bound + 1
     rng = random.Random(4049 + m)
@@ -246,10 +271,12 @@ def test_evaluate_shifts_equals_evaluate_at_every_shifted_point(case):
         numerators, scale = poly.evaluate_shifts(point, shifts)
         assert len(numerators) == len(shifts)
         assert all(isinstance(v, int) for v in numerators)
-        assert scale == poly.denominator * math.prod(x.denominator ** (k - 1) for x in point)
+        assert scale == math.prod(
+            math.factorial(k - 1) * x.denominator ** (k - 1) for x in point
+        )
         for shift, numerator in zip(shifts, numerators):
             shifted = tuple(x + s for x, s in zip(point, shift))
-            assert Fraction(numerator, scale) == poly.evaluate(shifted)
+            assert Fraction(numerator, scale) == oracle(shifted)
         assert poly.evaluate_shifts(point, []) == ([], scale)
 
 
@@ -259,15 +286,21 @@ def test_evaluate_shifts_rejects_non_integer_shifts(bad):
         gn_poly(3, 2).evaluate_shifts((Fraction(1, 2), 3), [(0, 0), bad])
 
 
-def test_newton_numerators_are_in_lowest_terms():
+def test_coefficients_have_tensor_shape_and_one_origin_per_axis():
+    origins = {
+        "alpha": lambda n: tuple(range(0, n * n, n)),
+        "gn": lambda n, d: (0,) * d,
+        "off-grid": lambda d: (3,) * d,
+    }
     for case in ORACLE_CASES:
-        poly = oracle_polynomial(case)
-        assert poly.denominator >= 1
-        assert math.gcd(poly.denominator, *poly.numerators) == 1
+        poly, _ = oracle_case(case)
+        assert len(poly.coeffs) == (poly.degree_bound + 1) ** poly.num_vars
+        assert all(isinstance(c, int) for c in poly.coeffs)
+        assert poly.origins == origins[case[0]](*case[1:])
     with pytest.raises(ValidationError):
-        PolyMulti(1, 1, ((0, 1),), (2, 4), 2)
+        PolyMulti(1, 1, (0,), (1, 2, 3))
     with pytest.raises(ValidationError):
-        PolyMulti(1, 1, ((0, 1),), (1, 1), 0)
+        PolyMulti(2, 1, (0,), (1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, complex(1, 0), "1", None], ids=repr)
@@ -286,6 +319,24 @@ def test_interpolate_rejects_bad_shapes():
         PolyMulti.interpolate(((0, 0),), [Fraction(1), Fraction(2)])
     with pytest.raises(ValidationError):
         PolyMulti.interpolate(((0, 1),), [Fraction(1)])
+
+
+@pytest.mark.parametrize("nodes", [(3, 5, 9), (5, 4, 3), (3, 3, 4)], ids=repr)
+def test_interpolate_rejects_nodes_off_an_ascending_run(nodes):
+    with pytest.raises(ValidationError):
+        PolyMulti.interpolate([nodes], [1, 2, 3])
+    with pytest.raises(ValidationError):
+        PolyMulti.interpolate([(0, 1, 2), nodes], [1] * 9)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5], ids=repr)
+def test_interpolate_rejects_non_integer_samples(bad):
+    with pytest.raises(ValidationError):
+        PolyMulti.interpolate([(0, 1)], [1, bad])
+    # a Fraction equal to an integer is a sample like the int
+    assert PolyMulti.interpolate([(0, 1)], [1, Fraction(2)]) == PolyMulti.interpolate(
+        [(0, 1)], [1, 2]
+    )
 
 
 def test_gn_poly_matches_counts_at_integer_shifts():
@@ -393,17 +444,20 @@ def gauss_jordan_expansion(poly: PolyMulti, n: int, d: int) -> tuple[Fraction, .
     )
 
 
-@pytest.mark.parametrize("d, max_n", [(1, 8), (2, 6), (3, 5)])
-def test_expansion_matches_gauss_jordan_oracle(d, max_n):
-    for n in range(d, max_n + 1):
-        poly = gn_poly(n, d)
-        expansion = expand_in_binomial_basis(poly, n, d)
-        assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
+@pytest.mark.parametrize(
+    "d, n",
+    [(d, n) for d, cap in Budget().gn_poly_max_n.items() for n in range(d, cap + 1)],
+)
+def test_expansion_matches_gauss_jordan_oracle(d, n):
+    # every specialization the default budget allows
+    poly = gn_poly(n, d)
+    expansion = expand_in_binomial_basis(poly, n, d)
+    assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_off_grid_expansion_matches_gauss_jordan_oracle(d):
-    # nodes (3, 5, 9) are off the grid and the degree bound 2 is below n - 1
+    # origin 3 is off the grid 0..n-1 and the degree bound 2 is below n - 1
     # for n = 4, 5, so the polynomial is re-interpolated before the expansion
     poly = _off_grid_polynomial(d)
     for n in (3, 4, 5):
@@ -412,9 +466,9 @@ def test_off_grid_expansion_matches_gauss_jordan_oracle(d):
 
 
 def test_expansion_flags_non_integral_coefficients():
-    # f(x) = x/2 on nodes 0,1 has expansion coefficients 0, 1/2
-    poly = PolyMulti.interpolate(((0, 1),), [Fraction(0), Fraction(1, 2)])
-    expansion = expand_in_binomial_basis(poly, 2, 1)
+    # (x + 1)/2 is 0 * binom(x, 0) + 1/2 * binom(x + 1, 1)
+    expansion = BinomBasisExpansion(2, 1, (Fraction(0), Fraction(1, 2)))
+    assert expansion.evaluate((Fraction(2),)) == Fraction(3, 2)
     assert not is_integral(expansion)
     with pytest.raises(NonIntegralError):
         expansion.integer_grid()
@@ -470,9 +524,9 @@ def test_identity_stencils_match_the_per_point_oracle(n, seed):
 @pytest.mark.parametrize("n", (3, 4))
 def test_identity_stencils_match_the_oracle_on_a_corrupted_polynomial(n, monkeypatch):
     poly = alpha_polynomial(n)
-    numerators = list(poly.numerators)
-    numerators[len(numerators) // 2] += 1
-    corrupted = dataclasses.replace(poly, numerators=tuple(numerators))
+    coeffs = list(poly.coeffs)
+    coeffs[len(coeffs) // 2] += 1
+    corrupted = dataclasses.replace(poly, coeffs=tuple(coeffs))
     monkeypatch.setitem(polynomials._alpha_poly_cache, n, corrupted)
     reports = verify_alpha_identities(n)
     assert not any(r.passed for r in reports)
@@ -546,9 +600,9 @@ def test_violated_specialization_identity_yields_failing_report(monkeypatch):
 
 def test_specialization_six_term_witnesses_match_single_evaluations(monkeypatch):
     poly = gn_poly(4, 2)
-    numerators = list(poly.numerators)
-    numerators[7] += 1
-    corrupted = dataclasses.replace(poly, numerators=tuple(numerators))
+    coeffs = list(poly.coeffs)
+    coeffs[7] += 1
+    corrupted = dataclasses.replace(poly, coeffs=tuple(coeffs))
     monkeypatch.setitem(polynomials._gn_poly_cache, (4, 2), corrupted)
     _, six_term = verify_gn_reflection(4, 2)
     rng = random.Random(DEFAULT_SEED)
