@@ -9,6 +9,7 @@ and the polynomial disagree in meaning (weakly increasing vs arbitrary).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -628,3 +629,103 @@ def test_reflection_of_specialization_at_integer_points():
     sign = 1 if (n - 1) % 2 == 0 else -1
     for x in range(0, 4):
         assert poly.evaluate((x,)) == sign * poly.evaluate((-2 * n - x,))
+
+
+# sha256 pins of the exact polynomials, recorded before alpha_polynomial and
+# gn_poly sampled one block grid through one row transfer.  gn_poly's origins
+# and coefficients depend on its sample grid, so it is pinned by its values.
+#: n -> sha256 of repr(alpha_polynomial(n).coeffs)
+ALPHA_COEFF_PINS = {
+    1: "28cb03b06c288e88c6a880eeba293bf9c9bb9fa586128586459a486a511f832f",
+    2: "50896e2d8f49ef52ddff4a9f5c9c4693eaa1fb813df64a51d12b9556d2b6b058",
+    3: "b15964315826fe43c589e84bd240d6302bc13f5c02b28bbec0fb0e31f90d1d8c",
+    4: "487dcb260bcc2e44841e46c51926ad022a2d2824089f1f5ac644847565ce7dde",
+    5: "79308a47b80c12c0dcb30e1bf3d0434b1e9bc1bb949c3a4406a4682e3304f0af",
+}
+#: (n, d) -> sha256 of repr of the binomial-basis expansion coefficients of gn_poly(n, d)
+EXPANSION_PINS = {
+    (1, 1): "28cb03b06c288e88c6a880eeba293bf9c9bb9fa586128586459a486a511f832f",
+    (2, 1): "d02b5ba5c34b34dbcc44c971bd1e9ee12da04d573f9a8354930f910325e10149",
+    (3, 1): "35990e4e99eb8e2eac6c9b4f1eccaf5a981ae646699d39de735dd74020f4d61e",
+    (4, 1): "0a7c1dfb250ad7da9980caaea6711c780fc166be14c517226c6fe6a5c4747869",
+    (5, 1): "3d45f26c9687dbdd0f9de89c944f1767094f860108e38536fde2077600541d8f",
+    (6, 1): "50ba3c35872be4dc33ffcfb34bebecd70956a637bc30b34228d565e7587a146d",
+    (7, 1): "893c22782a5ee15b19e588872c29f7c5b80d24c0f5cb80452f4712b15962ff24",
+    (8, 1): "888cf6e7ce1820333fe38f2cf6d648e914bb912ea69032294453b28c5399a6bb",
+    (9, 1): "911143a20dc7584d2461960b7fd1d2f833e00df6e5b3fe1212570c81bd87466d",
+    (10, 1): "275be660ac73f17cc36d8caca5732b36afb2cc137866a6f256dc0b01d8f4ecf4",
+    (11, 1): "42943dc6b24f7248a476cf265374f638d552418fcc85d38f5698fc72baab966c",
+    (12, 1): "b1533039e052ac74f4f339350ab19257592cd306e2b8137512224fc4251ab2ca",
+    (2, 2): "8d5de95de92413ea2859013cf7e95c336f3da3e8cc6568650b14b7146e12a462",
+    (3, 2): "c3356dec0af67365f9931e10143904afcfd68a730815e67de756774ef6a6b57c",
+    (4, 2): "e7a6e1881040f1b78d35fee1db5a9107e4f81d05ba4dc0bd93728eebf3b4c96f",
+    (5, 2): "1565b3c04d45984bde99777bdfd6a6ecc943ebd4c6a8822d9155905f046c4226",
+    (6, 2): "143150bc718a2bd0a67d0a505cc31a9b5eb4073a1579ab73cdfbf5624a43eeaa",
+    (7, 2): "020e4cb1010e167a886b6814c32eeb9e3d8c3338ef7bf9b6e99057e44b3cf883",
+    (8, 2): "00df743b82a18f3d4b34c0b765308c76ed7f29e87c135144829ed64262f97a0a",
+    (9, 2): "6d84fefd614eb2ffd8acb7e2e3ad44caeb39eb37b8216b7bb578a119e956438c",
+    (10, 2): "616474cd409ab18d3e57bc80e9073b208e2a45835d05238610462a95d6c3c553",
+    (3, 3): "faba7074b47f35aabf1581b412bec83805ce2fea9aec7b010508390af77158c9",
+    (4, 3): "4fd24d40c2e2423783f69b94d0c080b4c0acb251e39242d0e58712d1dd2537f0",
+    (5, 3): "ca82892557f28b54a9c08be93258c0e3b7d19f3b3e783129bbdaf0c5af3c522a",
+    (6, 3): "0f6e6ee70d91aad592070ecc01df0197b3a1f094bc243b4dea495cb1f3fe60cd",
+    (7, 3): "34dc21191d05758a60b54315d42e5eb9a76887c26f5a71acc6b8e15769102deb",
+}
+#: (n, d) -> sha256 of repr of gn_poly(n, d) at the points pin_points(n, d)
+GN_VALUE_PINS = {
+    (1, 1): "09a72da01e0a1aa21f629a4e0b70afffb5e66edf7e0916d862815ad66801d2a1",
+    (2, 1): "2af78cdbc18951250a78b2dd181c2085db44631e3cff64403a54224b4a8a5295",
+    (3, 1): "6b3e690b21abc1f21649ceabf8339e9de61cf848fd5466458c79fd3473a01ae7",
+    (4, 1): "99235897eb5a05c11d4d7e733f52e050d47763ae732802c88f4ae3425c420d03",
+    (5, 1): "a54882ce2594c28634473d2d9e5accd26c7c586d6dc1dbb32a51f653f097d034",
+    (6, 1): "ede1f7a8578fbf4c49b3351613559ca416d5df28974f78beac60b5ecd5621376",
+    (7, 1): "6cb0c970f460eb4e172234eef629d04e69b436c272e5c5c836c55e997f4309cc",
+    (8, 1): "ec825ce9294b5f1cf4ad559552f81b7646a5338baa8d13cdf463023ec7ca7657",
+    (9, 1): "4d94f9304aaadef7f306199b607d06612ee12ba27128417a5e532127c45a9d93",
+    (10, 1): "8e27f6b17ad66dc5815f98370b98c3f45cee049d05025af994e1a05233e4c54e",
+    (11, 1): "a60001ac032a19709c71e6150942b8202fb62ca1a1a4cb77f1963def8c4bb343",
+    (12, 1): "34c168be0a74fe87a5e9bfb5de2b22e2176dce5f1420d628e6bdb7d778308bb1",
+    (2, 2): "82b596bf09385f3c61a0c90ab95b0fff46f89f3a2f6aaeee64b14331f93f2927",
+    (3, 2): "20d3c1e21959d81eec80799ed26a20de64a843c788f3bcaf61994356e4901c5d",
+    (4, 2): "f11cc39c84ad67ea8e72263f37f1c05af7fc7047c3f8c8c9cacffbcd0520b6cc",
+    (5, 2): "6cb7707ef371db2af3d747ffd4f749ad6eca9a66429e6b6f58dfdf0df915fb57",
+    (6, 2): "3a0ddfa6fa0a23306439d238249db4827d5e5c7ba115e9a6185304061bde9511",
+    (7, 2): "85260094ff377334e61f82d819b92ced0f3a584f0d17a18f3842a98a6413ea29",
+    (8, 2): "68fd7fc4e358b0341b6cb1565feda737e0bed852b1fb6c0427272608420e92a7",
+    (9, 2): "1b3539d58c2536f257eccaa884df9eca7db43a05c38168bbceffeb73b5903b56",
+    (10, 2): "2f392b50992f68ed7f8bdf32c0b331068bbf2cef77b763c3505f5bfd5289d41c",
+    (3, 3): "a1a790ca0d455adb97dd4c45a829632b91917cadf9292d8ebaa306b06fc0a8f3",
+    (4, 3): "ad5b8c0d36e5eb27e464176457a41f119b5fff4161e48772be1e313127b85729",
+    (5, 3): "66f05e475797dc9a782608430ac6a549e71cd73a10e160d96eb29da6f85410eb",
+    (6, 3): "e09f882ca313c3f80ef4a5caba95afd5b4bb0ab6150d0ad295c9460444f6ca96",
+    (7, 3): "2a4181d44832abae1ec8a073008cba12c4f3fc0f2c5409b23d34df42956de829",
+}
+
+
+def pin_digest(values) -> str:
+    return hashlib.sha256(repr(tuple(values)).encode()).hexdigest()
+
+
+def pin_points(n: int, d: int) -> list[tuple[Fraction, ...]]:
+    rng = random.Random(1000 * n + d)
+    return [
+        tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(d))
+        for _ in range(8)
+    ]
+
+
+@pytest.mark.parametrize("n", sorted(ALPHA_COEFF_PINS))
+def test_alpha_polynomial_coefficients_are_pinned(n):
+    assert pin_digest(alpha_polynomial(n).coeffs) == ALPHA_COEFF_PINS[n]
+
+
+@pytest.mark.parametrize("n, d", sorted(EXPANSION_PINS))
+def test_specialization_expansion_and_values_are_pinned(n, d):
+    poly = gn_poly(n, d)
+    assert pin_digest(expand_in_binomial_basis(poly, n, d).coeffs) == EXPANSION_PINS[n, d]
+    assert pin_digest(poly.evaluate(pt) for pt in pin_points(n, d)) == GN_VALUE_PINS[n, d]
+
+
+def test_pins_cover_every_specialization_of_the_default_budget():
+    cases = {(n, d) for d, cap in Budget().gn_poly_max_n.items() for n in range(d, cap + 1)}
+    assert set(EXPANSION_PINS) == set(GN_VALUE_PINS) == cases
