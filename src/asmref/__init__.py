@@ -56,7 +56,7 @@ from .triangles import (
     MonotoneTriangle,
     RefinedTable,
     alpha_count,
-    alpha_count_fiber,
+    alpha_count_grid,
     asm_to_mt,
     build_table,
     complete_monotone_triangles,
@@ -94,7 +94,7 @@ __all__ = [
     "VerificationReport",
     "Witness",
     "alpha_count",
-    "alpha_count_fiber",
+    "alpha_count_grid",
     "alpha_eval",
     "alpha_polynomial",
     "asm_to_mt",

@@ -14,10 +14,11 @@ with a_r the first node on axis r, are the integer forward differences of
 the samples; that is the one polynomial representation.  It is evaluated at
 rational points by integer Horner, so every evaluation is exact.  The
 identity checks evaluate it at integer shifts of a point together, as one
-stencil that shares its partial reductions.  The specializations are
-resampled level by level onto the grid 0..n-1 and interpolated there once;
-the shifted binomial basis of the expansion is a unit-triangular change of
-basis from those coefficients.
+stencil that shares its partial reductions.  The counting polynomial and
+its specializations sample one kind of grid, a staircase prefix followed by
+a block of n consecutive columns per variable, and count all of its rows in
+one row transfer; the shifted binomial basis of the expansion is a
+unit-triangular change of basis from their coefficients.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Callable, Iterable, Sequence
 
 from .combinat import binom, binom_at
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
-from .errors import BudgetError, NonIntegralError, ValidationError
+from .errors import BudgetError, ValidationError
 from .reports import VerificationReport, Witness
-from .triangles import alpha_count_fiber
+from .triangles import alpha_count_grid
 
 
 def _forward_differences(values: Sequence[int]) -> list[int]:
@@ -189,8 +190,8 @@ def alpha_polynomial(n: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
 
     Samples live on the block grid where variable i (1-based) ranges over
     (i-1)*n .. i*n - 1, so every grid point is strictly increasing and the
-    samples are genuine monotone triangle counts.  The n samples along the
-    last axis share their prefix and come from one row transfer.
+    samples are genuine monotone triangle counts.  They all come from one
+    row transfer over the grid.
     """
     if n < 1:
         raise ValidationError(f"order must be positive, got {n}")
@@ -201,12 +202,7 @@ def alpha_polynomial(n: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     cached = _alpha_poly_cache.get(n)
     if cached is None:
         nodes = tuple(tuple(range(i * n, i * n + n)) for i in range(n))
-        values = [
-            value
-            for prefix in itertools.product(*nodes[:-1])
-            for value in alpha_count_fiber(prefix, nodes[-1], budget)
-        ]
-        cached = PolyMulti.interpolate(nodes, values)
+        cached = PolyMulti.interpolate(nodes, alpha_count_grid(nodes, budget))
         _alpha_poly_cache[n] = cached
     return cached
 
@@ -219,13 +215,13 @@ def alpha_eval(n: int, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> Frac
 def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     """The counting polynomial with only the last d staircase entries perturbed.
 
-    Variable r (1-based) shifts entry n - d + r of the reference bottom row
-    1..n.  Each variable is sampled on the n smallest shifts that keep the
-    row strictly increasing, so level 0 lands on the grid 0..n-1 itself.
-    Every other level interpolates its fibers on its shifts and resamples them
-    onto that grid, so one tensor interpolation on the grid gives the
-    polynomial at origin 0.  The n samples of the innermost variable share
-    their prefix and come from one row transfer.
+    Variable r (0-based) shifts entry n - d + r + 1 of the reference bottom
+    row 1..n and is sampled on the block r*(n-1) .. r*(n-1) + n - 1.  So
+    x_r <= x_(r+1), every sample row is strictly increasing, and entry
+    n - d + r + 1 runs over its own block of n columns after the staircase
+    1..n-d, as on the grid of alpha_polynomial.  All samples come from one
+    row transfer over that grid and are interpolated once, at origins
+    r*(n-1).
     """
     if d < 1:
         raise ValidationError(f"depth must be positive, got {d}")
@@ -241,37 +237,10 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     if cached is not None:
         return cached
 
-    grid = range(n)
-
-    def resample(first: int, fiber: list[int]) -> list[int]:
-        # Newton's forward formula f(t) = sum_m D^m f(first) * binom(t - first, m)
-        # on the integer fiber at first..first+n-1, in ints
-        heads = _forward_differences(fiber)
-        out = []
-        for t in grid:
-            x, weight, value = t - first, 1, 0
-            for m, head in enumerate(heads):
-                value += head * weight
-                weight = weight * (x - m) // (m + 1)  # binom(x, m + 1), exactly
-            out.append(value)
-        return out
-
-    def build(args: tuple[int, ...], r: int) -> list:
-        # values of variables r.. (0-based) on the grid, x_r axis major
-        base = n - d + r + 1
-        last = args[-1] if args else base - 1
-        first = last - base + 1  # smallest shift keeping the row strictly increasing
-        nodes = range(first, first + n)
-        if r == d - 1:
-            flat = alpha_count_fiber(args, [base + x for x in nodes], budget)
-        else:
-            flat = [v for x in nodes for v in build(args + (base + x,), r + 1)]
-        if first == 0:
-            return flat
-        return _apply_axis(flat, n, d - r, 0, lambda fiber: resample(first, fiber))
-
-    values = build(tuple(range(1, n - d + 1)), 0)
-    poly = PolyMulti.interpolate((grid,) * d, values)
+    staircase = [(v,) for v in range(1, n - d + 1)]
+    blocks = [range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n) for r in range(d)]
+    nodes = [range(r * (n - 1), r * (n - 1) + n) for r in range(d)]
+    poly = PolyMulti.interpolate(nodes, alpha_count_grid(staircase + blocks, budget))
     _gn_poly_cache[key] = poly
     return poly
 
@@ -282,18 +251,23 @@ class BinomBasisExpansion:
 
     Basis element (j_1, ..., j_d), all 1-based in 1..n, is the product over
     axes r of binom(x_r + j_r + r - 2, j_r - 1); coeffs is row-major with the
-    last index fastest.  expand_in_binomial_basis gives int coefficients.
+    last index fastest.  The coefficients are ints: the basis is a
+    unit-triangular integer change of basis from the binomial basis of an
+    integer PolyMulti.
     """
 
     n: int
     d: int
-    coeffs: tuple[numbers.Rational, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.coeffs) != self.n**self.d:
             raise ValidationError(f"expected {self.n ** self.d} coefficients")
+        for pos, c in enumerate(self.coeffs):
+            if not isinstance(c, int):
+                raise ValidationError(f"coefficient {pos} is not an int: {c!r}")
 
-    def coefficient(self, indices: Sequence[int]) -> numbers.Rational:
+    def coefficient(self, indices: Sequence[int]) -> int:
         if len(indices) != self.d:
             raise ValidationError(f"need {self.d} indices, got {len(indices)}")
         pos = 0
@@ -316,37 +290,23 @@ class BinomBasisExpansion:
             ]
         return cur[0]
 
-    def integer_grid(self) -> tuple[int, ...]:
-        """All coefficients as ints; raises if any has a nontrivial denominator."""
-        for pos, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise NonIntegralError(
-                    f"coefficient at flat position {pos} is the non-integer {c}"
-                )
-        return tuple(c.numerator for c in self.coeffs)
-
 
 def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpansion:
     """Exact expansion of a d-variable polynomial in the shifted binomial basis.
 
-    A change of basis from the coefficients in binom(x, k), k = 0..n-1, axis
-    by axis; a polynomial with another origin or degree bound is first
-    re-interpolated on the grid 0..n-1.  By Vandermonde
-    binom(x + m + a, m) = sum_k binom(m + a, m - k) * binom(x, k) on axis a
-    (0-based).  The change of basis is unit upper triangular with integer
-    entries, so the coefficients are unique integers and come out by
+    A change of basis from the coefficients in binom(x - o, k), k = 0..n-1,
+    axis by axis, where o is the axis origin; the degree bound must be n - 1.
+    By Vandermonde
+    binom(x + m + a, m) = sum_k binom(m + a + o, m - k) * binom(x - o, k) on
+    axis a (0-based).  The change of basis is unit upper triangular with
+    integer entries, so the coefficients are unique integers and come out by
     back-substitution in ints.
     """
     if poly.num_vars != d:
         raise ValidationError(f"polynomial has {poly.num_vars} variables, expected {d}")
-    if poly.degree_bound > n - 1:
+    if poly.degree_bound != n - 1:
         raise ValidationError(
-            f"degree bound {poly.degree_bound} exceeds basis degree {n - 1}"
-        )
-    if poly.origins != (0,) * d or poly.degree_bound != n - 1:
-        grid = (range(n),) * d
-        poly = PolyMulti.interpolate(
-            grid, [poly.evaluate(pt) for pt in itertools.product(*grid)]
+            f"degree bound {poly.degree_bound} is not the basis degree {n - 1}"
         )
 
     def back_substitute(fiber: list[int], weights: list[list[int]]) -> list[int]:
@@ -355,9 +315,10 @@ def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpan
         return fiber
 
     coeffs = list(poly.coeffs)
-    for axis in range(d):
-        # weights[k] lists binom(m + axis, m - k) for m = k + 1 .. n - 1
-        weights = [[binom(m + axis, m - k) for m in range(k + 1, n)] for k in range(n)]
+    for axis, origin in enumerate(poly.origins):
+        # weights[k] lists binom(m + axis + origin, m - k) for m = k + 1 .. n - 1
+        shift = axis + origin
+        weights = [[binom(m + shift, m - k) for m in range(k + 1, n)] for k in range(n)]
         coeffs = _apply_axis(
             coeffs, n, d, axis, lambda fiber, w=weights: back_substitute(fiber, w)
         )

@@ -17,9 +17,11 @@ axis of the ASM <-> domain-wall correspondence:
   that interlace it from above (the shift-subset sums of z_value);
 - the row transfer (_row_transfer) adds the n x W matrix of one strictly
   increasing row of width W column by column, in at most W * n * 2^n cell
-  updates; alpha_count_fiber reads the counts of a row prefix with every
-  candidate last entry off one transfer, and alpha_count sends every strictly
-  increasing row there, under a budget.
+  updates; alpha_count_grid counts every row of a grid of candidate entries
+  in one depth-first walk over the columns, in which the rows with the same
+  entries so far share each column's states, and alpha_count sends every
+  strictly increasing row there as the grid of its singleton levels, under a
+  budget.
 """
 
 from __future__ import annotations
@@ -135,9 +137,9 @@ def alpha_count(bottom: Sequence[int], budget: Budget = DEFAULT_BUDGET) -> int:
     increasing, so a row with a tie counts the triangles over the strictly
     increasing rows that interlace it from above.
 
-    A strictly increasing row is counted by the row transfer, as
-    alpha_count_fiber with one last entry, and raises BudgetError before
-    counting when the transfer would exceed the budget.  A row with a tie of
+    A strictly increasing row is counted by the row transfer, as the grid of
+    its entries' singleton levels, and raises BudgetError before counting
+    when the transfer would exceed the budget.  A row with a tie of
     width W sums lookups into the column sweep of order W, and raises
     BudgetError before counting when W exceeds table_max_n, like every table.
     """
@@ -145,7 +147,7 @@ def alpha_count(bottom: Sequence[int], budget: Budget = DEFAULT_BUDGET) -> int:
     if len(row) < 2:
         return 1
     if all(a < b for a, b in zip(row, row[1:])):
-        return alpha_count_fiber(row[:-1], (row[-1],), budget)[0]
+        return alpha_count_grid([(v,) for v in row], budget)[0]
     width = row[-1] + 1
     cap = budget.table_max_n
     if width > cap:
@@ -155,34 +157,42 @@ def alpha_count(bottom: Sequence[int], budget: Budget = DEFAULT_BUDGET) -> int:
     return sum(counts[sum(2 << v for v in above)] for above in _interlacing_rows(row))
 
 
-def alpha_count_fiber(
-    prefix: Sequence[int], lasts: Sequence[int], budget: Budget = DEFAULT_BUDGET
+def alpha_count_grid(
+    levels: Sequence[Sequence[int]], budget: Budget = DEFAULT_BUDGET
 ) -> list[int]:
-    """alpha_count(prefix + (last,)) for every candidate last, from one row transfer.
+    """alpha_count of every row of a grid of candidate entries, from one row transfer.
 
-    The prefix must be strictly increasing and every candidate larger than its
-    last entry.  The transfer runs to the largest candidate, so with W from the
-    first entry to that candidate and n entries it raises BudgetError before
-    counting when W * n * 2^n exceeds table_max_n^2 * 2^table_max_n, the cost
-    of the largest column sweep the budget allows.
+    Entry i of a row is a candidate of levels[i]; the rows are listed in the
+    order of itertools.product(*levels).  Every level must be nonempty and
+    strictly increasing and lie below the next one, so every row is strictly
+    increasing.  With W the width of the widest row, from the first candidate
+    of the first level to the last of the last, and n entries, it raises
+    BudgetError before counting when W * n * 2^n exceeds
+    table_max_n^2 * 2^table_max_n, the cost of the largest column sweep the
+    budget allows.
     """
-    head = tuple(int(v) for v in prefix)
-    tails = [int(v) for v in lasts]
-    if any(a >= b for a, b in zip(head, head[1:])):
-        raise ValidationError(f"prefix must be strictly increasing: {head}")
-    if head and any(last <= head[-1] for last in tails):
-        raise ValidationError(f"every last entry must exceed {head[-1]}: {tails}")
-    if not tails:
-        return []
-    n = len(head) + 1
-    width = max(tails) - head[0] + 1 if head else 1
+    grid = tuple(tuple(int(v) for v in level) for level in levels)
+    if not grid:
+        raise ValidationError("at least one level is required")
+    for level in grid:
+        if not level or any(a >= b for a, b in zip(level, level[1:])):
+            raise ValidationError(
+                f"levels must be nonempty and strictly increasing: {level}"
+            )
+    for below, above in zip(grid, grid[1:]):
+        if below[-1] >= above[0]:
+            raise ValidationError(f"level {above} overlaps the level {below} before it")
+    n = len(grid)
+    if n == 1:
+        return [1] * len(grid[0])  # one entry, one triangle
+    width = grid[-1][-1] - grid[0][0] + 1
     cap = budget.table_max_n
     if width * n * 2**n > cap * cap * 2**cap:
         raise BudgetError(
             f"row transfer over {n} entries of width {width} exceeds the budget "
             f"of an order-{cap} sweep"
         )
-    return _row_transfer(head, tails)
+    return _row_transfer(grid)
 
 
 def _normalized(bottom: Sequence[int]) -> tuple[int, ...]:
@@ -349,33 +359,39 @@ def _column_sweep(n: int) -> dict[int, int]:
     return counts
 
 
-def _row_transfer(prefix: tuple[int, ...], lasts: Sequence[int]) -> list[int]:
-    """alpha_count(prefix + (last,)) for each last, from one six-vertex transfer.
+def _row_transfer(grid: tuple[tuple[int, ...], ...]) -> list[int]:
+    """alpha_count of every row of the grid, from one six-vertex transfer.
 
-    The transpose of _column_sweep: the n x W matrix of the row's triangles is
+    The transpose of _column_sweep: the n x W matrix of a row's triangles is
     added one column at a time, top to bottom.  A state holds the partial row
     sums as bits 1..n and the column's running sum as bit 0, under the same
     cell rule.  Column c ends with its sum at 1 if c is an entry of the row and
-    at 0 otherwise.  The count of a row ending at c is the weight of the
-    all-ones state at the end of column c, with every row and that column
-    summing to 1; the states whose column c sums to 0 go on to later columns.
+    at 0 otherwise, and the states after column c depend only on the entries
+    up to c.  So a depth-first walk reads the columns once for every row with
+    the same entries so far: at each candidate of the next entry it branches
+    into the rows with their entry there, whose column sums to 1, and the
+    rows with it further right, whose column sums to 0.  The count of a row
+    is the weight of the all-ones state at the end of its last entry's
+    column, with every row and that column summing to 1.
     """
-    if not prefix:
-        return [1] * len(lasts)
-    n = len(prefix) + 1
+    n = len(grid)
     done = (1 << (n + 1)) - 1
-    entries = set(prefix)
-    wanted = set(lasts)
-    found = {}
-    states = {0: 1}
-    for c in range(prefix[0], max(lasts) + 1):
-        for i in range(1, n + 1):
-            states = _cell(states, i)
-        if c in wanted:
-            found[c] = states.get(done, 0)
-        end = 1 if c in entries else 0
-        states = {state & ~1: ways for state, ways in states.items() if state & 1 == end}
-    return [found[c] for c in lasts]
+    candidates = [set(level) for level in grid]
+    counts: list[int] = []
+
+    def walk(i: int, start: int, states: dict[int, int]) -> None:
+        for c in range(start, grid[i][-1] + 1):
+            for bit in range(1, n + 1):
+                states = _cell(states, bit)
+            if c in candidates[i]:
+                if i == n - 1:
+                    counts.append(states.get(done, 0))
+                else:
+                    walk(i + 1, c + 1, {s & ~1: w for s, w in states.items() if s & 1})
+            states = {s: w for s, w in states.items() if not s & 1}
+
+    walk(0, grid[0][0], {0: 1})
+    return counts
 
 
 def _cell(states: dict[int, int], bit: int) -> dict[int, int]:

@@ -19,6 +19,12 @@ interpolate counts taken with alpha_count_dfs on the sample rows of
 alpha_polynomial and gn_poly and require the same values from
 PolyMulti.evaluate.
 
+fiber_transfer counts the rows of one prefix with each candidate last entry
+by its own row transfer, as asmref.triangles did before it counted a whole
+grid of candidate entries in one prefix-shared walk.  It shares the cell rule
+with the kernels; the tests require the same counts from alpha_count_grid on
+every sample row of the polynomials' grids.
+
 alpha_identity_reports evaluates the counting polynomial once per shifted
 point, in Fractions with a per-point memo, as asmref.polynomials did before it
 evaluated the shifts of each identity as one stencil.  The tests require the
@@ -37,6 +43,7 @@ from asmref.errors import ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem
 from asmref.polynomials import PolyMulti, _draw_point
 from asmref.reports import VerificationReport, Witness
+from asmref.triangles import _cell
 
 # The DFS memo.  Counting rows are translation invariant, so keys are
 # normalized to start at zero.
@@ -82,6 +89,32 @@ def _alpha(row: tuple[int, ...]) -> int:
     result = descend(0, row[0])
     _alpha_memo[row] = result
     return result
+
+
+def fiber_transfer(prefix: tuple[int, ...], lasts: Sequence[int]) -> list[int]:
+    """alpha_count(prefix + (last,)) for each last, from one six-vertex transfer.
+
+    The n x W matrix of the row's triangles is added one column at a time.
+    Column c ends with its sum at 1 if c is an entry of the prefix and at 0
+    otherwise, and the count of a row ending at c is the weight of the
+    all-ones state at the end of column c.
+    """
+    if not prefix:
+        return [1] * len(lasts)
+    n = len(prefix) + 1
+    done = (1 << (n + 1)) - 1
+    entries = set(prefix)
+    wanted = set(lasts)
+    found = {}
+    states = {0: 1}
+    for c in range(prefix[0], max(lasts) + 1):
+        for i in range(1, n + 1):
+            states = _cell(states, i)
+        if c in wanted:
+            found[c] = states.get(done, 0)
+        end = 1 if c in entries else 0
+        states = {state & ~1: ways for state, ways in states.items() if state & 1 == end}
+    return [found[c] for c in lasts]
 
 
 def newton_value(nodes: Sequence[int], values: Sequence, x) -> Fraction:

@@ -184,28 +184,6 @@ def test_depth_is_accepted_where_it_applies(capsys):
     assert "gn-reflection n=3: PASS" in capsys.readouterr().out
 
 
-@pytest.fixture
-def non_integral_expansion(monkeypatch):
-    """Every binomial-basis expansion gets a half added to its first coefficient."""
-    real = extension.expand_in_binomial_basis
-
-    def expand(poly, n, d):
-        coeffs = real(poly, n, d).coeffs
-        return BinomBasisExpansion(n, d, (coeffs[0] + Fraction(1, 2),) + coeffs[1:])
-
-    monkeypatch.setattr(extension, "expand_in_binomial_basis", expand)
-
-
-@pytest.mark.parametrize("claim", ["conj3", "conj4"])
-def test_non_integral_coefficient_is_a_failed_claim(claim, non_integral_expansion, capsys):
-    code = cli.main(["verify", claim, "--n", "4"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert f"{claim} n=4: FAIL" in captured.out
-    assert "non-integer" in captured.out
-    assert captured.err == ""
-
-
 def test_non_integral_solution_is_a_failed_claim(monkeypatch, capsys):
     real = extension.solve_integer_system
 
@@ -251,17 +229,18 @@ def test_script_rejects_an_unknown_claim_before_running_any(script, capsys):
 
 def test_product_formulas_take_their_total_from_the_transfer(monkeypatch, capsys):
     real = triangles._row_transfer
-    rows = []
+    grids = []
 
-    def transfer(prefix, lasts):
-        rows.append(prefix + tuple(lasts))
-        return real(prefix, lasts)
+    def transfer(grid):
+        grids.append(grid)
+        return real(grid)
 
     asmref.clear_caches()
     monkeypatch.setattr(triangles, "_row_transfer", transfer)
     assert cli.main(["verify", "product-formulas"]) == 0
     assert "product-formulas: PASS (1..8)" in capsys.readouterr().out
-    assert rows == [tuple(range(n)) for n in range(8, 1, -1)]
+    # each staircase is one row: the grid of its singleton levels
+    assert grids == [tuple((v,) for v in range(n)) for n in range(8, 1, -1)]
     # the total is checked: a wrong transfer total fails the claim
     monkeypatch.setattr(claims, "alpha_count", lambda row: 0)
     assert cli.main(["verify", "product-formulas", "--n", "4"]) == 1

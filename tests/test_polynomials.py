@@ -24,7 +24,7 @@ import asmref.cli as cli
 from asmref import polynomials
 from asmref.combinat import binom
 from asmref.config import DEFAULT_SEED, Budget
-from asmref.errors import BudgetError, NonIntegralError, ValidationError
+from asmref.errors import BudgetError, ValidationError
 from asmref.linalg import invert_matrix
 from asmref.polynomials import (
     BinomBasisExpansion,
@@ -59,10 +59,6 @@ def newton_degrees(poly: PolyMulti) -> tuple[int, ...]:
                     top = idx
         degrees.append(top)
     return tuple(degrees)
-
-
-def is_integral(expansion: BinomBasisExpansion) -> bool:
-    return all(c.denominator == 1 for c in expansion.coeffs)
 
 
 def alpha3_closed_form(x, y, z) -> Fraction:
@@ -290,7 +286,7 @@ def test_evaluate_shifts_rejects_non_integer_shifts(bad):
 def test_coefficients_have_tensor_shape_and_one_origin_per_axis():
     origins = {
         "alpha": lambda n: tuple(range(0, n * n, n)),
-        "gn": lambda n, d: (0,) * d,
+        "gn": lambda n, d: tuple(r * (n - 1) for r in range(d)),
         "off-grid": lambda d: (3,) * d,
     }
     for case in ORACLE_CASES:
@@ -357,13 +353,13 @@ def test_gn_poly_matches_counts_at_integer_shifts():
 
 def test_sampling_counts_only_strict_rows_by_transfer(monkeypatch):
     # every sample row of alpha_polynomial and gn_poly is strictly increasing,
-    # so the column sweep never runs; one transfer serves each last-axis fiber
+    # so the column sweep never runs; one transfer counts the whole grid
     real = triangles._row_transfer
-    fibers = []
+    grids = []
 
-    def transfer(prefix, lasts):
-        fibers.append(len(lasts))
-        return real(prefix, lasts)
+    def transfer(grid):
+        grids.append(grid)
+        return real(grid)
 
     def sweep(n):
         raise AssertionError(f"the column sweep of order {n} ran")
@@ -373,11 +369,20 @@ def test_sampling_counts_only_strict_rows_by_transfer(monkeypatch):
     monkeypatch.setattr(triangles, "_row_transfer", transfer)
     monkeypatch.setattr(triangles, "_column_sweep", sweep)
     alpha_polynomial(4)
-    assert fibers == [4] * 4**3
-    for n, d in ((1, 1), (5, 1), (5, 2), (4, 3), (3, 3)):
-        fibers.clear()
+    assert grids == [tuple(tuple(range(i * 4, i * 4 + 4)) for i in range(4))]
+    for n, d in ((5, 1), (5, 2), (4, 3), (3, 3), (7, 3)):
+        grids.clear()
         gn_poly(n, d)
-        assert fibers == [n] * n ** (d - 1)
+        assert len(grids) == 1
+        # the staircase 1..n-d, then a block of n columns for each variable
+        assert grids[0][: n - d] == tuple((v,) for v in range(1, n - d + 1))
+        assert grids[0][n - d :] == tuple(
+            tuple(range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n)) for r in range(d)
+        )
+    # a one-entry row needs no transfer
+    grids.clear()
+    gn_poly(1, 1)
+    assert grids == []
     polynomials.clear_caches()
 
 
@@ -411,9 +416,8 @@ def test_expansion_coefficients_match_extended_arrays():
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 assert expansion.coefficient((i, j)) == expected[i - 1][j - 1]
-        assert is_integral(expansion)
-        grid = expansion.integer_grid()
-        assert len(grid) == n * n
+        assert len(expansion.coeffs) == n * n
+        assert all(isinstance(c, int) for c in expansion.coeffs)
 
 
 def test_expansion_reconstructs_polynomial():
@@ -456,23 +460,30 @@ def test_expansion_matches_gauss_jordan_oracle(d, n):
     assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_off_grid_expansion_matches_gauss_jordan_oracle(d):
-    # origin 3 is off the grid 0..n-1 and the degree bound 2 is below n - 1
-    # for n = 4, 5, so the polynomial is re-interpolated before the expansion
+    # origin 3 is off the grid 0..n-1; the weights of each axis take it in
     poly = _off_grid_polynomial(d)
-    for n in (3, 4, 5):
-        expansion = expand_in_binomial_basis(poly, n, d)
-        assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
+    expansion = expand_in_binomial_basis(poly, 3, d)
+    assert expansion.coeffs == gauss_jordan_expansion(poly, 3, d)
+
+
+def test_expansion_requires_degree_bound_n_minus_1():
+    # the off-grid polynomial has degree bound 2
+    for n in (2, 4, 5):
+        with pytest.raises(ValidationError):
+            expand_in_binomial_basis(_off_grid_polynomial(2), n, 2)
+    with pytest.raises(ValidationError):
+        expand_in_binomial_basis(gn_poly(4, 2), 4, 1)
 
 
 def test_expansion_flags_non_integral_coefficients():
-    # (x + 1)/2 is 0 * binom(x, 0) + 1/2 * binom(x + 1, 1)
-    expansion = BinomBasisExpansion(2, 1, (Fraction(0), Fraction(1, 2)))
-    assert expansion.evaluate((Fraction(2),)) == Fraction(3, 2)
-    assert not is_integral(expansion)
-    with pytest.raises(NonIntegralError):
-        expansion.integer_grid()
+    # an integer polynomial has integer coefficients in the basis, so
+    # (x + 1)/2 = 0 * binom(x, 0) + 1/2 * binom(x + 1, 1) cannot be an expansion
+    for bad in (Fraction(1, 2), Fraction(1), 0.5):
+        with pytest.raises(ValidationError):
+            BinomBasisExpansion(2, 1, (0, bad))
+    assert BinomBasisExpansion(2, 1, (0, 1)).evaluate((Fraction(2),)) == 3
 
 
 def test_expansion_coefficient_index_validation():

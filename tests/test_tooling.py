@@ -1,8 +1,9 @@
-"""The traced benchmark run can still find every function it wraps.
+"""The traced benchmark run and the package exports name what exists.
 
 perfbench/tracer.py names its targets as (module, attribute) pairs; a
 deleted or renamed function would break the traced run, so each pair must
-resolve in the package.
+resolve in the package.  A stale name in asmref.__all__ would break
+`from asmref import *` in the same way.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+import asmref
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -30,3 +33,8 @@ def test_traced_target_resolves(module_name, attr, span):
     else:
         assert callable(getattr(module, attr))
     assert span.split(".")[0] in tracer.MODULES
+
+
+@pytest.mark.parametrize("name", asmref.__all__)
+def test_exported_name_resolves(name):
+    assert hasattr(asmref, name)

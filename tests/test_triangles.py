@@ -24,7 +24,7 @@ from asmref.triangles import (
     MonotoneTriangle,
     RefinedTable,
     alpha_count,
-    alpha_count_fiber,
+    alpha_count_grid,
     asm_to_mt,
     build_table,
     complete_monotone_triangles,
@@ -33,7 +33,7 @@ from asmref.triangles import (
     refined_count,
 )
 
-from oracles import alpha_count_dfs
+from oracles import alpha_count_dfs, fiber_transfer
 from reference_tables import REFINED_TRIANGLE, TOTALS
 
 
@@ -339,38 +339,84 @@ def random_strict_rows(count: int, seed: int):
 
 def test_transfer_matches_dfs_and_brute_force_on_random_strict_rows():
     for row in random_strict_rows(150, seed=2009):
-        transfer = alpha_count_fiber(row[:-1], (row[-1],))[0]
+        transfer = alpha_count_grid([(v,) for v in row])[0]
         assert alpha_count(row) == transfer == alpha_count_dfs(row)
         if len(row) <= 4:
             assert transfer == brute_triangle_count(row)
 
 
 def test_fiber_matches_counts_of_each_row():
+    # a prefix of singleton levels and one level of candidate last entries
     cases = [
-        ((), (3, -2, 7)),
+        ((), (-2, 3, 7)),
         ((0,), (1, 2, 9)),
         ((1, 2, 3), (4, 5, 6, 9)),
-        ((0, 2, 3, 7), (12, 8, 8, 10)),
+        ((0, 2, 3, 7), (8, 10, 12)),
         ((-3, 0, 1, 4, 6), (7, 11, 15)),
     ]
     for prefix, lasts in cases:
-        counts = alpha_count_fiber(prefix, lasts)
+        counts = alpha_count_grid([(v,) for v in prefix] + [lasts])
         assert counts == [alpha_count_dfs(prefix + (last,)) for last in lasts]
         assert counts == [alpha_count(prefix + (last,)) for last in lasts]
+        assert counts == fiber_transfer(prefix, lasts)
     for row in random_strict_rows(40, seed=1996):
         if len(row) > 1:
             lasts = range(row[-1], row[-1] + 6)
-            assert alpha_count_fiber(row[:-1], lasts) == [
+            assert alpha_count_grid([(v,) for v in row[:-1]] + [lasts]) == [
                 alpha_count_dfs(row[:-1] + (last,)) for last in lasts
             ]
-    assert alpha_count_fiber((1, 2), ()) == []
 
 
 def test_fiber_rejects_rows_that_are_not_strict():
-    with pytest.raises(ValidationError):
-        alpha_count_fiber((1, 1), (4,))
-    with pytest.raises(ValidationError):
-        alpha_count_fiber((1, 4), (4,))
+    for levels in (
+        [],  # no entry
+        [(1,), ()],  # an empty level
+        [(1,), (5, 4)],  # an unsorted level
+        [(1,), (4, 4)],  # a repeated candidate
+        [(1,), (1,), (4,)],  # a row with a tie
+        [(1, 4), (4, 6)],  # levels that overlap
+        [(1, 5), (3, 6)],
+    ):
+        with pytest.raises(ValidationError):
+            alpha_count_grid(levels)
+
+
+def random_grids(count: int, seed: int):
+    """Seeded grids of 1..4 levels of 1..3 candidates, with gaps and singletons."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        levels = []
+        start = rng.randint(-5, 5)
+        for _ in range(rng.randint(1, 4)):
+            candidates = sorted(rng.sample(range(start, start + 9), rng.randint(1, 3)))
+            levels.append(tuple(candidates))
+            start = candidates[-1] + rng.randint(1, 3)
+        yield levels
+
+
+def test_grid_matches_dfs_on_random_grids():
+    grids = list(random_grids(120, seed=1983))
+    # singleton levels, a level that is not a run, and 4 levels of several candidates
+    grids += [[(0,), (1, 9)], [(1, 9), (10, 11)], [(0, 2), (3, 5, 6), (7, 8, 11), (12, 13)]]
+    assert any(len(levels) == 4 and all(len(l) > 1 for l in levels) for levels in grids)
+    for levels in grids:
+        assert alpha_count_grid(levels) == [
+            alpha_count_dfs(row) for row in itertools.product(*levels)
+        ]
+
+
+def test_grid_matches_the_per_fiber_transfer_on_the_sample_grids():
+    # the block grid of alpha_polynomial(4) and the grid of gn_poly(7, 3): the
+    # staircase 1..4, then a block of 7 columns for each variable
+    alpha = [range(i * 4, i * 4 + 4) for i in range(4)]
+    gn = [(v,) for v in range(1, 5)] + [range(5 + r * 7, 12 + r * 7) for r in range(3)]
+    for levels in (alpha, gn):
+        expected = [
+            count
+            for prefix in itertools.product(*levels[:-1])
+            for count in fiber_transfer(prefix, levels[-1])
+        ]
+        assert alpha_count_grid(levels) == expected
 
 
 def tied_rows():
@@ -408,6 +454,8 @@ def test_tied_row_budget_raises_before_counting(monkeypatch):
 
 def test_transfer_counts_a_wide_row():
     assert alpha_count((0, 40, 80, 120, 160, 200)) == 1554815612822925439671100
+    # and a wide level: the row (0, c) has c + 1 triangles
+    assert alpha_count_grid([(0,), range(1, 5001)]) == list(range(2, 5002))
 
 
 def test_transfer_budget_raises_before_counting(monkeypatch):
@@ -423,7 +471,7 @@ def test_transfer_budget_raises_before_counting(monkeypatch):
     with pytest.raises(BudgetError):
         alpha_count((0, 9), tight)
     with pytest.raises(BudgetError):
-        alpha_count_fiber((0,), (1, 9), tight)
+        alpha_count_grid([(0,), (1, 9)], tight)
     with pytest.raises(BudgetError):
         alpha_count((0, 10**9))
     with pytest.raises(BudgetError):
