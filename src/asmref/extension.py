@@ -7,10 +7,10 @@ equations, a near-symmetry with exactly two exceptional entries, closed
 special values along the boundary, an explicit entry formula, and (at depth
 d >= 3) conjectural analogues; the verifiers here check all of them exactly.
 
-Each family of equations is stated once: reflection_equations at every depth
-(theorem1, conj3), the near-symmetry _mirror with _exceptional_entries
-(theorem2) and the boundary last_column.  conj1 solves all three together,
-so it solves the same equations that theorem1 and theorem2 check.
+Each family of equations is stated once: the reflection by its one-axis factor
+reflection_weights at every depth (theorem1, conj3), the near-symmetry _mirror
+with _exceptional_entries (theorem2) and the boundary last_column.  conj1
+solves all three together, so it solves what theorem1 and theorem2 check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .combinat import binom, binom_plus, harmonic, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, Budget
@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import solve_integer_system
-from .polynomials import BinomBasisExpansion, expand_in_binomial_basis, gn_poly
+from .polynomials import BinomBasisExpansion, apply_axis, expand_in_binomial_basis, gn_poly
 from .reports import VerificationReport, Witness
 from .triangles import RefinedTable, alpha_count, build_table, refined_count
 
@@ -85,35 +85,32 @@ def extend_matrix(table: RefinedTable) -> ExtendedMatrix:
     return ExtendedMatrix(n, tuple(rows))
 
 
-def reflection_equations(
-    n: int, d: int
-) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]]]:
-    """The depth-d reflection equations, one per index tuple in row-major order.
+def reflection_weights(n: int, d: int) -> list[list[int]]:
+    """W[i-1][j-1] = (-1)^j binom(2n - i - d, j - i), the one-axis factor of the reflection.
 
-    The equation at (i_1, ..., i_d) is E(i_1, ..., i_d) = (-1)^(nd) times the
-    sum over j_r >= i_r of prod_r (-1)^(j_r) binom(2n - i_r - d, j_r - i_r)
-    times E(j_d, ..., j_1).  It is yielded as the index and its nonzero terms
-    (target, coefficient).  At d = 2, E is the extended array (theorem1); at
-    d >= 3 it is the coefficient array of the depth-d specialization (conj3).
+    The depth-d equation at (i_1, ..., i_d) is E(i_1, ..., i_d) = (-1)^(nd)
+    times the sum over j of prod_r W[i_r][j_r] E(j_d, ..., j_1).  At d = 2, E
+    is the extended array (theorem1); at d >= 3 it is the coefficient array
+    of the depth-d specialization (conj3).
     """
-    weights = {
-        i: [(j, (-1) ** j * b) for j in range(i, n + 1) if (b := binom(2 * n - i - d, j - i))]
-        for i in range(1, n + 1)
-    }
-    sign = (-1) ** (n * d)
-    for index in itertools.product(range(1, n + 1), repeat=d):
-        # prepending each axis's j builds the reversed target
-        terms = [((), sign)]
-        for i in index:
-            terms = [((j,) + target, c * w) for target, c in terms for j, w in weights[i]]
-        yield index, terms
+    cells = range(1, n + 1)
+    return [[(-1) ** j * binom(2 * n - i - d, j - i) for j in cells] for i in cells]
 
 
 def _reflection_witnesses(n: int, d: int, values: Mapping[tuple[int, ...], int]) -> list[Witness]:
+    """Row-major witnesses: W on every axis, d * n^(d+1) multiply-adds, read at reversed i."""
+    weights = reflection_weights(n, d)
+    indices = list(itertools.product(range(1, n + 1), repeat=d))
+    image = flat = [values[index] for index in indices]
+    for axis in range(d):
+        image = apply_axis(image, n, d, axis, lambda fiber: [
+            sum(w * v for w, v in zip(row, fiber)) for row in weights
+        ])
+    image_at = dict(zip(indices, image))
+    sign = (-1) ** (n * d)
     witnesses = []
-    for index, terms in reflection_equations(n, d):
-        lhs = values[index]
-        rhs = sum(c * values[target] for target, c in terms)
+    for index, lhs in zip(indices, flat):
+        rhs = sign * image_at[index[::-1]]
         if lhs != rhs:
             witnesses.append(Witness(index, lhs, rhs))
     return witnesses
@@ -369,8 +366,11 @@ def sufficiency_system(n: int) -> LinearSystem:
         rows.append(tuple(coeffs))
         rhs.append(value)
 
-    for index, terms in reflection_equations(n, 2):
-        add_row([(index, 1)] + [(target, -c) for target, c in terms], 0)
+    # row (i, j) reads W's rows i and j; the depth-2 sign (-1)^(2n) is 1
+    nonzero = [[(a, w) for a, w in enumerate(row, 1) if w] for row in reflection_weights(n, 2)]
+    for i, j in labels:
+        terms = [((b, a), -wa * wb) for a, wa in nonzero[i - 1] for b, wb in nonzero[j - 1]]
+        add_row([((i, j), 1)] + terms, 0)
     exceptional = _exceptional_entries(n, total_asm_count(n - 1), total_asm_count(n - 2))
     for index in labels:
         mirrored = _mirror(n, *index)

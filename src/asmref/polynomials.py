@@ -48,7 +48,7 @@ def _forward_differences(values: Sequence[int]) -> list[int]:
     return heads
 
 
-def _apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> list:
+def apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> list:
     """Apply fn to every length-k fiber along the given axis of a row-major tensor."""
     stride = k ** (num_vars - axis - 1)
     block = stride * k
@@ -122,7 +122,7 @@ class PolyMulti:
                 f"value tensor must have size {k**num_vars}, got {len(flat)}"
             )
         for axis in range(num_vars):
-            flat = _apply_axis(flat, k, num_vars, axis, _forward_differences)
+            flat = apply_axis(flat, k, num_vars, axis, _forward_differences)
         return cls(num_vars, k - 1, tuple(ns[0] for ns in node_tuples), tuple(flat))
 
     def evaluate(self, point: Sequence) -> Fraction:
@@ -319,7 +319,7 @@ def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpan
         # weights[k] lists binom(m + axis + origin, m - k) for m = k + 1 .. n - 1
         shift = axis + origin
         weights = [[binom(m + shift, m - k) for m in range(k + 1, n)] for k in range(n)]
-        coeffs = _apply_axis(
+        coeffs = apply_axis(
             coeffs, n, d, axis, lambda fiber, w=weights: back_substitute(fiber, w)
         )
     return BinomBasisExpansion(n, d, tuple(coeffs))

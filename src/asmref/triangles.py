@@ -169,7 +169,8 @@ def alpha_count_grid(
     of the first level to the last of the last, and n entries, it raises
     BudgetError before counting when W * n * 2^n exceeds
     table_max_n^2 * 2^table_max_n, the cost of the largest column sweep the
-    budget allows.
+    budget allows, and when the whole walk would: the sum over i of its
+    column steps with i entries placed times n * binom(n, i).
     """
     grid = tuple(tuple(int(v) for v in level) for level in levels)
     if not grid:
@@ -191,6 +192,18 @@ def alpha_count_grid(
         raise BudgetError(
             f"row transfer over {n} entries of width {width} exceeds the budget "
             f"of an order-{cap} sweep"
+        )
+    # the walk takes `steps` columns with i entries placed, each of n cells on
+    # about binom(n, i) states, since i entries leave i row bits set
+    cost, rows, steps = 0, 1, grid[0][-1] - grid[0][0] + 1
+    for i, level in enumerate(grid):
+        cost += steps * n * math.comb(n, i)
+        if i + 1 < n:
+            steps = rows * sum(grid[i + 1][-1] - e for e in level)
+        rows *= len(level)
+    if cost > cap * cap * 2**cap:
+        raise BudgetError(
+            f"row transfer over a grid of {rows} rows exceeds the budget of an order-{cap} sweep"
         )
     return _row_transfer(grid)
 

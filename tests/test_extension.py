@@ -141,12 +141,13 @@ def test_theorem1_witnesses_match_the_double_sum_oracle():
         assert not report.passed
 
 
-@pytest.mark.parametrize("d, orders", [(2, range(3, 9)), (3, (4, 5))])
+@pytest.mark.parametrize("d, orders", [(2, range(3, 9)), (3, (4, 5)), (4, (5, 6)), (5, (5,))])
 def test_conjecture3_witnesses_match_the_shift_loop_oracle(d, orders, monkeypatch):
     rng = random.Random(d)
     real = extension._coefficient_array
+    budget = Budget(gn_poly_max_n={1: 12, 2: 10, 3: 7, 4: 6, 5: 5})
     for n in orders:
-        coeffs = real(n, d, Budget())
+        coeffs = real(n, d, budget)
         for array in [coeffs] + [perturbed(coeffs, rng) for _ in range(5)]:
             monkeypatch.setattr(extension, "_coefficient_array", lambda n, d, budget: array)
             report = verify_conjecture3(n, d)

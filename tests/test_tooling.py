@@ -3,11 +3,14 @@
 perfbench/tracer.py names its targets as (module, attribute) pairs; a
 deleted or renamed function would break the traced run, so each pair must
 resolve in the package.  A stale name in asmref.__all__ would break
-`from asmref import *` in the same way.
+`from asmref import *` in the same way.  A helper that two modules share,
+such as polynomials.apply_axis, is public within the package: no module
+imports an underscore-prefixed name from another.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 import asmref
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PACKAGE = Path(asmref.__file__).resolve().parent
 
 
 _spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -38,3 +42,16 @@ def test_traced_target_resolves(module_name, attr, span):
 @pytest.mark.parametrize("name", asmref.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(asmref, name)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_across_modules(path):
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "asmref")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private

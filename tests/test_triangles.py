@@ -478,6 +478,23 @@ def test_transfer_budget_raises_before_counting(monkeypatch):
         alpha_count(range(17))
 
 
+def test_grid_budget_bounds_the_whole_walk(monkeypatch):
+    # under the order-3 cap of 72 cell updates each row below is narrow
+    # enough (width 9); the walk over (0, 1) then (8,) takes 2 columns with
+    # no entry placed and 8 + 7 with one, 2 * 2 + 15 * 2 * 2 = 64 updates
+    tight = Budget(table_max_n=3)
+    assert alpha_count_grid([(0, 1), (8,)], tight) == [9, 8]
+    fail_if_counting(monkeypatch)
+    # adding the candidate 2 makes it 3 * 2 + 21 * 2 * 2 = 90
+    with pytest.raises(BudgetError, match="grid of 3 rows"):
+        alpha_count_grid([(0, 1, 2), (8,)], tight)
+    # the per-row check passes the order-7 block grid and the 8 x 8 one, but
+    # their walks would cost about 5.3 and 144 order-16 sweeps
+    for k in (7, 8):
+        with pytest.raises(BudgetError, match=f"grid of {k ** k} rows"):
+            alpha_count_grid([range(i * k, i * k + k) for i in range(k)])
+
+
 def test_clear_caches_empties_both_kernels_memos(monkeypatch):
     asmref.clear_caches()
     alpha_count((1, 1, 4, 9))  # a tied row of width 9 fills the order-9 sweep
