@@ -313,12 +313,11 @@ def _cmd_oeis_check(args) -> int:
     if (args.b_file is None) == (args.fetch is None):
         print("error: exactly one of --b-file or --fetch is required", file=sys.stderr)
         return 2
+    if args.limit is not None and args.limit < 0:
+        print(f"error: --limit must be nonnegative, got {args.limit}", file=sys.stderr)
+        return 2
     if args.b_file is not None:
-        try:
-            text = args.b_file.read_text()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        text = args.b_file.read_text(encoding="utf-8")
         sequence_id = args.b_file.stem
     else:
         text, sequence_id = _fetch_b_file(args.fetch, cache)
@@ -385,7 +384,7 @@ def main(argv=None) -> int:
     except AsmrefError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

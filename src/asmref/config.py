@@ -7,35 +7,33 @@ raise the caps without touching library code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping
+from dataclasses import dataclass
 
 #: Seed for the reproducible rational sample points used by the identity checks.
 DEFAULT_SEED = 1729
 
 
-def _default_gn_caps() -> Mapping[int, int]:
-    return MappingProxyType({1: 12, 2: 10, 3: 7})
-
-
 @dataclass(frozen=True)
 class Budget:
-    """Caps on the exhaustive computations, keyed by refinement depth where relevant.
+    """Caps on the exhaustive computations: one cost bound and the enumeration cap.
 
     table_max_n caps the order of every refined table and count: all depths
     of an order are lookups into the same column sweep.  It also caps the
     width of a row with a tie, whose alpha_count sums lookups into the sweep
-    of that width, and the row transfer behind alpha_count of a strictly
-    increasing row at the cost of the largest sweep.
+    of that width, and the order of conj1's linear solve, which is compared
+    with the table of its order.  Every row transfer is held to the cost of
+    the largest sweep, table_max_n^2 * 2^table_max_n cell updates, for the
+    widest row and for the whole walk over a grid; that bound is the one cap
+    on the sample grids of alpha_polynomial and gn_poly.  At the default of
+    16 it admits alpha_polynomial up to order 6 and gn_poly at depths 1..6
+    up to orders 15, 14, 14, 13, 9 and 7.
+
+    enumeration_max_n caps the explicit lists of matrices and triangles,
+    whose memory grows with the count itself rather than with a sweep.
     """
 
     enumeration_max_n: int = 6
     table_max_n: int = 16
-    alpha_poly_max_n: int = 6
-    gn_poly_max_n: Mapping[int, int] = field(default_factory=_default_gn_caps)
-    identity_max_n: int = 5
-    sufficiency_max_n: int = 14
 
 
 DEFAULT_BUDGET = Budget()

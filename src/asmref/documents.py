@@ -115,14 +115,14 @@ class TableDocument:
                 generated=meta.get("generated"),
                 sha256=meta.get("sha256"),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed table document: {exc}") from exc
 
     @classmethod
     def from_json_text(cls, text: str) -> "TableDocument":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ValidationError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(data)
 
@@ -163,12 +163,13 @@ class TableCache:
     def load(self, kind: str, n: int, d: int) -> TableDocument | None:
         """The cached document, or None when missing, stale, unreadable, or corrupt.
 
-        A document is corrupt when its entries do not match its stored digest.
+        A file that is not UTF-8 text or not a table document is unreadable;
+        a document is corrupt when its entries do not match its stored digest.
         """
         path = self.path_for(kind, n, d)
         try:
-            doc = TableDocument.from_json_text(path.read_text())
-        except (OSError, ValidationError):
+            doc = TableDocument.from_json_text(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, ValidationError):
             return None
         if (doc.kind, doc.n, doc.d) != (kind, n, d) or doc.version != TOOL_VERSION:
             return None

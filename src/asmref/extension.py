@@ -396,12 +396,12 @@ class SufficiencyResult:
 
 
 def solve_sufficiency(n: int, budget: Budget = DEFAULT_BUDGET) -> SufficiencyResult:
-    """Solve the assembled system exactly and report rank and uniqueness."""
+    """Solve the system exactly, up to order table_max_n, and report rank and uniqueness."""
     if n < 3:
         raise ValidationError(f"order must be at least 3, got {n}")
-    if n > budget.sufficiency_max_n:
+    if n > budget.table_max_n:
         raise BudgetError(
-            f"sufficiency solve at n={n} exceeds the budget cap {budget.sufficiency_max_n}"
+            f"sufficiency solve at n={n} exceeds the budget cap {budget.table_max_n}"
         )
     system = sufficiency_system(n)
     result = solve_integer_system(system.matrix, system.rhs)

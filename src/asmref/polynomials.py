@@ -33,9 +33,9 @@ from typing import Callable, Iterable, Sequence
 
 from .combinat import binom, binom_at
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError
 from .reports import VerificationReport, Witness
-from .triangles import alpha_count_grid
+from .triangles import alpha_count_grid, checked_grid
 
 
 def _forward_differences(values: Sequence[int]) -> list[int]:
@@ -191,17 +191,14 @@ def alpha_polynomial(n: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     Samples live on the block grid where variable i (1-based) ranges over
     (i-1)*n .. i*n - 1, so every grid point is strictly increasing and the
     samples are genuine monotone triangle counts.  They all come from one
-    row transfer over the grid.
+    row transfer over the grid, and the budget of that transfer is checked
+    before the cache is read.
     """
     if n < 1:
         raise ValidationError(f"order must be positive, got {n}")
-    if n > budget.alpha_poly_max_n:
-        raise BudgetError(
-            f"counting polynomial at n={n} exceeds the budget cap {budget.alpha_poly_max_n}"
-        )
+    nodes = checked_grid([range(i * n, i * n + n) for i in range(n)], budget)
     cached = _alpha_poly_cache.get(n)
     if cached is None:
-        nodes = tuple(tuple(range(i * n, i * n + n)) for i in range(n))
         cached = PolyMulti.interpolate(nodes, alpha_count_grid(nodes, budget))
         _alpha_poly_cache[n] = cached
     return cached
@@ -221,26 +218,22 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     n - d + r + 1 runs over its own block of n columns after the staircase
     1..n-d, as on the grid of alpha_polynomial.  All samples come from one
     row transfer over that grid and are interpolated once, at origins
-    r*(n-1).
+    r*(n-1).  The budget of that transfer is checked before the cache is read.
     """
     if d < 1:
         raise ValidationError(f"depth must be positive, got {d}")
     if d > n:
         raise ValidationError(f"depth {d} exceeds the order {n}")
-    cap = budget.gn_poly_max_n.get(d)
-    if cap is None:
-        raise BudgetError(f"no specialization budget is configured for depth d={d}")
-    if n > cap:
-        raise BudgetError(f"specialization at n={n}, d={d} exceeds the budget cap {cap}")
+    staircase = [(v,) for v in range(1, n - d + 1)]
+    blocks = [range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n) for r in range(d)]
+    grid = checked_grid(staircase + blocks, budget)
     key = (n, d)
     cached = _gn_poly_cache.get(key)
     if cached is not None:
         return cached
 
-    staircase = [(v,) for v in range(1, n - d + 1)]
-    blocks = [range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n) for r in range(d)]
     nodes = [range(r * (n - 1), r * (n - 1) + n) for r in range(d)]
-    poly = PolyMulti.interpolate(nodes, alpha_count_grid(staircase + blocks, budget))
+    poly = PolyMulti.interpolate(nodes, alpha_count_grid(grid, budget))
     _gn_poly_cache[key] = poly
     return poly
 
@@ -368,12 +361,6 @@ def verify_alpha_identities(
     shift-expansion identities by the failing positions, q or variable and
     power.
     """
-    if n < 1:
-        raise ValidationError(f"order must be positive, got {n}")
-    if n > budget.identity_max_n:
-        raise BudgetError(
-            f"identity checks at n={n} exceed the budget cap {budget.identity_max_n}"
-        )
     poly = alpha_polynomial(n, budget)
     rng = random.Random(seed)
     bound = 3 * n

@@ -163,11 +163,24 @@ def alpha_count_grid(
     """alpha_count of every row of a grid of candidate entries, from one row transfer.
 
     Entry i of a row is a candidate of levels[i]; the rows are listed in the
-    order of itertools.product(*levels).  Every level must be nonempty and
-    strictly increasing and lie below the next one, so every row is strictly
-    increasing.  With W the width of the widest row, from the first candidate
-    of the first level to the last of the last, and n entries, it raises
-    BudgetError before counting when W * n * 2^n exceeds
+    order of itertools.product(*levels).  checked_grid checks the levels and
+    the budget before counting.
+    """
+    grid = checked_grid(levels, budget)
+    if len(grid) == 1:
+        return [1] * len(grid[0])  # one entry, one triangle
+    return _row_transfer(grid)
+
+
+def checked_grid(
+    levels: Sequence[Sequence[int]], budget: Budget = DEFAULT_BUDGET
+) -> tuple[tuple[int, ...], ...]:
+    """The levels of a grid as int tuples, once the row transfer over them fits the budget.
+
+    Every level must be nonempty and strictly increasing and lie below the
+    next one, so every row is strictly increasing.  With W the width of the
+    widest row, from the first candidate of the first level to the last of
+    the last, and n entries, it raises BudgetError when W * n * 2^n exceeds
     table_max_n^2 * 2^table_max_n, the cost of the largest column sweep the
     budget allows, and when the whole walk would: the sum over i of its
     column steps with i entries placed times n * binom(n, i).
@@ -184,8 +197,6 @@ def alpha_count_grid(
         if below[-1] >= above[0]:
             raise ValidationError(f"level {above} overlaps the level {below} before it")
     n = len(grid)
-    if n == 1:
-        return [1] * len(grid[0])  # one entry, one triangle
     width = grid[-1][-1] - grid[0][0] + 1
     cap = budget.table_max_n
     if width * n * 2**n > cap * cap * 2**cap:
@@ -205,7 +216,7 @@ def alpha_count_grid(
         raise BudgetError(
             f"row transfer over a grid of {rows} rows exceeds the budget of an order-{cap} sweep"
         )
-    return _row_transfer(grid)
+    return grid
 
 
 def _normalized(bottom: Sequence[int]) -> tuple[int, ...]:

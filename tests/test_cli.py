@@ -72,10 +72,15 @@ def test_count_budget_exceeded_is_usage_error(capsys):
     [
         ("count", "--n", "22", "--indices", "1"),
         ("count", "--n", "17", "--d", "3"),
-        ("verify", "conj4", "--n", "8"),
-        ("verify", "conj3", "--n", "8"),
+        ("verify", "conj4", "--n", "15"),
+        ("verify", "conj3", "--n", "15"),
+        ("verify", "conj3", "--n", "7", "--d", "7"),
+        ("verify", "alpha-identities", "--n", "7"),
     ],
-    ids=["count-indices", "count-depth-3", "verify-conj4", "verify-conj3"],
+    ids=[
+        "count-indices", "count-depth-3", "verify-conj4", "verify-conj3",
+        "verify-conj3-depth-7", "verify-alpha-identities",
+    ],
 )
 def test_budget_exceeded_before_counting(capsys, monkeypatch, argv):
     def counted(*args):
@@ -97,12 +102,23 @@ def test_verify_conj1_beyond_its_default_range(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "claim, orders, depth, summary",
+    [("conj3", "5..6", "4", "conj3: PASS (5..6)"), ("conj4", "6", "5", "conj4: PASS (6..6)")],
+)
+def test_verify_conjectures_beyond_depth_3(capsys, claim, orders, depth, summary):
+    code, out, err = run(capsys, "verify", claim, "--n", orders, "--d", depth)
+    assert code == 0
+    assert out.strip().endswith(summary)
+    assert err == ""
+
+
 def test_conj1_budget_exceeded_before_solving(capsys, monkeypatch):
     def solve(*args):
         raise AssertionError("solving started")
 
     monkeypatch.setattr(extension, "solve_integer_system", solve)
-    code, out, err = run(capsys, "verify", "conj1", "--n", "15")
+    code, out, err = run(capsys, "verify", "conj1", "--n", "17")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
@@ -281,6 +297,45 @@ def test_corrupt_cached_depth_2_table_keeps_theorem2_passing(tmp_path, capsys, i
     assert TableCache(tmp_path).load("refined", 5, 2).int_entries()[indices] != 1
 
 
+def make_malformed(path, kind):
+    """Spoil a cached table file so that it no longer parses as a document."""
+    if kind == "not-utf-8":
+        path.write_bytes(b"\xff" + path.read_bytes())
+        return
+    if kind == "nested-too-deep":
+        path.write_text("[" * 100_000)
+        return
+    data = json.loads(path.read_text())
+    if kind == "index-not-int":
+        data["entries"][0][0] = ["x"]
+    else:  # an entry of three elements
+        data["entries"][0].append("1")
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "kind", ["not-utf-8", "index-not-int", "three-element-entry", "nested-too-deep"]
+)
+@pytest.mark.parametrize(
+    "argv, d",
+    [
+        (("count", "--n", "5", "--d", "1"), 1),
+        (("extend", "--n", "5"), 2),
+        (("verify", "theorem2", "--n", "5"), 2),
+    ],
+    ids=["count", "extend", "verify"],
+)
+def test_malformed_cache_file_is_recomputed(tmp_path, capsys, argv, d, kind):
+    _, cold, _ = run(capsys, *argv)
+    args = argv + ("--cache-dir", str(tmp_path))
+    run(capsys, *args)
+    make_malformed(tmp_path / f"refined-n5-d{d}.json", kind)
+    assert TableCache(tmp_path).load("refined", 5, d) is None
+    assert run(capsys, *args) == (0, cold, "")
+    # the unreadable file is overwritten with the recomputed, signed table
+    assert TableCache(tmp_path).load("refined", 5, d) is not None
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ASMREF_CACHE", str(tmp_path))
     code, _, _ = run(capsys, "count", "--n", "4", "--d", "1")
@@ -340,6 +395,22 @@ def test_oeis_check_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "oeis-check", "--b-file", str(path))
     assert code == 2
     assert "index value" in err
+
+
+def test_oeis_check_file_that_is_not_utf_8(tmp_path, capsys):
+    path = tmp_path / "b005130.txt"
+    path.write_bytes(b"0 1\n1 \xff\n")
+    code, out, err = run(capsys, "oeis-check", "--b-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+def test_oeis_check_negative_limit_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "b005130.txt"
+    write_totals_b_file(path, 0, 9)
+    code, out, err = run(capsys, "oeis-check", "--b-file", str(path), "--limit", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--limit" in err
 
 
 def test_oeis_check_missing_file(tmp_path, capsys):

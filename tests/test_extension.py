@@ -145,9 +145,8 @@ def test_theorem1_witnesses_match_the_double_sum_oracle():
 def test_conjecture3_witnesses_match_the_shift_loop_oracle(d, orders, monkeypatch):
     rng = random.Random(d)
     real = extension._coefficient_array
-    budget = Budget(gn_poly_max_n={1: 12, 2: 10, 3: 7, 4: 6, 5: 5})
     for n in orders:
-        coeffs = real(n, d, budget)
+        coeffs = real(n, d, Budget())
         for array in [coeffs] + [perturbed(coeffs, rng) for _ in range(5)]:
             monkeypatch.setattr(extension, "_coefficient_array", lambda n, d, budget: array)
             report = verify_conjecture3(n, d)
@@ -281,7 +280,7 @@ def test_solve_sufficiency_unique_and_correct():
 
 def test_solve_sufficiency_budget():
     with pytest.raises(BudgetError):
-        solve_sufficiency(4, Budget(sufficiency_max_n=3))
+        solve_sufficiency(4, Budget(table_max_n=3))
 
 
 def test_explicit_formula_hand_values():
@@ -335,11 +334,13 @@ def test_conjecture3_depth2_is_theorem1():
 
 
 def test_conjecture3_budget():
-    # depth 3 is held by the specialization cap gn_poly_max_n[3] = 7 alone
+    # depth 3 is held by the row-transfer bound on the specialization's grid
     with pytest.raises(BudgetError):
-        verify_conjecture3(8, 3)
-    with pytest.raises(BudgetError):
-        verify_conjecture3(5, 3, Budget(gn_poly_max_n={1: 12, 2: 10, 3: 4}))
+        verify_conjecture3(15, 3)
+    # the walk over the grid of gn_poly(5, 3) costs more than an order-7 sweep
+    with pytest.raises(BudgetError, match="order-7 sweep"):
+        verify_conjecture3(5, 3, Budget(table_max_n=7))
+    assert verify_conjecture3(5, 3, Budget(table_max_n=8)).passed
 
 
 def test_triangular_system():

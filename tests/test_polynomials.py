@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asmref.cli as cli
+import asmref.triangles as triangles
 from asmref import polynomials
 from asmref.combinat import binom
 from asmref.config import DEFAULT_SEED, Budget
@@ -127,9 +128,27 @@ def test_alpha_polynomial_degree_bound():
     assert newton_degrees(alpha_polynomial(3)) == (2, 2, 2)
 
 
-def test_alpha_polynomial_budget():
-    with pytest.raises(BudgetError):
-        alpha_polynomial(7, Budget(alpha_poly_max_n=6))
+def fail_if_counting(monkeypatch):
+    """Make any count by either kernel fail the test."""
+
+    def counted(*args):
+        raise AssertionError("counting started")
+
+    monkeypatch.setattr(triangles, "_column_sweep", counted)
+    monkeypatch.setattr(triangles, "_row_transfer", counted)
+
+
+def test_alpha_polynomial_budget(monkeypatch):
+    cached = alpha_polynomial(3)
+    fail_if_counting(monkeypatch)
+    # the walk over the order-7 block grid would cost about 5.3 order-16 sweeps
+    with pytest.raises(BudgetError, match="grid of 823543 rows"):
+        alpha_polynomial(7)
+    # the order-3 walk takes 441 cell updates, over the 256 of an order-4
+    # sweep: the budget holds before the cache is read
+    with pytest.raises(BudgetError, match="order-4 sweep"):
+        alpha_polynomial(3, Budget(table_max_n=4))
+    assert alpha_polynomial(3, Budget(table_max_n=5)) is cached
     with pytest.raises(ValidationError):
         alpha_polynomial(0)
 
@@ -398,11 +417,17 @@ def test_gn_poly_relates_to_full_polynomial():
         assert poly.evaluate((x, y)) == full
 
 
-def test_gn_poly_budget_and_validation():
-    with pytest.raises(BudgetError):
-        gn_poly(11, 2)
-    with pytest.raises(BudgetError):
-        gn_poly(3, 3, Budget(gn_poly_max_n={1: 12, 2: 10}))
+def test_gn_poly_budget_and_validation(monkeypatch):
+    cached = gn_poly(3, 3)
+    fail_if_counting(monkeypatch)
+    # the first order past the default budget at each depth, and depth 7
+    for n, d in ((16, 1), (15, 2), (15, 3), (14, 4), (10, 5), (8, 6), (7, 7)):
+        with pytest.raises(BudgetError, match="order-16 sweep"):
+            gn_poly(n, d)
+    # gn_poly(3, 3) samples the grid of alpha_polynomial(3), shifted by one
+    with pytest.raises(BudgetError, match="order-4 sweep"):
+        gn_poly(3, 3, Budget(table_max_n=4))
+    assert gn_poly(3, 3, Budget(table_max_n=5)) is cached
     with pytest.raises(ValidationError):
         gn_poly(2, 3)
     with pytest.raises(ValidationError):
@@ -451,10 +476,11 @@ def gauss_jordan_expansion(poly: PolyMulti, n: int, d: int) -> tuple[Fraction, .
 
 @pytest.mark.parametrize(
     "d, n",
-    [(d, n) for d, cap in Budget().gn_poly_max_n.items() for n in range(d, cap + 1)],
+    [(1, n) for n in range(1, 13)] + [(2, n) for n in range(2, 11)] + [(3, n) for n in range(3, 8)],
 )
 def test_expansion_matches_gauss_jordan_oracle(d, n):
-    # every specialization the default budget allows
+    # depths 1, 2 and 3 up to orders 12, 10 and 7; the oracle inverts n x n
+    # matrices over Fraction, and the pins below cover the higher orders
     poly = gn_poly(n, d)
     expansion = expand_in_binomial_basis(poly, n, d)
     assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
@@ -545,9 +571,12 @@ def test_identity_stencils_match_the_oracle_on_a_corrupted_polynomial(n, monkeyp
     assert reports == alpha_identity_reports(corrupted, n, DEFAULT_SEED, 20)
 
 
-def test_verify_alpha_identities_budget():
+def test_verify_alpha_identities_budget(monkeypatch):
+    fail_if_counting(monkeypatch)
     with pytest.raises(BudgetError):
-        verify_alpha_identities(6)
+        verify_alpha_identities(7)
+    with pytest.raises(ValidationError):
+        verify_alpha_identities(0)
 
 
 def test_verify_gn_reflection_passes():
@@ -643,8 +672,11 @@ def test_reflection_of_specialization_at_integer_points():
 
 
 # sha256 pins of the exact polynomials, recorded before alpha_polynomial and
-# gn_poly sampled one block grid through one row transfer.  gn_poly's origins
-# and coefficients depend on its sample grid, so it is pinned by its values.
+# gn_poly sampled one block grid through one row transfer; the specializations
+# past orders 12, 10 and 7 at depths 1, 2 and 3, and those of depth 4 and
+# more, were recorded from that grid under raised per-depth order caps.
+# gn_poly's origins and coefficients depend on its sample grid, so it is
+# pinned by its values.
 #: n -> sha256 of repr(alpha_polynomial(n).coeffs)
 ALPHA_COEFF_PINS = {
     1: "28cb03b06c288e88c6a880eeba293bf9c9bb9fa586128586459a486a511f832f",
@@ -681,6 +713,37 @@ EXPANSION_PINS = {
     (5, 3): "ca82892557f28b54a9c08be93258c0e3b7d19f3b3e783129bbdaf0c5af3c522a",
     (6, 3): "0f6e6ee70d91aad592070ecc01df0197b3a1f094bc243b4dea495cb1f3fe60cd",
     (7, 3): "34dc21191d05758a60b54315d42e5eb9a76887c26f5a71acc6b8e15769102deb",
+    (13, 1): "9bda71b55cb7caac74fdb9d9f95e8a2a1fe0475feefec83f2bf0fa5107b4ed49",
+    (14, 1): "bd87bb71f2b674c3b8c461f495c0c849e19ad0ee84ad5be3fdf522d595ad0ce5",
+    (15, 1): "7a8ef475657a94df7f1a887d19a0141bf0196269407e9bd04d1812a09323507a",
+    (11, 2): "88f346109a354306727f120949c0276352deb4a73504ee54ce57bf460cf38a71",
+    (12, 2): "39f6d07eddf78dc8045b11962a57de9a7ac73c49db2bb7f2313f148d3f3ceb2a",
+    (13, 2): "44cfee501e3841cb9fc7b2f2c7083efeca2462c076fea36ad9cef417962e8e05",
+    (14, 2): "fb80459897982a7c3f7926efd8131eab2b517f877df7533acaf971fa6a5b6cc6",
+    (8, 3): "b77fc1507b310cd4c833b81345dc94668195d95e936887c6a82435f3b337918c",
+    (9, 3): "a1cf7881bebca9cda162d36d3af94be827505441e2e0367ccbf9eeee219f6660",
+    (10, 3): "c9b12366fafa0e068e9c60a91877b6428a167cb0bdffaa1d63d129c37d34e6ce",
+    (11, 3): "363be45790b1ea6522a3fc392febad0d23646ffc3a6ef70b298f56b8ef55edab",
+    (12, 3): "4e059c8897b258288a9f5776a10a2e04c9dcac4b20419edc9c44df2978304326",
+    (13, 3): "d5755d3e8509c5a7c5058b4572bc932ec6be238b25b20d4d8104a5c9b7fab1d7",
+    (14, 3): "4c0200e5708ba4771e7d39c4faa77c0c6ed6953ded616f59a5b4b4f386be46f7",
+    (4, 4): "9a5ed99d298f643f5533418dfc46edcd8d1c4620c3c605ba674f685ae39b0e6a",
+    (5, 4): "9d1051c95c85668602e38ce4b72cafc3705e82ba4afc8270a4fffaa32810ae88",
+    (6, 4): "13268c2d943b3db3d54bef61b7fbcd51c76c83073cd2a5d4615aacd37c7088fc",
+    (7, 4): "0d6b56df2d03bc1af751925290ad4f73be8f042f7d3c9823673d91a920ac32ee",
+    (8, 4): "31f2eb6c16a336ff22994ae79ed567d1b0de1d1c422ab2271fa39ea0fb21996c",
+    (9, 4): "bbb8fa809a4449b9697acade119368da412959fc987cfdcc10952947881d6da1",
+    (10, 4): "cadbae35886075a581933aec324457eda0c38edcae30b0ea559598b6cdae527f",
+    (11, 4): "7bd1b867733737a35bb539e2584456d34c737a8c4cda986309f7834a45204bd1",
+    (12, 4): "1974c76625b7013bfbb5ee7c7731f583e5c01574c0f7804c7474338c82b42699",
+    (13, 4): "b9acfdd637443f37b046725ddf95a2c5f2277e7607038d9323889d6245cd415d",
+    (5, 5): "6b428f3551bae9723426704ff613c79b8fa05dc3835a68d7bc3dc60c6a6d6b8c",
+    (6, 5): "1e40aaa6dba1796f7713105c0b111227aefed2c9772419a26f9493d4f6c57c47",
+    (7, 5): "a387ec502be48249bad22fd122e84aa52ae3842f135e95cda61900213fc7f926",
+    (8, 5): "49cd79aafedf99fd7694bda74eab3e91380f1d7d599a04847873ed51de5cfef6",
+    (9, 5): "d253733fa54f27640a5b0647577b171ff7a367f88c0ead74e0c751d57882ba66",
+    (6, 6): "f0a9c1eeac68691351484051b37a0e357e5cf78d9464f039146acda314bc46ec",
+    (7, 6): "16ce2a6cbade3b5eacf4d13931423d8845d9b539ff7bd6ff7efcd6d0fa74f3d6",
 }
 #: (n, d) -> sha256 of repr of gn_poly(n, d) at the points pin_points(n, d)
 GN_VALUE_PINS = {
@@ -710,6 +773,37 @@ GN_VALUE_PINS = {
     (5, 3): "66f05e475797dc9a782608430ac6a549e71cd73a10e160d96eb29da6f85410eb",
     (6, 3): "e09f882ca313c3f80ef4a5caba95afd5b4bb0ab6150d0ad295c9460444f6ca96",
     (7, 3): "2a4181d44832abae1ec8a073008cba12c4f3fc0f2c5409b23d34df42956de829",
+    (13, 1): "690f5b546522cf4f5c5e97338e25972a7803d58eae1c91e787109be3bd64678e",
+    (14, 1): "a4db0d501344d3476facebed7ada64fe7a603cac98b4624d92fb077483a4937a",
+    (15, 1): "61707f7922f6f25ce0f67020d13c49bd711ba9d5741066b3d9686321a231ac25",
+    (11, 2): "32915ec1a551faa2baae89e445f08e1362c537e564f1088a8b4208e689ad6603",
+    (12, 2): "b4a5cfc3fee385454eae62b521de7fabdb204d7febd4c32be22f5a37b07f8080",
+    (13, 2): "4ebf9363f2992fd6d8f9be23ff490a183f50da365fce35acbf022c9a3fd3ada6",
+    (14, 2): "ce1df13338ccd565aab4878822d2e32042796d6f0189e7b5277ede0e0712ed89",
+    (8, 3): "42df6e3dbc6833b70df61acbfd7115fc459393ae19b5398ccc9a3ac403398f2e",
+    (9, 3): "e32d2c2b05925db823a592caa52600c026a655921f6c7ee02259a6e540806938",
+    (10, 3): "aed6b6e058757e81a07b93f55b710f0332079ae67e12f552cc6a43d0cd9a2abf",
+    (11, 3): "b4392e4cefe19b0e22e16ddf802d0377cadd1b4e91ac4064df54554457d57aa4",
+    (12, 3): "ad666a01bab8810a1e114cd4468e655612b0e7f472325c0dcc77b5cdb02f67ed",
+    (13, 3): "e2d40633fddb726ec2d7397f49f590d2a112697faf519a8fe5aecc27290504ee",
+    (14, 3): "fbeee99cb5fff3c2ff683a8a74d210d25ec846bcdb6edd894f7d7d3e825606ee",
+    (4, 4): "26a9ff0ed87150c15d458b56e9dec967a316e871ccbdc88557bb179048c14b9b",
+    (5, 4): "e267af199292de9d34903a5f3a79e2879e5fada1356cac442dc14ee772cd9841",
+    (6, 4): "1a1a40a635abf9aa9c17e44ca0767f2d49a8ca2640c9984cda37e98dd3797856",
+    (7, 4): "719dc0026e424d9288247d6b77d9737a209f0d209a307a3e411bcd578f38ea53",
+    (8, 4): "123cbc951ba73e3bdf0b2de7a14db8a8a08ba4137174dd1949af7917ac7e4434",
+    (9, 4): "e4b1385f33e6ce0993b384db2082d890003878ba0547a361359d5b6b86941379",
+    (10, 4): "995ca77bd2e74b2769e49b3beb5e6a823173696082c12ec10b2c8b1c6667efa2",
+    (11, 4): "a3caffc996177c4f7b6dab3ef8f8047f6213c8c2d90a455b3f9d64114b1cf8e7",
+    (12, 4): "d28258cb0d73c9438d1613e8e0b895830a74d289ba84f033cadac3ee6f112354",
+    (13, 4): "8a34a482e8ae97009523739d48867df57c755281a3564276a0c015cf3a1169e8",
+    (5, 5): "29a91093d0df9375a201fda8dd1f0dbbbcff956ee8c02ec9a2809e5b2bb786db",
+    (6, 5): "13e816bdf683e83dff9348955474fb604e9388afd0873ea2ca8b9b5ab7d4f071",
+    (7, 5): "a2a0ae34ba2278f29042b62c6129a13ea238da9ddd583f3b72c777a2377237ec",
+    (8, 5): "769c621d4462d584358d5e789d71f9aad1090fd28e195638ded22dc08d941632",
+    (9, 5): "0cccc60c21d816fea33e65553ee05197cd5d7827582687f70af7be109cffcd84",
+    (6, 6): "001866ed574f2e49d1b31e67133183d19f53d94d66226235d8a3631f9a5711dd",
+    (7, 6): "4585f4e43c8de8a810079f069dde7df7ec1832b653769fbb15b34e28981c8df9",
 }
 
 
@@ -737,6 +831,19 @@ def test_specialization_expansion_and_values_are_pinned(n, d):
     assert pin_digest(poly.evaluate(pt) for pt in pin_points(n, d)) == GN_VALUE_PINS[n, d]
 
 
-def test_pins_cover_every_specialization_of_the_default_budget():
-    cases = {(n, d) for d, cap in Budget().gn_poly_max_n.items() for n in range(d, cap + 1)}
+def test_pins_cover_every_specialization_of_the_default_budget(monkeypatch):
+    # gn_poly(n, d) samples rows of width at least n, so the width check
+    # rejects every order above table_max_n
+    fail_if_counting(monkeypatch)
+    cases = set()
+    for n in range(1, Budget().table_max_n + 1):
+        for d in range(1, n + 1):
+            try:
+                gn_poly(n, d)
+            except BudgetError:
+                continue
+            except AssertionError:  # admitted, and counting started
+                pass
+            cases.add((n, d))
+    assert max(n for n, d in cases) == 15
     assert set(EXPANSION_PINS) == set(GN_VALUE_PINS) == cases

@@ -5,12 +5,14 @@ deleted or renamed function would break the traced run, so each pair must
 resolve in the package.  A stale name in asmref.__all__ would break
 `from asmref import *` in the same way.  A helper that two modules share,
 such as polynomials.apply_axis, is public within the package: no module
-imports an underscore-prefixed name from another.
+imports an underscore-prefixed name from another.  Every Budget field is
+read by the module whose computation it caps, so a cap nothing reads fails.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import asmref
+from asmref.config import Budget
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 PACKAGE = Path(asmref.__file__).resolve().parent
@@ -55,3 +58,17 @@ def test_no_private_name_is_imported_across_modules(path):
         if alias.name.startswith("_")
     ]
     assert not private
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Budget)])
+def test_every_budget_field_is_read(name):
+    readers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "config.py"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == name
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    ]
+    assert readers
