@@ -17,6 +17,7 @@ from .documents import TableCache, table_document
 from .errors import NonIntegralError, ValidationError
 from .extension import (
     ExtendedMatrix,
+    drefined_F,
     entry_witnesses,
     extend_matrix,
     last_column,
@@ -31,12 +32,7 @@ from .extension import (
     verify_triangular_system,
     verify_zw_chain,
 )
-from .polynomials import (
-    expand_in_binomial_basis,
-    gn_poly,
-    verify_alpha_identities,
-    verify_gn_reflection,
-)
+from .polynomials import verify_alpha_identities, verify_gn_reflection
 from .reports import VerificationReport, Witness
 from .triangles import (
     RefinedTable,
@@ -133,7 +129,7 @@ def verify_product_formulas(n: int) -> VerificationReport:
 
 def verify_theorem4(n: int, cache: TableCache | None = None) -> VerificationReport:
     """Binomial-basis coefficients of the depth-2 specialization equal the array."""
-    expansion = expand_in_binomial_basis(gn_poly(n, 2), n, 2)
+    expansion = drefined_F(n, 2)
     witnesses = entry_witnesses(
         extended_matrix(n, cache), lambda i, j: expansion.coefficient((i, j))
     )
@@ -153,7 +149,7 @@ def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationR
     witnesses = []
     if result.rank != result.num_unknowns:
         witnesses.append(Witness((n,), f"rank {result.rank}", result.num_unknowns))
-    elif result.solution is not None:
+    else:
         witnesses = entry_witnesses(extended_matrix(n, cache), result.solution.entry)
     return VerificationReport.from_witnesses("conj1", checked, witnesses)
 

@@ -25,7 +25,7 @@ from .documents import (
     matrix_document,
     table_document,
 )
-from .errors import AsmrefError
+from .errors import AsmrefError, BudgetError
 from .reports import VerificationReport
 from .triangles import refined_count
 
@@ -256,8 +256,15 @@ def _cmd_verify(args) -> int:
         return 2
     cache = _cache_from(args)
     lo, hi = args.n or claim.orders
+
+    def reports_at(n: int) -> list[VerificationReport]:
+        try:
+            return claim.reports(n, args.d, args.seed, cache)
+        except BudgetError as exc:
+            raise BudgetError(f"{args.claim} n={n}: {exc}") from exc
+
     # highest order first: its column sweep answers every lower order
-    by_order = {n: claim.reports(n, args.d, args.seed, cache) for n in range(hi, lo - 1, -1)}
+    by_order = {n: reports_at(n) for n in range(hi, lo - 1, -1)}
     results: list[tuple[int, VerificationReport]] = [
         (n, report) for n in range(lo, hi + 1) for report in by_order[n]
     ]

@@ -21,12 +21,16 @@ class Budget:
     of an order are lookups into the same column sweep.  It also caps the
     width of a row with a tie, whose alpha_count sums lookups into the sweep
     of that width, and the order of conj1's linear solve, which is compared
-    with the table of its order.  Every row transfer is held to the cost of
-    the largest sweep, table_max_n^2 * 2^table_max_n cell updates, for the
-    widest row and for the whole walk over a grid; that bound is the one cap
-    on the sample grids of alpha_polynomial and gn_poly.  At the default of
-    16 it admits alpha_polynomial up to order 6 and gn_poly at depths 1..6
-    up to orders 15, 14, 14, 13, 9 and 7.
+    with the table of its order.  Every row transfer is bounded in nominal
+    cell updates: W * n * 2^n for its widest row of n entries and width W,
+    and, summed over the walk over a grid, n * binom(n, i) per column step
+    with i entries placed.  Each count must stay within table_max_n^2 *
+    2^table_max_n, the nominal cell updates of the largest sweep; that bound
+    is the one cap on the sample grids of gn_poly, and so of
+    alpha_polynomial, which is gn_poly(n, n).  It counts updates, not time:
+    an admitted walk can take several times as long as that sweep.  At the
+    default of 16 it admits alpha_polynomial up to order 6 and gn_poly at
+    depths 1..6 up to orders 15, 14, 14, 13, 9 and 7.
 
     enumeration_max_n caps the explicit lists of matrices and triangles,
     whose memory grows with the count itself rather than with a sweep.

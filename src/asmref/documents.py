@@ -223,17 +223,15 @@ def parse_b_file(text: str) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class OeisReference:
-    """A parsed reference sequence: id plus contiguously indexed decimal terms."""
+    """A parsed reference sequence: id plus contiguously indexed integer terms."""
 
     sequence_id: str
     offset: int
-    terms: tuple[str, ...]
+    terms: tuple[int, ...]
 
     def __post_init__(self):
         if not self.terms:
             raise ValidationError("a reference sequence needs at least one term")
-        for term in self.terms:
-            _check_decimal(term)
 
     @classmethod
     def from_b_file(cls, text: str, sequence_id: str) -> "OeisReference":
@@ -246,9 +244,8 @@ class OeisReference:
         return cls(
             sequence_id=sequence_id,
             offset=pairs[0][0],
-            terms=tuple(str(v) for _, v in pairs),
+            terms=tuple(v for _, v in pairs),
         )
 
     def items(self) -> Iterator[tuple[int, int]]:
-        for pos, term in enumerate(self.terms):
-            yield self.offset + pos, int(term)
+        return enumerate(self.terms, self.offset)

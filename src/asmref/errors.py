@@ -27,9 +27,5 @@ class NonIntegralError(AsmrefError):
     """A quantity that must be an integer came out with a nontrivial denominator."""
 
 
-class FormulaDomainError(AsmrefError):
-    """The closed-form entry formula hit a zero denominator outside its harmonic window."""
-
-
 class BFileError(AsmrefError, ValueError):
     """A sequence b-file could not be parsed."""

@@ -14,11 +14,13 @@ with a_r the first node on axis r, are the integer forward differences of
 the samples; that is the one polynomial representation.  It is evaluated at
 rational points by integer Horner, so every evaluation is exact.  The
 identity checks evaluate it at integer shifts of a point together, as one
-stencil that shares its partial reductions.  The counting polynomial and
-its specializations sample one kind of grid, a staircase prefix followed by
-a block of n consecutive columns per variable, and count all of its rows in
-one row transfer; the shifted binomial basis of the expansion is a
-unit-triangular change of basis from their coefficients.
+stencil that shares its partial reductions.  gn_poly is the one builder: a
+specialization samples a staircase prefix followed by a block of n
+consecutive columns per variable and counts all of its rows in one row
+transfer, and the counting polynomial is the specialization of every entry,
+gn_poly(n, n), read at the entries.  The shifted binomial basis of the
+expansion is a unit-triangular change of basis from the coefficients, whose
+shape gives the basis size and the number of variables.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ import itertools
 import math
 import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .combinat import binom, binom_at
+from .combinat import binom
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .errors import ValidationError
 from .reports import VerificationReport, Witness
@@ -181,27 +183,22 @@ class PolyMulti:
         return [partial[s][0] for s in shifts], scale
 
 
-_alpha_poly_cache: dict[int, PolyMulti] = {}
 _gn_poly_cache: dict[tuple[int, int], PolyMulti] = {}
 
 
 def alpha_polynomial(n: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     """Interpolate the counting polynomial in all n bottom-row variables.
 
-    Samples live on the block grid where variable i (1-based) ranges over
-    (i-1)*n .. i*n - 1, so every grid point is strictly increasing and the
-    samples are genuine monotone triangle counts.  They all come from one
-    row transfer over the grid, and the budget of that transfer is checked
-    before the cache is read.
+    This is gn_poly(n, n), the specialization that perturbs every entry,
+    read at the entries themselves.  Its samples put entry r + 1 (r 0-based)
+    on the block r*n + 1 .. r*n + n; the count is invariant under adding 1
+    to every entry, so the same coefficients at origins r*n interpolate the
+    block grid r*n .. r*n + n - 1.  A tight budget rejects the grid before
+    the cache of gn_poly is read.
     """
     if n < 1:
         raise ValidationError(f"order must be positive, got {n}")
-    nodes = checked_grid([range(i * n, i * n + n) for i in range(n)], budget)
-    cached = _alpha_poly_cache.get(n)
-    if cached is None:
-        cached = PolyMulti.interpolate(nodes, alpha_count_grid(nodes, budget))
-        _alpha_poly_cache[n] = cached
-    return cached
+    return replace(gn_poly(n, n, budget), origins=tuple(r * n for r in range(n)))
 
 
 def alpha_eval(n: int, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> Fraction:
@@ -216,9 +213,10 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     row 1..n and is sampled on the block r*(n-1) .. r*(n-1) + n - 1.  So
     x_r <= x_(r+1), every sample row is strictly increasing, and entry
     n - d + r + 1 runs over its own block of n columns after the staircase
-    1..n-d, as on the grid of alpha_polynomial.  All samples come from one
-    row transfer over that grid and are interpolated once, at origins
-    r*(n-1).  The budget of that transfer is checked before the cache is read.
+    1..n-d; at d = n that is the grid of alpha_polynomial.  All samples come
+    from one row transfer over that grid and are interpolated once, at
+    origins r*(n-1).  The budget of that transfer is checked before the cache
+    is read.
     """
     if d < 1:
         raise ValidationError(f"depth must be positive, got {d}")
@@ -270,37 +268,19 @@ class BinomBasisExpansion:
             pos = pos * self.n + (j - 1)
         return self.coeffs[pos]
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Reconstruct the polynomial value at a rational point."""
-        _check_point(point, self.d)
-        cur = list(self.coeffs)
-        for axis in range(self.d - 1, -1, -1):
-            x = point[axis]
-            basis = [binom_at(x + j + axis - 1, j - 1) for j in range(1, self.n + 1)]
-            cur = [
-                sum(cur[s + t] * basis[t] for t in range(self.n))
-                for s in range(0, len(cur), self.n)
-            ]
-        return cur[0]
 
+def expand_in_binomial_basis(poly: PolyMulti) -> BinomBasisExpansion:
+    """Exact expansion of a polynomial in the shifted binomial basis.
 
-def expand_in_binomial_basis(poly: PolyMulti, n: int, d: int) -> BinomBasisExpansion:
-    """Exact expansion of a d-variable polynomial in the shifted binomial basis.
-
-    A change of basis from the coefficients in binom(x - o, k), k = 0..n-1,
-    axis by axis, where o is the axis origin; the degree bound must be n - 1.
-    By Vandermonde
+    The basis has n = degree_bound + 1 elements on each of the d = num_vars
+    axes.  A change of basis from the coefficients in binom(x - o, k),
+    k = 0..n-1, axis by axis, where o is the axis origin.  By Vandermonde
     binom(x + m + a, m) = sum_k binom(m + a + o, m - k) * binom(x - o, k) on
     axis a (0-based).  The change of basis is unit upper triangular with
     integer entries, so the coefficients are unique integers and come out by
     back-substitution in ints.
     """
-    if poly.num_vars != d:
-        raise ValidationError(f"polynomial has {poly.num_vars} variables, expected {d}")
-    if poly.degree_bound != n - 1:
-        raise ValidationError(
-            f"degree bound {poly.degree_bound} is not the basis degree {n - 1}"
-        )
+    n, d = poly.degree_bound + 1, poly.num_vars
 
     def back_substitute(fiber: list[int], weights: list[list[int]]) -> list[int]:
         for k in range(n - 2, -1, -1):
@@ -501,6 +481,5 @@ def verify_gn_reflection(
 
 
 def clear_caches() -> None:
-    """Drop the interpolated-polynomial caches."""
-    _alpha_poly_cache.clear()
+    """Drop the interpolated-polynomial cache."""
     _gn_poly_cache.clear()

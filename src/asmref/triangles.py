@@ -181,9 +181,9 @@ def checked_grid(
     next one, so every row is strictly increasing.  With W the width of the
     widest row, from the first candidate of the first level to the last of
     the last, and n entries, it raises BudgetError when W * n * 2^n exceeds
-    table_max_n^2 * 2^table_max_n, the cost of the largest column sweep the
-    budget allows, and when the whole walk would: the sum over i of its
-    column steps with i entries placed times n * binom(n, i).
+    table_max_n^2 * 2^table_max_n, the nominal cell updates of the largest
+    column sweep the budget allows, and when the whole walk would: the sum
+    over i of its column steps with i entries placed times n * binom(n, i).
     """
     grid = tuple(tuple(int(v) for v in level) for level in levels)
     if not grid:

@@ -19,6 +19,11 @@ interpolate counts taken with alpha_count_dfs on the sample rows of
 alpha_polynomial and gn_poly and require the same values from
 PolyMulti.evaluate.
 
+expansion_value sums a binomial-basis expansion over its basis products in
+Fractions, axis by axis, as BinomBasisExpansion.evaluate did before
+PolyMulti became the one evaluator.  The tests require it to give the
+values of the polynomial that was expanded.
+
 fiber_transfer counts the rows of one prefix with each candidate last entry
 by its own row transfer, as asmref.triangles did before it counted a whole
 grid of candidate entries in one prefix-shared walk.  It shares the cell rule
@@ -38,10 +43,10 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from asmref.combinat import binom, refined_asm_count, total_asm_count
+from asmref.combinat import binom, binom_at, refined_asm_count, total_asm_count
 from asmref.errors import ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem
-from asmref.polynomials import PolyMulti, _draw_point
+from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import _cell
 
@@ -146,6 +151,17 @@ def newton_interpolant_value(
     nodes = tuple(nodes_at(prefix))
     values = [newton_interpolant_value(point, nodes_at, sample, prefix + (x,)) for x in nodes]
     return newton_value(nodes, values, Fraction(point[len(prefix)]))
+
+
+def expansion_value(expansion: BinomBasisExpansion, point: Sequence) -> Fraction:
+    """The value at a rational point: the basis products summed axis by axis."""
+    n = expansion.n
+    cur = list(expansion.coeffs)
+    for axis in range(expansion.d - 1, -1, -1):
+        x = point[axis]
+        basis = [binom_at(x + j + axis - 1, j - 1) for j in range(1, n + 1)]
+        cur = [sum(cur[s + t] * basis[t] for t in range(n)) for s in range(0, len(cur), n)]
+    return cur[0]
 
 
 def theorem1_witnesses(matrix: ExtendedMatrix) -> list[Witness]:

@@ -116,7 +116,7 @@ def test_criterion_06_theorem4():
     started = time.monotonic()
     ok = True
     for n in range(3, 9):
-        expansion = expand_in_binomial_basis(gn_poly(n, 2), n, 2)
+        expansion = expand_in_binomial_basis(gn_poly(n, 2))
         matrix = extend_matrix(build_table(n, 2))
         ok = ok and all(
             expansion.coefficient((i, j)) == matrix.entry(i, j)

@@ -129,10 +129,11 @@ def test_golden_failing_output_of_a_corrupt_cached_table(argv, tmp_path, capsys)
 def test_golden_failing_output_of_a_wrong_expansion_coefficient(argv, monkeypatch, capsys):
     real = extension.expand_in_binomial_basis
 
-    def expand(poly, n, d):
-        coeffs = list(real(poly, n, d).coeffs)
+    def expand(poly):
+        expansion = real(poly)
+        n, coeffs = expansion.n, list(expansion.coeffs)
         coeffs[(1 * n + 2) * n + 3] += 1  # the row-major position of (2, 3, 4)
-        return BinomBasisExpansion(n, d, tuple(coeffs))
+        return BinomBasisExpansion(n, expansion.d, tuple(coeffs))
 
     monkeypatch.setattr(extension, "expand_in_binomial_basis", expand)
     code = cli.main(argv.split())

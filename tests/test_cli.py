@@ -10,7 +10,6 @@ import asmref
 import asmref.claims as claims
 import asmref.cli as cli
 import asmref.extension as extension
-import asmref.triangles as triangles
 from asmref.combinat import total_asm_count
 from asmref.documents import TableCache, TableDocument
 from asmref.reports import VerificationReport, Witness
@@ -76,23 +75,24 @@ def test_count_budget_exceeded_is_usage_error(capsys):
         ("verify", "conj3", "--n", "15"),
         ("verify", "conj3", "--n", "7", "--d", "7"),
         ("verify", "alpha-identities", "--n", "7"),
+        ("verify", "theorem4", "--n", "14..15"),
     ],
     ids=[
         "count-indices", "count-depth-3", "verify-conj4", "verify-conj3",
-        "verify-conj3-depth-7", "verify-alpha-identities",
+        "verify-conj3-depth-7", "verify-alpha-identities", "verify-theorem4-range",
     ],
 )
-def test_budget_exceeded_before_counting(capsys, monkeypatch, argv):
-    def counted(*args):
-        raise AssertionError("counting started")
-
+def test_budget_exceeded_before_counting(capsys, fail_if_counting, argv):
     asmref.clear_caches()
-    monkeypatch.setattr(triangles, "_column_sweep", counted)
-    monkeypatch.setattr(triangles, "_row_transfer", counted)
+    fail_if_counting()
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
+    if argv[0] == "verify":
+        # the claim and the order that was rejected: the top of the range
+        claim, order = argv[1], argv[3].split("..")[-1]
+        assert err.startswith(f"error: {claim} n={order}: row transfer over ")
 
 
 def test_verify_conj1_beyond_its_default_range(capsys):

@@ -42,7 +42,12 @@ from asmref.reports import Witness
 from asmref import triangles
 from asmref.triangles import alpha_count
 
-from oracles import alpha_count_dfs, alpha_identity_reports, newton_interpolant_value
+from oracles import (
+    alpha_count_dfs,
+    alpha_identity_reports,
+    expansion_value,
+    newton_interpolant_value,
+)
 from reference_tables import EXTENDED_MATRICES
 
 
@@ -128,19 +133,22 @@ def test_alpha_polynomial_degree_bound():
     assert newton_degrees(alpha_polynomial(3)) == (2, 2, 2)
 
 
-def fail_if_counting(monkeypatch):
-    """Make any count by either kernel fail the test."""
-
-    def counted(*args):
-        raise AssertionError("counting started")
-
-    monkeypatch.setattr(triangles, "_column_sweep", counted)
-    monkeypatch.setattr(triangles, "_row_transfer", counted)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_alpha_polynomial_is_the_specialization_of_every_entry(n):
+    origins = tuple(r * n for r in range(n))
+    assert alpha_polynomial(n) == dataclasses.replace(gn_poly(n, n), origins=origins)
 
 
-def test_alpha_polynomial_budget(monkeypatch):
+def test_alpha_polynomial_reads_the_specialization_cache(fail_if_counting):
+    polynomials.clear_caches()
+    poly = gn_poly(4, 4)
+    fail_if_counting()
+    assert alpha_polynomial(4).coeffs == poly.coeffs
+
+
+def test_alpha_polynomial_budget(fail_if_counting):
     cached = alpha_polynomial(3)
-    fail_if_counting(monkeypatch)
+    fail_if_counting()
     # the walk over the order-7 block grid would cost about 5.3 order-16 sweeps
     with pytest.raises(BudgetError, match="grid of 823543 rows"):
         alpha_polynomial(7)
@@ -148,7 +156,7 @@ def test_alpha_polynomial_budget(monkeypatch):
     # sweep: the budget holds before the cache is read
     with pytest.raises(BudgetError, match="order-4 sweep"):
         alpha_polynomial(3, Budget(table_max_n=4))
-    assert alpha_polynomial(3, Budget(table_max_n=5)) is cached
+    assert alpha_polynomial(3, Budget(table_max_n=5)) == cached
     with pytest.raises(ValidationError):
         alpha_polynomial(0)
 
@@ -325,9 +333,6 @@ def test_evaluation_rejects_non_rational_coordinates(bad):
         alpha_eval(3, (bad, 1, 2))
     with pytest.raises(ValidationError):
         gn_poly(3, 2).evaluate((Fraction(1, 2), bad))
-    expansion = expand_in_binomial_basis(gn_poly(3, 2), 3, 2)
-    with pytest.raises(ValidationError):
-        expansion.evaluate((bad, 1))
 
 
 def test_interpolate_rejects_bad_shapes():
@@ -388,7 +393,8 @@ def test_sampling_counts_only_strict_rows_by_transfer(monkeypatch):
     monkeypatch.setattr(triangles, "_row_transfer", transfer)
     monkeypatch.setattr(triangles, "_column_sweep", sweep)
     alpha_polynomial(4)
-    assert grids == [tuple(tuple(range(i * 4, i * 4 + 4)) for i in range(4))]
+    # the block grid, one column to the right of the origins i * 4
+    assert grids == [tuple(tuple(range(i * 4 + 1, i * 4 + 5)) for i in range(4))]
     for n, d in ((5, 1), (5, 2), (4, 3), (3, 3), (7, 3)):
         grids.clear()
         gn_poly(n, d)
@@ -417,9 +423,9 @@ def test_gn_poly_relates_to_full_polynomial():
         assert poly.evaluate((x, y)) == full
 
 
-def test_gn_poly_budget_and_validation(monkeypatch):
+def test_gn_poly_budget_and_validation(fail_if_counting):
     cached = gn_poly(3, 3)
-    fail_if_counting(monkeypatch)
+    fail_if_counting()
     # the first order past the default budget at each depth, and depth 7
     for n, d in ((16, 1), (15, 2), (15, 3), (14, 4), (10, 5), (8, 6), (7, 7)):
         with pytest.raises(BudgetError, match="order-16 sweep"):
@@ -436,7 +442,7 @@ def test_gn_poly_budget_and_validation(monkeypatch):
 
 def test_expansion_coefficients_match_extended_arrays():
     for n in (3, 4, 5):
-        expansion = expand_in_binomial_basis(gn_poly(n, 2), n, 2)
+        expansion = expand_in_binomial_basis(gn_poly(n, 2))
         expected = EXTENDED_MATRICES[n]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -448,13 +454,13 @@ def test_expansion_coefficients_match_extended_arrays():
 def test_expansion_reconstructs_polynomial():
     for n, d in ((3, 1), (3, 2), (4, 2)):
         poly = gn_poly(n, d)
-        expansion = expand_in_binomial_basis(poly, n, d)
+        expansion = expand_in_binomial_basis(poly)
         rng = random.Random(5)
         for _ in range(12):
             pt = tuple(
                 Fraction(rng.randint(-25, 25), rng.randint(1, 6)) for _ in range(d)
             )
-            assert expansion.evaluate(pt) == poly.evaluate(pt)
+            assert expansion_value(expansion, pt) == poly.evaluate(pt)
 
 
 def gauss_jordan_expansion(poly: PolyMulti, n: int, d: int) -> tuple[Fraction, ...]:
@@ -482,7 +488,7 @@ def test_expansion_matches_gauss_jordan_oracle(d, n):
     # depths 1, 2 and 3 up to orders 12, 10 and 7; the oracle inverts n x n
     # matrices over Fraction, and the pins below cover the higher orders
     poly = gn_poly(n, d)
-    expansion = expand_in_binomial_basis(poly, n, d)
+    expansion = expand_in_binomial_basis(poly)
     assert expansion.coeffs == gauss_jordan_expansion(poly, n, d)
 
 
@@ -490,17 +496,8 @@ def test_expansion_matches_gauss_jordan_oracle(d, n):
 def test_off_grid_expansion_matches_gauss_jordan_oracle(d):
     # origin 3 is off the grid 0..n-1; the weights of each axis take it in
     poly = _off_grid_polynomial(d)
-    expansion = expand_in_binomial_basis(poly, 3, d)
+    expansion = expand_in_binomial_basis(poly)
     assert expansion.coeffs == gauss_jordan_expansion(poly, 3, d)
-
-
-def test_expansion_requires_degree_bound_n_minus_1():
-    # the off-grid polynomial has degree bound 2
-    for n in (2, 4, 5):
-        with pytest.raises(ValidationError):
-            expand_in_binomial_basis(_off_grid_polynomial(2), n, 2)
-    with pytest.raises(ValidationError):
-        expand_in_binomial_basis(gn_poly(4, 2), 4, 1)
 
 
 def test_expansion_flags_non_integral_coefficients():
@@ -509,11 +506,11 @@ def test_expansion_flags_non_integral_coefficients():
     for bad in (Fraction(1, 2), Fraction(1), 0.5):
         with pytest.raises(ValidationError):
             BinomBasisExpansion(2, 1, (0, bad))
-    assert BinomBasisExpansion(2, 1, (0, 1)).evaluate((Fraction(2),)) == 3
+    assert expansion_value(BinomBasisExpansion(2, 1, (0, 1)), (Fraction(2),)) == 3
 
 
 def test_expansion_coefficient_index_validation():
-    expansion = expand_in_binomial_basis(gn_poly(3, 2), 3, 2)
+    expansion = expand_in_binomial_basis(gn_poly(3, 2))
     with pytest.raises(ValidationError):
         expansion.coefficient((0, 1))
     with pytest.raises(ValidationError):
@@ -561,18 +558,21 @@ def test_identity_stencils_match_the_per_point_oracle(n, seed):
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_identity_stencils_match_the_oracle_on_a_corrupted_polynomial(n, monkeypatch):
-    poly = alpha_polynomial(n)
+    poly = gn_poly(n, n)
     coeffs = list(poly.coeffs)
     coeffs[len(coeffs) // 2] += 1
-    corrupted = dataclasses.replace(poly, coeffs=tuple(coeffs))
-    monkeypatch.setitem(polynomials._alpha_poly_cache, n, corrupted)
+    monkeypatch.setitem(
+        polynomials._gn_poly_cache, (n, n), dataclasses.replace(poly, coeffs=tuple(coeffs))
+    )
+    corrupted = alpha_polynomial(n)
+    assert corrupted.coeffs == tuple(coeffs)
     reports = verify_alpha_identities(n)
     assert not any(r.passed for r in reports)
     assert reports == alpha_identity_reports(corrupted, n, DEFAULT_SEED, 20)
 
 
-def test_verify_alpha_identities_budget(monkeypatch):
-    fail_if_counting(monkeypatch)
+def test_verify_alpha_identities_budget(fail_if_counting):
+    fail_if_counting()
     with pytest.raises(BudgetError):
         verify_alpha_identities(7)
     with pytest.raises(ValidationError):
@@ -827,14 +827,14 @@ def test_alpha_polynomial_coefficients_are_pinned(n):
 @pytest.mark.parametrize("n, d", sorted(EXPANSION_PINS))
 def test_specialization_expansion_and_values_are_pinned(n, d):
     poly = gn_poly(n, d)
-    assert pin_digest(expand_in_binomial_basis(poly, n, d).coeffs) == EXPANSION_PINS[n, d]
+    assert pin_digest(expand_in_binomial_basis(poly).coeffs) == EXPANSION_PINS[n, d]
     assert pin_digest(poly.evaluate(pt) for pt in pin_points(n, d)) == GN_VALUE_PINS[n, d]
 
 
-def test_pins_cover_every_specialization_of_the_default_budget(monkeypatch):
+def test_pins_cover_every_specialization_of_the_default_budget(fail_if_counting):
     # gn_poly(n, d) samples rows of width at least n, so the width check
     # rejects every order above table_max_n
-    fail_if_counting(monkeypatch)
+    fail_if_counting()
     cases = set()
     for n in range(1, Budget().table_max_n + 1):
         for d in range(1, n + 1):

@@ -268,19 +268,9 @@ def test_budget_limits_enforced():
     assert len(enumerate_asms(3, tight)) == 7
 
 
-def fail_if_counting(monkeypatch):
-    """Make any count by either kernel fail the test."""
-
-    def counted(*args):
-        raise AssertionError("counting started")
-
-    monkeypatch.setattr(triangles, "_column_sweep", counted)
-    monkeypatch.setattr(triangles, "_row_transfer", counted)
-
-
-def test_refined_count_budget_raises_before_counting(monkeypatch):
+def test_refined_count_budget_raises_before_counting(fail_if_counting):
     asmref.clear_caches()
-    fail_if_counting(monkeypatch)
+    fail_if_counting()
     tight = Budget(table_max_n=5)
     for indices in ((1,), (2, 6), (1, 2, 3)):
         with pytest.raises(BudgetError):
@@ -443,9 +433,9 @@ def test_tied_rows_match_dfs():
         assert alpha_count(row) == alpha_count_dfs(row)
 
 
-def test_tied_row_budget_raises_before_counting(monkeypatch):
+def test_tied_row_budget_raises_before_counting(fail_if_counting):
     asmref.clear_caches()
-    fail_if_counting(monkeypatch)
+    fail_if_counting()
     for row in ((0, 0, 40, 80, 120, 160, 200), (0, 0, 10**9), tuple(range(16)) + (16, 16)):
         with pytest.raises(BudgetError, match="tied row of width"):
             alpha_count(row)
@@ -458,14 +448,14 @@ def test_transfer_counts_a_wide_row():
     assert alpha_count_grid([(0,), range(1, 5001)]) == list(range(2, 5002))
 
 
-def test_transfer_budget_raises_before_counting(monkeypatch):
+def test_transfer_budget_raises_before_counting(fail_if_counting):
     # the cap is the cost of the order-3 sweep: 3 * 3 * 2**3 = 72 cell updates
     tight = Budget(table_max_n=3)
     assert alpha_count((0, 8), tight) == 9  # width 9: 9 * 2 * 2**2 = 72
     # a tied row is capped by its width like a table
     assert alpha_count((0, 0, 2), tight) == alpha_count_dfs((0, 0, 2))
     asmref.clear_caches()
-    fail_if_counting(monkeypatch)
+    fail_if_counting()
     with pytest.raises(BudgetError):
         alpha_count((0, 0, 9), tight)
     with pytest.raises(BudgetError):
@@ -478,13 +468,13 @@ def test_transfer_budget_raises_before_counting(monkeypatch):
         alpha_count(range(17))
 
 
-def test_grid_budget_bounds_the_whole_walk(monkeypatch):
+def test_grid_budget_bounds_the_whole_walk(fail_if_counting):
     # under the order-3 cap of 72 cell updates each row below is narrow
     # enough (width 9); the walk over (0, 1) then (8,) takes 2 columns with
     # no entry placed and 8 + 7 with one, 2 * 2 + 15 * 2 * 2 = 64 updates
     tight = Budget(table_max_n=3)
     assert alpha_count_grid([(0, 1), (8,)], tight) == [9, 8]
-    fail_if_counting(monkeypatch)
+    fail_if_counting()
     # adding the candidate 2 makes it 3 * 2 + 21 * 2 * 2 = 90
     with pytest.raises(BudgetError, match="grid of 3 rows"):
         alpha_count_grid([(0, 1, 2), (8,)], tight)
@@ -495,12 +485,12 @@ def test_grid_budget_bounds_the_whole_walk(monkeypatch):
             alpha_count_grid([range(i * k, i * k + k) for i in range(k)])
 
 
-def test_clear_caches_empties_both_kernels_memos(monkeypatch):
+def test_clear_caches_empties_both_kernels_memos(fail_if_counting):
     asmref.clear_caches()
     alpha_count((1, 1, 4, 9))  # a tied row of width 9 fills the order-9 sweep
     assert list(triangles._sweep_memo) == [9]
     # a higher order's sweep answers every lower order without a new sweep
-    fail_if_counting(monkeypatch)
+    fail_if_counting()
     assert build_table(5, 1).entries == {(k,): refined_asm_count(5, k) for k in range(1, 6)}
     asmref.clear_caches()
     assert not triangles._sweep_memo
