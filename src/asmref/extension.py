@@ -11,6 +11,11 @@ Each family of equations is stated once: the reflection by its one-axis factor
 reflection_weights at every depth (theorem1, conj3), the near-symmetry _mirror
 with _exceptional_entries (theorem2) and the boundary last_column.  conj1
 solves all three together, so it solves what theorem1 and theorem2 check.
+
+Both closed forms run in ints.  extend_matrix reads every coefficient
+c_coeff(i, j, p, q) from one table of its order.  explicit_formula sums its
+harmonic terms over one common integer denominator, and one exact division
+at the end either gives the entry or raises NonIntegralError.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Mapping
 
-from .combinat import binom, binom_plus, harmonic, refined_asm_count, total_asm_count
+from .combinat import binom, binom_plus, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, Budget
 from .errors import (
     BudgetError,
@@ -66,20 +71,25 @@ def extend_matrix(table: RefinedTable) -> ExtendedMatrix:
     if table.d != 2:
         raise ValidationError(f"a depth-2 table is required, got depth {table.d}")
     n = table.n
+    # c_coeff(i, j, p, q) = (-1)^(i+q+1) g[p-j][q-i] for p >= j; the sign
+    # (-1)^q goes with the count and (-1)^(i+1) with the entry
+    g = [[binom_plus(a + 1, b) - binom_plus(a - 1, b - 1) for b in range(n + 1)] for a in range(n)]
+    signed = {(p, q): -v if q % 2 else v for (p, q), v in table.entries.items()}
     rows = []
     for i in range(1, n + 1):
         row = []
         for j in range(1, n + 1):
             if i < j:
                 row.append(table.value(i, j))
-            else:
-                # c_coeff(i, j, p, q) vanishes unless j <= p and
-                # i <= q <= p + i - j + 1, so only those pairs p < q are summed
-                row.append(sum(
-                    c_coeff(i, j, p, q) * table.value(p, q)
-                    for p in range(j, n + 1)
-                    for q in range(max(p + 1, i), min(n, p + i - j + 1) + 1)
-                ))
+                continue
+            # g[a][b] vanishes unless b <= a + 1, so only the pairs p < q
+            # with j <= p and i <= q <= p + i - j + 1 are summed
+            total = sum(
+                g[p - j][q - i] * signed[p, q]
+                for p in range(j, n + 1)
+                for q in range(max(p + 1, i), min(n, p + i - j + 1) + 1)
+            )
+            row.append(total if i % 2 else -total)
         rows.append(tuple(row))
     return ExtendedMatrix(n, tuple(rows))
 
@@ -426,61 +436,14 @@ def _excluded_pairs(n: int) -> set[tuple[int, int]]:
     return {(n + di, j) for di, j in _EXCLUDED_OFFSETS}
 
 
-def _formula_x_term(n: int, i: int, j: int, k: int) -> Fraction:
-    pole = k - j + 3 - n
-    if j - i <= k <= j - 2:
-        bracket = (
-            3 * harmonic(3 * j - 2 * k - 5)
-            - 3 * harmonic(3 * j - 3 * k - 5)
-            + 2 * harmonic(2 * j + i - 2 * k - 5)
-            - 2 * harmonic(2 * j - k - 4)
-            + harmonic(k - j + i)
-            - harmonic(j - k - 2)
-            + Fraction(1, pole)
-        )
-        sign = 1 if (j + k + 1) % 2 == 0 else -1
-        factor = (
-            binom(3 * k - 3 * j + 4, k)
-            * binom(2 * j + i - 2 * k - 5, i - k - 1)
-            * binom(i - 2, k - j + i)
-            * (i - 1)
-        )
-        return Fraction(sign, pole) * factor * bracket
-    numerator = binom(3 * k - 3 * j + 4, k) * binom(2 * j + i - 2 * k - 5, i - k - 1)
-    return Fraction(numerator, binom(k - j + i, i - 1) * pole)
-
-
-def _formula_y_term(n: int, i: int, j: int, k: int) -> Fraction:
-    pole = k - j + 3 - n
-    if 0 <= k <= i - 1:
-        bracket = (
-            harmonic(3 * j - 2 * k - 5)
-            - harmonic(2 * j - k - 4)
-            - harmonic(k)
-            + harmonic(i - k - 1)
-        )
-        sign = 1 if (i + k + 1) % 2 == 0 else -1
-        factor = (
-            binom(3 * k - 3 * j + 4, k + i - j)
-            * binom(3 * j - 2 * k - 5, j - k - 1)
-            * binom(i - 1, k)
-            * (j - k - 1)
-        )
-        return Fraction(sign, pole) * factor * bracket
-    numerator = (
-        binom(3 * k - 3 * j + 4, k + i - j)
-        * binom(3 * j - 2 * k - 5, j - k - 1)
-        * (j - k - 1)
-    )
-    return Fraction(numerator, binom(k, i) * pole * i)
-
-
 def explicit_formula(n: int, i: int, j: int) -> int:
     """Closed-form extended entry at (i, j); the three excluded pairs raise.
 
-    The inner sum is accumulated as one exact rational before the prefactor is
-    applied; a nontrivial final denominator raises NonIntegralError rather
-    than being silently rounded.
+    The inner sum over k is kept as one unreduced integer fraction: every
+    harmonic number it reads is an integer over L = lcm(1..3n), and each term
+    enters with its own denominator.  The prefactor is applied once, and one
+    exact division at the end either gives the entry or raises
+    NonIntegralError rather than rounding.
     """
     if n < 3:
         raise ValidationError(f"order must be at least 3, got {n}")
@@ -488,29 +451,62 @@ def explicit_formula(n: int, i: int, j: int) -> int:
         raise ValidationError(f"indices must lie in 1..{n}, got ({i}, {j})")
     if (i, j) in _excluded_pairs(n):
         raise ExcludedIndexError(f"({i}, {j}) is an excluded pair at n={n}")
-    prefactor = Fraction(
-        total_asm_count(n - 1), math.factorial(3 * n - 5) * math.factorial(n - 2)
-    )
-    prefactor *= Fraction(
-        math.factorial(2 * n - 2 - i)
-        * math.factorial(2 * n - 2 - j)
-        * math.factorial(n + i - 3)
-        * math.factorial(n + j - 3),
-        math.factorial(i - 1)
-        * math.factorial(j - 1)
-        * math.factorial(n - i)
-        * math.factorial(n - j),
-    )
+    scale = math.lcm(*range(1, 3 * n + 1))
+    # h[m] = L * H(m) for m in 0..3n; the arguments reach down to -2n, and a
+    # negative index reads the zero tail, as H(m) = 0 for m < 1
+    h = [0] * (5 * n + 1)
+    for m in range(1, 3 * n + 1):
+        h[m] = h[m - 1] + scale // m
+    num, den = 0, 1
+    for k in range(min(0, j - i), max(i - 1, j - 2) + 1):
+        pole = k - j + 3 - n
+        x = binom(3 * k - 3 * j + 4, k) * binom(2 * j + i - 2 * k - 5, i - k - 1)
+        if j - i <= k <= j - 2:
+            # sign * factor / pole * (bracket / L + 1 / pole)
+            bracket = (
+                3 * h[3 * j - 2 * k - 5] - 3 * h[3 * j - 3 * k - 5]
+                + 2 * h[2 * j + i - 2 * k - 5] - 2 * h[2 * j - k - 4]
+                + h[k - j + i] - h[j - k - 2]
+            )
+            x *= binom(i - 2, k - j + i) * (i - 1) * (bracket * pole + scale)
+            if (j + k) % 2 == 0:
+                x = -x
+            x_den = pole * pole * scale
+        else:
+            x_den = binom(k - j + i, i - 1) * pole
+        y = (
+            binom(3 * k - 3 * j + 4, k + i - j)
+            * binom(3 * j - 2 * k - 5, j - k - 1)
+            * (j - k - 1)
+        )
+        if 0 <= k <= i - 1:
+            # sign * factor / pole * bracket / L
+            y *= binom(i - 1, k) * (h[3 * j - 2 * k - 5] - h[2 * j - k - 4] - h[k] + h[i - k - 1])
+            if (i + k) % 2 == 0:
+                y = -y
+            y_den = pole * scale
+        else:
+            y_den = binom(k, i) * pole * i
+        num = num * x_den * y_den + (x * y_den - y * x_den) * den
+        den *= x_den * y_den
+    f = math.factorial
     quadratic = (
         2 + 2 * i + i * i - 3 * j - i * j + j * j - 2 * n - 2 * i * n + j * n + n * n
     )
-    inner = Fraction(0)
-    for k in range(min(0, j - i), max(i - 1, j - 2) + 1):
-        inner += _formula_x_term(n, i, j, k) - _formula_y_term(n, i, j, k)
-    value = prefactor * (n + j - i - 1 + quadratic * inner)
-    if value.denominator != 1:
-        raise NonIntegralError(f"formula value at n={n}, ({i},{j}) is {value}")
-    return value.numerator
+    top = (
+        total_asm_count(n - 1)
+        * f(2 * n - 2 - i) * f(2 * n - 2 - j) * f(n + i - 3) * f(n + j - 3)
+        * ((n + j - i - 1) * den + quadratic * num)
+    )
+    bottom = (
+        f(3 * n - 5) * f(n - 2)
+        * f(i - 1) * f(j - 1) * f(n - i) * f(n - j)
+        * den
+    )
+    value, rest = divmod(top, bottom)
+    if rest:
+        raise NonIntegralError(f"formula value at n={n}, ({i},{j}) is {Fraction(top, bottom)}")
+    return value
 
 
 def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> VerificationReport:

@@ -34,21 +34,31 @@ alpha_identity_reports evaluates the counting polynomial once per shifted
 point, in Fractions with a per-point memo, as asmref.polynomials did before it
 evaluated the shifts of each identity as one stencil.  The tests require the
 same reports, witnesses included, from verify_alpha_identities.
+
+fraction_explicit_formula sums the entry formula of conj2 term by term in
+Fractions, each harmonic number a Fraction of its own, as
+asmref.extension did before it summed over one integer denominator.
+coefficient_extension sums c_coeff times the count over every pair, as
+extend_matrix did before it read its coefficients from one table per order.
+The tests require the same values and the same exceptions from
+explicit_formula, and the same ExtendedMatrix from extend_matrix, on real
+and on random tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from asmref.combinat import binom, binom_at, refined_asm_count, total_asm_count
-from asmref.errors import ValidationError
-from asmref.extension import ExtendedMatrix, LinearSystem
+from asmref.combinat import binom, binom_at, harmonic, refined_asm_count, total_asm_count
+from asmref.errors import ExcludedIndexError, NonIntegralError, ValidationError
+from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff
 from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point
 from asmref.reports import VerificationReport, Witness
-from asmref.triangles import _cell
+from asmref.triangles import RefinedTable, _cell
 
 # The DFS memo.  Counting rows are translation invariant, so keys are
 # normalized to start at zero.
@@ -162,6 +172,103 @@ def expansion_value(expansion: BinomBasisExpansion, point: Sequence) -> Fraction
         basis = [binom_at(x + j + axis - 1, j - 1) for j in range(1, n + 1)]
         cur = [sum(cur[s + t] * basis[t] for t in range(n)) for s in range(0, len(cur), n)]
     return cur[0]
+
+
+def coefficient_extension(table: RefinedTable) -> ExtendedMatrix:
+    """The extended array of a depth-2 table: c_coeff times the count, summed over every pair."""
+    n = table.n
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    rows = tuple(
+        tuple(
+            table.value(i, j) if i < j
+            else sum(c_coeff(i, j, p, q) * table.value(p, q) for p, q in pairs)
+            for j in range(1, n + 1)
+        )
+        for i in range(1, n + 1)
+    )
+    return ExtendedMatrix(n, rows)
+
+
+def _formula_x_term(n: int, i: int, j: int, k: int) -> Fraction:
+    pole = k - j + 3 - n
+    if j - i <= k <= j - 2:
+        bracket = (
+            3 * harmonic(3 * j - 2 * k - 5)
+            - 3 * harmonic(3 * j - 3 * k - 5)
+            + 2 * harmonic(2 * j + i - 2 * k - 5)
+            - 2 * harmonic(2 * j - k - 4)
+            + harmonic(k - j + i)
+            - harmonic(j - k - 2)
+            + Fraction(1, pole)
+        )
+        sign = 1 if (j + k + 1) % 2 == 0 else -1
+        factor = (
+            binom(3 * k - 3 * j + 4, k)
+            * binom(2 * j + i - 2 * k - 5, i - k - 1)
+            * binom(i - 2, k - j + i)
+            * (i - 1)
+        )
+        return Fraction(sign, pole) * factor * bracket
+    numerator = binom(3 * k - 3 * j + 4, k) * binom(2 * j + i - 2 * k - 5, i - k - 1)
+    return Fraction(numerator, binom(k - j + i, i - 1) * pole)
+
+
+def _formula_y_term(n: int, i: int, j: int, k: int) -> Fraction:
+    pole = k - j + 3 - n
+    if 0 <= k <= i - 1:
+        bracket = (
+            harmonic(3 * j - 2 * k - 5)
+            - harmonic(2 * j - k - 4)
+            - harmonic(k)
+            + harmonic(i - k - 1)
+        )
+        sign = 1 if (i + k + 1) % 2 == 0 else -1
+        factor = (
+            binom(3 * k - 3 * j + 4, k + i - j)
+            * binom(3 * j - 2 * k - 5, j - k - 1)
+            * binom(i - 1, k)
+            * (j - k - 1)
+        )
+        return Fraction(sign, pole) * factor * bracket
+    numerator = (
+        binom(3 * k - 3 * j + 4, k + i - j)
+        * binom(3 * j - 2 * k - 5, j - k - 1)
+        * (j - k - 1)
+    )
+    return Fraction(numerator, binom(k, i) * pole * i)
+
+
+def fraction_explicit_formula(n: int, i: int, j: int) -> int:
+    """explicit_formula with every term, harmonic number and prefactor a Fraction."""
+    if n < 3:
+        raise ValidationError(f"order must be at least 3, got {n}")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValidationError(f"indices must lie in 1..{n}, got ({i}, {j})")
+    if (i, j) in {(n - 1, 1), (n, 1), (n, 2)}:
+        raise ExcludedIndexError(f"({i}, {j}) is an excluded pair at n={n}")
+    prefactor = Fraction(
+        total_asm_count(n - 1), math.factorial(3 * n - 5) * math.factorial(n - 2)
+    )
+    prefactor *= Fraction(
+        math.factorial(2 * n - 2 - i)
+        * math.factorial(2 * n - 2 - j)
+        * math.factorial(n + i - 3)
+        * math.factorial(n + j - 3),
+        math.factorial(i - 1)
+        * math.factorial(j - 1)
+        * math.factorial(n - i)
+        * math.factorial(n - j),
+    )
+    quadratic = (
+        2 + 2 * i + i * i - 3 * j - i * j + j * j - 2 * n - 2 * i * n + j * n + n * n
+    )
+    inner = Fraction(0)
+    for k in range(min(0, j - i), max(i - 1, j - 2) + 1):
+        inner += _formula_x_term(n, i, j, k) - _formula_y_term(n, i, j, k)
+    value = prefactor * (n + j - i - 1 + quadratic * inner)
+    if value.denominator != 1:
+        raise NonIntegralError(f"formula value at n={n}, ({i},{j}) is {value}")
+    return value.numerator
 
 
 def theorem1_witnesses(matrix: ExtendedMatrix) -> list[Witness]:

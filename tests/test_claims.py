@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -22,8 +24,11 @@ import asmref.cli as cli
 from asmref import extension, triangles
 from asmref.claims import CLAIMS
 from asmref.documents import TableCache, table_document
+from asmref.errors import NonIntegralError
 from asmref.polynomials import BinomBasisExpansion
 from asmref.triangles import RefinedTable
+
+import oracles
 
 #: argv -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -95,7 +100,9 @@ def test_golden_output(argv, capsys):
 
 
 #: argv -> (exit code, sha256 of stdout) on corrupted input, recorded before
-#: the claims read the extended array's equations from one definition each.
+#: the claims read the extended array's equations from one definition each;
+#: the conj2 and ilse digests before explicit_formula summed over one integer
+#: denominator and extend_matrix read a coefficient table.
 #: The table claims read order-5 and order-6 tables whose entry (2, 3) is one
 #: too large; conj3 reads expansions whose coefficient at (2, 3, 4) is one
 #: too large.
@@ -106,6 +113,10 @@ GOLDEN_FAILING = {
     "verify theorem2 --n 5..6 --format json": (1, "d1109d4009ce261342773060595af5a22fd33bf0fe836c088da95dba10f791b5"),
     "verify conj1 --n 5..6 --format pretty": (1, "ae514d25ed30a9199bada582f1634997d8e37b202a7846a6e53aeeb5c0bc6ad3"),
     "verify conj1 --n 5..6 --format json": (1, "a183a602d174d429928e28641effb04d413b1aef9274cd80aff7b64caf205a9d"),
+    "verify conj2 --n 5..6 --format pretty": (1, "a0da89d0cfdafcfcf696af66bfaea1b9847afc469228b6bd0d98bdcb7d36d2a9"),
+    "verify conj2 --n 5..6 --format json": (1, "b02a30d10249f37e0d7c3c27c70f376ddf8ad4507d02950fe89feb98e955fad6"),
+    "verify ilse --n 5..6 --format pretty": (1, "d4fb3c356f469024b48033563ae40ac448354a6d089167e96338266fed7e91aa"),
+    "verify ilse --n 5..6 --format json": (1, "21335f769f2a2cb5cd079dc0fbb827cf2c85ef00b3435d93e204d38e3f43b0ee"),
     "verify conj3 --n 4..5 --format pretty": (1, "50a5f87dee476d6a8d828345f726d74d277f5cf9c11793983cd7d5a612cadd0c"),
     "verify conj3 --n 4..5 --format json": (1, "afef07eb7421ad0d0354571e98c0b4e88c71e768800a11060ce353033ca743df"),
 }
@@ -199,6 +210,31 @@ def test_non_integral_solution_is_a_failed_claim(monkeypatch, capsys):
     assert "conj1 n=4: FAIL" in captured.out
     assert "not an integer" in captured.out
     assert captured.err == ""
+
+
+def test_non_integral_formula_value_is_a_failed_claim(monkeypatch, capsys):
+    # one more matrix in the prefactor's count makes the formula non-integral;
+    # every witness must carry the exact fraction, never a rounded value
+    real = extension.total_asm_count
+    monkeypatch.setattr(extension, "total_asm_count", lambda n: real(n) + 1)
+    monkeypatch.setattr(oracles, "total_asm_count", lambda n: real(n) + 1)
+    code = cli.main(["verify", "conj2", "--n", "5", "--format", "json"])
+    assert code == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    matrix = extension.extend_matrix(claims.refined_table(5, 2))
+    expected = []
+    for i, j in itertools.product(range(1, 6), repeat=2):
+        if (i, j) in {(4, 1), (5, 1), (5, 2)}:
+            continue
+        try:
+            value = oracles.fraction_explicit_formula(5, i, j)
+        except NonIntegralError as exc:
+            value = str(exc)
+        if value != matrix.entry(i, j):
+            expected.append({"indices": [i, j], "lhs": str(value), "rhs": str(matrix.entry(i, j))})
+    assert report["witnesses"] == expected
+    assert len(expected) == 20
+    assert all("formula value at n=5" in w["lhs"] for w in report["witnesses"])
 
 
 TABLE_CLAIMS = (

@@ -36,7 +36,13 @@ from asmref.extension import (
 from asmref.reports import Witness
 from asmref.triangles import RefinedTable, alpha_count, build_table, refined_count
 
-from oracles import conjecture3_witnesses, dense_sufficiency_system, theorem1_witnesses
+from oracles import (
+    coefficient_extension,
+    conjecture3_witnesses,
+    dense_sufficiency_system,
+    fraction_explicit_formula,
+    theorem1_witnesses,
+)
 from reference_tables import EXTENDED_MATRICES
 
 
@@ -60,15 +66,20 @@ def test_extend_matrix_reproduces_published_arrays():
 
 
 def test_extend_matrix_matches_sum_over_all_pairs():
-    # the extension sums only the pairs where c_coeff can be nonzero
-    for n in range(3, 13):
+    # the coefficient table and the summed range give c_coeff's double sum
+    for n in range(2, 15):
         table = build_table(n, 2)
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        matrix = extend_matrix(table)
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                full = sum(c_coeff(i, j, p, q) * table.value(p, q) for p, q in pairs)
-                assert matrix.entry(i, j) == full
+        assert extend_matrix(table) == coefficient_extension(table), n
+
+
+def test_extend_matrix_matches_sum_over_all_pairs_on_random_tables():
+    # any table passes the triangular system, so the algebra itself must match
+    rng = random.Random(16)
+    for n in range(2, 10):
+        for _ in range(3):
+            pairs = itertools.combinations(range(1, n + 1), 2)
+            table = RefinedTable(n, 2, {pair: rng.randrange(0, 10 ** 6) for pair in pairs})
+            assert extend_matrix(table) == coefficient_extension(table), n
 
 
 def test_extended_upper_part_is_plain_table():
@@ -287,6 +298,22 @@ def test_explicit_formula_hand_values():
     assert explicit_formula(3, 1, 1) == 0
     assert explicit_formula(4, 3, 2) == 1
     assert explicit_formula(5, 1, 2) == 7
+
+
+def _outcome(formula, *args):
+    try:
+        return formula(*args)
+    except (ExcludedIndexError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def test_explicit_formula_matches_the_fraction_oracle():
+    # values, and the errors on excluded pairs and on out-of-range input
+    for n in range(2, 15):
+        cells = range(0, n + 2)
+        for i, j in itertools.product(cells, cells):
+            expected = _outcome(fraction_explicit_formula, n, i, j)
+            assert _outcome(explicit_formula, n, i, j) == expected, (n, i, j)
 
 
 def test_explicit_formula_excluded_pairs():
