@@ -158,20 +158,14 @@ def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationR
 class Claim:
     """One claim: its default orders, its default depth and its check of one order.
 
-    depth maps an order to the claim's default depth; it is None when the
-    claim takes no depth.
+    depth maps an order to the claim's default depth, the d that run takes
+    when none is given; it is None when the claim takes no depth.
     """
 
     name: str
     orders: tuple[int, int]
     run: Callable[[int, int | None, int, TableCache | None], list[VerificationReport]]
     depth: Callable[[int], int] | None = None
-
-    def reports(self, n: int, d: int | None, seed: int, cache: TableCache | None):
-        """The reports at order n; d None stands for the default depth."""
-        if d is None and self.depth is not None:
-            d = self.depth(n)
-        return self.run(n, d, seed, cache)
 
 
 CLAIMS: dict[str, Claim] = {

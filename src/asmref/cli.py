@@ -258,10 +258,12 @@ def _cmd_verify(args) -> int:
     lo, hi = args.n or claim.orders
 
     def reports_at(n: int) -> list[VerificationReport]:
+        d = claim.depth(n) if args.d is None and claim.depth else args.d
         try:
-            return claim.reports(n, args.d, args.seed, cache)
+            return claim.run(n, d, args.seed, cache)
         except BudgetError as exc:
-            raise BudgetError(f"{args.claim} n={n}: {exc}") from exc
+            at = f"n={n}" if d is None else f"n={n} d={d}"
+            raise BudgetError(f"{args.claim} {at}: {exc}") from exc
 
     # highest order first: its column sweep answers every lower order
     by_order = {n: reports_at(n) for n in range(hi, lo - 1, -1)}

@@ -38,7 +38,7 @@ from .errors import (
 from .linalg import solve_integer_system
 from .polynomials import BinomBasisExpansion, apply_axis, expand_in_binomial_basis, gn_poly
 from .reports import VerificationReport, Witness
-from .triangles import RefinedTable, alpha_count, build_table, refined_count
+from .triangles import RefinedTable, build_table, refined_count
 
 
 def c_coeff(i: int, j: int, p: int, q: int) -> int:
@@ -280,22 +280,39 @@ def z_value(n: int, p: int, i: int) -> int:
 
     Sums the counting function over all p-element subsets of the first n - 2
     positions of the row (1, ..., n) with i removed, each chosen position
-    shifted up by one; 0 when i = 0 by convention.
+    shifted up by one; 0 when i = 0 by convention.  Read from build_table(n, 2).
     """
     if not 0 <= p <= n - 2:
         raise ValidationError(f"subset size must lie in 0..{n - 2}, got {p}")
     if not 0 <= i <= n:
         raise ValidationError(f"column index must lie in 0..{n}, got {i}")
+    return _z_row(n, i, build_table(n, 2))[p]
+
+
+def _z_row(n: int, i: int, table: RefinedTable) -> list[int]:
+    """z(n, p, i) for p in 0..n-2, each row above a shifted row read as its table entry.
+
+    A row t above base + s leaves out a pair of 1..n and interlaces when
+    t_(k-1) <= base_k + s_k <= t_k for every k, a floor and a cap on each
+    shift alone.  Around t, t_(-1) = 0 and t_(n-2) = base_(n-2), which keeps
+    the last entry unshifted.  So t weighs binom(free, p - forced).
+    """
+    row = [0] * (n - 1)
     if i == 0:
-        return 0
+        return row
     base = [v for v in range(1, n + 1) if v != i]
-    total = 0
-    for subset in itertools.combinations(range(n - 2), p):
-        shifted = list(base)
-        for pos in subset:
-            shifted[pos] += 1
-        total += alpha_count(shifted)
-    return total
+    for pair, count in table.entries.items():
+        t = [0] + [v for v in range(1, n + 1) if v not in pair] + base[-1:]
+        forced = free = 0
+        for k, b in enumerate(base):
+            lo, hi = max(t[k] - b, 0), min(t[k + 1] - b, 1)
+            if lo > hi:
+                break
+            forced, free = forced + lo, free + hi - lo
+        else:
+            for p in range(forced, forced + free + 1):
+                row[p] += count * math.comb(free, p - forced)
+    return row
 
 
 def w_value(n: int, i: int, j: int) -> int:
@@ -304,36 +321,34 @@ def w_value(n: int, i: int, j: int) -> int:
         raise ValidationError(f"first index must lie in 0..{n}, got {i}")
     if not 1 <= j <= n + 1:
         raise ValidationError(f"second index must lie in 1..{n + 1}, got {j}")
-    return _binomial_transform(n, j, lambda p: z_value(n, p, i))
+    return _binomial_transform(n, j, _z_row(n, i, build_table(n, 2)))
 
 
-def _binomial_transform(n: int, j: int, z: Callable[[int], int]) -> int:
-    """Sum of (-1)^(p+j+n) binom(p, n-j) z(p) over p in 0..n-2, skipping zero terms."""
+def _binomial_transform(n: int, j: int, z: list[int]) -> int:
+    """Sum of (-1)^(p+j+n) binom(p, n-j) z[p] over p in 0..n-2, skipping zero terms."""
     total = 0
     for p in range(n - 1):
         coeff = binom(p, n - j)
         if coeff == 0:
             continue
-        term = coeff * z(p)
+        term = coeff * z[p]
         total += term if (p + j + n) % 2 == 0 else -term
     return total
 
 
 def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> VerificationReport:
-    """The shift-subset route reproduces every extended entry."""
+    """The shift-subset route, read from the depth-2 table, reproduces every extended entry."""
+    table = build_table(n, 2)
     if matrix is None:
-        matrix = extend_matrix(build_table(n, 2))
+        matrix = extend_matrix(table)
     total_prev = refined_count(n, (n,))
-    # every w at column index i reads the same shift-subset sums; count them once
-    z = [[z_value(n, p, i) for p in range(n - 1)] for i in range(n)]
-
-    def w(i: int, j: int) -> int:
-        return _binomial_transform(n, j, z[i].__getitem__)
+    # every transform at column index i reads the same shift-subset sums; count them once
+    z = [_z_row(n, i, table) for i in range(n)]
 
     def value(i: int, j: int) -> int:
-        total = -w(i - 1, j + 1)
+        total = -_binomial_transform(n, j + 1, z[i - 1])
         if i != n:
-            total += w(i, j)
+            total += _binomial_transform(n, j, z[i])
         if i == n - 1 and j == 1:
             total += total_prev
         return total

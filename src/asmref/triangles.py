@@ -14,7 +14,7 @@ axis of the ASM <-> domain-wall correspondence:
   subset of {1..n} at once; every refined table and refined_count is a lookup
   into the sweep of its order (_staircase_counts), and so is every term of a
   row with a tie, which alpha_count sums over the strictly increasing rows
-  that interlace it from above (the shift-subset sums of z_value);
+  that interlace it from above, though no claim counts such a row;
 - the row transfer (_row_transfer) adds the n x W matrix of one strictly
   increasing row of width W column by column, in at most W * n * 2^n cell
   updates; alpha_count_grid counts every row of a grid of candidate entries

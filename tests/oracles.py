@@ -43,6 +43,12 @@ extend_matrix did before it read its coefficients from one table per order.
 The tests require the same values and the same exceptions from
 explicit_formula, and the same ExtendedMatrix from extend_matrix, on real
 and on random tables.
+
+shifted_row_z sums a count over the rows above every shifted row of a
+shift-subset sum, one subset and one interlacing row at a time, as z_value
+did with alpha_count before it read the depth-2 table as one weighted sum.
+The tests require the same sums from the weighted sum, on real counts and on
+random tables.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from asmref.errors import ExcludedIndexError, NonIntegralError, ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff
 from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point
 from asmref.reports import VerificationReport, Witness
-from asmref.triangles import RefinedTable, _cell
+from asmref.triangles import RefinedTable, _cell, _interlacing_rows
 
 # The DFS memo.  Counting rows are translation invariant, so keys are
 # normalized to start at zero.
@@ -187,6 +193,20 @@ def coefficient_extension(table: RefinedTable) -> ExtendedMatrix:
         for i in range(1, n + 1)
     )
     return ExtendedMatrix(n, rows)
+
+
+def shifted_row_z(n: int, p: int, i: int, count: Callable[[tuple[int, ...]], int]) -> int:
+    """z(n, p, i) with count(t) for each row t above each shifted row, summed one by one."""
+    if i == 0:
+        return 0
+    base = [v for v in range(1, n + 1) if v != i]
+    total = 0
+    for subset in itertools.combinations(range(n - 2), p):
+        shifted = list(base)
+        for pos in subset:
+            shifted[pos] += 1
+        total += sum(count(above) for above in _interlacing_rows(tuple(shifted)))
+    return total
 
 
 def _formula_x_term(n: int, i: int, j: int, k: int) -> Fraction:

@@ -102,7 +102,8 @@ def test_golden_output(argv, capsys):
 #: argv -> (exit code, sha256 of stdout) on corrupted input, recorded before
 #: the claims read the extended array's equations from one definition each;
 #: the conj2 and ilse digests before explicit_formula summed over one integer
-#: denominator and extend_matrix read a coefficient table.
+#: denominator and extend_matrix read a coefficient table; the zw-chain and
+#: theorem4 digests before z_value read the depth-2 table.
 #: The table claims read order-5 and order-6 tables whose entry (2, 3) is one
 #: too large; conj3 reads expansions whose coefficient at (2, 3, 4) is one
 #: too large.
@@ -117,6 +118,10 @@ GOLDEN_FAILING = {
     "verify conj2 --n 5..6 --format json": (1, "b02a30d10249f37e0d7c3c27c70f376ddf8ad4507d02950fe89feb98e955fad6"),
     "verify ilse --n 5..6 --format pretty": (1, "d4fb3c356f469024b48033563ae40ac448354a6d089167e96338266fed7e91aa"),
     "verify ilse --n 5..6 --format json": (1, "21335f769f2a2cb5cd079dc0fbb827cf2c85ef00b3435d93e204d38e3f43b0ee"),
+    "verify zw-chain --n 5..6 --format pretty": (1, "f6aca275ed1dafe8eb81aa3cdcb1db04e0fa88ff16277210c129ac04defa0852"),
+    "verify zw-chain --n 5..6 --format json": (1, "f0babe0965506bbeb68092dfcdfc39ba5663091a6270a10eab0631688b9b44d8"),
+    "verify theorem4 --n 5..6 --format pretty": (1, "92d0304b919d0189cbc2c1026d55adf496e95713388e9deefaa8d6127f4ed934"),
+    "verify theorem4 --n 5..6 --format json": (1, "d965b6a79ca7a442d858d518193b162b599465845aeb6c002deab94639db5d46"),
     "verify conj3 --n 4..5 --format pretty": (1, "50a5f87dee476d6a8d828345f726d74d277f5cf9c11793983cd7d5a612cadd0c"),
     "verify conj3 --n 4..5 --format json": (1, "afef07eb7421ad0d0354571e98c0b4e88c71e768800a11060ce353033ca743df"),
 }
@@ -282,6 +287,18 @@ def test_product_formulas_take_their_total_from_the_transfer(monkeypatch, capsys
     monkeypatch.setattr(claims, "alpha_count", lambda row: 0)
     assert cli.main(["verify", "product-formulas", "--n", "4"]) == 1
     assert "product-formulas n=4: FAIL" in capsys.readouterr().out
+
+
+def test_zw_chain_reads_only_the_table(monkeypatch, capsys):
+    # neither per-row kernel runs: the sweep behind the table gives every count
+    def counted(*args):
+        raise AssertionError("a per-row kernel ran")
+
+    monkeypatch.setattr(triangles, "_row_transfer", counted)
+    monkeypatch.setattr(triangles, "_interlacing_rows", counted)
+    assert not hasattr(extension, "alpha_count")
+    assert cli.main(["verify", "zw-chain", "--n", "3..12"]) == 0
+    assert capsys.readouterr().out.endswith("zw-chain: PASS (3..12)\n")
 
 
 def test_verify_range_runs_one_sweep(monkeypatch, capsys):

@@ -76,10 +76,12 @@ def test_count_budget_exceeded_is_usage_error(capsys):
         ("verify", "conj3", "--n", "7", "--d", "7"),
         ("verify", "alpha-identities", "--n", "7"),
         ("verify", "theorem4", "--n", "14..15"),
+        ("verify", "gn-reflection", "--n", "17"),
     ],
     ids=[
         "count-indices", "count-depth-3", "verify-conj4", "verify-conj3",
         "verify-conj3-depth-7", "verify-alpha-identities", "verify-theorem4-range",
+        "verify-gn-reflection",
     ],
 )
 def test_budget_exceeded_before_counting(capsys, fail_if_counting, argv):
@@ -90,9 +92,13 @@ def test_budget_exceeded_before_counting(capsys, fail_if_counting, argv):
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
     if argv[0] == "verify":
-        # the claim and the order that was rejected: the top of the range
+        # the claim, the order that was rejected (the top of the range) and,
+        # for a claim that takes a depth, the depth given or its default
         claim, order = argv[1], argv[3].split("..")[-1]
-        assert err.startswith(f"error: {claim} n={order}: row transfer over ")
+        default_depth = {"conj3": 3, "conj4": 3, "gn-reflection": 2}
+        depth = argv[5] if "--d" in argv else default_depth.get(claim)
+        at = f"n={order}" if depth is None else f"n={order} d={depth}"
+        assert err.startswith(f"error: {claim} {at}: row transfer over ")
 
 
 def test_verify_conj1_beyond_its_default_range(capsys):

@@ -37,10 +37,12 @@ from asmref.reports import Witness
 from asmref.triangles import RefinedTable, alpha_count, build_table, refined_count
 
 from oracles import (
+    alpha_count_dfs,
     coefficient_extension,
     conjecture3_witnesses,
     dense_sufficiency_system,
     fraction_explicit_formula,
+    shifted_row_z,
     theorem1_witnesses,
 )
 from reference_tables import EXTENDED_MATRICES
@@ -48,6 +50,11 @@ from reference_tables import EXTENDED_MATRICES
 
 def matrix_for(n: int) -> ExtendedMatrix:
     return extend_matrix(build_table(n, 2))
+
+
+def random_table(n: int, rng: random.Random) -> RefinedTable:
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return RefinedTable(n, 2, {pair: rng.randrange(0, 10 ** 6) for pair in pairs})
 
 
 def test_c_coeff_hand_values():
@@ -77,8 +84,7 @@ def test_extend_matrix_matches_sum_over_all_pairs_on_random_tables():
     rng = random.Random(16)
     for n in range(2, 10):
         for _ in range(3):
-            pairs = itertools.combinations(range(1, n + 1), 2)
-            table = RefinedTable(n, 2, {pair: rng.randrange(0, 10 ** 6) for pair in pairs})
+            table = random_table(n, rng)
             assert extend_matrix(table) == coefficient_extension(table), n
 
 
@@ -261,8 +267,53 @@ def test_w_values():
 
 
 def test_zw_chain_matches_matrix():
-    for n in range(3, 7):
+    for n in range(3, 13):
         assert verify_zw_chain(n).passed
+
+
+def test_z_row_matches_the_shifted_row_oracle():
+    for n in range(3, 12):
+        table = build_table(n, 2)
+        for i in range(n + 1):
+            expected = [shifted_row_z(n, p, i, alpha_count_dfs) for p in range(n - 1)]
+            assert extension._z_row(n, i, table) == expected, (n, i)
+
+
+def test_z_row_matches_the_shifted_row_oracle_on_random_tables():
+    # a row above a shifted row leaves out one pair, and counts as its entry
+    rng = random.Random(17)
+    for n in range(3, 10):
+        for _ in range(3):
+            table = random_table(n, rng)
+
+            def count(above):
+                return table.value(*(v for v in range(1, n + 1) if v not in above))
+
+            for i in range(n + 1):
+                expected = [shifted_row_z(n, p, i, count) for p in range(n - 1)]
+                assert extension._z_row(n, i, table) == expected, (n, i)
+
+
+def test_zw_chain_rejects_a_random_table(monkeypatch):
+    # extend_matrix and the shift-subset sums read the same random table, and
+    # they disagree: zw-chain checks the counts, not only the algebra
+    rng = random.Random(17)
+    for n, failures in ((5, 13), (6, 19), (8, 34)):
+        table = random_table(n, rng)
+        monkeypatch.setattr(extension, "build_table", lambda n, d: table)
+        report = verify_zw_chain(n)
+        assert not report.passed
+        assert len(report.witnesses) == failures, n
+
+
+def test_zw_chain_at_the_edge_orders():
+    assert [z_value(2, 0, i) for i in range(3)] == [0, 1, 1]
+    assert [w_value(2, i, j) for i in range(3) for j in range(1, 4)] == [0, 0, 0, 0, 1, 0, 0, 1, 0]
+    assert verify_zw_chain(2).passed
+    with pytest.raises(ValidationError):
+        verify_zw_chain(1)
+    with pytest.raises(BudgetError):
+        z_value(17, 3, 4)
 
 
 def test_sufficiency_system_shape():
