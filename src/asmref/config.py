@@ -25,12 +25,16 @@ class Budget:
     cell updates: W * n * 2^n for its widest row of n entries and width W,
     and, summed over the walk over a grid, n * binom(n, i) per column step
     with i entries placed.  Each count must stay within table_max_n^2 *
-    2^table_max_n, the nominal cell updates of the largest sweep; that bound
-    is the one cap on the sample grids of gn_poly, and so of
-    alpha_polynomial, which is gn_poly(n, n).  It counts updates, not time:
-    an admitted walk can take several times as long as that sweep.  At the
-    default of 16 it admits alpha_polynomial up to order 6 and gn_poly at
-    depths 1..6 up to orders 15, 14, 14, 13, 9 and 7.
+    2^table_max_n, the nominal cell updates of an unpruned sweep of the
+    largest order: n cells on 2^n states in each of n rows.  The sweep
+    carries each row only to the subsets that contain column 1 and makes
+    about half that many; the bound keeps the unpruned figure, so the prune
+    moved no admitted (n, d).  That bound is the one cap on the sample grids
+    of gn_poly, and so of alpha_polynomial, which is gn_poly(n, n).  It
+    counts updates, not time: an admitted walk can take several times as
+    long as the largest sweep.  At the default of 16 it admits
+    alpha_polynomial up to order 6 and gn_poly at depths 1..6 up to orders
+    15, 14, 14, 13, 9 and 7.
 
     enumeration_max_n caps the explicit lists of matrices and triangles,
     whose memory grows with the count itself rather than with a sweep.

@@ -8,13 +8,18 @@ order-n matrices whose last d rows are unit rows with their 1s in those
 columns, read upward in increasing order.
 
 Two kernels compute it, one six-vertex cell rule (_cell) read along either
-axis of the ASM <-> domain-wall correspondence:
+axis of the ASM <-> domain-wall correspondence.  Both keep their states in two
+dicts split by the running sum h of the line being added, h0 and h1, keyed by
+the partial sums of the lines across it; the cell moves a state between them.
 
 - the column sweep (_column_sweep) adds the matrix row by row and counts every
-  subset of {1..n} at once; every refined table and refined_count is a lookup
-  into the sweep of its order (_staircase_counts), and so is every term of a
-  row with a tie, which alpha_count sums over the strictly increasing rows
-  that interlace it from above, though no claim counts such a row;
+  subset of {1..n} at once; it carries each row only to the subsets that
+  contain column 1 and copies each count to the subset's translates, which
+  is exact because a translate of a triangle is a triangle; every refined
+  table and refined_count is a lookup into the sweep of its order
+  (_staircase_counts), and so is every term of a row with a tie, which
+  alpha_count sums over the strictly increasing rows that interlace it from
+  above, though no claim counts such a row;
 - the row transfer (_row_transfer) adds the n x W matrix of one strictly
   increasing row of width W column by column, in at most W * n * 2^n cell
   updates; alpha_count_grid counts every row of a grid of candidate entries
@@ -182,8 +187,9 @@ def checked_grid(
     widest row, from the first candidate of the first level to the last of
     the last, and n entries, it raises BudgetError when W * n * 2^n exceeds
     table_max_n^2 * 2^table_max_n, the nominal cell updates of the largest
-    column sweep the budget allows, and when the whole walk would: the sum
-    over i of its column steps with i entries placed times n * binom(n, i).
+    column sweep the budget allows, unpruned, and when the whole walk would:
+    the sum over i of its column steps with i entries placed times
+    n * binom(n, i).
     """
     grid = tuple(tuple(int(v) for v in level) for level in levels)
     if not grid:
@@ -368,18 +374,32 @@ def _column_sweep(n: int) -> dict[int, int]:
     """alpha_count of every subset of {1..n}, from the six-vertex transfer.
 
     The ASM rows are added one entry at a time.  A state holds the partial
-    column sums as bits 1..n and the running row sum h as bit 0; the entry in
-    column j is the cell between h and bit j.  A row is complete when h is 1.
-    After row k the states are the k-subsets that are the bottom rows of k-row
-    monotone triangles, with their counts.
+    column sums as bits 1..n, and is kept in h0 or h1 by the running row sum
+    h; the entry in column j is the cell between h and bit j.  A row is
+    complete when h is 1.  After row k the states are the k-subsets that are
+    the bottom rows of k-row monotone triangles, with their counts.
+
+    Each row is carried only to the subsets that contain column 1: after the
+    first cell the states without bit 1 are dropped.  A translate of a
+    triangle is a triangle, so alpha_count(T << t) = alpha_count(T), and
+    every subset of {1..n} is one such T shifted by its least column minus 1;
+    the end of the row copies each T to its translates inside {1..n}, which
+    gives the whole row, as the memo and as the start of the next row.
     """
     counts = {0: 1}
-    states = {0: 1}
+    h0 = {0: 1}
     for _ in range(n):
-        for j in range(1, n + 1):
-            states = _cell(states, j)
-        states = {state ^ 1: ways for state, ways in states.items() if state & 1}
-        counts.update(states)
+        h1: dict[int, int] = {}
+        _cell(h0, h1, 1)
+        h0 = {state: ways for state, ways in h0.items() if state & 2}
+        for j in range(2, n + 1):
+            _cell(h0, h1, j)
+        h0 = {
+            state << t: ways
+            for state, ways in h1.items()
+            for t in range(n + 2 - state.bit_length())
+        }
+        counts.update(h0)
     return counts
 
 
@@ -388,49 +408,59 @@ def _row_transfer(grid: tuple[tuple[int, ...], ...]) -> list[int]:
 
     The transpose of _column_sweep: the n x W matrix of a row's triangles is
     added one column at a time, top to bottom.  A state holds the partial row
-    sums as bits 1..n and the column's running sum as bit 0, under the same
-    cell rule.  Column c ends with its sum at 1 if c is an entry of the row and
-    at 0 otherwise, and the states after column c depend only on the entries
-    up to c.  So a depth-first walk reads the columns once for every row with
-    the same entries so far: at each candidate of the next entry it branches
-    into the rows with their entry there, whose column sums to 1, and the
-    rows with it further right, whose column sums to 0.  The count of a row
-    is the weight of the all-ones state at the end of its last entry's
-    column, with every row and that column summing to 1.
+    sums as bits 1..n, and is kept in h0 or h1 by the column's running sum,
+    under the same cell rule.  Column c ends with its sum at 1 if c is an
+    entry of the row and at 0 otherwise, and the states after column c depend
+    only on the entries up to c.  So a depth-first walk reads the columns
+    once for every row with the same entries so far: at each candidate of the
+    next entry it branches into the rows with their entry there, which go on
+    from the column's h1, and the rows with it further right, which go on
+    from its h0.  The count of a row is the weight of the all-ones state in
+    h1 at the end of its last entry's column, with every row and that column
+    summing to 1.
     """
     n = len(grid)
-    done = (1 << (n + 1)) - 1
+    done = (1 << (n + 1)) - 2
     candidates = [set(level) for level in grid]
     counts: list[int] = []
 
-    def walk(i: int, start: int, states: dict[int, int]) -> None:
+    def walk(i: int, start: int, h0: dict[int, int]) -> None:
         for c in range(start, grid[i][-1] + 1):
+            h1: dict[int, int] = {}
             for bit in range(1, n + 1):
-                states = _cell(states, bit)
+                _cell(h0, h1, bit)
             if c in candidates[i]:
                 if i == n - 1:
-                    counts.append(states.get(done, 0))
+                    counts.append(h1.get(done, 0))
                 else:
-                    walk(i + 1, c + 1, {s & ~1: w for s, w in states.items() if s & 1})
-            states = {s: w for s, w in states.items() if not s & 1}
+                    walk(i + 1, c + 1, h1)
 
     walk(0, grid[0][0], {0: 1})
     return counts
 
 
-def _cell(states: dict[int, int], bit: int) -> dict[int, int]:
-    """One six-vertex cell between the line sums at bit 0 and at the given bit.
+def _cell(h0: dict[int, int], h1: dict[int, int], bit: int) -> None:
+    """One six-vertex cell between the running sum h and the line sum at bit, in place.
 
-    A 0 keeps the state; a +1 needs both sums at 0 and a -1 both at 1, and
-    either flips both bits.
+    h0 and h1 hold the states with h at 0 and at 1, keyed by the line sums.
+    A +1 moves a state x of h0 without the bit up to x + bit in h1, a -1
+    moves x + bit down to x, and a 0 keeps a state, so x and x + bit both
+    end with the sum of their ways and every other state is kept.
+
+    The pairs are found from h0 alone, so h0 must hold x whenever h1 holds
+    x + bit.  Both kernels start a line from every subset of one size (the
+    sweep, after its first cell, from every one that contains column 1).
+    If x + bit came from the start S, the cells before the bit added one
+    element, since h went from 0 to 1, and the bit is in S.  So x, which is
+    x + bit on the cells before the bit and S on the cells after it, has the
+    size of S: it is a start too, and 0s carry it to h0.
     """
-    flip = (1 << bit) | 1
-    after = dict(states)
-    for state, ways in states.items():
-        if not (state ^ (state >> bit)) & 1:
-            key = state ^ flip
-            after[key] = after.get(key, 0) + ways
-    return after
+    mask = 1 << bit
+    # the loop changes values of h0 but adds no key
+    for state, ways in h0.items():
+        if not state & mask:
+            ways += h1.get(state | mask, 0)
+            h0[state] = h1[state | mask] = ways
 
 
 def _complement_mask(n: int, indices: Sequence[int]) -> int:

@@ -24,11 +24,17 @@ Fractions, axis by axis, as BinomBasisExpansion.evaluate did before
 PolyMulti became the one evaluator.  The tests require it to give the
 values of the polynomial that was expanded.
 
+column_sweep carries every state of every row through all n cells, with the
+running row sum as bit 0 of one dict of states under cell, as
+asmref.triangles did before it split the states by that sum and carried each
+row only to the subsets that contain column 1.  The tests require the same
+dict, key for key, from the pruned sweep.
+
 fiber_transfer counts the rows of one prefix with each candidate last entry
 by its own row transfer, as asmref.triangles did before it counted a whole
-grid of candidate entries in one prefix-shared walk.  It shares the cell rule
-with the kernels; the tests require the same counts from alpha_count_grid on
-every sample row of the polynomials' grids.
+grid of candidate entries in one prefix-shared walk.  It reads the columns
+with cell, the single-dict rule; the tests require the same counts from
+alpha_count_grid on every sample row of the polynomials' grids.
 
 alpha_identity_reports evaluates the counting polynomial once per shifted
 point, in Fractions with a per-point memo, as asmref.polynomials did before it
@@ -64,7 +70,7 @@ from asmref.errors import ExcludedIndexError, NonIntegralError, ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff
 from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point
 from asmref.reports import VerificationReport, Witness
-from asmref.triangles import RefinedTable, _cell, _interlacing_rows
+from asmref.triangles import RefinedTable, _interlacing_rows
 
 # The DFS memo.  Counting rows are translation invariant, so keys are
 # normalized to start at zero.
@@ -112,6 +118,37 @@ def _alpha(row: tuple[int, ...]) -> int:
     return result
 
 
+def cell(states: dict[int, int], bit: int) -> dict[int, int]:
+    """One six-vertex cell between the line sums at bit 0 and at the given bit.
+
+    A 0 keeps the state; a +1 needs both sums at 0 and a -1 both at 1, and
+    either flips both bits.
+    """
+    flip = (1 << bit) | 1
+    after = dict(states)
+    for state, ways in states.items():
+        if not (state ^ (state >> bit)) & 1:
+            key = state ^ flip
+            after[key] = after.get(key, 0) + ways
+    return after
+
+
+def column_sweep(n: int) -> dict[int, int]:
+    """alpha_count of every subset of {1..n}: every row carried through every cell.
+
+    A state holds the partial column sums as bits 1..n and the running row
+    sum as bit 0; a row is complete when that sum is 1.
+    """
+    counts = {0: 1}
+    states = {0: 1}
+    for _ in range(n):
+        for j in range(1, n + 1):
+            states = cell(states, j)
+        states = {state ^ 1: ways for state, ways in states.items() if state & 1}
+        counts.update(states)
+    return counts
+
+
 def fiber_transfer(prefix: tuple[int, ...], lasts: Sequence[int]) -> list[int]:
     """alpha_count(prefix + (last,)) for each last, from one six-vertex transfer.
 
@@ -130,7 +167,7 @@ def fiber_transfer(prefix: tuple[int, ...], lasts: Sequence[int]) -> list[int]:
     states = {0: 1}
     for c in range(prefix[0], max(lasts) + 1):
         for i in range(1, n + 1):
-            states = _cell(states, i)
+            states = cell(states, i)
         if c in wanted:
             found[c] = states.get(done, 0)
         end = 1 if c in entries else 0

@@ -289,6 +289,49 @@ def test_product_formulas_take_their_total_from_the_transfer(monkeypatch, capsys
     assert "product-formulas n=4: FAIL" in capsys.readouterr().out
 
 
+@pytest.fixture
+def cold_sweeps():
+    """An empty sweep memo before and after the test: a broken kernel's counts do not outlive it."""
+    asmref.clear_caches()
+    yield
+    asmref.clear_caches()
+
+
+def product_formula_witnesses(n: int, capsys) -> tuple[int, list]:
+    code = cli.main(["verify", "product-formulas", "--n", str(n), "--format", "json"])
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    return code, [(tuple(w["indices"]), w["lhs"], w["rhs"]) for w in report["witnesses"]]
+
+
+def test_a_wrong_sweep_count_fails_product_formulas(monkeypatch, capsys, cold_sweeps):
+    real = triangles._column_sweep
+
+    def sweep(n):
+        counts = real(n)
+        counts[(1 << (n + 1)) - 4] += 1  # the bottom row {2..n}, entry (n, 1)
+        return counts
+
+    monkeypatch.setattr(triangles, "_column_sweep", sweep)
+    code, witnesses = product_formula_witnesses(6, capsys)
+    assert code == 1
+    assert witnesses == [((6, 1), "430", "429"), ((6,), "7437", "7436")]
+
+
+def test_a_cell_rule_without_minus_ones_fails_product_formulas(monkeypatch, capsys, cold_sweeps):
+    # without the -1 both kernels count permutation matrices: 2 per column and 6 in all
+    def plus_ones_only(h0, h1, bit):
+        mask = 1 << bit
+        for state, ways in h0.items():
+            if not state & mask:
+                h1[state | mask] = h1.get(state | mask, 0) + ways
+
+    monkeypatch.setattr(triangles, "_cell", plus_ones_only)
+    code, witnesses = product_formula_witnesses(3, capsys)
+    assert code == 1
+    # the counted row, its sum, and the row transfer's total
+    assert witnesses == [((3, 2), "2", "3"), ((3,), "6", "7"), ((3,), "6", "7")]
+
+
 def test_zw_chain_reads_only_the_table(monkeypatch, capsys):
     # neither per-row kernel runs: the sweep behind the table gives every count
     def counted(*args):

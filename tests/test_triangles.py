@@ -33,7 +33,7 @@ from asmref.triangles import (
     refined_count,
 )
 
-from oracles import alpha_count_dfs, fiber_transfer
+from oracles import alpha_count_dfs, column_sweep, fiber_transfer
 from reference_tables import REFINED_TRIANGLE, TOTALS
 
 
@@ -307,6 +307,21 @@ def test_sweep_matches_dfs_on_random_subsets(case):
     assert triangles._staircase_counts(n)[mask(subset)] == alpha_count_dfs(sorted(subset))
 
 
+def test_pruned_sweep_equals_the_unpruned_sweep():
+    for n in range(1, 14):
+        assert triangles._column_sweep(n) == column_sweep(n)
+
+
+def test_sweep_counts_are_invariant_under_reflection():
+    # column c maps to 15 - c: a symmetry the translation prune does not use
+    n = 14
+    counts = triangles._column_sweep(n)
+    assert len(counts) == 2**n
+    for subset, count in counts.items():
+        reflected = sum(1 << (n + 1 - c) for c in range(1, n + 1) if subset >> c & 1)
+        assert count == counts[reflected]
+
+
 def test_tables_of_every_depth_match_dfs_of_complements():
     for n in range(1, 9):
         asmref.clear_caches()
@@ -325,6 +340,28 @@ def random_strict_rows(count: int, seed: int):
         start = rng.randint(-5, 5)
         values = rng.sample(range(2 * n + 3), n)
         yield tuple(start + v for v in sorted(values))
+
+
+def test_cell_finds_every_pair_from_h0(monkeypatch):
+    # _cell reads the pairs off h0, so the kernels must keep x in h0 for each x + bit in h1
+    real = triangles._cell
+    bits = []
+
+    def checked(h0, h1, bit):
+        mask = 1 << bit
+        assert all(state ^ mask in h0 for state in h1 if state & mask)
+        bits.append(bit)
+        real(h0, h1, bit)
+
+    monkeypatch.setattr(triangles, "_cell", checked)
+    assert triangles._column_sweep(9) == column_sweep(9)
+    grid = [(0, 1), (2, 4, 5), (6, 9), (10, 11, 14), (16, 17)]
+    assert alpha_count_grid(grid) == [
+        alpha_count_dfs(row) for row in itertools.product(*grid)
+    ]
+    for row in random_strict_rows(30, seed=11):
+        assert alpha_count(row) == alpha_count_dfs(row)
+    assert set(bits) == set(range(1, 10))
 
 
 def test_transfer_matches_dfs_and_brute_force_on_random_strict_rows():
