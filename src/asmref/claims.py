@@ -50,17 +50,22 @@ def refined_table(n: int, d: int, cache: TableCache | None = None) -> RefinedTab
     """The depth-d table of order n, read from the cache or built and stored there.
 
     The cache returns only files whose entries match their stored digest.  A
-    cached table is also rejected when its cells with a product formula
-    disagree with it: the d=1 row, and at d=2 the last column, whose entry
-    (i, n) is refined_asm_count(n - 1, i).  A rejected table is rebuilt and
-    overwritten.
+    cached table is also rejected when it is not a valid table (its keys are
+    not the d-subsets of 1..n, or a count is negative) or when its cells with
+    a product formula disagree with it: the d=1 row, and at d=2 the last
+    column, whose entry (i, n) is refined_asm_count(n - 1, i).  A rejected
+    table is rebuilt and overwritten.
     """
     if cache is not None:
         doc = cache.load("refined", n, d)
         if doc is not None:
-            table = RefinedTable(n, d, doc.int_entries())
-            if _matches_product_formulas(table):
-                return table
+            try:
+                table = RefinedTable(n, d, doc.int_entries())
+            except ValidationError:
+                pass  # not a valid table: rebuilt below
+            else:
+                if _matches_product_formulas(table):
+                    return table
     table = build_table(n, d)
     if cache is not None:
         cache.store(table_document(table))

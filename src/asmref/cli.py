@@ -24,6 +24,7 @@ from .documents import (
     TableDocument,
     matrix_document,
     table_document,
+    write_atomically,
 )
 from .errors import AsmrefError, BudgetError
 from .reports import VerificationReport
@@ -309,12 +310,15 @@ def _fetch_b_file(target: str, cache: TableCache | None) -> tuple[str, str]:
     if cache is None:
         raise AsmrefError("--fetch needs a cache directory (--cache-dir or $ASMREF_CACHE)")
     path = Path(cache.directory) / name
-    if not path.exists():
-        with urllib.request.urlopen(url) as response:
-            data = response.read().decode("utf-8")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(data)
-    return path.read_text(), sequence_id
+    if path.exists():
+        return path.read_text(), sequence_id
+    with urllib.request.urlopen(url) as response:
+        data = response.read().decode("utf-8")
+    # only a download that parses is kept, so a bad one is fetched again next time
+    OeisReference.from_b_file(data, sequence_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomically(path, data)
+    return data, sequence_id
 
 
 def _cmd_oeis_check(args) -> int:

@@ -15,14 +15,15 @@ from .errors import NonIntegralError, ValidationError
 
 
 def binom(n: int, k: int) -> int:
-    """n(n-1)...(n-k+1) / k! for k >= 0, and 0 for k < 0."""
+    """n(n-1)...(n-k+1) / k! for k >= 0, and 0 for k < 0.
+
+    For n < 0 that is (-1)^k * binom(k - n - 1, k), by negating every factor.
+    """
     if k < 0:
         return 0
-    num = 1
-    for r in range(k):
-        num *= n - r
-    # a product of k consecutive integers is divisible by k!
-    return num // math.factorial(k)
+    if n >= 0:
+        return math.comb(n, k)
+    return (-1) ** k * math.comb(k - n - 1, k)
 
 
 def binom_plus(n: int, k: int) -> int:
@@ -42,10 +43,9 @@ def binom_at(x, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def harmonic(m: int) -> Fraction:
-    """Sum of 1/d for d = 1..m, and 0 for m < 1."""
-    if m < 1:
-        return Fraction(0)
-    return harmonic(m - 1) + Fraction(1, m)
+    """Sum of 1/d for d = 1..m, and 0 for m < 1: one integer sum over lcm(1..m)."""
+    denominator = math.lcm(*range(1, m + 1))
+    return Fraction(sum(denominator // d for d in range(1, m + 1)), denominator)
 
 
 def _as_int(value: Fraction, what: str) -> int:

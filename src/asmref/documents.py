@@ -190,18 +190,23 @@ class TableCache:
             or datetime.now(timezone.utc).isoformat(timespec="seconds"),
             sha256=doc.digest(),
         )
-        # write a temporary file beside the target and rename it over the
-        # target, so a failed or concurrent store never leaves a partial file
-        path = self.path_for(doc.kind, doc.n, doc.d)
-        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-        handle = open(tmp, "x")
-        try:
-            with handle:
-                handle.write(doc.to_json_text())
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        write_atomically(self.path_for(doc.kind, doc.n, doc.d), doc.to_json_text())
+
+
+def write_atomically(path: Path, text: str) -> None:
+    """Write a temporary file beside path and rename it over path.
+
+    A failed or concurrent write never leaves a partial file at path.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    handle = open(tmp, "x")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def parse_b_file(text: str) -> list[tuple[int, int]]:

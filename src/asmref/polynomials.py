@@ -14,7 +14,9 @@ with a_r the first node on axis r, are the integer forward differences of
 the samples; that is the one polynomial representation.  It is evaluated at
 rational points by integer Horner, so every evaluation is exact.  The
 identity checks evaluate it at integer shifts of a point together, as one
-stencil that shares its partial reductions.  gn_poly is the one builder: a
+stencil that shares its partial reductions; each suite of identities is a
+table read by one report builder, and the six-term exchange of neighbouring
+entries is stated once for both suites.  gn_poly is the one builder: a
 specialization samples a staircase prefix followed by a block of n
 consecutive columns per variable and counts all of its rows in one row
 transfer, and the counting polynomial is the specialization of every entry,
@@ -319,6 +321,47 @@ def _unit_shift(n: int, positions: Sequence[int], amount: int = 1) -> tuple[int,
     return tuple(amount if pos in positions else 0 for pos in range(n))
 
 
+def _reports(
+    draw: Callable[[], tuple], num_points: int, checked: str, rows: Sequence[tuple]
+) -> tuple[VerificationReport, ...]:
+    """One report per row (name, detail, cases), each over num_points points of draw().
+
+    cases(pt) yields (label, lhs, rhs, scale): both sides are values, or the
+    numerators of a stencil over its scale.  A case whose sides differ is the
+    witness at label + pt.  The rows draw their points in turn.
+    """
+    return tuple(
+        VerificationReport.from_witnesses(name, checked + detail, [
+            Witness(label + pt, Fraction(lhs, scale), Fraction(rhs, scale))
+            for pt in (draw() for _ in range(num_points))
+            for label, lhs, rhs, scale in cases(pt)
+            if lhs != rhs
+        ])
+        for name, detail, cases in rows
+    )
+
+
+#: The shifts of the six-term exchange on the two exchanged axes: 0, e_i + e_(i+1), e_(i+1).
+_SIX_TERM = ((0, 0), (1, 1), (0, 1))
+
+
+def _six_term(poly: PolyMulti, pt: tuple, i: int, offset: int, label: tuple) -> tuple:
+    """The six-term exchange of the entries of variables i and i + 1 at pt.
+
+    The stencil is taken at pt and at pt with the two entries exchanged.
+    Variable i + 1's entry sits offset further along the row than variable
+    i's, so the exchanged point is pt[i + 1] + offset, pt[i] - offset: the
+    swapped coordinates, with the offset moved into the integer shifts.  Both
+    points have the same denominators, so both stencils share one scale.
+    """
+    head, tail = (0,) * i, (0,) * (poly.num_vars - i - 2)
+    left, scale = poly.evaluate_shifts(pt, [head + s + tail for s in _SIX_TERM])
+    swapped = pt[:i] + (pt[i + 1], pt[i]) + pt[i + 2 :]
+    moved = [head + (a + offset, b - offset) + tail for a, b in _SIX_TERM]
+    right, _ = poly.evaluate_shifts(swapped, moved)
+    return label, left[0] + left[1] - left[2], -right[0] - right[1] + right[2], scale
+
+
 def verify_alpha_identities(
     n: int,
     *,
@@ -342,82 +385,29 @@ def verify_alpha_identities(
     power.
     """
     poly = alpha_polynomial(n, budget)
+    ev = poly.evaluate
     rng = random.Random(seed)
-    bound = 3 * n
-    reports = []
-    witnesses: list[Witness] = []
-
-    def check(label: tuple, pt: tuple, lhs, rhs, scale: int = 1):
-        # lhs and rhs are values, or numerators over the scale of a stencil
-        if lhs != rhs:
-            witnesses.append(Witness(label + pt, Fraction(lhs, scale), Fraction(rhs, scale)))
-
-    def finish(name: str, detail: str = ""):
-        checked = f"n={n}, {num_points} rational points (seed {seed})" + detail
-        reports.append(VerificationReport.from_witnesses(name, checked, witnesses))
-        witnesses.clear()
-
-    # translation invariance
-    for _ in range(num_points):
-        pt = _draw_point(rng, n, bound)
-        (t,) = _draw_point(rng, 1, bound)
-        check((), pt, poly.evaluate(pt), poly.evaluate(tuple(x + t for x in pt)))
-    finish("translation")
-
-    # reverse and negate
-    for _ in range(num_points):
-        pt = _draw_point(rng, n, bound)
-        check((), pt, poly.evaluate(pt), poly.evaluate(tuple(-x for x in reversed(pt))))
-    finish("reversal")
-
-    # rotation: moving the first variable to the end, shifted down by n
     sign = 1 if n % 2 == 1 else -1
-    for _ in range(num_points):
-        pt = _draw_point(rng, n, bound)
-        check((), pt, poly.evaluate(pt[1:] + (pt[0] - n,)), sign * poly.evaluate(pt))
-    finish("rotation")
-
-    # six-term exchange of two neighbouring variables i, i + 1: the shifts 0,
-    # e_i + e_(i+1) and e_(i+1) at the point and at the point with the two
-    # swapped, which has the same denominators and so the same scale
-    stencils = [
-        [_unit_shift(n, ()), _unit_shift(n, (i, i + 1)), _unit_shift(n, (i + 1,))]
-        for i in range(n - 1)
-    ]
-    for _ in range(num_points):
-        pt = _draw_point(rng, n, bound)
-        for i, stencil in enumerate(stencils):
-            left, scale = poly.evaluate_shifts(pt, stencil)
-            swapped = pt[:i] + (pt[i + 1], pt[i]) + pt[i + 2 :]
-            right, _ = poly.evaluate_shifts(swapped, stencil)
-            lhs = left[0] + left[1] - left[2]
-            rhs = -right[0] - right[1] + right[2]
-            check((f"positions {i + 1},{i + 2}",), pt, lhs, rhs, scale)
-    finish("six-term", f", all {max(n - 1, 0)} neighbour pairs")
-
-    # elementary symmetric polynomials in the difference operators annihilate:
-    # e_q(D) = sum over corners T of the unit cube of
-    # (-1)^(q - |T|) * binom(n - |T|, q - |T|) * E^T
     corners = list(itertools.product((0, 1), repeat=n))
-    for _ in range(num_points):
-        pt = _draw_point(rng, n, bound)
+    repeated = {(r, z): _unit_shift(n, (r,), z) for r in range(n) for z in range(4)}
+    shifts = corners + [s for (_, z), s in repeated.items() if z > 1]
+
+    def translation(pt):
+        (t,) = _draw_point(rng, 1, 3 * n)  # drawn after its point
+        yield (), ev(pt), ev(tuple(x + t for x in pt)), 1
+
+    def annihilation(pt):
+        # e_q(D) = sum over corners T of the unit cube of
+        # (-1)^(q - |T|) * binom(n - |T|, q - |T|) * E^T
         values, scale = poly.evaluate_shifts(pt, corners)
         by_size = [0] * (n + 1)
         for corner, value in zip(corners, values):
             by_size[sum(corner)] += value
         for q in range(1, n):
-            total = sum(
-                (1 if (q - t) % 2 == 0 else -1) * binom(n - t, q - t) * by_size[t]
-                for t in range(q + 1)
-            )
-            check((f"q={q}",), pt, total, 0, scale)
-    finish("symmetric-difference-annihilation", f", q=1..{n - 1}")
+            terms = ((-1) ** (q - t) * binom(n - t, q - t) * by_size[t] for t in range(q + 1))
+            yield (f"q={q}",), sum(terms), 0, scale
 
-    # repeated shift in one variable expanded over shift subsets of the others
-    repeated = {(r, z): _unit_shift(n, (r,), z) for r in range(n) for z in range(4)}
-    shifts = corners + [s for (_, z), s in repeated.items() if z > 1]
-    for _ in range(num_points):
-        pt = _draw_point(rng, n, bound)
+    def shift_expansion(pt):
         values, scale = poly.evaluate_shifts(pt, shifts)
         at = dict(zip(shifts, values))
         for r in range(n):
@@ -428,11 +418,22 @@ def verify_alpha_identities(
                     by_size[sum(corner)] += at[corner]
             for z in range(4):
                 rhs = sum(binom(-n, z - p) * total for p, total in enumerate(by_size[: z + 1]))
-                rhs *= 1 if z % 2 == 0 else -1
-                check((f"variable {r + 1}, power {z}",), pt, at[repeated[r, z]], rhs, scale)
-    finish("shift-expansion", ", powers 0..3, every variable")
+                yield (f"variable {r + 1}, power {z}",), at[repeated[r, z]], (-1) ** z * rhs, scale
 
-    return tuple(reports)
+    checked = f"n={n}, {num_points} rational points (seed {seed})"
+    return _reports(lambda: _draw_point(rng, n, 3 * n), num_points, checked, [
+        ("translation", "", translation),
+        ("reversal", "", lambda pt: [((), ev(pt), ev(tuple(-x for x in reversed(pt))), 1)]),
+        # moving the first variable to the end, shifted down by n
+        ("rotation", "", lambda pt: [((), ev(pt[1:] + (pt[0] - n,)), sign * ev(pt), 1)]),
+        ("six-term", f", all {max(n - 1, 0)} neighbour pairs", lambda pt: (
+            _six_term(poly, pt, i, 0, (f"positions {i + 1},{i + 2}",)) for i in range(n - 1)
+        )),
+        # the elementary symmetric polynomials in the difference operators annihilate
+        ("symmetric-difference-annihilation", f", q=1..{n - 1}", annihilation),
+        # a repeated shift in one variable expands over shift subsets of the others
+        ("shift-expansion", ", powers 0..3, every variable", shift_expansion),
+    ])
 
 
 def verify_gn_reflection(
@@ -446,38 +447,20 @@ def verify_gn_reflection(
     """Check the reflection symmetry of the d-variable specialization.
 
     For d = 2 the six-term exchange identity of the specialization is checked
-    as well.  A failing report lists every witness point.
+    as well; variable r shifts entry n - d + r + 1, so neighbouring entries
+    sit one apart.  A failing report lists every witness point.
     """
     poly = gn_poly(n, d, budget)
+    ev = poly.evaluate
     sign = 1 if ((n - 1) * d) % 2 == 0 else -1
     rng = random.Random(seed)
-    bound = 3 * n
-    reports = []
-    detail = f"n={n}, d={d}, {num_points} rational points (seed {seed})"
-
-    witnesses = []
-    for _ in range(num_points):
-        pt = _draw_point(rng, d, bound)
-        lhs = poly.evaluate(pt)
-        rhs = sign * poly.evaluate(tuple(-2 * n - x for x in reversed(pt)))
-        if lhs != rhs:
-            witnesses.append(Witness(pt, lhs, rhs))
-    reports.append(VerificationReport.from_witnesses("gn-reflection", detail, witnesses))
-
+    rows = [("gn-reflection", "", lambda pt: [
+        ((), ev(pt), sign * ev(tuple(-2 * n - x for x in reversed(pt))), 1)
+    ])]
     if d == 2:
-        witnesses = []
-        for _ in range(num_points):
-            x, y = _draw_point(rng, 2, bound)
-            # (y, x) has the denominators of (x, y), so both stencils share a scale
-            left, scale = poly.evaluate_shifts((x, y), [(0, 0), (1, 1), (0, 1)])
-            right, _ = poly.evaluate_shifts((y, x), [(1, -1), (2, 0), (1, 0)])
-            lhs = left[0] + left[1] - left[2]
-            rhs = -right[0] - right[1] + right[2]
-            if lhs != rhs:
-                witnesses.append(Witness((x, y), Fraction(lhs, scale), Fraction(rhs, scale)))
-        reports.append(VerificationReport.from_witnesses("gn-six-term", detail, witnesses))
-
-    return tuple(reports)
+        rows.append(("gn-six-term", "", lambda pt: [_six_term(poly, pt, 0, 1, ())]))
+    checked = f"n={n}, d={d}, {num_points} rational points (seed {seed})"
+    return _reports(lambda: _draw_point(rng, d, 3 * n), num_points, checked, rows)
 
 
 def clear_caches() -> None:

@@ -315,14 +315,11 @@ class RefinedTable:
     def __post_init__(self):
         if not 1 <= self.d <= self.n:
             raise ValidationError(f"depth must lie in 1..{self.n}, got {self.d}")
-        expected = math.comb(self.n, self.d)
-        if len(self.entries) != expected:
+        if self.entries.keys() != set(itertools.combinations(range(1, self.n + 1), self.d)):
             raise ValidationError(
-                f"table must have {expected} entries, got {len(self.entries)}"
+                f"a table needs one entry per increasing {self.d}-tuple in 1..{self.n}"
             )
         for key, value in self.entries.items():
-            if len(key) != self.d:
-                raise ValidationError(f"index tuple {key} does not have depth {self.d}")
             if value < 0:
                 raise ValidationError(f"count at {key} is negative: {value}")
 

@@ -55,6 +55,10 @@ shift-subset sum, one subset and one interlacing row at a time, as z_value
 did with alpha_count before it read the depth-2 table as one weighted sum.
 The tests require the same sums from the weighted sum, on real counts and on
 random tables.
+
+falling_factorial_binom multiplies out n(n-1)...(n-k+1) and divides by k!,
+as asmref.combinat.binom did before it read math.comb.  The tests require the
+same values from binom, negative upper arguments included.
 """
 
 from __future__ import annotations
@@ -75,6 +79,17 @@ from asmref.triangles import RefinedTable, _interlacing_rows
 # The DFS memo.  Counting rows are translation invariant, so keys are
 # normalized to start at zero.
 _alpha_memo: dict[tuple[int, ...], int] = {}
+
+
+def falling_factorial_binom(n: int, k: int) -> int:
+    """n(n-1)...(n-k+1) / k! for k >= 0, and 0 for k < 0."""
+    if k < 0:
+        return 0
+    num = 1
+    for r in range(k):
+        num *= n - r
+    # a product of k consecutive integers is divisible by k!
+    return num // math.factorial(k)
 
 
 def alpha_count_dfs(bottom: Sequence[int]) -> int:

@@ -21,12 +21,12 @@ import pytest
 import asmref
 import asmref.claims as claims
 import asmref.cli as cli
-from asmref import extension, triangles
+from asmref import extension, polynomials, triangles
 from asmref.claims import CLAIMS
 from asmref.documents import TableCache, table_document
 from asmref.errors import NonIntegralError
-from asmref.polynomials import BinomBasisExpansion
-from asmref.triangles import RefinedTable
+from asmref.polynomials import BinomBasisExpansion, PolyMulti
+from asmref.triangles import Asm, RefinedTable
 
 import oracles
 
@@ -87,6 +87,7 @@ GOLDEN = {
     "appendix-a --format json": (0, "108e9a1485ef71c0814ffed09bd762d574c24983d9ede2885e3022e78d9e42c9"),
     "count --n 6 --d 1 --format csv": (0, "48ebe626c4359eaa7d71b88745f70b98712c6218d2614e73f0f1d0b0f7370b8f"),
     "count --n 6 --d 2 --format csv": (0, "99546321d8fe0b7d2048c1cbc8c2ac33189ae48b5c8bc27194378ffcc7d23051"),
+    "count --n 6 --indices 2,4 --format csv": (0, "2dc8f796b135e207601a7c0b47276a37034c80b7630ebeaa81cced695cefaef4"),
     "extend --n 6 --format csv": (0, "1f86517ad795b815f0247a14034017a543199f5200ed3d011f72b940dada5abc"),
     "appendix-a --format csv": (0, "a400dc7866bc8f29d9985c995b3ad25bfca10579e2c7b01d0fe971d88c66050f"),
 }
@@ -358,3 +359,114 @@ def test_verify_range_runs_one_sweep(monkeypatch, capsys):
     assert orders == [8]
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"theorem1 n={n}: PASS" for n in range(3, 9)] + ["theorem1: PASS (3..8)"]
+
+
+# The falsifiers: for every claim one named, minimal corruption of what it
+# reads, which must fail the claim with a witness at its lowest default order.
+
+
+def depth_2_count_one_too_large(monkeypatch):
+    """The counting kernel's depth-2 table has entry (2, 3) one too large."""
+    real = claims.build_table
+
+    def build(n, d):
+        entries = dict(real(n, d).entries)
+        entries[(2, 3)] += 1
+        return RefinedTable(n, d, entries)
+
+    monkeypatch.setattr(claims, "build_table", build)
+
+
+def extension_binomial_one_too_large(monkeypatch):
+    """extend_matrix builds its coefficient table with binom_plus(1, 1) = 2."""
+    real = extension.binom_plus
+    monkeypatch.setattr(extension, "binom_plus", lambda n, k: real(n, k) + ((n, k) == (1, 1)))
+
+
+def expansion_coefficient_one_too_large(monkeypatch):
+    """The depth-3 expansion has coefficient (1, 1, 1) one too large."""
+    real = extension.expand_in_binomial_basis
+
+    def expand(poly):
+        expansion = real(poly)
+        coeffs = (expansion.coeffs[0] + 1,) + expansion.coeffs[1:]
+        return BinomBasisExpansion(expansion.n, expansion.d, coeffs)
+
+    monkeypatch.setattr(extension, "expand_in_binomial_basis", expand)
+
+
+def refined_count_one_too_large(monkeypatch):
+    """The refined count at (1, 2, 3) is one too large."""
+    real = extension.refined_count
+    monkeypatch.setattr(
+        extension, "refined_count", lambda n, idx: real(n, idx) + (tuple(idx) == (1, 2, 3))
+    )
+
+
+def first_coordinate(num_vars: int) -> PolyMulti:
+    # x_1 is neither translation invariant nor reflection symmetric
+    grid = itertools.product((0, 1), repeat=num_vars)
+    return PolyMulti.interpolate([(0, 1)] * num_vars, [pt[0] for pt in grid])
+
+
+def first_coordinate_as_counting_polynomial(monkeypatch):
+    """alpha_polynomial returns x_1."""
+    monkeypatch.setattr(polynomials, "alpha_polynomial", lambda n, budget: first_coordinate(n))
+
+
+def first_coordinate_as_specialization(monkeypatch):
+    """gn_poly returns x_1."""
+    monkeypatch.setattr(polynomials, "gn_poly", lambda n, d, budget: first_coordinate(d))
+
+
+def mt_to_asm_one_order_too_large(monkeypatch):
+    """mt_to_asm returns the matrix with a 1 added in a new first row and column.
+
+    Order 1 has one matrix, so there only a matrix of another order is wrong.
+    """
+    real = claims.mt_to_asm
+
+    def to_asm(t):
+        rows = real(t).entries
+        return Asm(((1,) + (0,) * len(rows),) + tuple((0,) + row for row in rows))
+
+    monkeypatch.setattr(claims, "mt_to_asm", to_asm)
+
+
+def transfer_total_one_too_large(monkeypatch):
+    """The row transfer counts one triangle too many over the staircase."""
+    real = claims.alpha_count
+    monkeypatch.setattr(claims, "alpha_count", lambda row: real(row) + 1)
+
+
+FALSIFIERS = {
+    "theorem1": depth_2_count_one_too_large,
+    "theorem2": depth_2_count_one_too_large,
+    "theorem4": depth_2_count_one_too_large,
+    "special-values": depth_2_count_one_too_large,
+    "ilse": depth_2_count_one_too_large,
+    "zw-chain": depth_2_count_one_too_large,
+    "conj1": depth_2_count_one_too_large,
+    "conj2": depth_2_count_one_too_large,
+    "conj3": expansion_coefficient_one_too_large,
+    "conj4": refined_count_one_too_large,
+    "alpha-identities": first_coordinate_as_counting_polynomial,
+    "gn-reflection": first_coordinate_as_specialization,
+    "triangular-system": extension_binomial_one_too_large,
+    "bijection": mt_to_asm_one_order_too_large,
+    "product-formulas": transfer_total_one_too_large,
+}
+
+
+def test_every_claim_has_a_falsifier():
+    assert set(FALSIFIERS) == set(CLAIMS)
+
+
+@pytest.mark.parametrize("claim", sorted(FALSIFIERS))
+def test_falsifier_fails_the_claim_at_its_lowest_order(claim, monkeypatch, capsys, cold_sweeps):
+    FALSIFIERS[claim](monkeypatch)
+    lowest = str(CLAIMS[claim].orders[0])
+    code = cli.main(["verify", claim, "--n", lowest, "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert code == 1
+    assert any(report["witnesses"] for report in reports)

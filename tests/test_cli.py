@@ -11,8 +11,10 @@ import asmref.claims as claims
 import asmref.cli as cli
 import asmref.extension as extension
 from asmref.combinat import total_asm_count
-from asmref.documents import TableCache, TableDocument
+from asmref import documents
+from asmref.documents import TableCache, TableDocument, document_from_entries
 from asmref.reports import VerificationReport, Witness
+from asmref.triangles import RefinedTable, build_table
 
 from reference_tables import EXTENDED_MATRICES, REFINED_TRIANGLE
 
@@ -342,6 +344,38 @@ def test_malformed_cache_file_is_recomputed(tmp_path, capsys, argv, d, kind):
     assert TableCache(tmp_path).load("refined", 5, d) is not None
 
 
+def store_invalid_table(cache, edit):
+    """Sign an order-5 depth-2 table whose keys or counts make it no table."""
+    entries = dict(build_table(5, 2).entries)
+    if edit == "negative-count":
+        entries[(1, 2)] = -7
+    else:
+        bad = (2, 1) if edit == "swapped-index" else (1, 6)
+        entries = {bad if key == (1, 2) else key: value for key, value in entries.items()}
+    cache.store(document_from_entries(5, 2, "refined", entries))
+
+
+@pytest.mark.parametrize("edit", ["swapped-index", "index-out-of-range", "negative-count"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "5", "--d", "2", "--format", "csv"),
+        ("extend", "--n", "5"),
+        ("verify", "theorem2", "--n", "5"),
+    ],
+    ids=["count", "extend", "verify"],
+)
+def test_signed_cached_table_that_is_no_table_is_recomputed(tmp_path, capsys, argv, edit):
+    _, cold, _ = run(capsys, *argv)
+    cache = TableCache(tmp_path)
+    store_invalid_table(cache, edit)
+    assert cache.load("refined", 5, 2) is not None  # its digest matches
+    assert run(capsys, *argv, "--cache-dir", str(tmp_path)) == (0, cold, "")
+    # the file is overwritten with the recomputed table
+    doc = cache.load("refined", 5, 2)
+    assert RefinedTable(5, 2, doc.int_entries()) == build_table(5, 2)
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ASMREF_CACHE", str(tmp_path))
     code, _, _ = run(capsys, "count", "--n", "4", "--d", "1")
@@ -451,6 +485,37 @@ def test_oeis_check_fetch_file_url(tmp_path, capsys):
     assert code == 0
     assert "PASS" in out
     assert (cache_dir / "b005130.txt").exists()
+
+
+def test_oeis_check_fetch_stores_only_a_file_that_parses(tmp_path, capsys, monkeypatch):
+    source = tmp_path / "source" / "b005130.txt"
+    source.parent.mkdir()
+    cache_dir = tmp_path / "cache"
+    argv = ("oeis-check", "--fetch", source.as_uri(), "--cache-dir", str(cache_dir))
+
+    def cached_files():
+        return sorted(p.name for p in cache_dir.iterdir()) if cache_dir.exists() else []
+
+    source.write_text("<html>busy</html>\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert cached_files() == []
+    # an interrupted store leaves no file either
+    write_totals_b_file(source, 0, 7)
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(documents.os, "replace", interrupted)
+    assert run(capsys, *argv)[0] == 2
+    monkeypatch.undo()
+    assert cached_files() == []
+    # once the source is fixed, the next run fetches it again and keeps it
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "A005130 totals: PASS (8 terms)\n")
+    assert cached_files() == ["b005130.txt"]
+    assert (cache_dir / "b005130.txt").read_text() == source.read_text()
 
 
 def test_oeis_check_fetch_requires_cache(tmp_path, capsys):

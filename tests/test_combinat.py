@@ -19,6 +19,7 @@ from asmref.combinat import (
 )
 from asmref.errors import NonIntegralError
 
+from oracles import falling_factorial_binom
 from reference_tables import REFINED_TRIANGLE, TOTALS
 
 ints = st.integers(min_value=-40, max_value=40)
@@ -37,6 +38,12 @@ def test_binom_negative_upper_argument():
         assert binom(-1, k) == (-1) ** k
     assert binom(-3, 2) == 6
     assert binom(-2, 3) == -4
+
+
+def test_binom_matches_the_falling_factorial_oracle():
+    for n in range(-60, 61):
+        for k in range(-3, 62):
+            assert binom(n, k) == falling_factorial_binom(n, k)
 
 
 def test_binom_negative_lower_argument_is_zero():
@@ -86,6 +93,14 @@ def test_harmonic_values():
     assert harmonic(-3) == 0
     assert harmonic(1) == 1
     assert harmonic(4) == Fraction(25, 12)
+
+
+def test_harmonic_of_a_large_order_from_a_cold_cache():
+    # 3000 is past the default recursion limit of 1000
+    harmonic.cache_clear()
+    assert harmonic(3000) == sum((Fraction(1, d) for d in range(1, 3001)), Fraction(0))
+    harmonic.cache_clear()
+    assert [harmonic(m) for m in (0, -1, -3000)] == [0, 0, 0]
 
 
 @given(st.integers(min_value=1, max_value=60))
