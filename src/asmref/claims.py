@@ -40,7 +40,6 @@ from .triangles import (
     asm_to_mt,
     build_table,
     complete_monotone_triangles,
-    enumerate_asms,
     mt_to_asm,
     refined_count,
 )
@@ -88,7 +87,8 @@ def extended_matrix(n: int, cache: TableCache | None = None) -> ExtendedMatrix:
 
 def verify_bijection(n: int) -> VerificationReport:
     """Matrices and complete monotone triangles round-trip and match the total."""
-    asms = enumerate_asms(n)
+    listed = complete_monotone_triangles(n)
+    asms = [mt_to_asm(t) for t in listed]
     witnesses = []
     triangles = set()
     for a in asms:
@@ -102,7 +102,7 @@ def verify_bijection(n: int) -> VerificationReport:
         witnesses.append(Witness((n,), len(asms), expected))
     if len(set(asms)) != len(asms):
         witnesses.append(Witness((n,), "duplicate matrices", len(asms)))
-    complete = set(complete_monotone_triangles(n))
+    complete = set(listed)
     if triangles != complete:
         witnesses.append(Witness((n,), len(triangles), len(complete)))
     return VerificationReport.from_witnesses(

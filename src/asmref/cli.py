@@ -7,10 +7,10 @@ or a reference-sequence disagreement), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
-import urllib.request
 from pathlib import Path
 
 from .claims import CLAIMS, extended_matrix, refined_table
@@ -301,8 +301,9 @@ def _cmd_verify(args) -> int:
 def _fetch_b_file(target: str, cache: TableCache | None) -> tuple[str, str]:
     if target.startswith(("http://", "https://", "file://")):
         url = target
-        name = Path(target).name or "sequence"
-        sequence_id = Path(name).stem
+        sequence_id = Path(Path(target).name or "sequence").stem
+        # two sources with the same file name are two entries
+        name = f"{sequence_id}-{hashlib.sha256(url.encode()).hexdigest()[:16]}.txt"
     else:
         sequence_id = target.upper()
         url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
@@ -311,7 +312,16 @@ def _fetch_b_file(target: str, cache: TableCache | None) -> tuple[str, str]:
         raise AsmrefError("--fetch needs a cache directory (--cache-dir or $ASMREF_CACHE)")
     path = Path(cache.directory) / name
     if path.exists():
-        return path.read_text(), sequence_id
+        text = path.read_text()
+        try:
+            OeisReference.from_b_file(text, sequence_id)
+        except (AsmrefError, UnicodeDecodeError):
+            pass  # a stored file that does not parse is fetched again and replaced
+        else:
+            return text, sequence_id
+    # imported here: it loads http, email and ssl, which only a download needs
+    import urllib.request
+
     with urllib.request.urlopen(url) as response:
         data = response.read().decode("utf-8")
     # only a download that parses is kept, so a bad one is fetched again next time

@@ -586,35 +586,36 @@ def verify_triangular_system(
     if matrix is None:
         matrix = extend_matrix(build_table(n, 2))
     f = matrix.entry
+    # suffix sums, zero past n: rect[i][j] sums f(p, q) over p >= i and q >= j,
+    # down[i][j] sums f(p, j) over p >= i, and right[i][j] sums f(i, q) over q >= j
+    size = n + 2
+    rect = [[0] * size for _ in range(size)]
+    down = [[0] * size for _ in range(size)]
+    right = [[0] * size for _ in range(size)]
+    for i in range(n, 0, -1):
+        for j in range(n, 0, -1):
+            value = f(i, j)
+            right[i][j] = value + right[i][j + 1]
+            down[i][j] = value + down[i + 1][j]
+            rect[i][j] = right[i][j] + rect[i + 1][j]
     witnesses = []
 
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            lhs = f(i, j) + sum(
-                f(p, q) for p in range(i + 1, n + 1) for q in range(j, n + 1)
-            )
-            rhs = -f(j, i) - sum(
-                f(q, p) for p in range(i, n + 1) for q in range(j + 1, n + 1)
-            )
+            lhs = f(i, j) + rect[i + 1][j]
+            rhs = -f(j, i) - rect[j + 1][i]
             if lhs != rhs:
                 witnesses.append(Witness(("full", i, j), lhs, rhs))
 
     if f(n, n) != 0:
         witnesses.append(Witness(("corner", n, n), f(n, n), 0))
     for i in range(1, n):
-        total = sum(f(k, i) for k in range(i, n + 1)) + sum(
-            f(i + 1, k) for k in range(i + 2, n + 1)
-        )
+        total = down[i][i] + right[i + 1][i + 2]
         if total != 0:
             witnesses.append(Witness(("diagonal", i), total, 0))
     for i in range(1, n + 1):
         for j in range(1, i):
-            total = (
-                sum(f(k, j) for k in range(i, n + 1))
-                - f(i, j + 1)
-                + f(j, i)
-                + sum(f(j + 1, k) for k in range(i + 1, n + 1))
-            )
+            total = down[i][j] - f(i, j + 1) + f(j, i) + right[j + 1][i + 1]
             if total != 0:
                 witnesses.append(Witness(("below", i, j), total, 0))
 

@@ -13,13 +13,13 @@ dicts split by the running sum h of the line being added, h0 and h1, keyed by
 the partial sums of the lines across it; the cell moves a state between them.
 
 - the column sweep (_column_sweep) adds the matrix row by row and counts every
-  subset of {1..n} at once; it carries each row only to the subsets that
-  contain column 1 and copies each count to the subset's translates, which
-  is exact because a translate of a triangle is a triangle; every refined
-  table and refined_count is a lookup into the sweep of its order
-  (_staircase_counts), and so is every term of a row with a tie, which
-  alpha_count sums over the strictly increasing rows that interlace it from
-  above, though no claim counts such a row;
+  subset of {1..n} at once; it carries and keeps only the subsets that
+  contain column 1, since a translate of a triangle is a triangle, and
+  _sweep_count reads any other subset from its translate that contains
+  column 1; every refined table and refined_count is such a lookup into the
+  sweep of its order (_staircase_counts), and so is every term of a row with
+  a tie, which alpha_count sums over the strictly increasing rows that
+  interlace it from above, though no claim counts such a row;
 - the row transfer (_row_transfer) adds the n x W matrix of one strictly
   increasing row of width W column by column, in at most W * n * 2^n cell
   updates; alpha_count_grid counts every row of a grid of candidate entries
@@ -159,7 +159,9 @@ def alpha_count(bottom: Sequence[int], budget: Budget = DEFAULT_BUDGET) -> int:
         raise BudgetError(f"a tied row of width {width} exceeds the budget cap {cap}")
     # entry v of a row above is column v + 1 of the sweep, bit v + 1 of its mask
     counts = _staircase_counts(width)
-    return sum(counts[sum(2 << v for v in above)] for above in _interlacing_rows(row))
+    return sum(
+        _sweep_count(counts, sum(2 << v for v in above)) for above in _interlacing_rows(row)
+    )
 
 
 def alpha_count_grid(
@@ -301,7 +303,7 @@ def refined_count(n: int, indices: Sequence[int], budget: Budget = DEFAULT_BUDGE
     if idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValidationError(f"indices must be strictly increasing in 1..{n}: {idx}")
     _check_table_budget(n, budget)
-    return _staircase_counts(n)[_complement_mask(n, idx)]
+    return _sweep_count(_staircase_counts(n), _complement_mask(n, idx))
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,7 @@ def build_table(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> RefinedTable
     _check_table_budget(n, budget)
     counts = _staircase_counts(n)
     entries = {
-        combo: counts[_complement_mask(n, combo)]
+        combo: _sweep_count(counts, _complement_mask(n, combo))
         for combo in itertools.combinations(range(1, n + 1), d)
     }
     return RefinedTable(n, d, entries)
@@ -352,10 +354,12 @@ def _check_table_budget(n: int, budget: Budget) -> None:
         raise BudgetError(f"refined counts at n={n} exceed the budget cap {cap}")
 
 
-# Column sweeps by order.  A sweep of order N maps the bitmask of every subset
-# S of {1..N} (column j is bit j) to alpha_count(S).  The count does not depend
-# on N, because every row of a triangle lies between the ends of its bottom
-# row, so one sweep also answers every lower order.
+# Column sweeps by order.  A sweep of order N maps the bitmask S of the empty
+# set and of every subset of {1..N} that contains column 1 (column j is bit j)
+# to alpha_count(S), 2^(N-1) + 1 entries; _sweep_count reads any other subset
+# from its translate.  The count does not depend on N, because every row of a
+# triangle lies between the ends of its bottom row, so one sweep also answers
+# every lower order, and the memo keeps only the highest order swept.
 _sweep_memo: dict[int, dict[int, int]] = {}
 
 
@@ -363,12 +367,13 @@ def _staircase_counts(n: int) -> dict[int, int]:
     for order, counts in _sweep_memo.items():
         if order >= n:
             return counts
+    _sweep_memo.clear()  # the new sweep holds every count of a lower one
     counts = _sweep_memo[n] = _column_sweep(n)
     return counts
 
 
 def _column_sweep(n: int) -> dict[int, int]:
-    """alpha_count of every subset of {1..n}, from the six-vertex transfer.
+    """alpha_count of the empty set and of every subset of {1..n} that contains column 1.
 
     The ASM rows are added one entry at a time.  A state holds the partial
     column sums as bits 1..n, and is kept in h0 or h1 by the running row sum
@@ -376,28 +381,38 @@ def _column_sweep(n: int) -> dict[int, int]:
     complete when h is 1.  After row k the states are the k-subsets that are
     the bottom rows of k-row monotone triangles, with their counts.
 
-    Each row is carried only to the subsets that contain column 1: after the
-    first cell the states without bit 1 are dropped.  A translate of a
-    triangle is a triangle, so alpha_count(T << t) = alpha_count(T), and
-    every subset of {1..n} is one such T shifted by its least column minus 1;
-    the end of the row copies each T to its translates inside {1..n}, which
-    gives the whole row, as the memo and as the start of the next row.
+    Only the subsets that contain column 1 are carried and kept.  A translate
+    of a triangle is a triangle, so alpha_count(T << t) = alpha_count(T), and
+    every nonempty subset of {1..n} is one such T shifted by its least column
+    minus 1 (_sweep_count).  Row k + 1 starts from row k: its k-subsets that
+    contain column 1 are h0, where the 0 in column 1 keeps them, and the
+    translates of them inside {2..n}, each with column 1 added by a +1, are
+    h1.  The other states, the k-subsets of {2..n} with a 0 in column 1, end
+    the row without column 1 and are never made.
     """
-    counts = {0: 1}
-    h0 = {0: 1}
-    for _ in range(n):
-        h1: dict[int, int] = {}
-        _cell(h0, h1, 1)
-        h0 = {state: ways for state, ways in h0.items() if state & 2}
-        for j in range(2, n + 1):
-            _cell(h0, h1, j)
-        h0 = {
-            state << t: ways
-            for state, ways in h1.items()
-            for t in range(n + 2 - state.bit_length())
+    counts = {0: 1, 2: 1}
+    row = {2: 1}  # row 1: the one triangle over column 1
+    for _ in range(1, n):
+        h1 = {
+            (state << t) | 2: ways
+            for state, ways in row.items()
+            for t in range(1, n + 2 - state.bit_length())
         }
-        counts.update(h0)
+        # the previous row is h0 itself; counts holds its own copy of it
+        for j in range(2, n + 1):
+            _cell(row, h1, j)
+        row = h1
+        counts.update(row)
     return counts
+
+
+def _sweep_count(counts: Mapping[int, int], mask: int) -> int:
+    """alpha_count of the subset with this mask, read from a column sweep.
+
+    A nonempty subset counts what its translate that contains column 1 does:
+    the mask shifted down until bit 1 is its least bit.
+    """
+    return counts[mask // (mask & -mask) * 2] if mask else counts[0]
 
 
 def _row_transfer(grid: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -446,7 +461,7 @@ def _cell(h0: dict[int, int], h1: dict[int, int], bit: int) -> None:
 
     The pairs are found from h0 alone, so h0 must hold x whenever h1 holds
     x + bit.  Both kernels start a line from every subset of one size (the
-    sweep, after its first cell, from every one that contains column 1).
+    sweep, from its second cell on, from every one that contains column 1).
     If x + bit came from the start S, the cells before the bit added one
     element, since h went from 0 to 1, and the bit is in S.  So x, which is
     x + bit on the cells before the bit and S on the cells after it, has the

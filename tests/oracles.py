@@ -28,7 +28,7 @@ column_sweep carries every state of every row through all n cells, with the
 running row sum as bit 0 of one dict of states under cell, as
 asmref.triangles did before it split the states by that sum and carried each
 row only to the subsets that contain column 1.  The tests require the same
-dict, key for key, from the pruned sweep.
+count for every subset from the pruned sweep, each read through _sweep_count.
 
 fiber_transfer counts the rows of one prefix with each candidate last entry
 by its own row transfer, as asmref.triangles did before it counted a whole
@@ -49,6 +49,12 @@ extend_matrix did before it read its coefficients from one table per order.
 The tests require the same values and the same exceptions from
 explicit_formula, and the same ExtendedMatrix from extend_matrix, on real
 and on random tables.
+
+triangular_system_witnesses sums a rectangle, a column or a row of the
+extended array inside every check of the triangular system, as
+verify_triangular_system did before it read them from suffix sums built once
+per order.  The tests require the same witnesses, in the same order, on real
+arrays and on corrupted ones.
 
 shifted_row_z sums a count over the rows above every shifted row of a
 shift-subset sum, one subset and one interlacing row at a time, as z_value
@@ -363,6 +369,45 @@ def theorem1_witnesses(matrix: ExtendedMatrix) -> list[Witness]:
             lhs = matrix.entry(i, j)
             if lhs != rhs:
                 witnesses.append(Witness((i, j), lhs, rhs))
+    return witnesses
+
+
+def triangular_system_witnesses(matrix: ExtendedMatrix) -> list[Witness]:
+    """The witnesses of the triangular system, each sum of entries taken inside its check."""
+    n = matrix.n
+    f = matrix.entry
+    witnesses = []
+
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            lhs = f(i, j) + sum(
+                f(p, q) for p in range(i + 1, n + 1) for q in range(j, n + 1)
+            )
+            rhs = -f(j, i) - sum(
+                f(q, p) for p in range(i, n + 1) for q in range(j + 1, n + 1)
+            )
+            if lhs != rhs:
+                witnesses.append(Witness(("full", i, j), lhs, rhs))
+
+    if f(n, n) != 0:
+        witnesses.append(Witness(("corner", n, n), f(n, n), 0))
+    for i in range(1, n):
+        total = sum(f(k, i) for k in range(i, n + 1)) + sum(
+            f(i + 1, k) for k in range(i + 2, n + 1)
+        )
+        if total != 0:
+            witnesses.append(Witness(("diagonal", i), total, 0))
+    for i in range(1, n + 1):
+        for j in range(1, i):
+            total = (
+                sum(f(k, j) for k in range(i, n + 1))
+                - f(i, j + 1)
+                + f(j, i)
+                + sum(f(j + 1, k) for k in range(i + 1, n + 1))
+            )
+            if total != 0:
+                witnesses.append(Witness(("below", i, j), total, 0))
+
     return witnesses
 
 

@@ -309,13 +309,15 @@ def test_a_wrong_sweep_count_fails_product_formulas(monkeypatch, capsys, cold_sw
 
     def sweep(n):
         counts = real(n)
-        counts[(1 << (n + 1)) - 4] += 1  # the bottom row {2..n}, entry (n, 1)
+        # the bottom row {1..n-1}, entry (n, n), which also serves its translate
+        # {2..n}, entry (n, 1)
+        counts[(1 << n) - 2] += 1
         return counts
 
     monkeypatch.setattr(triangles, "_column_sweep", sweep)
     code, witnesses = product_formula_witnesses(6, capsys)
     assert code == 1
-    assert witnesses == [((6, 1), "430", "429"), ((6,), "7437", "7436")]
+    assert witnesses == [((6, 1), "430", "429"), ((6, 6), "430", "429"), ((6,), "7438", "7436")]
 
 
 def test_a_cell_rule_without_minus_ones_fails_product_formulas(monkeypatch, capsys, cold_sweeps):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -484,7 +489,7 @@ def test_oeis_check_fetch_file_url(tmp_path, capsys):
     )
     assert code == 0
     assert "PASS" in out
-    assert (cache_dir / "b005130.txt").exists()
+    assert (cache_dir / url_entry(source)).exists()
 
 
 def test_oeis_check_fetch_stores_only_a_file_that_parses(tmp_path, capsys, monkeypatch):
@@ -514,8 +519,74 @@ def test_oeis_check_fetch_stores_only_a_file_that_parses(tmp_path, capsys, monke
     # once the source is fixed, the next run fetches it again and keeps it
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, "A005130 totals: PASS (8 terms)\n")
-    assert cached_files() == ["b005130.txt"]
-    assert (cache_dir / "b005130.txt").read_text() == source.read_text()
+    assert cached_files() == [url_entry(source)]
+    assert (cache_dir / url_entry(source)).read_text() == source.read_text()
+
+
+def url_entry(source) -> str:
+    """The cache entry of a fetched URL: the file's stem and a digest of the whole URL."""
+    digest = hashlib.sha256(source.as_uri().encode()).hexdigest()[:16]
+    return f"{source.stem}-{digest}.txt"
+
+
+def test_oeis_check_fetch_keys_a_url_by_the_whole_url(tmp_path, capsys):
+    # two sources with one file name: the second, whose term 3 is one too
+    # large, is read and fails instead of answering from the first one's entry
+    cache_dir = tmp_path / "cache"
+    sources = [tmp_path / part / "b005130.txt" for part in ("a", "b")]
+    for source, corrupt in zip(sources, (None, 3)):
+        source.parent.mkdir()
+        write_totals_b_file(source, 0, 7, corrupt)
+    argv = ("oeis-check", "--which", "totals", "--cache-dir", str(cache_dir), "--fetch")
+    code, out, _ = run(capsys, *argv, sources[0].as_uri())
+    assert (code, out) == (0, "A005130 totals: PASS (8 terms)\n")
+    code, out, _ = run(capsys, *argv, sources[1].as_uri())
+    assert code == 1
+    assert "FAIL" in out
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(map(url_entry, sources))
+
+
+def test_oeis_check_fetch_replaces_a_stored_file_that_does_not_parse(tmp_path, capsys):
+    source = tmp_path / "b005130.txt"
+    write_totals_b_file(source, 0, 7)
+    cache_dir = tmp_path / "cache"
+    argv = ("oeis-check", "--which", "totals", "--fetch", source.as_uri(), "--cache-dir", str(cache_dir))
+    assert run(capsys, *argv)[:2] == (0, "A005130 totals: PASS (8 terms)\n")
+    entry = cache_dir / url_entry(source)
+    entry.write_text("<html>busy</html>\n")
+    assert run(capsys, *argv)[:2] == (0, "A005130 totals: PASS (8 terms)\n")
+    assert entry.read_text() == source.read_text()
+
+
+def test_oeis_check_fetch_reads_an_a_number_from_its_b_file_entry(tmp_path, capsys, monkeypatch):
+    import urllib.request
+
+    def offline(url):
+        raise AssertionError(f"fetched {url}")
+
+    monkeypatch.setattr(urllib.request, "urlopen", offline)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    write_totals_b_file(cache_dir / "b005130.txt", 0, 6)
+    code, out, _ = run(
+        capsys, "oeis-check", "--which", "totals", "--fetch", "A005130", "--cache-dir", str(cache_dir)
+    )
+    assert (code, out) == (0, "A005130 totals: PASS (7 terms)\n")
+
+
+def test_importing_the_cli_loads_no_url_library():
+    # urllib.request pulls in http, email and ssl; only --fetch needs it
+    src = str(Path(asmref.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys; before = 'urllib.request' in sys.modules; import asmref.cli; "
+        "print(before, 'urllib.request' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    before, after = result.stdout.split()
+    assert after == before
 
 
 def test_oeis_check_fetch_requires_cache(tmp_path, capsys):

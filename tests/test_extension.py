@@ -44,6 +44,7 @@ from oracles import (
     fraction_explicit_formula,
     shifted_row_z,
     theorem1_witnesses,
+    triangular_system_witnesses,
 )
 from reference_tables import EXTENDED_MATRICES
 
@@ -425,6 +426,26 @@ def test_triangular_system():
     for n in range(3, 7):
         report = verify_triangular_system(n)
         assert report.passed, report.witnesses
+
+
+def test_triangular_system_from_suffix_sums_matches_the_loop_oracle():
+    # every sum of entries read from suffix sums gives the witnesses of the
+    # sums taken inside each check, in the same order, passing or not
+    rng = random.Random(2009)
+    for n in range(3, 17):
+        matrix = extend_matrix(build_table(n, 2))
+        report = verify_triangular_system(n, matrix)
+        assert report.passed
+        assert list(report.witnesses) == triangular_system_witnesses(matrix) == []
+        for _ in range(3):
+            rows = [list(row) for row in matrix.rows]
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] += rng.choice((-1, 1))
+            corrupted = ExtendedMatrix(n, tuple(map(tuple, rows)))
+            witnesses = triangular_system_witnesses(corrupted)
+            assert witnesses
+            assert verify_triangular_system(n, corrupted).witnesses == tuple(witnesses)
 
 
 def test_triangular_system_passes_any_table():

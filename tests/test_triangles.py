@@ -286,14 +286,21 @@ def mask(subset) -> int:
     return sum(1 << j for j in subset)
 
 
+def every_subset(counts: dict[int, int], n: int) -> dict[int, int]:
+    """The count of every subset of {1..n}, each read from a sweep through _sweep_count."""
+    return {m: triangles._sweep_count(counts, m) for m in range(0, 2 << n, 2)}
+
+
 def test_sweep_matches_dfs_on_every_staircase_subset():
     for n in range(1, 10):
         asmref.clear_caches()
         counts = triangles._staircase_counts(n)
-        assert len(counts) == 2**n
+        # the empty set and the subsets that contain column 1
+        assert len(counts) == 2 ** (n - 1) + 1
+        assert all(m & 2 for m in counts if m)
         for size in range(n + 1):
             for subset in itertools.combinations(range(1, n + 1), size):
-                assert counts[mask(subset)] == alpha_count_dfs(subset)
+                assert triangles._sweep_count(counts, mask(subset)) == alpha_count_dfs(subset)
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,18 +311,19 @@ def test_sweep_matches_dfs_on_every_staircase_subset():
 )
 def test_sweep_matches_dfs_on_random_subsets(case):
     n, subset = case
-    assert triangles._staircase_counts(n)[mask(subset)] == alpha_count_dfs(sorted(subset))
+    counts = triangles._staircase_counts(n)
+    assert triangles._sweep_count(counts, mask(subset)) == alpha_count_dfs(sorted(subset))
 
 
 def test_pruned_sweep_equals_the_unpruned_sweep():
     for n in range(1, 14):
-        assert triangles._column_sweep(n) == column_sweep(n)
+        assert every_subset(triangles._column_sweep(n), n) == column_sweep(n)
 
 
 def test_sweep_counts_are_invariant_under_reflection():
     # column c maps to 15 - c: a symmetry the translation prune does not use
     n = 14
-    counts = triangles._column_sweep(n)
+    counts = every_subset(triangles._column_sweep(n), n)
     assert len(counts) == 2**n
     for subset, count in counts.items():
         reflected = sum(1 << (n + 1 - c) for c in range(1, n + 1) if subset >> c & 1)
@@ -354,7 +362,7 @@ def test_cell_finds_every_pair_from_h0(monkeypatch):
         real(h0, h1, bit)
 
     monkeypatch.setattr(triangles, "_cell", checked)
-    assert triangles._column_sweep(9) == column_sweep(9)
+    assert every_subset(triangles._column_sweep(9), 9) == column_sweep(9)
     grid = [(0, 1), (2, 4, 5), (6, 9), (10, 11, 14), (16, 17)]
     assert alpha_count_grid(grid) == [
         alpha_count_dfs(row) for row in itertools.product(*grid)
@@ -531,6 +539,15 @@ def test_clear_caches_empties_both_kernels_memos(fail_if_counting):
     assert build_table(5, 1).entries == {(k,): refined_asm_count(5, k) for k in range(1, 6)}
     asmref.clear_caches()
     assert not triangles._sweep_memo
+
+
+def test_a_higher_sweep_replaces_a_lower_one(fail_if_counting):
+    asmref.clear_caches()
+    build_table(6, 1)
+    alpha_count((1, 1, 4, 9))  # the order-9 sweep
+    assert list(triangles._sweep_memo) == [9]
+    fail_if_counting()
+    assert build_table(6, 1).entries == {(k,): refined_asm_count(6, k) for k in range(1, 7)}
 
 
 def test_refined_row_matches_product_formula():
