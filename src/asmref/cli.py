@@ -7,6 +7,7 @@ or a reference-sequence disagreement), 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -49,7 +50,13 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"indices must be comma-separated ints: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every main() call; do not modify it.
+
+    Sharing is safe because parse_args returns a fresh Namespace each call and
+    the help formatter reads the terminal width when help is printed.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("pretty", "json", "csv"), default="pretty",

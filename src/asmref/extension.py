@@ -466,12 +466,24 @@ def explicit_formula(n: int, i: int, j: int) -> int:
         raise ValidationError(f"indices must lie in 1..{n}, got ({i}, {j})")
     if (i, j) in _excluded_pairs(n):
         raise ExcludedIndexError(f"({i}, {j}) is an excluded pair at n={n}")
+    return _formula_entry(n, i, j, *_harmonic_table(n))
+
+
+def _harmonic_table(n: int) -> tuple[int, list[int]]:
+    """L = lcm(1..3n) and h[m] = L * H(m), the constants every entry of order n reads.
+
+    h covers m in 0..3n; the arguments reach down to -2n, and a negative index
+    reads the zero tail, as H(m) = 0 for m < 1.
+    """
     scale = math.lcm(*range(1, 3 * n + 1))
-    # h[m] = L * H(m) for m in 0..3n; the arguments reach down to -2n, and a
-    # negative index reads the zero tail, as H(m) = 0 for m < 1
     h = [0] * (5 * n + 1)
     for m in range(1, 3 * n + 1):
         h[m] = h[m - 1] + scale // m
+    return scale, h
+
+
+def _formula_entry(n: int, i: int, j: int, scale: int, h: list[int]) -> int:
+    """explicit_formula at a valid, non-excluded (i, j), given _harmonic_table(n)."""
     num, den = 0, 1
     for k in range(min(0, j - i), max(i - 1, j - 2) + 1):
         pole = k - j + 3 - n
@@ -529,7 +541,8 @@ def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> Verifica
     if matrix is None:
         matrix = extend_matrix(build_table(n, 2))
     excluded = _excluded_pairs(n)
-    witnesses = entry_witnesses(matrix, lambda i, j: explicit_formula(n, i, j), excluded)
+    scale, h = _harmonic_table(n)
+    witnesses = entry_witnesses(matrix, lambda i, j: _formula_entry(n, i, j, scale, h), excluded)
     return VerificationReport.from_witnesses(
         "conj2", f"n={n}, all pairs except the {len(excluded)} excluded", witnesses
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -610,3 +611,80 @@ def test_oeis_check_json_and_limit(tmp_path, capsys):
     assert data["checked"] == 4
     assert data["passed"] is True
     assert data["mismatches"] == []
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "count", "--n", "4")[0] == 0
+    after_first = len(built)
+    assert run(capsys, "verify", "theorem2", "--n", "4")[0] == 0
+    assert len(built) == after_first
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage error's SystemExit included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def first_outcome(capsys, argv):
+    """What argv gives on a parser that no earlier call has used."""
+    cli.build_parser.cache_clear()
+    return outcome(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        (("count", "--n", "5", "--d", "2", "--format", "json"), ("count", "--n", "5")),
+        # json, as the pretty report of conj3 does not show the depth
+        (
+            ("verify", "conj3", "--n", "5", "--d", "4", "--format", "json"),
+            ("verify", "conj3", "--n", "5", "--format", "json"),
+        ),
+        (("verify", "nosuch"), ("count", "--n", "5", "--indices", "2,3")),
+    ],
+    ids=["format-and-depth", "claim-depth", "after-usage-error"],
+)
+def test_no_option_carries_over_to_the_next_call(capsys, before, after):
+    expected = {argv: first_outcome(capsys, argv) for argv in (before, after)}
+    cli.build_parser.cache_clear()
+    for argv in (before, after, before, after):
+        assert outcome(capsys, argv) == expected[argv], argv
+
+
+def test_no_cache_dir_carries_over_to_the_next_call(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ASMREF_CACHE", raising=False)
+    argv = ("count", "--n", "5")
+    expected = first_outcome(capsys, argv)
+    assert outcome(capsys, argv + ("--cache-dir", str(tmp_path)))[0] == 0
+    stored = list(tmp_path.iterdir())
+    assert stored
+    for path in stored:
+        path.unlink()
+    assert outcome(capsys, argv) == expected
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")], ids=["top", "verify"])
+def test_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch, argv):
+    helps = {}
+    for columns in ("120", "60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out, _ = outcome(capsys, argv)
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(list(argv))
+        assert (code, out) == (0, capsys.readouterr().out), columns
+        helps[columns] = out
+    assert helps["60"] != helps["120"]

@@ -368,6 +368,18 @@ def test_explicit_formula_matches_the_fraction_oracle():
             assert _outcome(explicit_formula, n, i, j) == expected, (n, i, j)
 
 
+def test_shared_harmonic_table_gives_both_formulas():
+    # verify_conjecture2 reads every entry of an order from one harmonic table
+    for n in range(3, 13):
+        constants = extension._harmonic_table(n)
+        excluded = {(n - 1, 1), (n, 1), (n, 2)}
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            if (i, j) in excluded:
+                continue
+            value = extension._formula_entry(n, i, j, *constants)
+            assert value == explicit_formula(n, i, j) == fraction_explicit_formula(n, i, j), (n, i, j)
+
+
 def test_explicit_formula_excluded_pairs():
     for n in (3, 4, 5):
         for i, j in ((n - 1, 1), (n, 1), (n, 2)):
