@@ -23,6 +23,7 @@ import asmref.claims as claims
 import asmref.cli as cli
 from asmref import extension, polynomials, triangles
 from asmref.claims import CLAIMS
+from asmref.combinat import total_asm_count
 from asmref.documents import TableCache, table_document
 from asmref.errors import NonIntegralError
 from asmref.polynomials import BinomBasisExpansion, PolyMulti
@@ -88,6 +89,8 @@ GOLDEN = {
     "count --n 6 --d 1 --format csv": (0, "48ebe626c4359eaa7d71b88745f70b98712c6218d2614e73f0f1d0b0f7370b8f"),
     "count --n 6 --d 2 --format csv": (0, "99546321d8fe0b7d2048c1cbc8c2ac33189ae48b5c8bc27194378ffcc7d23051"),
     "count --n 6 --indices 2,4 --format csv": (0, "2dc8f796b135e207601a7c0b47276a37034c80b7630ebeaa81cced695cefaef4"),
+    "count --n 6 --indices 2,4 --format pretty": (0, "f807fe6dc767be2e7021d41540114b33b30fa7784f6de5521251f23a3eb66468"),
+    "count --n 6 --indices 2,4 --format json": (0, "847140db495a782f2c76f3cdfccf4368e11ca9bc8928716a4123bbd0cbab8c13"),
     "extend --n 6 --format csv": (0, "1f86517ad795b815f0247a14034017a543199f5200ed3d011f72b940dada5abc"),
     "appendix-a --format csv": (0, "a400dc7866bc8f29d9985c995b3ad25bfca10579e2c7b01d0fe971d88c66050f"),
 }
@@ -98,6 +101,31 @@ def test_golden_output(argv, capsys):
     code = cli.main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+#: argv -> (exit code, sha256 of stdout) of a b-file check, recorded before the
+#: CLI wrote every format through one path.  PASSING is b005130.txt with the
+#: totals at 0..9; MISMATCHING is the same file with the term at 5 one too large.
+GOLDEN_OEIS = {
+    "oeis-check --b-file PASSING --format pretty": (0, "6786aaf95e4c491b8eec053a982da1bbdd3c73f7aa4cf919207dc968f01fa840"),
+    "oeis-check --b-file PASSING --format json": (0, "7e614dca391e8938c25b5d4da0f2c602ae7429e9041953ff81f9c35dd501ffdc"),
+    "oeis-check --b-file MISMATCHING --limit 8 --format pretty": (1, "360a7dc5649cd2b9615ffb0cc531920f5862b1ee75c0b833b2eff16bb99a66bc"),
+    "oeis-check --b-file MISMATCHING --limit 8 --format json": (1, "8ad11521f76488873837d0c7460076120a0d5670c9a3d21eea9ba3ea725c0281"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_OEIS))
+def test_golden_oeis_check_output(argv, tmp_path, capsys):
+    fixtures = {}
+    for name, corrupt in (("PASSING", None), ("MISMATCHING", 5)):
+        path = tmp_path / name / "b005130.txt"
+        path.parent.mkdir()
+        values = [total_asm_count(i) + (i == corrupt) for i in range(10)]
+        path.write_text("".join(f"{i} {v}\n" for i, v in enumerate(values)))
+        fixtures[name] = str(path)
+    code = cli.main([fixtures.get(word, word) for word in argv.split()])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_OEIS[argv]
 
 
 #: argv -> (exit code, sha256 of stdout) on corrupted input, recorded before
