@@ -2,7 +2,9 @@
 """Export counting tables and extended arrays as JSON documents.
 
 Writes refined-n{N}-d{D}.json and extended-n{N}-d2.json files (timestamped)
-into the output directory for the requested orders.
+into the output directory for the requested orders, and reports how many it
+wrote.  An order or depth out of range, or over the budget, prints
+"error: ..." on stderr and exits 2, as the asmref CLI does.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from pathlib import Path
 
 from asmref import build_table, extend_matrix
 from asmref.documents import TableCache, matrix_document, table_document
+from asmref.errors import AsmrefError
 
 
 def main(argv=None) -> int:
@@ -23,16 +26,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cache = TableCache(args.out_dir)
-    for n in range(1, args.max_n + 1):
-        for d in args.depths:
-            if d > n:
-                continue
-            table = build_table(n, d)
-            cache.store(table_document(table))
-            if d == 2:
-                cache.store(matrix_document(extend_matrix(table)))
-    count = len(list(args.out_dir.glob("*.json")))
-    print(f"wrote {count} documents to {args.out_dir}")
+    written = 0
+    try:
+        for n in range(1, args.max_n + 1):
+            for d in args.depths:
+                if d > n:
+                    continue
+                table = build_table(n, d)
+                cache.store(table_document(table))
+                written += 1
+                if d == 2:
+                    cache.store(matrix_document(extend_matrix(table)))
+                    written += 1
+    except (AsmrefError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {written} documents to {args.out_dir}")
     return 0
 
 

@@ -139,69 +139,66 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cache_from(args) -> TableCache | None:
-    directory = args.cache_dir
-    if directory is None:
-        env = os.environ.get("ASMREF_CACHE")
-        directory = Path(env) if env else None
-    return TableCache(directory) if directory else None
+    directory = args.cache_dir or os.environ.get("ASMREF_CACHE")
+    return TableCache(Path(directory)) if directory else None
 
 
-def _grid_lines(rows: list[list[int]]) -> list[str]:
+def _print_json(payload: dict) -> None:
+    """Print payload as JSON in the tool's envelope, replacing any meta it has."""
+    payload = {**payload, "meta": {"tool": TOOL_NAME, "version": TOOL_VERSION}}
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _print_csv(header: str, rows: list[tuple]) -> None:
+    print(header)
+    for row in rows:
+        print(",".join(str(v) for v in row))
+
+
+def _print_document(doc: TableDocument, fmt: str) -> None:
+    """A table's JSON or CSV form: the form it is cached in, in the tool's envelope."""
+    if fmt == "json":
+        _print_json(doc.to_json_dict())
+    else:
+        sys.stdout.write(doc.to_csv_text())
+
+
+def _grid_lines(rows: tuple[tuple[int, ...], ...]) -> list[str]:
     width = max(len(str(v)) for row in rows for v in row)
     return ["  ".join(str(v).rjust(width) for v in row) for row in rows]
 
 
-def _render_table(doc: TableDocument, fmt: str) -> str:
-    if fmt == "json":
-        return doc.to_json_text()
-    if fmt == "csv":
-        return doc.to_csv_text()
-    entries = doc.int_entries()
-    if doc.kind == "refined" and doc.d == 1:
-        return " ".join(str(entries[(k,)]) for k in range(1, doc.n + 1)) + "\n"
-    if doc.kind == "extended":
-        rows = [
-            [entries[(i, j)] for j in range(1, doc.n + 1)] for i in range(1, doc.n + 1)
-        ]
-        return "\n".join(_grid_lines(rows)) + "\n"
-    width = max(len(value) for _, value in doc.entries)
-    lines = [
-        f"{' '.join(str(i) for i in indices)}  {value.rjust(width)}"
-        for indices, value in doc.entries
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_count(args) -> int:
-    cache = _cache_from(args)
+def _cmd_count(args, cache: TableCache | None) -> int:
     if args.indices is not None and args.d is not None:
         print("error: --d and --indices are mutually exclusive", file=sys.stderr)
         return 2
     if args.indices is not None:
         value = refined_count(args.n, args.indices)
         if args.format == "json":
-            payload = {
-                "n": args.n,
-                "indices": list(args.indices),
-                "value": str(value),
-                "meta": {"tool": TOOL_NAME, "version": TOOL_VERSION},
-            }
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _print_json({"n": args.n, "indices": list(args.indices), "value": str(value)})
         elif args.format == "csv":
-            print("indices,value")
-            print(f"{' '.join(str(i) for i in args.indices)},{value}")
+            _print_csv("indices,value", [(" ".join(map(str, args.indices)), value)])
         else:
             print(value)
         return 0
-    d = 1 if args.d is None else args.d
-    table = refined_table(args.n, d, cache)
-    sys.stdout.write(_render_table(table_document(table), args.format))
+    table = refined_table(args.n, 1 if args.d is None else args.d, cache)
+    if args.format != "pretty":
+        _print_document(table_document(table), args.format)
+    elif table.d == 1:
+        print(" ".join(str(table.entries[(k,)]) for k in range(1, table.n + 1)))
+    else:
+        width = max(len(str(v)) for v in table.entries.values())
+        for indices, value in table.entries.items():
+            print(f"{' '.join(map(str, indices))}  {str(value).rjust(width)}")
     return 0
 
 
-def _cmd_extend(args) -> int:
-    matrix = extended_matrix(args.n, _cache_from(args))
-    sys.stdout.write(_render_table(matrix_document(matrix), args.format))
+def _cmd_extend(args, cache: TableCache | None) -> int:
+    matrix = extended_matrix(args.n, cache)
+    if args.format != "pretty":
+        _print_document(matrix_document(matrix), args.format)
+    else:
+        print("\n".join(_grid_lines(matrix.rows)))
     return 0
 
 
@@ -209,37 +206,31 @@ _APPENDIX_TRIANGLE_MAX = 7
 _APPENDIX_MATRIX_ORDERS = (3, 4, 5, 6, 7)
 
 
-def _cmd_appendix_a(args) -> int:
-    cache = _cache_from(args)
+def _cmd_appendix_a(args, cache: TableCache | None) -> int:
     triangle = {
         n: [refined_count(n, (k,)) for k in range(1, n + 1)]
         for n in range(1, _APPENDIX_TRIANGLE_MAX + 1)
     }
-    matrices = {}
-    for n in _APPENDIX_MATRIX_ORDERS:
-        matrices[n] = [list(row) for row in extended_matrix(n, cache).rows]
+    matrices = {n: extended_matrix(n, cache).rows for n in _APPENDIX_MATRIX_ORDERS}
 
     if args.format == "json":
-        payload = {
+        _print_json({
             "kind": "appendix-a",
-            "meta": {"tool": TOOL_NAME, "version": TOOL_VERSION},
             "triangle": {str(n): [str(v) for v in row] for n, row in triangle.items()},
             "matrices": {
                 str(n): [[str(v) for v in row] for row in rows]
                 for n, rows in matrices.items()
             },
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
         return 0
     if args.format == "csv":
-        print("indices,value")
-        for n, row in triangle.items():
-            for k, value in enumerate(row, 1):
-                print(f"triangle {n} {k},{value}")
-        for n, rows in matrices.items():
-            for i, row in enumerate(rows, 1):
-                for j, value in enumerate(row, 1):
-                    print(f"matrix {n} {i} {j},{value}")
+        rows = [
+            (f"triangle {n} {k}", v) for n, row in triangle.items() for k, v in enumerate(row, 1)
+        ]
+        for n, grid in matrices.items():
+            for i, row in enumerate(grid, 1):
+                rows += [(f"matrix {n} {i} {j}", v) for j, v in enumerate(row, 1)]
+        _print_csv("indices,value", rows)
         return 0
 
     print(f"singly refined counts, orders 1..{_APPENDIX_TRIANGLE_MAX}:")
@@ -252,17 +243,15 @@ def _cmd_appendix_a(args) -> int:
         print(line.center(full).rstrip())
     for n in _APPENDIX_MATRIX_ORDERS:
         print(f"\nextended array, order {n}:")
-        for line in _grid_lines(matrices[n]):
-            print(line)
+        print("\n".join(_grid_lines(matrices[n])))
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cache: TableCache | None) -> int:
     claim = CLAIMS[args.claim]
     if args.d is not None and claim.depth is None:
         print(f"error: {args.claim} takes no --d", file=sys.stderr)
         return 2
-    cache = _cache_from(args)
     lo, hi = args.n or claim.orders
 
     def reports_at(n: int) -> list[VerificationReport]:
@@ -281,19 +270,17 @@ def _cmd_verify(args) -> int:
     all_passed = all(report.passed for _, report in results)
 
     if args.format == "json":
-        payload = {
+        _print_json({
             "claim": args.claim,
             "range": [lo, hi],
             "passed": all_passed,
             "reports": [dict(report.to_dict(), n=n) for n, report in results],
-            "meta": {"tool": TOOL_NAME, "version": TOOL_VERSION},
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
     elif args.format == "csv":
-        print("claim,checked,passed")
-        for _, report in results:
-            checked = report.checked.replace(",", ";")
-            print(f"{report.claim},{checked},{str(report.passed).lower()}")
+        _print_csv("claim,checked,passed", [
+            (report.claim, report.checked.replace(",", ";"), str(report.passed).lower())
+            for _, report in results
+        ])
     else:
         for n, report in results:
             status = "PASS" if report.passed else "FAIL"
@@ -338,8 +325,7 @@ def _fetch_b_file(target: str, cache: TableCache | None) -> tuple[str, str]:
     return data, sequence_id
 
 
-def _cmd_oeis_check(args) -> int:
-    cache = _cache_from(args)
+def _cmd_oeis_check(args, cache: TableCache | None) -> int:
     if (args.b_file is None) == (args.fetch is None):
         print("error: exactly one of --b-file or --fetch is required", file=sys.stderr)
         return 2
@@ -356,24 +342,23 @@ def _cmd_oeis_check(args) -> int:
     reference = OeisReference.from_b_file(text, sequence_id)
 
     lowest = 0 if args.which == "totals" else 1
-    mismatches = []
-    checked = 0
+    compared = []
     for index, value in reference.items():
         if index < lowest:
             continue
-        if args.limit is not None and checked >= args.limit:
+        if args.limit is not None and len(compared) >= args.limit:
             break
         expected = (
             total_asm_count(index)
             if args.which == "totals"
             else refined_asm_count(index, 1)
         )
-        checked += 1
-        if value != expected:
-            mismatches.append((index, value, expected))
+        compared.append((index, value, expected))
+    mismatches = [term for term in compared if term[1] != term[2]]
+    checked = len(compared)
 
     if args.format == "json":
-        payload = {
+        _print_json({
             "sequence": reference.sequence_id,
             "which": args.which,
             "checked": checked,
@@ -383,9 +368,9 @@ def _cmd_oeis_check(args) -> int:
                 {"index": i, "file": str(v), "computed": str(e)}
                 for i, v, e in mismatches
             ],
-            "meta": {"tool": TOOL_NAME, "version": TOOL_VERSION},
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
+    elif args.format == "csv":
+        _print_csv("index,file,computed", compared)
     else:
         for index, value, expected in mismatches:
             print(f"mismatch at index {index}: file has {value}, computed {expected}")
@@ -410,11 +395,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except AsmrefError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+        return _COMMANDS[args.command](args, _cache_from(args))
+    except (AsmrefError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

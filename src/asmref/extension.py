@@ -538,6 +538,8 @@ def _formula_entry(n: int, i: int, j: int, scale: int, h: list[int]) -> int:
 
 def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> VerificationReport:
     """The closed entry formula matches the extended array off the excluded pairs."""
+    if n < 3:
+        raise ValidationError(f"order must be at least 3, got {n}")
     if matrix is None:
         matrix = extend_matrix(build_table(n, 2))
     excluded = _excluded_pairs(n)

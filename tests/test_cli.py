@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -688,3 +690,62 @@ def test_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch, argv)
         assert (code, out) == (0, capsys.readouterr().out), columns
         helps[columns] = out
     assert helps["60"] != helps["120"]
+
+
+def test_verify_conj2_below_order_3_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "conj2", "--n", "2")
+    assert (code, out, err) == (2, "", "error: order must be at least 3, got 2\n")
+
+
+EVERY_SUBCOMMAND = (
+    ("count", "--n", "4", "--d", "2"),
+    ("count", "--n", "4", "--indices", "2,3"),
+    ("extend", "--n", "4"),
+    ("verify", "theorem2", "--n", "3..4"),
+    ("appendix-a",),
+    ("oeis-check", "--b-file", "B_FILE"),
+)
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=" ".join)
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_every_subcommand_takes_every_format(argv, fmt, tmp_path, capsys):
+    write_totals_b_file(tmp_path / "b005130.txt", 0, 6)
+    argv = [str(tmp_path / "b005130.txt") if a == "B_FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["meta"]["tool"] == "asmref"
+    else:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert len(header) >= 2 and rows
+        assert all(len(row) == len(header) for row in rows)
+
+
+def test_oeis_check_csv_lists_the_compared_terms(tmp_path, capsys):
+    path = tmp_path / "b005130.txt"
+    write_totals_b_file(path, 0, 9, corrupt=5)
+    argv = ("oeis-check", "--b-file", str(path), "--limit", "7")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert (code, run(capsys, *argv)[0]) == (1, 1)
+    rows = [(i, total_asm_count(i) + (i == 5), total_asm_count(i)) for i in range(7)]
+    assert out == "index,file,computed\n" + "".join(f"{i},{v},{e}\n" for i, v, e in rows)
+
+
+def test_oeis_check_csv_follows_which(tmp_path, capsys):
+    path = tmp_path / "b048601.txt"
+    # refined-row-1 starts at index 1: the term at 0 is not compared
+    path.write_text("0 1\n" + "".join(f"{n} {total_asm_count(n - 1)}\n" for n in range(1, 5)))
+    argv = ("oeis-check", "--which", "refined-row-1", "--b-file", str(path))
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert (code, run(capsys, *argv)[0]) == (0, 0)
+    assert out.splitlines() == ["index,file,computed"] + [
+        f"{n},{total_asm_count(n - 1)},{total_asm_count(n - 1)}" for n in range(1, 5)
+    ]
+
+
+def test_oeis_check_csv_of_an_empty_overlap_is_its_header(tmp_path, capsys):
+    path = tmp_path / "bseq.txt"
+    path.write_text("-3 1\n-2 1\n")
+    code, out, _ = run(capsys, "oeis-check", "--b-file", str(path), "--format", "csv")
+    assert (code, out) == (0, "index,file,computed\n")

@@ -403,6 +403,12 @@ def test_conjecture2_verifier():
         assert verify_conjecture2(n).passed
 
 
+def test_conjecture2_verifier_rejects_orders_below_3():
+    # the formula is stated for n >= 3; an order-2 array must not pass vacuously
+    with pytest.raises(ValidationError, match="^order must be at least 3, got 2$"):
+        verify_conjecture2(2)
+
+
 def test_drefined_coefficients_match_counts():
     for n in (4, 5):
         expansion = drefined_F(n, 3)
