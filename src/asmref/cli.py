@@ -156,7 +156,7 @@ def _print_csv(header: str, rows: list[tuple]) -> None:
 
 
 def _print_document(doc: TableDocument, fmt: str) -> None:
-    """A table's JSON or CSV form: the form it is cached in, in the tool's envelope."""
+    """Print a table document as CSV, or as JSON in the tool's envelope (no digest)."""
     if fmt == "json":
         _print_json(doc.to_json_dict())
     else:
