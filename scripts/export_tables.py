@@ -3,8 +3,9 @@
 
 Writes refined-n{N}-d{D}.json and extended-n{N}-d2.json files (timestamped)
 into the output directory for the requested orders, and reports how many it
-wrote.  An order or depth out of range, or over the budget, prints
-"error: ..." on stderr and exits 2, as the asmref CLI does.
+wrote; a depth given twice is written once.  An order or depth out of range,
+or over the budget, stops the run: it still reports the documents written
+before, then prints "error: ..." on stderr and exits 2, as the asmref CLI does.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ def main(argv=None) -> int:
 
     cache = TableCache(args.out_dir)
     written = 0
+    error = None
     try:
         for n in range(1, args.max_n + 1):
-            for d in args.depths:
+            for d in sorted(set(args.depths)):
                 if d > n:
                     continue
                 table = build_table(n, d)
@@ -39,9 +41,11 @@ def main(argv=None) -> int:
                     cache.store(matrix_document(extend_matrix(table)))
                     written += 1
     except (AsmrefError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error = exc
     print(f"wrote {written} documents to {args.out_dir}")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -156,11 +156,8 @@ def _print_csv(header: str, rows: list[tuple]) -> None:
 
 
 def _print_document(doc: TableDocument, fmt: str) -> None:
-    """Print a table document as CSV, or as JSON in the tool's envelope (no digest)."""
-    if fmt == "json":
-        _print_json(doc.to_json_dict())
-    else:
-        sys.stdout.write(doc.to_csv_text())
+    """Print a table document as its own JSON (in its meta envelope) or CSV."""
+    sys.stdout.write(doc.to_json_text() if fmt == "json" else doc.to_csv_text())
 
 
 def _grid_lines(rows: tuple[tuple[int, ...], ...]) -> list[str]:

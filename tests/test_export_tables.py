@@ -48,6 +48,13 @@ def test_documents_already_in_the_directory_are_not_counted(export, tmp_path, ca
     assert capsys.readouterr().out == f"wrote 4 documents to {tmp_path}\n"
 
 
+def test_a_depth_given_twice_is_written_and_counted_once(export, tmp_path, capsys):
+    assert export([str(tmp_path), "--max-n", "4", "--depths", "2", "1", "2", "1"]) == 0
+    # refined n1..4 at d1, n2..4 at d2, and extended n2..4
+    assert capsys.readouterr().out == f"wrote 10 documents to {tmp_path}\n"
+    assert len(list(tmp_path.glob("*.json"))) == 10
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--max-n", "17", "--depths", "17"], "error: refined counts at n=17 exceed the budget cap 16\n"),
     (["--max-n", "2", "--depths", "0"], "error: depth must lie in 1..1, got 0\n"),
@@ -55,4 +62,12 @@ def test_documents_already_in_the_directory_are_not_counted(export, tmp_path, ca
 def test_an_asmref_error_is_a_usage_error(export, tmp_path, capsys, argv, message):
     assert export([str(tmp_path)] + argv) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", message)
+    assert (captured.out, captured.err) == (f"wrote 0 documents to {tmp_path}\n", message)
+
+
+def test_an_error_reports_the_documents_written_before_it(export, tmp_path, capsys):
+    assert export([str(tmp_path), "--max-n", "17", "--depths", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 16 documents to {tmp_path}\n"
+    assert captured.err == "error: refined counts at n=17 exceed the budget cap 16\n"
+    assert len(list(tmp_path.glob("*.json"))) == 16
