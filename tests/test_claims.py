@@ -135,7 +135,10 @@ def test_golden_oeis_check_output(argv, tmp_path, capsys):
 #: theorem4 digests before z_value read the depth-2 table.
 #: The table claims read order-5 and order-6 tables whose entry (2, 3) is one
 #: too large; conj3 reads expansions whose coefficient at (2, 3, 4) is one
-#: too large.
+#: too large.  The conj4 and special-values digests were recorded before the
+#: verifiers stated their equations as cases: conj4 reads a refined count at
+#: (1, 2, 3) one too large, special-values one at (2,); a corrupt cached table
+#: does not fail special-values at these orders.
 GOLDEN_FAILING = {
     "verify theorem1 --n 5..6 --format pretty": (1, "835a073ee85d967df6397d31bba8b2408a0280c62084d0e7ce8f47f60c20a952"),
     "verify theorem1 --n 5..6 --format json": (1, "4c1fb24b1e5d34ce7a27060e1df6dfc2aea83e6d852b37f1558cf69d045d6fe7"),
@@ -153,10 +156,20 @@ GOLDEN_FAILING = {
     "verify theorem4 --n 5..6 --format json": (1, "d965b6a79ca7a442d858d518193b162b599465845aeb6c002deab94639db5d46"),
     "verify conj3 --n 4..5 --format pretty": (1, "50a5f87dee476d6a8d828345f726d74d277f5cf9c11793983cd7d5a612cadd0c"),
     "verify conj3 --n 4..5 --format json": (1, "afef07eb7421ad0d0354571e98c0b4e88c71e768800a11060ce353033ca743df"),
+    "verify conj4 --n 4..5 --format pretty": (1, "bc6cb8588ac2659b955def39d3c897ab46c7a2241c3e255889eb229f52abb356"),
+    "verify conj4 --n 4..5 --format json": (1, "6df4a73e0833606f022b052a38bc223d9fddd21dfcdc41a2acda61025b6c49b1"),
+    "verify special-values --n 5..6 --format pretty": (1, "fa8a5c6b8c2c356ad67d064dd458673d97ad9d5a8744b4dfcec514670b05dc44"),
+    "verify special-values --n 5..6 --format json": (1, "5dadf0f9b56c7204d904175ab15e3749d1800c22630ef19e53ba1a7554dda6f8"),
 }
 
 
-@pytest.mark.parametrize("argv", [a for a in GOLDEN_FAILING if "conj3" not in a])
+def _golden_failing(*claims: str) -> list[str]:
+    return [argv for argv in GOLDEN_FAILING if argv.split()[1] in claims]
+
+
+@pytest.mark.parametrize("argv", _golden_failing(
+    "theorem1", "theorem2", "conj1", "conj2", "ilse", "zw-chain", "theorem4"
+))
 def test_golden_failing_output_of_a_corrupt_cached_table(argv, tmp_path, capsys):
     cache = TableCache(tmp_path)
     for n in (5, 6):
@@ -170,7 +183,7 @@ def test_golden_failing_output_of_a_corrupt_cached_table(argv, tmp_path, capsys)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_FAILING[argv]
 
 
-@pytest.mark.parametrize("argv", [a for a in GOLDEN_FAILING if "conj3" in a])
+@pytest.mark.parametrize("argv", _golden_failing("conj3"))
 def test_golden_failing_output_of_a_wrong_expansion_coefficient(argv, monkeypatch, capsys):
     real = extension.expand_in_binomial_basis
 
@@ -181,6 +194,18 @@ def test_golden_failing_output_of_a_wrong_expansion_coefficient(argv, monkeypatc
         return BinomBasisExpansion(n, expansion.d, tuple(coeffs))
 
     monkeypatch.setattr(extension, "expand_in_binomial_basis", expand)
+    code = cli.main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_FAILING[argv]
+
+
+@pytest.mark.parametrize("argv", _golden_failing("conj4", "special-values"))
+def test_golden_failing_output_of_a_wrong_refined_count(argv, monkeypatch, capsys):
+    wrong = (1, 2, 3) if "conj4" in argv else (2,)
+    real = extension.refined_count
+    monkeypatch.setattr(
+        extension, "refined_count", lambda n, idx: real(n, idx) + (tuple(idx) == wrong)
+    )
     code = cli.main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_FAILING[argv]

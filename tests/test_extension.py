@@ -207,6 +207,19 @@ def test_theorem2_rejects_wrong_exceptional_values():
     assert not report.passed
 
 
+def test_theorem2_reports_an_exceptional_entry_equal_to_its_mirror():
+    n = 5
+    values = {(i, j): matrix_for(n).entry(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+    values[n, 2] = values[n - 1, 1]
+    mirrored = values[n - 1, 1]
+    report = verify_theorem2(as_matrix(n, values), total_asm_count(n - 1), total_asm_count(n - 2))
+    assert report.witnesses == (
+        Witness((n - 1, 1), mirrored, f"!= mirror {mirrored}"),
+        Witness((n, 2), mirrored, total_asm_count(n - 2) - total_asm_count(n - 1)),
+        Witness((n, 2), mirrored, f"!= mirror {mirrored}"),
+    )
+
+
 def test_special_values_hold():
     for n in range(3, 8):
         report = verify_special_values(matrix_for(n))
