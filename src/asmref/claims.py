@@ -18,7 +18,7 @@ from .errors import NonIntegralError, ValidationError
 from .extension import (
     ExtendedMatrix,
     drefined_F,
-    entry_witnesses,
+    entry_cases,
     extend_matrix,
     last_column,
     solve_sufficiency,
@@ -114,33 +114,22 @@ def verify_product_formulas(n: int) -> VerificationReport:
     """The counted singly refined row and total equal the product formulas."""
     if n < 1:
         raise ValidationError(f"order must be positive, got {n}")
-    witnesses = []
     counted_row = [refined_count(n, (k,)) for k in range(1, n + 1)]
-    for k in range(1, n + 1):
-        formula = refined_asm_count(n, k)
-        if counted_row[k - 1] != formula:
-            witnesses.append(Witness((n, k), counted_row[k - 1], formula))
     total = total_asm_count(n)
-    if sum(counted_row) != total:
-        witnesses.append(Witness((n,), sum(counted_row), total))
+    cases = [((n, k), count, refined_asm_count(n, k)) for k, count in enumerate(counted_row, 1)]
+    cases.append(((n,), sum(counted_row), total))
     # the row transfer counts the staircase apart from the sweep behind the row
-    transfer_total = alpha_count(range(1, n + 1))
-    if transfer_total != total:
-        witnesses.append(Witness((n,), transfer_total, total))
-    return VerificationReport.from_witnesses(
-        "product-formulas", f"n={n}, row of {n} counts plus total", witnesses
+    cases.append(((n,), alpha_count(range(1, n + 1)), total))
+    return VerificationReport.from_cases(
+        "product-formulas", f"n={n}, row of {n} counts plus total", cases
     )
 
 
 def verify_theorem4(n: int, cache: TableCache | None = None) -> VerificationReport:
     """Binomial-basis coefficients of the depth-2 specialization equal the array."""
     expansion = drefined_F(n, 2)
-    witnesses = entry_witnesses(
-        extended_matrix(n, cache), lambda i, j: expansion.coefficient((i, j))
-    )
-    return VerificationReport.from_witnesses(
-        "theorem4", f"n={n}, all {n * n} coefficients", witnesses
-    )
+    cases = entry_cases(extended_matrix(n, cache), lambda i, j: expansion.coefficient((i, j)))
+    return VerificationReport.from_cases("theorem4", f"n={n}, all {n * n} coefficients", cases)
 
 
 def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationReport:
@@ -151,12 +140,11 @@ def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationR
     except NonIntegralError as exc:
         witness = Witness((n,), str(exc), "an integer")
         return VerificationReport.from_witnesses("conj1", checked, [witness])
-    witnesses = []
-    if result.rank != result.num_unknowns:
-        witnesses.append(Witness((n,), f"rank {result.rank}", result.num_unknowns))
+    if result.unique:
+        cases = entry_cases(extended_matrix(n, cache), result.solution.entry)
     else:
-        witnesses = entry_witnesses(extended_matrix(n, cache), result.solution.entry)
-    return VerificationReport.from_witnesses("conj1", checked, witnesses)
+        cases = [((n,), f"rank {result.rank}", result.num_unknowns)]
+    return VerificationReport.from_cases("conj1", checked, cases)
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,14 @@ from .combinat import refined_asm_count, total_asm_count
 from .config import DEFAULT_SEED
 from .documents import (
     OeisReference,
-    TOOL_NAME,
-    TOOL_VERSION,
     TableCache,
     TableDocument,
     matrix_document,
     table_document,
+    with_meta,
     write_atomically,
 )
-from .errors import AsmrefError, BudgetError
+from .errors import AsmrefError
 from .reports import VerificationReport
 from .triangles import refined_count
 
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     parser = argparse.ArgumentParser(
-        prog=TOOL_NAME,
+        prog="asmref",
         description="Exact refined enumeration of alternating sign matrices "
         "and verification of the identities governing it.",
         epilog="examples:\n"
@@ -145,8 +144,7 @@ def _cache_from(args) -> TableCache | None:
 
 def _print_json(payload: dict) -> None:
     """Print payload as JSON in the tool's envelope, replacing any meta it has."""
-    payload = {**payload, "meta": {"tool": TOOL_NAME, "version": TOOL_VERSION}}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(with_meta(payload), indent=2, sort_keys=True))
 
 
 def _print_csv(header: str, rows: list[tuple]) -> None:
@@ -255,9 +253,10 @@ def _cmd_verify(args, cache: TableCache | None) -> int:
         d = claim.depth(n) if args.d is None and claim.depth else args.d
         try:
             return claim.run(n, d, args.seed, cache)
-        except BudgetError as exc:
+        except AsmrefError as exc:
+            # every error of an order names the claim and the order
             at = f"n={n}" if d is None else f"n={n} d={d}"
-            raise BudgetError(f"{args.claim} {at}: {exc}") from exc
+            raise type(exc)(f"{args.claim} {at}: {exc}") from exc
 
     # highest order first: its column sweep answers every lower order
     by_order = {n: reports_at(n) for n in range(hi, lo - 1, -1)}

@@ -23,6 +23,19 @@ TOOL_VERSION = "0.1.0"
 _KINDS = ("refined", "extended")
 
 
+def with_meta(
+    payload: dict, tool: str = TOOL_NAME, version: str = TOOL_VERSION, **fields: str | None
+) -> dict:
+    """payload in the tool's JSON envelope, replacing any meta it has.
+
+    The meta object names the tool and its version and holds each further
+    field that is set.
+    """
+    meta = {"tool": tool, "version": version}
+    meta.update((name, value) for name, value in fields.items() if value is not None)
+    return {**payload, "meta": meta}
+
+
 def _expected_entry_count(kind: str, n: int, d: int) -> int:
     if kind == "refined":
         return math.comb(n, d)
@@ -75,18 +88,15 @@ class TableDocument:
         return hashlib.sha256(text.encode()).hexdigest()
 
     def to_json_dict(self) -> dict:
-        meta = {"tool": self.tool, "version": self.version}
-        if self.generated is not None:
-            meta["generated"] = self.generated
-        if self.sha256 is not None:
-            meta["sha256"] = self.sha256
-        return {
+        payload = {
             "n": self.n,
             "d": self.d,
             "kind": self.kind,
             "entries": [[list(indices), value] for indices, value in self.entries],
-            "meta": meta,
         }
+        return with_meta(
+            payload, self.tool, self.version, generated=self.generated, sha256=self.sha256
+        )
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Mapping
+from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from .combinat import binom, binom_plus, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, Budget
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .linalg import solve_integer_system
 from .polynomials import BinomBasisExpansion, apply_axis, expand_in_binomial_basis, gn_poly
-from .reports import VerificationReport, Witness
+from .reports import VerificationReport
 from .triangles import RefinedTable, build_table, refined_count
 
 
@@ -106,8 +106,8 @@ def reflection_weights(n: int, d: int) -> list[list[int]]:
     return [[(-1) ** j * binom(2 * n - i - d, j - i) for j in cells] for i in cells]
 
 
-def _reflection_witnesses(n: int, d: int, values: Mapping[tuple[int, ...], int]) -> list[Witness]:
-    """Row-major witnesses: W on every axis, d * n^(d+1) multiply-adds, read at reversed i."""
+def _reflection_cases(n: int, d: int, values: Mapping[tuple[int, ...], int]) -> Iterator[tuple]:
+    """Row-major cases (i, E(i), its reflection): W on every axis, d * n^(d+1) multiply-adds."""
     weights = reflection_weights(n, d)
     indices = list(itertools.product(range(1, n + 1), repeat=d))
     image = flat = [values[index] for index in indices]
@@ -117,12 +117,8 @@ def _reflection_witnesses(n: int, d: int, values: Mapping[tuple[int, ...], int])
         ])
     image_at = dict(zip(indices, image))
     sign = (-1) ** (n * d)
-    witnesses = []
-    for index, lhs in zip(indices, flat):
-        rhs = sign * image_at[index[::-1]]
-        if lhs != rhs:
-            witnesses.append(Witness(index, lhs, rhs))
-    return witnesses
+    # the reflection reads its image at the reversed index
+    return ((index, lhs, sign * image_at[index[::-1]]) for index, lhs in zip(indices, flat))
 
 
 def _entries(matrix: ExtendedMatrix) -> dict[tuple[int, int], int]:
@@ -133,17 +129,15 @@ def _entries(matrix: ExtendedMatrix) -> dict[tuple[int, int], int]:
     }
 
 
-def entry_witnesses(
+def entry_cases(
     matrix: ExtendedMatrix,
     value: Callable[[int, int], object],
     skip: Container[tuple[int, int]] = (),
-) -> list[Witness]:
-    """Witnesses (i, j) where value(i, j) differs from the extended entry, row-major.
+) -> Iterator[tuple]:
+    """Row-major cases ((i, j), value(i, j), extended entry) for the pairs not in skip.
 
-    Pairs in skip are not compared; a value that raises NonIntegralError is a
-    witness with the error text on its left side.
+    A value that raises NonIntegralError has the error text as its left side.
     """
-    witnesses = []
     for index, expected in _entries(matrix).items():
         if index in skip:
             continue
@@ -151,17 +145,14 @@ def entry_witnesses(
             got = value(*index)
         except NonIntegralError as exc:
             got = str(exc)
-        if got != expected:
-            witnesses.append(Witness(index, got, expected))
-    return witnesses
+        yield index, got, expected
 
 
 def verify_theorem1(matrix: ExtendedMatrix) -> VerificationReport:
     """Check the reflection system of linear equations on the extended array."""
     n = matrix.n
-    witnesses = _reflection_witnesses(n, 2, _entries(matrix))
-    return VerificationReport.from_witnesses(
-        "theorem1", f"n={n}, all {n * n} index pairs", witnesses
+    return VerificationReport.from_cases(
+        "theorem1", f"n={n}, all {n * n} index pairs", _reflection_cases(n, 2, _entries(matrix))
     )
 
 
@@ -194,20 +185,20 @@ def verify_theorem2(
         raise ValidationError(f"order must be at least 3, got {n}")
     exceptional = _exceptional_entries(n, total_minus_1, total_minus_2)
     values = _entries(matrix)
-    witnesses = []
-    for index, value in values.items():
-        mirrored = values[_mirror(n, *index)]
-        if index in exceptional:
-            expected = exceptional[index]
-            if value != expected:
-                witnesses.append(Witness(index, value, expected))
-            # the exception must be genuine, not an accidental symmetry
-            if value == mirrored:
-                witnesses.append(Witness(index, value, f"!= mirror {mirrored}"))
-        elif value != mirrored:
-            witnesses.append(Witness(index, value, mirrored))
-    return VerificationReport.from_witnesses(
-        "theorem2", f"n={n}, all pairs, exceptional entries ({n - 1},1) and ({n},2)", witnesses
+
+    def cases():
+        for index, value in values.items():
+            mirrored = values[_mirror(n, *index)]
+            if index not in exceptional:
+                yield index, value, mirrored
+                continue
+            yield index, value, exceptional[index]
+            # the exception must be genuine, not an accidental symmetry: the
+            # right side is the value itself unless the value is its mirror's
+            yield index, value, f"!= mirror {mirrored}" if value == mirrored else value
+
+    return VerificationReport.from_cases(
+        "theorem2", f"n={n}, all pairs, exceptional entries ({n - 1},1) and ({n},2)", cases()
     )
 
 
@@ -219,20 +210,14 @@ def verify_special_values(matrix: ExtendedMatrix) -> VerificationReport:
     alternating-sum expression for the (1, 1) entry.
     """
     n = matrix.n
-    witnesses = []
     row = [refined_count(n - 1, (r,)) for r in range(1, n)]
-    for j in range(1, n + 1):
-        expected = -sum(row[r - 1] for r in range(j, n))
-        value = matrix.entry(n, j)
-        if value != expected:
-            witnesses.append(Witness((n, j), value, expected))
+    cases = [((n, j), matrix.entry(n, j), -sum(row[j - 1:])) for j in range(1, n + 1)]
     alternating = sum(
         (1 if i % 2 == 1 else -1) * matrix.entry(i, i + 1) for i in range(1, n)
     )
-    if matrix.entry(1, 1) != alternating:
-        witnesses.append(Witness((1, 1), matrix.entry(1, 1), alternating))
-    return VerificationReport.from_witnesses(
-        "special-values", f"n={n}, bottom row and corners", witnesses
+    cases.append(((1, 1), matrix.entry(1, 1), alternating))
+    return VerificationReport.from_cases(
+        "special-values", f"n={n}, bottom row and corners", cases
     )
 
 
@@ -269,10 +254,8 @@ def verify_ilse(n: int, table: RefinedTable | None = None) -> VerificationReport
     """The closed i < j representation reproduces every extended entry."""
     if table is None:
         table = build_table(n, 2)
-    witnesses = entry_witnesses(
-        extend_matrix(table), lambda i, j: entry_closed_form(n, i, j, table)
-    )
-    return VerificationReport.from_witnesses("ilse", f"n={n}, all {n * n} index pairs", witnesses)
+    cases = entry_cases(extend_matrix(table), lambda i, j: entry_closed_form(n, i, j, table))
+    return VerificationReport.from_cases("ilse", f"n={n}, all {n * n} index pairs", cases)
 
 
 def z_value(n: int, p: int, i: int) -> int:
@@ -353,9 +336,8 @@ def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> Verificatio
             total += total_prev
         return total
 
-    witnesses = entry_witnesses(matrix, value)
-    return VerificationReport.from_witnesses(
-        "zw-chain", f"n={n}, all {n * n} index pairs", witnesses
+    return VerificationReport.from_cases(
+        "zw-chain", f"n={n}, all {n * n} index pairs", entry_cases(matrix, value)
     )
 
 
@@ -544,9 +526,9 @@ def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> Verifica
         matrix = extend_matrix(build_table(n, 2))
     excluded = _excluded_pairs(n)
     scale, h = _harmonic_table(n)
-    witnesses = entry_witnesses(matrix, lambda i, j: _formula_entry(n, i, j, scale, h), excluded)
-    return VerificationReport.from_witnesses(
-        "conj2", f"n={n}, all pairs except the {len(excluded)} excluded", witnesses
+    cases = entry_cases(matrix, lambda i, j: _formula_entry(n, i, j, scale, h), excluded)
+    return VerificationReport.from_cases(
+        "conj2", f"n={n}, all pairs except the {len(excluded)} excluded", cases
     )
 
 
@@ -569,8 +551,8 @@ def verify_conjecture3(
     if d < 2:
         raise ValidationError(f"depth must be at least 2, got {d}")
     checked = f"n={n}, d={d}, all {n ** d} index tuples"
-    witnesses = _reflection_witnesses(n, d, _coefficient_array(n, d, budget))
-    return VerificationReport.from_witnesses("conj3", checked, witnesses)
+    cases = _reflection_cases(n, d, _coefficient_array(n, d, budget))
+    return VerificationReport.from_cases("conj3", checked, cases)
 
 
 def verify_conjecture4(
@@ -579,13 +561,11 @@ def verify_conjecture4(
     """Expansion coefficients equal the refined counts on increasing index tuples."""
     checked = f"n={n}, d={d}, all {math.comb(n, d)} increasing tuples"
     expansion = drefined_F(n, d, budget)
-    witnesses = []
-    for combo in itertools.combinations(range(1, n + 1), d):
-        value = expansion.coefficient(combo)
-        expected = refined_count(n, combo)
-        if value != expected:
-            witnesses.append(Witness(combo, value, expected))
-    return VerificationReport.from_witnesses("conj4", checked, witnesses)
+    cases = (
+        (combo, expansion.coefficient(combo), refined_count(n, combo))
+        for combo in itertools.combinations(range(1, n + 1), d)
+    )
+    return VerificationReport.from_cases("conj4", checked, cases)
 
 
 def verify_triangular_system(
@@ -613,27 +593,18 @@ def verify_triangular_system(
             right[i][j] = value + right[i][j + 1]
             down[i][j] = value + down[i + 1][j]
             rect[i][j] = right[i][j] + rect[i + 1][j]
-    witnesses = []
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            lhs = f(i, j) + rect[i + 1][j]
-            rhs = -f(j, i) - rect[j + 1][i]
-            if lhs != rhs:
-                witnesses.append(Witness(("full", i, j), lhs, rhs))
+    def cases():
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                yield ("full", i, j), f(i, j) + rect[i + 1][j], -f(j, i) - rect[j + 1][i]
+        yield ("corner", n, n), f(n, n), 0
+        for i in range(1, n):
+            yield ("diagonal", i), down[i][i] + right[i + 1][i + 2], 0
+        for i in range(1, n + 1):
+            for j in range(1, i):
+                yield ("below", i, j), down[i][j] - f(i, j + 1) + f(j, i) + right[j + 1][i + 1], 0
 
-    if f(n, n) != 0:
-        witnesses.append(Witness(("corner", n, n), f(n, n), 0))
-    for i in range(1, n):
-        total = down[i][i] + right[i + 1][i + 2]
-        if total != 0:
-            witnesses.append(Witness(("diagonal", i), total, 0))
-    for i in range(1, n + 1):
-        for j in range(1, i):
-            total = down[i][j] - f(i, j + 1) + f(j, i) + right[j + 1][i + 1]
-            if total != 0:
-                witnesses.append(Witness(("below", i, j), total, 0))
-
-    return VerificationReport.from_witnesses(
-        "triangular-system", f"n={n}, full system and reduced forms", witnesses
+    return VerificationReport.from_cases(
+        "triangular-system", f"n={n}, full system and reduced forms", cases()
     )

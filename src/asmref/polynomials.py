@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 from .combinat import binom
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .errors import ValidationError
-from .reports import VerificationReport, Witness
+from .reports import VerificationReport
 from .triangles import alpha_count_grid, checked_grid
 
 
@@ -327,16 +327,18 @@ def _reports(
     """One report per row (name, detail, cases), each over num_points points of draw().
 
     cases(pt) yields (label, lhs, rhs, scale): both sides are values, or the
-    numerators of a stencil over its scale.  A case whose sides differ is the
-    witness at label + pt.  The rows draw their points in turn.
+    numerators of a stencil over its scale, and they are the case at
+    label + pt.  Equal numerators over one scale are equal values, so only
+    unequal sides are divided by their scale.  The rows draw their points in
+    turn.
     """
     return tuple(
-        VerificationReport.from_witnesses(name, checked + detail, [
-            Witness(label + pt, Fraction(lhs, scale), Fraction(rhs, scale))
+        VerificationReport.from_cases(name, checked + detail, (
+            (label + pt, lhs, rhs) if lhs == rhs
+            else (label + pt, Fraction(lhs, scale), Fraction(rhs, scale))
             for pt in (draw() for _ in range(num_points))
             for label, lhs, rhs, scale in cases(pt)
-            if lhs != rhs
-        ])
+        ))
         for name, detail, cases in rows
     )
 

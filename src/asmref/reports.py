@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,18 @@ class VerificationReport:
     ) -> "VerificationReport":
         """The report that passes exactly when there is no witness."""
         return cls(claim, checked, not witnesses, tuple(witnesses))
+
+    @classmethod
+    def from_cases(
+        cls, claim: str, checked: str, cases: Iterable[tuple[tuple, object, object]]
+    ) -> "VerificationReport":
+        """The report on a verifier's equations, stated as cases (indices, lhs, rhs).
+
+        Its witnesses are the cases whose two sides differ, in their order.
+        """
+        return cls.from_witnesses(
+            claim, checked, [Witness(*case) for case in cases if case[1] != case[2]]
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -694,7 +694,14 @@ def test_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch, argv)
 
 def test_verify_conj2_below_order_3_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "conj2", "--n", "2")
-    assert (code, out, err) == (2, "", "error: order must be at least 3, got 2\n")
+    assert (code, out, err) == (2, "", "error: conj2 n=2: order must be at least 3, got 2\n")
+
+
+def test_verify_names_the_claim_and_order_of_any_error(capsys):
+    # the order-1 table of depth 2 is rejected, and the range runs n = 2 first
+    code, out, err = run(capsys, "verify", "theorem1", "--n", "1..2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theorem1 n=1: ")
 
 
 EVERY_SUBCOMMAND = (

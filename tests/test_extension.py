@@ -15,7 +15,7 @@ from asmref.extension import (
     ExtendedMatrix,
     c_coeff,
     drefined_F,
-    entry_witnesses,
+    entry_cases,
     explicit_formula,
     extend_matrix,
     entry_closed_form,
@@ -33,7 +33,7 @@ from asmref.extension import (
     w_value,
     z_value,
 )
-from asmref.reports import Witness
+from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, alpha_count, build_table, refined_count
 
 from oracles import (
@@ -180,12 +180,13 @@ def test_entry_witnesses_skip_pairs_and_record_non_integral_values():
             raise NonIntegralError("half")
         return matrix.entry(i, j) + (i == 3)
 
-    witnesses = entry_witnesses(matrix, value, skip={(3, 2)})
-    assert witnesses == [
+    cases = entry_cases(matrix, value, skip={(3, 2)})
+    report = VerificationReport.from_cases("entries", "n=3", cases)
+    assert report.witnesses == (
         Witness((1, 2), "half", 1),
         Witness((3, 1), -1, -2),
         Witness((3, 3), 1, 0),
-    ]
+    )
 
 
 def test_theorem2_holds_and_is_sharp():
