@@ -10,6 +10,7 @@ from . import errors
 from .combinat import binom, binom_at, binom_plus, harmonic, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .documents import (
+    TOOL_VERSION as __version__,
     OeisReference,
     TableCache,
     TableDocument,
@@ -64,8 +65,6 @@ from .triangles import (
     mt_to_asm,
     refined_count,
 )
-
-__version__ = "0.1.0"
 
 
 def clear_caches() -> None:

@@ -24,7 +24,6 @@ from .documents import (
     matrix_document,
     table_document,
     with_meta,
-    write_atomically,
 )
 from .errors import AsmrefError
 from .reports import VerificationReport
@@ -288,37 +287,36 @@ def _cmd_verify(args, cache: TableCache | None) -> int:
     return 0 if all_passed else 1
 
 
-def _fetch_b_file(target: str, cache: TableCache | None) -> tuple[str, str]:
+def _sequence_id(stem: str) -> str:
+    """The sequence a b-file's stem names: b<digits> is A<digits>."""
+    return f"A{stem[1:]}" if stem.startswith("b") and stem[1:].isdigit() else stem
+
+
+def _fetch_b_file(target: str, cache: TableCache | None) -> OeisReference:
     if target.startswith(("http://", "https://", "file://")):
         url = target
-        sequence_id = Path(Path(target).name or "sequence").stem
+        stem = Path(Path(target).name or "sequence").stem
+        sequence_id = _sequence_id(stem)
         # two sources with the same file name are two entries
-        name = f"{sequence_id}-{hashlib.sha256(url.encode()).hexdigest()[:16]}.txt"
+        name = f"{stem}-{hashlib.sha256(url.encode()).hexdigest()[:16]}.txt"
     else:
         sequence_id = target.upper()
         url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
         name = f"b{sequence_id[1:]}.txt"
     if cache is None:
         raise AsmrefError("--fetch needs a cache directory (--cache-dir or $ASMREF_CACHE)")
-    path = Path(cache.directory) / name
-    if path.exists():
-        text = path.read_text()
-        try:
-            OeisReference.from_b_file(text, sequence_id)
-        except (AsmrefError, UnicodeDecodeError):
-            pass  # a stored file that does not parse is fetched again and replaced
-        else:
-            return text, sequence_id
-    # imported here: it loads http, email and ssl, which only a download needs
-    import urllib.request
+    parse = functools.partial(OeisReference.from_b_file, sequence_id=sequence_id)
+    reference = cache.read(name, parse)  # a stored file that does not parse is fetched again
+    if reference is None:
+        # imported here: it loads http, email and ssl, which only a download needs
+        import urllib.request
 
-    with urllib.request.urlopen(url) as response:
-        data = response.read().decode("utf-8")
-    # only a download that parses is kept, so a bad one is fetched again next time
-    OeisReference.from_b_file(data, sequence_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomically(path, data)
-    return data, sequence_id
+        with urllib.request.urlopen(url) as response:
+            text = response.read().decode("utf-8")
+        # only a download that parses is kept, so a bad one is fetched again next time
+        reference = parse(text)
+        cache.write(name, text)
+    return reference
 
 
 def _cmd_oeis_check(args, cache: TableCache | None) -> int:
@@ -330,12 +328,9 @@ def _cmd_oeis_check(args, cache: TableCache | None) -> int:
         return 2
     if args.b_file is not None:
         text = args.b_file.read_text(encoding="utf-8")
-        sequence_id = args.b_file.stem
+        reference = OeisReference.from_b_file(text, _sequence_id(args.b_file.stem))
     else:
-        text, sequence_id = _fetch_b_file(args.fetch, cache)
-    if sequence_id.startswith("b") and sequence_id[1:].isdigit():
-        sequence_id = "A" + sequence_id[1:]
-    reference = OeisReference.from_b_file(text, sequence_id)
+        reference = _fetch_b_file(args.fetch, cache)
 
     lowest = 0 if args.which == "totals" else 1
     compared = []

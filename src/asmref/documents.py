@@ -13,14 +13,16 @@ import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
-from .errors import BFileError, ValidationError
+from .errors import AsmrefError, BFileError, ValidationError
 
 TOOL_NAME = "asmref"
 TOOL_VERSION = "0.1.0"
 
 _KINDS = ("refined", "extended")
+
+T = TypeVar("T")
 
 
 def with_meta(
@@ -176,43 +178,43 @@ class TableCache:
         A file that is not UTF-8 text or not a table document is unreadable;
         a document is corrupt when its entries do not match its stored digest.
         """
-        path = self.path_for(kind, n, d)
-        try:
-            doc = TableDocument.from_json_text(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, ValidationError):
+        doc = self.read(self.path_for(kind, n, d).name, TableDocument.from_json_text)
+        if doc is None or (doc.kind, doc.n, doc.d, doc.version) != (kind, n, d, TOOL_VERSION):
             return None
-        if (doc.kind, doc.n, doc.d) != (kind, n, d) or doc.version != TOOL_VERSION:
-            return None
-        if doc.sha256 != doc.digest():
-            return None
-        return doc
+        return doc if doc.sha256 == doc.digest() else None
 
     def store(self, doc: TableDocument) -> None:
         """Write the document atomically with the digest of its entries.
 
         It is stamped with the time if it has none.
         """
-        directory = Path(self.directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        doc = replace(
-            doc,
-            generated=doc.generated
-            or datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            sha256=doc.digest(),
-        )
-        write_atomically(self.path_for(doc.kind, doc.n, doc.d), doc.to_json_text())
+        stamp = doc.generated or datetime.now(timezone.utc).isoformat(timespec="seconds")
+        doc = replace(doc, generated=stamp, sha256=doc.digest())
+        self.write(self.path_for(doc.kind, doc.n, doc.d).name, doc.to_json_text())
+
+    def read(self, name: str, parse: Callable[[str], T]) -> T | None:
+        """parse of the named file's text, or None if it is missing, not UTF-8 or rejected."""
+        try:
+            return parse((Path(self.directory) / name).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, AsmrefError):
+            return None
+
+    def write(self, name: str, text: str) -> None:
+        """Keep text as the named file, written atomically."""
+        Path(self.directory).mkdir(parents=True, exist_ok=True)
+        write_atomically(Path(self.directory) / name, text)
 
 
 def write_atomically(path: Path, text: str) -> None:
-    """Write a temporary file beside path and rename it over path.
+    """Write text as UTF-8 to a temporary file beside path and rename it over path.
 
     A failed or concurrent write never leaves a partial file at path.
     """
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    handle = open(tmp, "x")
+    handle = open(tmp, "xb")
     try:
         with handle:
-            handle.write(text)
+            handle.write(text.encode())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -234,19 +234,14 @@ def entry_closed_form(n: int, i: int, j: int, table: RefinedTable) -> int:
         value -= table.value(j, i)
     if i == n - 1 and j == 1:
         value += refined_count(n, (n,))
-    if i != n:
-        for a in range(1, i):
-            for b in range(a + 1, i + 1):
-                coeff = binom(i - b, j - 1 - a)
+    # the signed sums of binom(top - b, k - a) * A(a, b) over a < b <= top
+    for top, k in [(i - 1, j)] if i == n else [(i, j - 1), (i - 1, j)]:
+        for a in range(1, top):
+            for b in range(a + 1, top + 1):
+                coeff = binom(top - b, k - a)
                 if coeff:
                     sign = 1 if (a + j) % 2 == 1 else -1
                     value += sign * coeff * table.value(a, b)
-    for a in range(1, i - 1):
-        for b in range(a + 1, i):
-            coeff = binom(i - 1 - b, j - a)
-            if coeff:
-                sign = 1 if (a + j) % 2 == 1 else -1
-                value += sign * coeff * table.value(a, b)
     return value
 
 

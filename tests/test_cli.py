@@ -10,6 +10,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ import asmref.cli as cli
 import asmref.extension as extension
 from asmref.combinat import total_asm_count
 from asmref import documents
-from asmref.documents import TableCache, TableDocument, document_from_entries
+from asmref.documents import TableCache, TableDocument, document_from_entries, table_document
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, build_table
 
@@ -391,6 +393,38 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "refined-n4-d1.json").exists()
 
 
+def test_concurrent_writers_never_change_an_answer(tmp_path, capsys):
+    # four threads store and load one document in one directory: a load sees
+    # a whole stored document or none, and no temporary file is left behind
+    doc = table_document(build_table(9, 2))
+    cache = TableCache(tmp_path)
+    loads = []
+
+    def store_and_load():
+        for _ in range(50):
+            cache.store(doc)
+            loads.append(cache.load("refined", 9, 2))
+
+    threads = [threading.Thread(target=store_and_load) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside a store or a load
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(loads) == 200  # no thread raised
+    unstamped = [None if d is None else replace(d, generated=None, sha256=None) for d in loads]
+    assert all(d is None or d == doc for d in unstamped)
+    assert [p.name for p in tmp_path.iterdir()] == ["refined-n9-d2.json"]
+    cold = run(capsys, "count", "--n", "9", "--d", "2")
+    assert cold[0] == 0
+    assert run(capsys, "count", "--n", "9", "--d", "2", "--cache-dir", str(tmp_path)) == cold
+
+
 def write_totals_b_file(path, lo: int, hi: int, corrupt: int | None = None):
     lines = []
     for i in range(lo, hi + 1):
@@ -561,6 +595,38 @@ def test_oeis_check_fetch_replaces_a_stored_file_that_does_not_parse(tmp_path, c
     assert entry.read_text() == source.read_text()
 
 
+def test_oeis_check_fetch_replaces_a_stored_file_that_is_not_utf_8(tmp_path, capsys):
+    source = tmp_path / "b005130.txt"
+    write_totals_b_file(source, 0, 6)
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    entry = cache_dir / url_entry(source)
+    entry.write_bytes(b"\xff0 1\n")
+    argv = ("oeis-check", "--which", "totals", "--fetch", source.as_uri(), "--cache-dir", str(cache_dir))
+    assert run(capsys, *argv) == (0, "A005130 totals: PASS (7 terms)\n", "")
+    assert entry.read_bytes() == source.read_bytes()
+
+
+def test_oeis_check_fetch_keeps_utf_8_under_a_non_utf_8_locale(tmp_path):
+    # without PYTHONUTF8=0 the C locale turns on Python's UTF-8 mode
+    source = tmp_path / "b005130.txt"
+    terms = "".join(f"{i} {total_asm_count(i)}\n" for i in range(7))
+    source.write_bytes(f"# A005130 — alternating sign matrices\n{terms}".encode())
+    cache_dir = tmp_path / "cache"
+    env = dict(
+        with_src_path(os.environ), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"
+    )
+    argv = ("oeis-check", "--fetch", source.as_uri(), "--cache-dir", str(cache_dir))
+    for _ in range(2):  # the first run downloads and keeps the file, the second reads it
+        result = subprocess.run(
+            [sys.executable, "-m", "asmref", *argv], env=env, capture_output=True
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, b"A005130 totals: PASS (7 terms)\n", b""
+        )
+    assert (cache_dir / url_entry(source)).read_bytes() == source.read_bytes()
+
+
 def test_oeis_check_fetch_reads_an_a_number_from_its_b_file_entry(tmp_path, capsys, monkeypatch):
     import urllib.request
 
@@ -579,8 +645,7 @@ def test_oeis_check_fetch_reads_an_a_number_from_its_b_file_entry(tmp_path, caps
 
 def test_importing_the_cli_loads_no_url_library():
     # urllib.request pulls in http, email and ssl; only --fetch needs it
-    src = str(Path(asmref.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = with_src_path(os.environ)
     script = (
         "import sys; before = 'urllib.request' in sys.modules; import asmref.cli; "
         "print(before, 'urllib.request' in sys.modules)"
@@ -590,6 +655,12 @@ def test_importing_the_cli_loads_no_url_library():
     )
     before, after = result.stdout.split()
     assert after == before
+
+
+def with_src_path(environ) -> dict:
+    """environ with the package's source directory first on PYTHONPATH."""
+    src = str(Path(asmref.__file__).resolve().parents[1])
+    return dict(environ, PYTHONPATH=os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")])))
 
 
 def test_oeis_check_fetch_requires_cache(tmp_path, capsys):

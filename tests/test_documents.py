@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +239,6 @@ def test_tool_version_matches_package():
     import asmref
 
     assert TOOL_VERSION == asmref.__version__
+    # the version a release declares is the one its cached documents carry
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]*)"$', pyproject, re.MULTILINE) == [TOOL_VERSION]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,36 @@ def test_alpha_rejects_decreasing_row():
 
 def test_alpha_empty_row():
     assert alpha_count(()) == 1
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda: alpha_count((1.5, 2)),
+        lambda: alpha_count((1, 2, 2.5)),
+        lambda: alpha_count(("1", "3")),
+        lambda: alpha_count((1, 2.0)),
+        lambda: refined_count(5, (2.5,)),
+        lambda: refined_count(5, ("2",)),
+        lambda: alpha_count_grid([[1.5], [2.2, 3]]),
+        lambda: alpha_count_grid([[1], [Fraction(5, 2)]]),
+    ],
+    ids=[
+        "alpha-float", "alpha-tied-float", "alpha-str", "alpha-integral-float",
+        "refined-float", "refined-str", "grid-float", "grid-fraction",
+    ],
+)
+def test_counts_reject_entries_that_are_not_integers(count):
+    # a float or string is never truncated to the count at a nearby integer
+    with pytest.raises(ValidationError):
+        count()
+
+
+def test_counts_accept_integral_rationals_and_bools():
+    assert alpha_count((Fraction(1), Fraction(6, 2))) == alpha_count((1, 3)) == 3
+    assert alpha_count((True, 2, 2)) == alpha_count((1, 2, 2))
+    assert refined_count(5, (Fraction(4, 2),)) == refined_count(5, (2,)) == 105
+    assert alpha_count_grid([[Fraction(1)], [2, Fraction(3)]]) == alpha_count_grid([[1], [2, 3]])
 
 
 def bottom_up_unit_columns(a: Asm, d: int) -> tuple[int, ...] | None:
