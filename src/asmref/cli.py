@@ -11,6 +11,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -64,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", type=Path, default=None,
         help="cache directory for computed tables (default $ASMREF_CACHE, unset = no cache)",
     )
-    common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help=f"seed for the rational sample points (default {DEFAULT_SEED})",
-    )
 
     parser = argparse.ArgumentParser(
         prog="asmref",
@@ -109,6 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--d", type=int, default=None, help="depth, for conj3, conj4 and gn-reflection only"
+    )
+    p_verify.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help=f"seed for the rational sample points (default {DEFAULT_SEED})",
     )
 
     sub.add_parser(
@@ -301,6 +302,8 @@ def _fetch_b_file(target: str, cache: TableCache | None) -> OeisReference:
         name = f"{stem}-{hashlib.sha256(url.encode()).hexdigest()[:16]}.txt"
     else:
         sequence_id = target.upper()
+        if not re.fullmatch("A[0-9]+", sequence_id):
+            raise AsmrefError(f"--fetch takes an A-number or a URL, got {target!r}")
         url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
         name = f"b{sequence_id[1:]}.txt"
     if cache is None:
@@ -391,6 +394,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

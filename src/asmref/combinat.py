@@ -8,10 +8,22 @@ that stays defined for a negative upper argument.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegralError, ValidationError
+
+
+def as_int(value, what: str = "entries") -> int:
+    """value as an int: an int or a rational equal to one; else ValidationError names what."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        if isinstance(value, numbers.Rational) and value.denominator == 1:
+            return int(value)
+        raise ValidationError(f"{what} must be integers, got {value!r}") from None
 
 
 def binom(n: int, k: int) -> int:
@@ -48,7 +60,7 @@ def harmonic(m: int) -> Fraction:
     return Fraction(sum(denominator // d for d in range(1, m + 1)), denominator)
 
 
-def _as_int(value: Fraction, what: str) -> int:
+def _integral(value: Fraction, what: str) -> int:
     if value.denominator != 1:
         raise NonIntegralError(f"{what} evaluated to the non-integer {value}")
     return value.numerator
@@ -62,7 +74,7 @@ def total_asm_count(n: int) -> int:
     value = Fraction(1)
     for j in range(n):
         value *= Fraction(math.factorial(3 * j + 1), math.factorial(n + j))
-    return _as_int(value, f"total count at n={n}")
+    return _integral(value, f"total count at n={n}")
 
 
 @lru_cache(maxsize=None)
@@ -76,4 +88,4 @@ def refined_asm_count(n: int, k: int) -> int:
     value *= Fraction(math.factorial(2 * n - k - 1), math.factorial(n - k))
     for j in range(n - 1):
         value *= Fraction(math.factorial(3 * j + 1), math.factorial(n + j))
-    return _as_int(value, f"refined count at n={n}, k={k}")
+    return _integral(value, f"refined count at n={n}, k={k}")

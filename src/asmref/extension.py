@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Iterator, Mapping
 
-from .combinat import binom, binom_plus, refined_asm_count, total_asm_count
+from .combinat import as_int, binom, binom_plus, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, Budget
 from .errors import (
     BudgetError,
@@ -59,6 +59,8 @@ class ExtendedMatrix:
     def __post_init__(self):
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValidationError(f"need a {self.n} x {self.n} array")
+        for v in itertools.chain.from_iterable(self.rows):
+            as_int(v)
 
     def entry(self, i: int, j: int) -> int:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -554,8 +556,9 @@ def verify_conjecture4(
     n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Expansion coefficients equal the refined counts on increasing index tuples."""
-    checked = f"n={n}, d={d}, all {math.comb(n, d)} increasing tuples"
+    # first: gn_poly rejects an n or d on which math.comb would raise ValueError
     expansion = drefined_F(n, d, budget)
+    checked = f"n={n}, d={d}, all {math.comb(n, d)} increasing tuples"
     cases = (
         (combo, expansion.coefficient(combo), refined_count(n, combo))
         for combo in itertools.combinations(range(1, n + 1), d)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from .combinat import as_int
 from .errors import SingularSystemError
 
 
@@ -60,9 +61,9 @@ def solve_integer_system(
     for row, value in zip(matrix, rhs):
         if len(row) != ncols:
             raise ValueError("matrix rows must all have the same length")
-        entries = {c: int(v) for c, v in enumerate(row) if v}
-        if value:
-            entries[ncols] = int(value)
+        entries = {c: v for c, v in enumerate(map(as_int, row)) if v}
+        if value := as_int(value):
+            entries[ncols] = value
         rows.append(entries)
     unused = [i for i, row in enumerate(rows) if row]
     pivots: list[tuple[int, dict[int, int]]] = []

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .combinat import binom
+from .combinat import as_int, binom
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .errors import ValidationError
 from .reports import VerificationReport
@@ -99,16 +99,18 @@ class PolyMulti:
         size = (self.degree_bound + 1) ** self.num_vars
         if len(self.coeffs) != size:
             raise ValidationError(f"coefficient tensor must have size {size}")
+        for v in itertools.chain(self.origins, self.coeffs):
+            as_int(v)
 
     @classmethod
     def interpolate(cls, nodes: Sequence[Sequence[int]], values: Sequence) -> "PolyMulti":
         """Interpolate integer samples on the grid of runs of consecutive integers.
 
-        Every node list is an ascending run of one length k; a sample may also
-        be a Fraction equal to an int.  The coefficients are the forward
+        Every node list is an ascending run of one length k; a node or a sample
+        may also be a rational equal to an int.  The coefficients are the forward
         differences, axis by axis.
         """
-        node_tuples = tuple(tuple(int(v) for v in ns) for ns in nodes)
+        node_tuples = tuple(tuple(as_int(v, "nodes") for v in ns) for ns in nodes)
         if not node_tuples:
             raise ValidationError("at least one variable is required")
         k = len(node_tuples[0])
@@ -116,11 +118,7 @@ class PolyMulti:
         for ns in node_tuples:
             if not ns or ns != tuple(range(ns[0], ns[0] + k)):
                 raise ValidationError(f"need {k} ascending consecutive nodes, got {ns}")
-        flat = []
-        for v in values:
-            if not isinstance(v, numbers.Rational) or v.denominator != 1:
-                raise ValidationError(f"samples must be integers, got {v!r}")
-            flat.append(int(v))
+        flat = [as_int(v, "samples") for v in values]
         if len(flat) != k**num_vars:
             raise ValidationError(
                 f"value tensor must have size {k**num_vars}, got {len(flat)}"
@@ -152,8 +150,10 @@ class PolyMulti:
         _check_point(point, self.num_vars)
         shifts = [tuple(s) for s in shifts]
         for s in shifts:
-            if len(s) != self.num_vars or not all(isinstance(v, int) for v in s):
+            if len(s) != self.num_vars:
                 raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
+            for v in s:
+                as_int(v, "shifts")
         k = self.degree_bound + 1
         falling = [math.prod(range(i + 1, k)) for i in range(k)]  # (k-1)!/i!
         # partial reductions keyed by the shift components of the axes reduced so far

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+from .combinat import as_int
 from .config import DEFAULT_BUDGET, Budget
 from .errors import BudgetError, ValidationError
 
@@ -195,7 +194,7 @@ def checked_grid(
     the sum over i of its column steps with i entries placed times
     n * binom(n, i).
     """
-    grid = tuple(tuple(map(_as_int, level)) for level in levels)
+    grid = tuple(tuple(map(as_int, level)) for level in levels)
     if not grid:
         raise ValidationError("at least one level is required")
     for level in grid:
@@ -229,19 +228,9 @@ def checked_grid(
     return grid
 
 
-def _as_int(value) -> int:
-    """value as an int: an int, or a rational equal to one; anything else is rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        if isinstance(value, numbers.Rational) and value.denominator == 1:
-            return int(value)
-        raise ValidationError(f"entries must be integers, got {value!r}") from None
-
-
 def _normalized(bottom: Sequence[int]) -> tuple[int, ...]:
     """The row as ints translated to start at zero; raises unless weakly increasing."""
-    row = tuple(map(_as_int, bottom))
+    row = tuple(map(as_int, bottom))
     if any(a > b for a, b in zip(row, row[1:])):
         raise ValidationError(f"bottom row must be weakly increasing: {row}")
     return tuple(v - row[0] for v in row)
@@ -307,7 +296,7 @@ def refined_count(n: int, indices: Sequence[int], budget: Budget = DEFAULT_BUDGE
     1..n, and is 1 by convention when d = n.  The count is read from the column
     sweep of order n, so it is capped by budget.table_max_n like every table.
     """
-    idx = tuple(map(_as_int, indices))
+    idx = tuple(map(as_int, indices))
     if n < 1:
         raise ValidationError(f"order must be positive, got {n}")
     if not idx:
@@ -334,7 +323,7 @@ class RefinedTable:
                 f"a table needs one entry per increasing {self.d}-tuple in 1..{self.n}"
             )
         for key, value in self.entries.items():
-            if value < 0:
+            if as_int(value, "counts") < 0:
                 raise ValidationError(f"count at {key} is negative: {value}")
 
     def value(self, *indices: int) -> int:

@@ -643,6 +643,19 @@ def test_oeis_check_fetch_reads_an_a_number_from_its_b_file_entry(tmp_path, caps
     assert (code, out) == (0, "A005130 totals: PASS (7 terms)\n")
 
 
+@pytest.mark.parametrize("target", ["foo", "A", "A12x", "B005130", "A-5"])
+def test_oeis_check_fetch_rejects_text_that_is_neither_an_a_number_nor_a_url(
+    tmp_path, capsys, target
+):
+    # a stored entry under the name the text would map to is never read
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    write_totals_b_file(cache_dir / f"b{target.upper()[1:]}.txt", 0, 2)
+    code, out, err = run(capsys, "oeis-check", "--fetch", target, "--cache-dir", str(cache_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: --fetch takes an A-number or a URL, got {target!r}\n"
+
+
 def test_importing_the_cli_loads_no_url_library():
     # urllib.request pulls in http, email and ssl; only --fetch needs it
     env = with_src_path(os.environ)
@@ -766,6 +779,31 @@ def test_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch, argv)
 def test_verify_conj2_below_order_3_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "conj2", "--n", "2")
     assert (code, out, err) == (2, "", "error: conj2 n=2: order must be at least 3, got 2\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("--n", "-1"), "error: conj4 n=-1 d=3: depth 3 exceeds the order -1\n"),
+        (("--n", "4", "--d", "-1"), "error: conj4 n=4 d=-1: depth must be positive, got -1\n"),
+    ],
+    ids=["order", "depth"],
+)
+def test_verify_conj4_with_a_negative_order_or_depth_is_a_usage_error(capsys, argv, err):
+    assert run(capsys, "verify", "conj4", *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "--n", "5"), ("extend", "--n", "4"), ("appendix-a",), ("oeis-check", "--fetch", "A005130")],
+    ids=lambda argv: argv[0],
+)
+def test_seed_is_an_option_of_verify_only(capsys, argv):
+    code, out, err = outcome(capsys, (*argv, "--seed", "3"))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --seed 3" in err
+    code, out, _ = run(capsys, "verify", "alpha-identities", "--n", "2", "--seed", "3")
+    assert (code, out.splitlines()[-1]) == (0, "alpha-identities: PASS (2..2)")
 
 
 def test_verify_names_the_claim_and_order_of_any_error(capsys):

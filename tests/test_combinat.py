@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asmref.combinat import (
+    as_int,
     binom,
     binom_at,
     binom_plus,
@@ -17,7 +18,11 @@ from asmref.combinat import (
     refined_asm_count,
     total_asm_count,
 )
-from asmref.errors import NonIntegralError
+from asmref.errors import NonIntegralError, ValidationError
+from asmref.extension import ExtendedMatrix, extend_matrix
+from asmref.linalg import solve_integer_system
+from asmref.polynomials import PolyMulti, gn_poly
+from asmref.triangles import RefinedTable
 
 from oracles import falling_factorial_binom
 from reference_tables import REFINED_TRIANGLE, TOTALS
@@ -154,3 +159,38 @@ def test_refined_count_out_of_range():
 
 def test_nonintegral_error_is_value_error():
     assert issubclass(NonIntegralError, Exception)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: solve_integer_system([[1.5]], [3]),
+        lambda: solve_integer_system([[2]], [3.7]),
+        lambda: solve_integer_system([[Fraction(1, 2)]], [1]),
+        lambda: PolyMulti.interpolate([[0.5, 1.5, 2.5]], [1, 2, 4]),
+        lambda: PolyMulti.interpolate([["0", "1", "2"]], [1, 2, 4]),
+        lambda: PolyMulti(1, 1, (0,), (0.5, 1)),
+        lambda: PolyMulti(1, 1, (Fraction(1, 2),), (1, 2)),
+        lambda: RefinedTable(3, 2, {(1, 2): 1.5, (1, 3): 1, (2, 3): 1}),
+        lambda: ExtendedMatrix(1, ((0.5,),)),
+    ],
+    ids=[
+        "solve-float-entry", "solve-float-rhs", "solve-fraction-entry",
+        "interpolate-float-nodes", "interpolate-str-nodes", "poly-float-coefficient",
+        "poly-fraction-origin", "table-float-count", "matrix-float-entry",
+    ],
+)
+def test_integer_data_from_a_caller_is_checked_by_as_int(make):
+    # a float, a string or a non-integral rational is never truncated or used as it is
+    with pytest.raises(ValidationError, match="must be integers, got "):
+        make()
+
+
+def test_integer_data_may_be_an_integral_rational():
+    assert as_int(Fraction(6, 3)) == 2 and type(as_int(Fraction(6, 3))) is int
+    assert solve_integer_system([[Fraction(2)]], [4]).solution == (2,)
+    poly = gn_poly(3, 2)
+    point = (Fraction(1, 2), 3)
+    assert poly.evaluate_shifts(point, [(Fraction(1), 0)]) == poly.evaluate_shifts(point, [(1, 0)])
+    table = RefinedTable(3, 2, {(1, 2): Fraction(2), (1, 3): 3, (2, 3): 2})
+    assert extend_matrix(table) == extend_matrix(RefinedTable(3, 2, {(1, 2): 2, (1, 3): 3, (2, 3): 2}))
