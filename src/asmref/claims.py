@@ -33,7 +33,7 @@ from .extension import (
     verify_zw_chain,
 )
 from .polynomials import verify_alpha_identities, verify_gn_reflection
-from .reports import VerificationReport, Witness
+from .reports import VerificationReport
 from .triangles import (
     RefinedTable,
     alpha_count,
@@ -86,27 +86,20 @@ def extended_matrix(n: int, cache: TableCache | None = None) -> ExtendedMatrix:
 
 
 def verify_bijection(n: int) -> VerificationReport:
-    """Matrices and complete monotone triangles round-trip and match the total."""
-    listed = complete_monotone_triangles(n)
-    asms = [mt_to_asm(t) for t in listed]
-    witnesses = []
-    triangles = set()
-    for a in asms:
-        t = asm_to_mt(a)
-        triangles.add(t)
-        back = mt_to_asm(t)
-        if back != a:
-            witnesses.append(Witness((n,), a.entries, back.entries))
-    expected = total_asm_count(n)
-    if len(asms) != expected:
-        witnesses.append(Witness((n,), len(asms), expected))
-    if len(set(asms)) != len(asms):
-        witnesses.append(Witness((n,), "duplicate matrices", len(asms)))
-    complete = set(listed)
-    if triangles != complete:
-        witnesses.append(Witness((n,), len(triangles), len(complete)))
-    return VerificationReport.from_witnesses(
-        "bijection", f"n={n}, {len(asms)} matrices round-tripped", witnesses
+    """Each listed triangle t round-trips: asm_to_mt(mt_to_asm(t)) is t.
+
+    So the matrices map back onto the listed triangles, and as validated Asms,
+    distinct and total_asm_count(n) in number, they are all the ASMs.
+    """
+    asms, cases = [], []
+    for k, t in enumerate(complete_monotone_triangles(n), 1):
+        a = mt_to_asm(t)
+        asms.append(a)
+        cases.append(((n, k), asm_to_mt(a).rows, t.rows))
+    cases.append(((n,), len(asms), total_asm_count(n)))
+    cases.append(((n,), len(set(asms)), len(asms)))
+    return VerificationReport.from_cases(
+        "bijection", f"n={n}, {len(asms)} matrices round-tripped", cases
     )
 
 
@@ -138,12 +131,12 @@ def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationR
     try:
         result = solve_sufficiency(n)
     except NonIntegralError as exc:
-        witness = Witness((n,), str(exc), "an integer")
-        return VerificationReport.from_witnesses("conj1", checked, [witness])
-    if result.unique:
-        cases = entry_cases(extended_matrix(n, cache), result.solution.entry)
+        cases = [((n,), str(exc), "an integer")]
     else:
-        cases = [((n,), f"rank {result.rank}", result.num_unknowns)]
+        if result.unique:
+            cases = entry_cases(extended_matrix(n, cache), result.solution.entry)
+        else:
+            cases = [((n,), f"rank {result.rank}", result.num_unknowns)]
     return VerificationReport.from_cases("conj1", checked, cases)
 
 

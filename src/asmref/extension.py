@@ -560,7 +560,7 @@ def verify_conjecture4(
     expansion = drefined_F(n, d, budget)
     checked = f"n={n}, d={d}, all {math.comb(n, d)} increasing tuples"
     cases = (
-        (combo, expansion.coefficient(combo), refined_count(n, combo))
+        (combo, expansion.coefficient(combo), refined_count(n, combo, budget))
         for combo in itertools.combinations(range(1, n + 1), d)
     )
     return VerificationReport.from_cases("conj4", checked, cases)

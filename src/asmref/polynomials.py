@@ -204,8 +204,14 @@ def alpha_polynomial(n: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
 
 
 def alpha_eval(n: int, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> Fraction:
-    """The counting polynomial of order n evaluated at an arbitrary rational point."""
-    return alpha_polynomial(n, budget).evaluate(point)
+    """The counting polynomial of order n evaluated at an arbitrary rational point.
+
+    gn_poly(n, n)'s origin on axis r is r below alpha_polynomial's: read it at x_r - r.
+    """
+    if n < 1:
+        raise ValidationError(f"order must be positive, got {n}")
+    _check_point(point, n)
+    return gn_poly(n, n, budget).evaluate([x - r for r, x in enumerate(point)])
 
 
 def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:

@@ -174,10 +174,7 @@ def alpha_count_grid(
     order of itertools.product(*levels).  checked_grid checks the levels and
     the budget before counting.
     """
-    grid = checked_grid(levels, budget)
-    if len(grid) == 1:
-        return [1] * len(grid[0])  # one entry, one triangle
-    return _row_transfer(grid)
+    return _row_transfer(checked_grid(levels, budget))
 
 
 def checked_grid(

@@ -24,9 +24,11 @@ import asmref.cli as cli
 from asmref import extension, polynomials, triangles
 from asmref.claims import CLAIMS
 from asmref.combinat import total_asm_count
+from asmref.config import DEFAULT_BUDGET
 from asmref.documents import TableCache, table_document
 from asmref.errors import NonIntegralError
 from asmref.polynomials import BinomBasisExpansion, PolyMulti
+from asmref.reports import Witness
 from asmref.triangles import Asm, RefinedTable
 
 import oracles
@@ -204,7 +206,9 @@ def test_golden_failing_output_of_a_wrong_refined_count(argv, monkeypatch, capsy
     wrong = (1, 2, 3) if "conj4" in argv else (2,)
     real = extension.refined_count
     monkeypatch.setattr(
-        extension, "refined_count", lambda n, idx: real(n, idx) + (tuple(idx) == wrong)
+        extension,
+        "refined_count",
+        lambda n, idx, budget=DEFAULT_BUDGET: real(n, idx, budget) + (tuple(idx) == wrong),
     )
     code = cli.main(argv.split())
     out = capsys.readouterr().out
@@ -454,7 +458,9 @@ def refined_count_one_too_large(monkeypatch):
     """The refined count at (1, 2, 3) is one too large."""
     real = extension.refined_count
     monkeypatch.setattr(
-        extension, "refined_count", lambda n, idx: real(n, idx) + (tuple(idx) == (1, 2, 3))
+        extension,
+        "refined_count",
+        lambda n, idx, budget=DEFAULT_BUDGET: real(n, idx, budget) + (tuple(idx) == (1, 2, 3)),
     )
 
 
@@ -525,3 +531,27 @@ def test_falsifier_fails_the_claim_at_its_lowest_order(claim, monkeypatch, capsy
     reports = json.loads(capsys.readouterr().out)["reports"]
     assert code == 1
     assert any(report["witnesses"] for report in reports)
+
+
+def test_bijection_round_trips_each_listed_triangle_once(monkeypatch):
+    calls = {"mt_to_asm": 0, "asm_to_mt": 0}
+    for name in calls:
+
+        def counted(x, real=getattr(claims, name), name=name):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(claims, name, counted)
+    assert claims.verify_bijection(4).passed
+    assert calls == {"mt_to_asm": 42, "asm_to_mt": 42}
+
+
+def test_bijection_witnesses_are_round_trip_cases(monkeypatch):
+    FALSIFIERS["bijection"](monkeypatch)
+    (witness,) = claims.verify_bijection(1).witnesses
+    assert witness == Witness((1, 1), ((1,), (1, 2)), ((1,),))
+    listed = triangles.complete_monotone_triangles(3)
+    witnesses = claims.verify_bijection(3).witnesses
+    assert [w.indices for w in witnesses] == [(3, k) for k in range(1, len(listed) + 1)]
+    assert [w.rhs for w in witnesses] == [t.rows for t in listed]
+    assert all(len(w.lhs) == 4 and w.lhs[1:] != w.rhs for w in witnesses)

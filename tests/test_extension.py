@@ -9,7 +9,7 @@ import pytest
 
 from asmref import extension
 from asmref.combinat import refined_asm_count, total_asm_count
-from asmref.config import Budget
+from asmref.config import DEFAULT_BUDGET, Budget
 from asmref.errors import BudgetError, ExcludedIndexError, NonIntegralError, ValidationError
 from asmref.extension import (
     ExtendedMatrix,
@@ -434,6 +434,20 @@ def test_conjecture3_and_4():
     for n in (4, 5):
         assert verify_conjecture3(n, 3).passed
         assert verify_conjecture4(n, 3).passed
+
+
+def test_conjecture4_counts_under_its_budget(monkeypatch):
+    budget = Budget(table_max_n=10)
+    received = []
+    real = extension.refined_count
+
+    def count(n, idx, budget=DEFAULT_BUDGET):
+        received.append(budget)
+        return real(n, idx, budget)
+
+    monkeypatch.setattr(extension, "refined_count", count)
+    assert verify_conjecture4(4, 3, budget).passed
+    assert received == [budget] * 4
 
 
 def test_conjecture3_depth2_is_theorem1():

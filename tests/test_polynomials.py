@@ -124,6 +124,32 @@ def test_alpha_eval_agrees_with_counts_outside_sample_grid():
             assert alpha_eval(n, row) == alpha_count_dfs(row)
 
 
+def test_alpha_eval_builds_no_polynomial(monkeypatch):
+    gn_poly(4, 4)  # the polynomial alpha_eval reads, built once
+    point = (Fraction(1, 2), 2, 3, 7)
+    expected = alpha_polynomial(4).evaluate(point)
+    built = []
+    real = PolyMulti.__post_init__
+    monkeypatch.setattr(PolyMulti, "__post_init__", lambda self: built.append(self) or real(self))
+    assert alpha_eval(4, (1, 2, 3, 4)) == 42
+    assert alpha_eval(4, point) == expected
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "n, point, message",
+    [
+        (0, (), "order must be positive, got 0"),
+        (3, (1, 2), "point must have 3 coordinates, got 2"),
+        (3, ("a", 1, 2), "coordinates must be rational, got 'a'"),
+    ],
+)
+def test_alpha_eval_checks_its_order_and_point(n, point, message):
+    with pytest.raises(ValidationError) as excinfo:
+        alpha_eval(n, point)
+    assert str(excinfo.value) == message
+
+
 def test_alpha_polynomial_degree_bound():
     for n in range(1, 5):
         degrees = newton_degrees(alpha_polynomial(n))
@@ -404,10 +430,10 @@ def test_sampling_counts_only_strict_rows_by_transfer(monkeypatch):
         assert grids[0][n - d :] == tuple(
             tuple(range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n)) for r in range(d)
         )
-    # a one-entry row needs no transfer
+    # a one-entry row is counted by the same transfer
     grids.clear()
     gn_poly(1, 1)
-    assert grids == []
+    assert grids == [((1,),)]
     polynomials.clear_caches()
 
 

@@ -7,6 +7,7 @@ resolve in the package.  A stale name in asmref.__all__ would break
 such as polynomials.apply_axis, is public within the package: no module
 imports an underscore-prefixed name from another.  Every Budget field is
 read by the module whose computation it caps, so a cap nothing reads fails.
+Verifiers state their equations as cases, so only reports.py builds a Witness.
 """
 
 from __future__ import annotations
@@ -72,3 +73,16 @@ def test_every_budget_field_is_read(name):
         )
     ]
     assert readers
+
+
+def test_only_reports_builds_witnesses():
+    builders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(
+            isinstance(node, ast.Call)
+            and "Witness" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    ]
+    assert builders == ["reports.py"]

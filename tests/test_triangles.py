@@ -425,6 +425,9 @@ def test_fiber_matches_counts_of_each_row():
         assert counts == [alpha_count_dfs(prefix + (last,)) for last in lasts]
         assert counts == [alpha_count(prefix + (last,)) for last in lasts]
         assert counts == fiber_transfer(prefix, lasts)
+    # one level: every candidate is the bottom of the one triangle of one entry
+    assert alpha_count_grid([(3, 5, 7)]) == [1, 1, 1]
+    assert alpha_count_grid([(0,)]) == [1]
     for row in random_strict_rows(40, seed=1996):
         if len(row) > 1:
             lasts = range(row[-1], row[-1] + 6)
