@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .combinat import refined_asm_count, total_asm_count
+from .combinat import as_size, refined_asm_count, total_asm_count
 from .documents import TableCache, table_document
 from .errors import NonIntegralError, ValidationError
 from .extension import (
@@ -105,8 +105,7 @@ def verify_bijection(n: int) -> VerificationReport:
 
 def verify_product_formulas(n: int) -> VerificationReport:
     """The counted singly refined row and total equal the product formulas."""
-    if n < 1:
-        raise ValidationError(f"order must be positive, got {n}")
+    n = as_size(n, "order")
     counted_row = [refined_count(n, (k,)) for k in range(1, n + 1)]
     total = total_asm_count(n)
     cases = [((n, k), count, refined_asm_count(n, k)) for k, count in enumerate(counted_row, 1)]

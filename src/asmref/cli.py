@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .claims import CLAIMS, extended_matrix, refined_table
-from .combinat import refined_asm_count, total_asm_count
+from .combinat import as_size, refined_asm_count, total_asm_count
 from .config import DEFAULT_SEED
 from .documents import (
     OeisReference,
@@ -326,9 +326,8 @@ def _cmd_oeis_check(args, cache: TableCache | None) -> int:
     if (args.b_file is None) == (args.fetch is None):
         print("error: exactly one of --b-file or --fetch is required", file=sys.stderr)
         return 2
-    if args.limit is not None and args.limit < 0:
-        print(f"error: --limit must be nonnegative, got {args.limit}", file=sys.stderr)
-        return 2
+    if args.limit is not None:
+        as_size(args.limit, "--limit", 0)
     if args.b_file is not None:
         text = args.b_file.read_text(encoding="utf-8")
         reference = OeisReference.from_b_file(text, _sequence_id(args.b_file.stem))

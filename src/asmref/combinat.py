@@ -26,6 +26,20 @@ def as_int(value, what: str = "entries") -> int:
         raise ValidationError(f"{what} must be integers, got {value!r}") from None
 
 
+def as_size(value, what: str, low: int = 1, high: int | None = None) -> int:
+    """value as an int in low..high, or at least low when high is None; else ValidationError."""
+    try:
+        size = as_int(value)
+    except ValidationError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if high is not None and not low <= size <= high:
+        raise ValidationError(f"{what} must lie in {low}..{high}, got {size}")
+    if size < low:
+        bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+        raise ValidationError(f"{what} must be {bound}, got {size}")
+    return size
+
+
 def binom(n: int, k: int) -> int:
     """n(n-1)...(n-k+1) / k! for k >= 0, and 0 for k < 0.
 
@@ -66,24 +80,21 @@ def _integral(value: Fraction, what: str) -> int:
     return value.numerator
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def total_asm_count(n: int) -> int:
     """Number of alternating sign matrices of order n, by the product formula."""
-    if n < 0:
-        raise ValidationError(f"order must be nonnegative, got {n}")
+    n = as_size(n, "order", 0)
     value = Fraction(1)
     for j in range(n):
         value *= Fraction(math.factorial(3 * j + 1), math.factorial(n + j))
     return _integral(value, f"total count at n={n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def refined_asm_count(n: int, k: int) -> int:
     """Number of order-n ASMs whose first row has its 1 in column k (product formula)."""
-    if n < 1:
-        raise ValidationError(f"order must be positive, got {n}")
-    if not 1 <= k <= n:
-        raise ValidationError(f"column index must lie in 1..{n}, got {k}")
+    n = as_size(n, "order")
+    k = as_size(k, "column index", 1, n)
     value = Fraction(binom(n + k - 2, k - 1))
     value *= Fraction(math.factorial(2 * n - k - 1), math.factorial(n - k))
     for j in range(n - 1):

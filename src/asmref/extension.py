@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Iterator, Mapping
 
-from .combinat import as_int, binom, binom_plus, refined_asm_count, total_asm_count
+from .combinat import as_int, as_size, binom, binom_plus, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, Budget
 from .errors import (
     BudgetError,
@@ -57,6 +57,7 @@ class ExtendedMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        as_size(self.n, "order")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValidationError(f"need a {self.n} x {self.n} array")
         for v in itertools.chain.from_iterable(self.rows):
@@ -150,6 +151,15 @@ def entry_cases(
         yield index, got, expected
 
 
+def _array(n: int, matrix: ExtendedMatrix | None) -> ExtendedMatrix:
+    """The array to check at order n: matrix, which must have order n, or the counted one."""
+    if matrix is None:
+        return extend_matrix(build_table(n, 2))
+    if matrix.n != as_size(n, "order"):
+        raise ValidationError(f"an array of order {n} is required, got order {matrix.n}")
+    return matrix
+
+
 def verify_theorem1(matrix: ExtendedMatrix) -> VerificationReport:
     """Check the reflection system of linear equations on the extended array."""
     n = matrix.n
@@ -182,9 +192,7 @@ def verify_theorem2(
     matrix: ExtendedMatrix, total_minus_1: int, total_minus_2: int
 ) -> VerificationReport:
     """Check near-symmetry of the extended array with its two exceptional entries."""
-    n = matrix.n
-    if n < 3:
-        raise ValidationError(f"order must be at least 3, got {n}")
+    n = as_size(matrix.n, "order", 3)
     exceptional = _exceptional_entries(n, total_minus_1, total_minus_2)
     values = _entries(matrix)
 
@@ -262,10 +270,8 @@ def z_value(n: int, p: int, i: int) -> int:
     positions of the row (1, ..., n) with i removed, each chosen position
     shifted up by one; 0 when i = 0 by convention.  Read from build_table(n, 2).
     """
-    if not 0 <= p <= n - 2:
-        raise ValidationError(f"subset size must lie in 0..{n - 2}, got {p}")
-    if not 0 <= i <= n:
-        raise ValidationError(f"column index must lie in 0..{n}, got {i}")
+    p = as_size(p, "subset size", 0, n - 2)
+    i = as_size(i, "column index", 0, n)
     return _z_row(n, i, build_table(n, 2))[p]
 
 
@@ -297,10 +303,8 @@ def _z_row(n: int, i: int, table: RefinedTable) -> list[int]:
 
 def w_value(n: int, i: int, j: int) -> int:
     """Alternating binomial transform of the shift-subset sums."""
-    if not 0 <= i <= n:
-        raise ValidationError(f"first index must lie in 0..{n}, got {i}")
-    if not 1 <= j <= n + 1:
-        raise ValidationError(f"second index must lie in 1..{n + 1}, got {j}")
+    i = as_size(i, "first index", 0, n)
+    j = as_size(j, "second index", 1, n + 1)
     return _binomial_transform(n, j, _z_row(n, i, build_table(n, 2)))
 
 
@@ -318,9 +322,8 @@ def _binomial_transform(n: int, j: int, z: list[int]) -> int:
 
 def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> VerificationReport:
     """The shift-subset route, read from the depth-2 table, reproduces every extended entry."""
+    matrix = _array(n, matrix)
     table = build_table(n, 2)
-    if matrix is None:
-        matrix = extend_matrix(table)
     total_prev = refined_count(n, (n,))
     # every transform at column index i reads the same shift-subset sums; count them once
     z = [_z_row(n, i, table) for i in range(n)]
@@ -355,8 +358,7 @@ def sufficiency_system(n: int) -> LinearSystem:
     boundary.  Right-hand sides use the product formulas only, so solving is
     independent of the counting recurrence.
     """
-    if n < 3:
-        raise ValidationError(f"order must be at least 3, got {n}")
+    n = as_size(n, "order", 3)
     labels = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
     column = {label: k for k, label in enumerate(labels)}
     rows: list[tuple[int, ...]] = []
@@ -400,8 +402,7 @@ class SufficiencyResult:
 
 def solve_sufficiency(n: int, budget: Budget = DEFAULT_BUDGET) -> SufficiencyResult:
     """Solve the system exactly, up to order table_max_n, and report rank and uniqueness."""
-    if n < 3:
-        raise ValidationError(f"order must be at least 3, got {n}")
+    n = as_size(n, "order", 3)
     if n > budget.table_max_n:
         raise BudgetError(
             f"sufficiency solve at n={n} exceeds the budget cap {budget.table_max_n}"
@@ -439,8 +440,7 @@ def explicit_formula(n: int, i: int, j: int) -> int:
     exact division at the end either gives the entry or raises
     NonIntegralError rather than rounding.
     """
-    if n < 3:
-        raise ValidationError(f"order must be at least 3, got {n}")
+    n = as_size(n, "order", 3)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValidationError(f"indices must lie in 1..{n}, got ({i}, {j})")
     if (i, j) in _excluded_pairs(n):
@@ -517,10 +517,8 @@ def _formula_entry(n: int, i: int, j: int, scale: int, h: list[int]) -> int:
 
 def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> VerificationReport:
     """The closed entry formula matches the extended array off the excluded pairs."""
-    if n < 3:
-        raise ValidationError(f"order must be at least 3, got {n}")
-    if matrix is None:
-        matrix = extend_matrix(build_table(n, 2))
+    n = as_size(n, "order", 3)
+    matrix = _array(n, matrix)
     excluded = _excluded_pairs(n)
     scale, h = _harmonic_table(n)
     cases = entry_cases(matrix, lambda i, j: _formula_entry(n, i, j, scale, h), excluded)
@@ -545,8 +543,7 @@ def verify_conjecture3(
     n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET
 ) -> VerificationReport:
     """The depth-d reflection equations hold for the expansion coefficients."""
-    if d < 2:
-        raise ValidationError(f"depth must be at least 2, got {d}")
+    d = as_size(d, "depth", 2)
     checked = f"n={n}, d={d}, all {n ** d} index tuples"
     cases = _reflection_cases(n, d, _coefficient_array(n, d, budget))
     return VerificationReport.from_cases("conj3", checked, cases)
@@ -576,9 +573,7 @@ def verify_triangular_system(
     satisfies them.  So this claim checks the algebra of extend_matrix, not
     the counts; theorem1, theorem2 and special-values reject wrong counts.
     """
-    if matrix is None:
-        matrix = extend_matrix(build_table(n, 2))
-    f = matrix.entry
+    f = _array(n, matrix).entry
     # suffix sums, zero past n: rect[i][j] sums f(p, q) over p >= i and q >= j,
     # down[i][j] sums f(p, j) over p >= i, and right[i][j] sums f(i, q) over q >= j
     size = n + 2

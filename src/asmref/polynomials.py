@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .combinat import as_int, binom
+from .combinat import as_int, as_size, binom
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .errors import ValidationError
 from .reports import VerificationReport
@@ -96,6 +96,7 @@ class PolyMulti:
             raise ValidationError("polynomial needs at least one variable")
         if len(self.origins) != self.num_vars:
             raise ValidationError("one origin per variable is required")
+        as_size(self.degree_bound, "degree bound", 0)
         size = (self.degree_bound + 1) ** self.num_vars
         if len(self.coeffs) != size:
             raise ValidationError(f"coefficient tensor must have size {size}")
@@ -198,8 +199,7 @@ def alpha_polynomial(n: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     block grid r*n .. r*n + n - 1.  A tight budget rejects the grid before
     the cache of gn_poly is read.
     """
-    if n < 1:
-        raise ValidationError(f"order must be positive, got {n}")
+    n = as_size(n, "order")
     return replace(gn_poly(n, n, budget), origins=tuple(r * n for r in range(n)))
 
 
@@ -208,8 +208,7 @@ def alpha_eval(n: int, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> Frac
 
     gn_poly(n, n)'s origin on axis r is r below alpha_polynomial's: read it at x_r - r.
     """
-    if n < 1:
-        raise ValidationError(f"order must be positive, got {n}")
+    n = as_size(n, "order")
     _check_point(point, n)
     return gn_poly(n, n, budget).evaluate([x - r for r, x in enumerate(point)])
 
@@ -226,8 +225,7 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     origins r*(n-1).  The budget of that transfer is checked before the cache
     is read.
     """
-    if d < 1:
-        raise ValidationError(f"depth must be positive, got {d}")
+    d, n = as_size(d, "depth"), as_int(n, "order")
     if d > n:
         raise ValidationError(f"depth {d} exceeds the order {n}")
     staircase = [(v,) for v in range(1, n - d + 1)]
@@ -392,6 +390,7 @@ def verify_alpha_identities(
     shift-expansion identities by the failing positions, q or variable and
     power.
     """
+    num_points = as_size(num_points, "number of points")
     poly = alpha_polynomial(n, budget)
     ev = poly.evaluate
     rng = random.Random(seed)
@@ -458,6 +457,7 @@ def verify_gn_reflection(
     as well; variable r shifts entry n - d + r + 1, so neighbouring entries
     sit one apart.  A failing report lists every witness point.
     """
+    num_points = as_size(num_points, "number of points")
     poly = gn_poly(n, d, budget)
     ev = poly.evaluate
     sign = 1 if ((n - 1) * d) % 2 == 0 else -1

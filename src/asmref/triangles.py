@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .combinat import as_int
+from .combinat import as_int, as_size
 from .config import DEFAULT_BUDGET, Budget
 from .errors import BudgetError, ValidationError
 
@@ -254,8 +254,7 @@ def complete_monotone_triangles(
     n: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[MonotoneTriangle]:
     """All monotone triangles of order n with bottom row 1..n."""
-    if n < 1:
-        raise ValidationError(f"order must be positive, got {n}")
+    n = as_size(n, "order")
     if n > budget.enumeration_max_n:
         raise BudgetError(
             f"enumeration at n={n} exceeds the budget cap {budget.enumeration_max_n}"
@@ -294,8 +293,7 @@ def refined_count(n: int, indices: Sequence[int], budget: Budget = DEFAULT_BUDGE
     sweep of order n, so it is capped by budget.table_max_n like every table.
     """
     idx = tuple(map(as_int, indices))
-    if n < 1:
-        raise ValidationError(f"order must be positive, got {n}")
+    n = as_size(n, "order")
     if not idx:
         raise ValidationError("at least one index is required")
     if idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):
@@ -313,8 +311,7 @@ class RefinedTable:
     entries: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
-        if not 1 <= self.d <= self.n:
-            raise ValidationError(f"depth must lie in 1..{self.n}, got {self.d}")
+        as_size(self.d, "depth", 1, self.n)
         if self.entries.keys() != set(itertools.combinations(range(1, self.n + 1), self.d)):
             raise ValidationError(
                 f"a table needs one entry per increasing {self.d}-tuple in 1..{self.n}"
@@ -333,10 +330,8 @@ class RefinedTable:
 
 def build_table(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> RefinedTable:
     """Build the complete d-fold refined table of order n."""
-    if n < 1:
-        raise ValidationError(f"order must be positive, got {n}")
-    if not 1 <= d <= n:
-        raise ValidationError(f"depth must lie in 1..{n}, got {d}")
+    n = as_size(n, "order")
+    d = as_size(d, "depth", 1, n)
     _check_table_budget(n, budget)
     counts = _staircase_counts(n)
     entries = {

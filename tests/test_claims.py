@@ -319,6 +319,35 @@ def test_table_claims_use_the_cache(claim, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(claims, "build_table", None)
 
 
+def test_a_cached_depth_3_table_is_read_back(tmp_path, monkeypatch, capsys):
+    # no product formula covers depth 3, so a valid stored table is taken as it is
+    argv = ["count", "--n", "6", "--d", "3", "--cache-dir", str(tmp_path)]
+    outputs = []
+    for _ in ("cold", "warm"):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert (tmp_path / "refined-n6-d3.json").exists()
+        monkeypatch.setattr(claims, "build_table", None)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[0].split() == ["1", "2", "3", "7"]
+
+
+def test_a_rank_deficient_system_fails_conj1(monkeypatch, capsys):
+    # without its n - 1 last-column rows the system leaves n - 1 unknowns free
+    real = extension.sufficiency_system
+
+    def without_last_column(n):
+        system = real(n)
+        return replace(system, matrix=system.matrix[:1 - n], rhs=system.rhs[:1 - n])
+
+    monkeypatch.setattr(extension, "sufficiency_system", without_last_column)
+    assert cli.main(["verify", "conj1", "--n", "3..4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "  at (3,): rank 7 != 9" in lines
+    assert "  at (4,): rank 13 != 16" in lines
+    assert lines[-1] == "conj1: FAIL (3..4)"
+
+
 def test_script_rejects_an_unknown_claim_before_running_any(script, capsys):
     with pytest.raises(SystemExit) as exc:
         script.main(["--claims", "theorem1", "theorem9"])

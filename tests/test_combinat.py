@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from asmref.combinat import (
     as_int,
+    as_size,
     binom,
     binom_at,
     binom_plus,
@@ -19,10 +20,10 @@ from asmref.combinat import (
     total_asm_count,
 )
 from asmref.errors import NonIntegralError, ValidationError
-from asmref.extension import ExtendedMatrix, extend_matrix
+from asmref.extension import ExtendedMatrix, extend_matrix, verify_conjecture2, verify_conjecture3
 from asmref.linalg import solve_integer_system
 from asmref.polynomials import PolyMulti, gn_poly
-from asmref.triangles import RefinedTable
+from asmref.triangles import RefinedTable, build_table, refined_count
 
 from oracles import falling_factorial_binom
 from reference_tables import REFINED_TRIANGLE, TOTALS
@@ -194,3 +195,66 @@ def test_integer_data_may_be_an_integral_rational():
     assert poly.evaluate_shifts(point, [(Fraction(1), 0)]) == poly.evaluate_shifts(point, [(1, 0)])
     table = RefinedTable(3, 2, {(1, 2): Fraction(2), (1, 3): 3, (2, 3): 2})
     assert extend_matrix(table) == extend_matrix(RefinedTable(3, 2, {(1, 2): 2, (1, 3): 3, (2, 3): 2}))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, "order", 3), "order must be at least 3, got 2"),
+        ((-1, "depth"), "depth must be positive, got -1"),
+        ((-1, "order", 0), "order must be nonnegative, got -1"),
+        ((0, "depth", 1, 1), "depth must lie in 1..1, got 0"),
+        ((5, "column index", 0, 4), "column index must lie in 0..4, got 5"),
+        ((2.0, "depth"), "depth must be an integer, got 2.0"),
+        ((Fraction(5, 2), "order"), "order must be an integer, got Fraction(5, 2)"),
+        (("3", "order"), "order must be an integer, got '3'"),
+    ],
+    ids=repr,
+)
+def test_as_size_states_the_range_it_refuses(args, message):
+    with pytest.raises(ValidationError) as excinfo:
+        as_size(*args)
+    assert str(excinfo.value) == message
+
+
+def test_as_size_returns_the_int():
+    assert as_size(3, "order", 3) == 3
+    assert as_size(0, "subset size", 0, 0) == 0
+    size = as_size(Fraction(8, 2), "order")
+    assert size == 4 and type(size) is int
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_conjecture2(2), "order must be at least 3, got 2"),
+        (lambda: gn_poly(4, -1), "depth must be positive, got -1"),
+        (lambda: gn_poly(-1, 3), "depth 3 exceeds the order -1"),
+        (lambda: build_table(0, 1), "order must be positive, got 0"),
+        (lambda: build_table(1, 0), "depth must lie in 1..1, got 0"),
+        (lambda: refined_count(5.0, (2,)), "order must be an integer, got 5.0"),
+        (lambda: build_table(5, 2.0), "depth must be an integer, got 2.0"),
+        (lambda: gn_poly(4, 2.0), "depth must be an integer, got 2.0"),
+        (lambda: total_asm_count(5.0), "order must be an integer, got 5.0"),
+        (lambda: verify_conjecture3(4, 3.0), "depth must be an integer, got 3.0"),
+    ],
+    ids=[
+        "conj2-order", "gn-depth", "gn-depth-over-order", "table-order", "table-depth",
+        "refined-float-order", "table-float-depth", "gn-float-depth", "total-float-order",
+        "conj3-float-depth",
+    ],
+)
+def test_sizes_from_a_caller_pass_as_size(call, message):
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_a_cached_product_formula_does_not_take_a_float_order():
+    # a Fraction equal to 5 is the order 5; the float 5.0 hashes alike but is refused
+    assert total_asm_count(Fraction(5)) == 429
+    assert refined_asm_count(Fraction(5), 2) == 105
+    with pytest.raises(ValidationError):
+        total_asm_count(5.0)
+    with pytest.raises(ValidationError):
+        refined_asm_count(5.0, 2)

@@ -504,3 +504,32 @@ def test_triangular_system_passes_any_table():
         matrix = extend_matrix(table)
         assert verify_triangular_system(n, matrix).passed
         assert not verify_theorem1(matrix).passed
+
+
+@pytest.mark.parametrize(
+    "verify, n",
+    [
+        (verify_triangular_system, 3),
+        (verify_conjecture2, 5),
+        (verify_conjecture2, 3),
+        (verify_zw_chain, 5),
+        (verify_zw_chain, 3),
+    ],
+    ids=["triangular-system-3", "conj2-5", "conj2-3", "zw-chain-5", "zw-chain-3"],
+)
+def test_a_verifier_refuses_an_array_of_another_order(verify, n):
+    # a correct order-4 array is no evidence about order n: not a FAIL, not a raw error
+    with pytest.raises(ValidationError) as excinfo:
+        verify(n, matrix_for(4))
+    assert str(excinfo.value) == f"an array of order {n} is required, got order 4"
+    assert verify(4, matrix_for(4)).passed
+    # the order is a size like any other, so a float is refused before it is compared
+    with pytest.raises(ValidationError, match="^order must be an integer, got 4.0$"):
+        verify(4.0, matrix_for(4))
+
+
+def test_extended_matrix_checks_its_order():
+    with pytest.raises(ValidationError, match="^order must be positive, got 0$"):
+        ExtendedMatrix(0, ())
+    with pytest.raises(ValidationError, match="^order must be an integer, got 1.0$"):
+        ExtendedMatrix(1.0, ((1,),))

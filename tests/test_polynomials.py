@@ -873,3 +873,25 @@ def test_pins_cover_every_specialization_of_the_default_budget(fail_if_counting)
             cases.add((n, d))
     assert max(n for n, d in cases) == 15
     assert set(EXPANSION_PINS) == set(GN_VALUE_PINS) == cases
+
+
+@pytest.mark.parametrize("num_points", [0, -1])
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda num_points: verify_alpha_identities(2, num_points=num_points),
+        lambda num_points: verify_gn_reflection(2, 2, num_points=num_points),
+    ],
+    ids=["alpha-identities", "gn-reflection"],
+)
+def test_identity_suites_refuse_to_check_no_points(suite, num_points):
+    # a check at no point would pass every identity
+    with pytest.raises(ValidationError) as excinfo:
+        suite(num_points)
+    assert str(excinfo.value) == f"number of points must be positive, got {num_points}"
+
+
+def test_a_polynomial_has_a_nonnegative_degree_bound():
+    with pytest.raises(ValidationError, match="^degree bound must be nonnegative, got -1$"):
+        PolyMulti(1, -1, (0,), ())
+    assert PolyMulti(1, 0, (0,), (7,)).evaluate((Fraction(1, 2),)) == 7

@@ -8,6 +8,8 @@ such as polynomials.apply_axis, is public within the package: no module
 imports an underscore-prefixed name from another.  Every Budget field is
 read by the module whose computation it caps, so a cap nothing reads fails.
 Verifiers state their equations as cases, so only reports.py builds a Witness.
+Sizes pass combinat.as_size, so no other module states an order's or a
+depth's range itself.  The README's library example prints what its comments say.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import pytest
 import asmref
 from asmref.config import Budget
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = Path(asmref.__file__).resolve().parent
 
 
@@ -86,3 +89,49 @@ def test_only_reports_builds_witnesses():
         )
     ]
     assert builders == ["reports.py"]
+
+
+#: how as_size words a refused size; a message outside combinat.py may not start so
+SIZE_WORDING = (
+    "order must", "depth must", "column index must", "subset size must", "first index must",
+    "second index must", "number of points must", "degree bound must",
+)
+
+
+def _message_head(node: ast.expr) -> str:
+    """The literal text a message starts with, "" when it starts with a value."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_only_combinat_states_a_size_range():
+    stated = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "combinat.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ValidationError"
+        and node.exc.args
+        and _message_head(node.exc.args[0]).startswith(SIZE_WORDING)
+    ]
+    assert stated == []
+
+
+def test_readme_library_example_prints_its_comments():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        comment = lines[statement.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(statement, ast.Expr) and comment:
+            assert repr(eval(code, namespace)) == comment, code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 5
