@@ -701,6 +701,9 @@ def test_reflection_of_specialization_at_integer_points():
 # gn_poly sampled one block grid through one row transfer; the specializations
 # past orders 12, 10 and 7 at depths 1, 2 and 3, and those of depth 4 and
 # more, were recorded from that grid under raised per-depth order caps.
+# (15, 2), (15, 3) and depths 1..3 at orders 16..19 were recorded under
+# Budget(table_max_n=22) while checked_grid still ran its per-row check,
+# which rejected them at the default budget.
 # gn_poly's origins and coefficients depend on its sample grid, so it is
 # pinned by its values.
 #: n -> sha256 of repr(alpha_polynomial(n).coeffs)
@@ -753,6 +756,20 @@ EXPANSION_PINS = {
     (12, 3): "4e059c8897b258288a9f5776a10a2e04c9dcac4b20419edc9c44df2978304326",
     (13, 3): "d5755d3e8509c5a7c5058b4572bc932ec6be238b25b20d4d8104a5c9b7fab1d7",
     (14, 3): "4c0200e5708ba4771e7d39c4faa77c0c6ed6953ded616f59a5b4b4f386be46f7",
+    (15, 2): "69243cbbd2f56acfc6dc6c8cc7b9381f46449c0451889cf8ae65ff1be0ec63aa",
+    (15, 3): "734f366c2adc4c613ff7c668da1eeec3ca19d4de7af21c304edf054ad1a6c457",
+    (16, 1): "aad2c9a7a80762c8726aa4a5187006da3092e2b6445e6cd515d429f531ccd383",
+    (16, 2): "c7ab43852385bf8c54a392da3613fdc9ad0d04ef13b4bf23665f792140dea089",
+    (16, 3): "594a209f158b4fd435dfe38e5080fd6d9ce65475aea2861533cca012a2c57aa0",
+    (17, 1): "4b10842b9fdcfe3dc52e532fe9b35605f87399dd61768af3396e9390e20fb5cb",
+    (17, 2): "d2117692799fbbd6eb324fa94a9295b596acc024d67bbb55efbc29cef71379b9",
+    (17, 3): "d264fc62176c075dd069b74049a789a7135ee7c467ccf7d979a134d863ae51ea",
+    (18, 1): "42ad0645a2b5cf40a39acbd24f33ae8dba6d0c97e9cf24075b4a4edbb2d19809",
+    (18, 2): "b7d76c7c5cc1e2ff3f10bdb0183b3c6d92f879370c6ef6cae357dc334962c146",
+    (18, 3): "05b0f76847b466606e72b3a27c83051c1de43f6906e25db4bf290b16786e1dc3",
+    (19, 1): "adfdf2371b062c210b2833f25df4884f351322360aa16e1d10181c7d8f011eee",
+    (19, 2): "2ae8fca5d99c3d097ab05aab27e423923ac4cd1abbe41e00d69a304201f1b612",
+    (19, 3): "bfc3faa2fe1ee4a6166ce097baa9487784eba00862ab283a7433638d833b8221",
     (4, 4): "9a5ed99d298f643f5533418dfc46edcd8d1c4620c3c605ba674f685ae39b0e6a",
     (5, 4): "9d1051c95c85668602e38ce4b72cafc3705e82ba4afc8270a4fffaa32810ae88",
     (6, 4): "13268c2d943b3db3d54bef61b7fbcd51c76c83073cd2a5d4615aacd37c7088fc",
@@ -813,6 +830,20 @@ GN_VALUE_PINS = {
     (12, 3): "ad666a01bab8810a1e114cd4468e655612b0e7f472325c0dcc77b5cdb02f67ed",
     (13, 3): "e2d40633fddb726ec2d7397f49f590d2a112697faf519a8fe5aecc27290504ee",
     (14, 3): "fbeee99cb5fff3c2ff683a8a74d210d25ec846bcdb6edd894f7d7d3e825606ee",
+    (15, 2): "8e97be52a2f5f76ec375f7cd42f089fa2d87a9a4c39240a0999d5548aa828099",
+    (15, 3): "dabeeee0c5b3a299778e9da30aaf0d6ca3048ca7d2a3a6f417dd7ef6e63a86ef",
+    (16, 1): "7c799342d99b8d5e4ea13026df5d299b517ab8772b8b460ab4322fb23185f8bb",
+    (16, 2): "13603a91c01dd9499c13c859885c0e1be9031679457f6314fd496acb4d66b036",
+    (16, 3): "c9a3ff9e56ad5c0e2d3b74f59abab109e6bcaffb478d07127cbd7ae77b104c30",
+    (17, 1): "9eb6689b893f1feec3c5a66d6c2bcc57526e062e1d8d947eb5d64455b9d45856",
+    (17, 2): "48b5016f66f88edd6d9119713b3e46f6bf74f6a420e3610630ba46ea973ea2b9",
+    (17, 3): "5ed524316c911414c01cec505efc5318e8c4b458cc4ae824d37cb528a8e96903",
+    (18, 1): "e4a3cd30891e2893e7a846e97b5507dfe9475ba253554336da3914d8d44d5837",
+    (18, 2): "fefd5220d44e54e45da72bbd543a58aad6990e34f66b05c5c5ecdf32dbf105bb",
+    (18, 3): "607422dcd5940db4bf726d30a3759b5ac99bd315eed70361eefa0f4ba7d0af18",
+    (19, 1): "01647498edc13d943c6e48a4ea577190b19991586fef9d33da7d126832c3f2c4",
+    (19, 2): "8ce9f2f0bdbb83129757002099b74c27231db1147a8a603697ab9fb01a1d4e41",
+    (19, 3): "47d955d249f3293ca5bb08084771d8fb6da14f07d3f4bd4781acb8a708686141",
     (4, 4): "26a9ff0ed87150c15d458b56e9dec967a316e871ccbdc88557bb179048c14b9b",
     (5, 4): "e267af199292de9d34903a5f3a79e2879e5fada1356cac442dc14ee772cd9841",
     (6, 4): "1a1a40a635abf9aa9c17e44ca0767f2d49a8ca2640c9984cda37e98dd3797856",
