@@ -119,8 +119,9 @@ def verify_product_formulas(n: int) -> VerificationReport:
 
 def verify_theorem4(n: int, cache: TableCache | None = None) -> VerificationReport:
     """Binomial-basis coefficients of the depth-2 specialization equal the array."""
+    matrix = extended_matrix(n, cache)  # first, so the table cap holds before the walk
     expansion = drefined_F(n, 2)
-    cases = entry_cases(extended_matrix(n, cache), lambda i, j: expansion.coefficient((i, j)))
+    cases = entry_cases(matrix, lambda i, j: expansion.coefficient((i, j)))
     return VerificationReport.from_cases("theorem4", f"n={n}, all {n * n} coefficients", cases)
 
 

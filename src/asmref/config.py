@@ -21,20 +21,20 @@ class Budget:
     of an order are lookups into the same column sweep.  It also caps the
     width of a row with a tie, whose alpha_count sums lookups into the sweep
     of that width, and the order of conj1's linear solve, which is compared
-    with the table of its order.  Every row transfer is bounded in nominal
-    cell updates: W * n * 2^n for its widest row of n entries and width W,
-    and, summed over the walk over a grid, n * binom(n, i) per column step
-    with i entries placed.  Each count must stay within table_max_n^2 *
-    2^table_max_n, the nominal cell updates of an unpruned sweep of the
-    largest order: n cells on 2^n states in each of n rows.  The sweep
-    carries each row only to the subsets that contain column 1 and makes
-    about half that many; the bound keeps the unpruned figure, so the prune
-    moved no admitted (n, d).  That bound is the one cap on the sample grids
-    of gn_poly, and so of alpha_polynomial, which is gn_poly(n, n).  It
-    counts updates, not time: an admitted walk can take several times as
-    long as the largest sweep.  At the default of 16 it admits
-    alpha_polynomial up to order 6 and gn_poly at depths 1..6 up to orders
-    15, 14, 14, 13, 9 and 7.
+    with the table of its order.  Every row transfer has one cost estimate,
+    of its whole walk over a grid of n entries: the sum over i of its column
+    steps with i entries placed times n * binom(n, i).  It must stay within
+    table_max_n^2 * 2^table_max_n, the nominal cell updates of an unpruned
+    sweep of the largest order: n cells on 2^n states in each of n rows.
+    The sweep carries each row only to the subsets that contain column 1
+    and makes about half that many; the bound keeps the unpruned figure, so
+    the prune moved no admitted (n, d).  That bound is the one cap on the
+    sample grids of gn_poly, and so of alpha_polynomial, which is
+    gn_poly(n, n).  The estimate tracks time: at the default of 16, one
+    bound's worth of walk took 2-6 s at orders up to 17 and 4-8 s at orders
+    18 and 19 (Python 3.11 on one core of a shared Xeon host).  At that
+    default it admits alpha_polynomial up to order 6 and gn_poly at depths
+    1..6 up to orders 19, 19, 19, 13, 9 and 7.
 
     enumeration_max_n caps the explicit lists of matrices and triangles,
     whose memory grows with the count itself rather than with a sweep.

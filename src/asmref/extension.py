@@ -220,7 +220,7 @@ def verify_special_values(matrix: ExtendedMatrix) -> VerificationReport:
     alternating-sum expression for the (1, 1) entry.
     """
     n = matrix.n
-    row = [refined_count(n - 1, (r,)) for r in range(1, n)]
+    row = [refined_asm_count(n - 1, r) for r in range(1, n)]
     cases = [((n, j), matrix.entry(n, j), -sum(row[j - 1:])) for j in range(1, n + 1)]
     alternating = sum(
         (1 if i % 2 == 1 else -1) * matrix.entry(i, i + 1) for i in range(1, n)
@@ -243,7 +243,7 @@ def entry_closed_form(n: int, i: int, j: int, table: RefinedTable) -> int:
     if j < i:
         value -= table.value(j, i)
     if i == n - 1 and j == 1:
-        value += refined_count(n, (n,))
+        value += total_asm_count(n - 1)
     # the signed sums of binom(top - b, k - a) * A(a, b) over a < b <= top
     for top, k in [(i - 1, j)] if i == n else [(i, j - 1), (i - 1, j)]:
         for a in range(1, top):
@@ -324,7 +324,7 @@ def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> Verificatio
     """The shift-subset route, read from the depth-2 table, reproduces every extended entry."""
     matrix = _array(n, matrix)
     table = build_table(n, 2)
-    total_prev = refined_count(n, (n,))
+    total_prev = total_asm_count(n - 1)
     # every transform at column index i reads the same shift-subset sums; count them once
     z = [_z_row(n, i, table) for i in range(n)]
 
@@ -553,13 +553,13 @@ def verify_conjecture4(
     n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Expansion coefficients equal the refined counts on increasing index tuples."""
-    # first: gn_poly rejects an n or d on which math.comb would raise ValueError
+    # gn_poly's checks in its order, then the counts, so the table cap holds before
+    # the walk; gn_poly rejects a depth above the order, which has no tuples
+    d, n = as_size(d, "depth"), as_int(n, "order")
+    counts = {c: refined_count(n, c, budget) for c in itertools.combinations(range(1, n + 1), d)}
     expansion = drefined_F(n, d, budget)
-    checked = f"n={n}, d={d}, all {math.comb(n, d)} increasing tuples"
-    cases = (
-        (combo, expansion.coefficient(combo), refined_count(n, combo, budget))
-        for combo in itertools.combinations(range(1, n + 1), d)
-    )
+    checked = f"n={n}, d={d}, all {len(counts)} increasing tuples"
+    cases = ((combo, expansion.coefficient(combo), count) for combo, count in counts.items())
     return VerificationReport.from_cases("conj4", checked, cases)
 
 

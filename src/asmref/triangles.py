@@ -21,12 +21,11 @@ the partial sums of the lines across it; the cell moves a state between them.
   a tie, which alpha_count sums over the strictly increasing rows that
   interlace it from above, though no claim counts such a row;
 - the row transfer (_row_transfer) adds the n x W matrix of one strictly
-  increasing row of width W column by column, in at most W * n * 2^n cell
-  updates; alpha_count_grid counts every row of a grid of candidate entries
-  in one depth-first walk over the columns, in which the rows with the same
-  entries so far share each column's states, and alpha_count sends every
-  strictly increasing row there as the grid of its singleton levels, under a
-  budget.
+  increasing row of width W column by column; alpha_count_grid counts every
+  row of a grid of candidate entries in one depth-first walk over the
+  columns, in which the rows with the same entries so far share each
+  column's states, and alpha_count sends every strictly increasing row there
+  as the grid of its singleton levels, under one budget on the whole walk.
 """
 
 from __future__ import annotations
@@ -183,13 +182,11 @@ def checked_grid(
     """The levels of a grid as int tuples, once the row transfer over them fits the budget.
 
     Every level must be nonempty and strictly increasing and lie below the
-    next one, so every row is strictly increasing.  With W the width of the
-    widest row, from the first candidate of the first level to the last of
-    the last, and n entries, it raises BudgetError when W * n * 2^n exceeds
+    next one, so every row is strictly increasing.  With n entries, it
+    raises BudgetError when the whole walk, the sum over i of its column
+    steps with i entries placed times n * binom(n, i), exceeds
     table_max_n^2 * 2^table_max_n, the nominal cell updates of the largest
-    column sweep the budget allows, unpruned, and when the whole walk would:
-    the sum over i of its column steps with i entries placed times
-    n * binom(n, i).
+    column sweep the budget allows, unpruned.
     """
     grid = tuple(tuple(map(as_int, level)) for level in levels)
     if not grid:
@@ -202,14 +199,7 @@ def checked_grid(
     for below, above in zip(grid, grid[1:]):
         if below[-1] >= above[0]:
             raise ValidationError(f"level {above} overlaps the level {below} before it")
-    n = len(grid)
-    width = grid[-1][-1] - grid[0][0] + 1
-    cap = budget.table_max_n
-    if width * n * 2**n > cap * cap * 2**cap:
-        raise BudgetError(
-            f"row transfer over {n} entries of width {width} exceeds the budget "
-            f"of an order-{cap} sweep"
-        )
+    n, cap = len(grid), budget.table_max_n
     # the walk takes `steps` columns with i entries placed, each of n cells on
     # about binom(n, i) states, since i entries leave i row bits set
     cost, rows, steps = 0, 1, grid[0][-1] - grid[0][0] + 1
@@ -311,8 +301,9 @@ class RefinedTable:
     entries: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
-        as_size(self.d, "depth", 1, self.n)
-        if self.entries.keys() != set(itertools.combinations(range(1, self.n + 1), self.d)):
+        n = as_size(self.n, "order")
+        as_size(self.d, "depth", 1, n)
+        if self.entries.keys() != set(itertools.combinations(range(1, n + 1), self.d)):
             raise ValidationError(
                 f"a table needs one entry per increasing {self.d}-tuple in 1..{self.n}"
             )

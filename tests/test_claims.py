@@ -203,13 +203,17 @@ def test_golden_failing_output_of_a_wrong_expansion_coefficient(argv, monkeypatc
 
 @pytest.mark.parametrize("argv", _golden_failing("conj4", "special-values"))
 def test_golden_failing_output_of_a_wrong_refined_count(argv, monkeypatch, capsys):
-    wrong = (1, 2, 3) if "conj4" in argv else (2,)
-    real = extension.refined_count
-    monkeypatch.setattr(
-        extension,
-        "refined_count",
-        lambda n, idx, budget=DEFAULT_BUDGET: real(n, idx, budget) + (tuple(idx) == wrong),
-    )
+    # conj4 reads counted entries, special-values the product formula of its row
+    if "conj4" in argv:
+        real = extension.refined_count
+        monkeypatch.setattr(
+            extension,
+            "refined_count",
+            lambda n, idx, budget=DEFAULT_BUDGET: real(n, idx, budget) + (tuple(idx) == (1, 2, 3)),
+        )
+    else:
+        formula = extension.refined_asm_count
+        monkeypatch.setattr(extension, "refined_asm_count", lambda n, k: formula(n, k) + (k == 2))
     code = cli.main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_FAILING[argv]

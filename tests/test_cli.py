@@ -83,17 +83,20 @@ def test_count_budget_exceeded_is_usage_error(capsys):
     [
         ("count", "--n", "22", "--indices", "1"),
         ("count", "--n", "17", "--d", "3"),
-        ("verify", "conj4", "--n", "15"),
-        ("verify", "conj3", "--n", "15"),
+        ("verify", "conj4", "--n", "20"),
+        ("verify", "conj4", "--n", "17"),
+        ("verify", "conj3", "--n", "20"),
         ("verify", "conj3", "--n", "7", "--d", "7"),
         ("verify", "alpha-identities", "--n", "7"),
-        ("verify", "theorem4", "--n", "14..15"),
-        ("verify", "gn-reflection", "--n", "17"),
+        ("verify", "theorem4", "--n", "19..20"),
+        ("verify", "theorem4", "--n", "17"),
+        ("verify", "gn-reflection", "--n", "20"),
     ],
     ids=[
-        "count-indices", "count-depth-3", "verify-conj4", "verify-conj3",
+        "count-indices", "count-depth-3", "verify-conj4", "verify-conj4-past-the-tables",
+        "verify-conj3",
         "verify-conj3-depth-7", "verify-alpha-identities", "verify-theorem4-range",
-        "verify-gn-reflection",
+        "verify-theorem4-past-the-tables", "verify-gn-reflection",
     ],
 )
 def test_budget_exceeded_before_counting(capsys, fail_if_counting, argv):
@@ -110,7 +113,25 @@ def test_budget_exceeded_before_counting(capsys, fail_if_counting, argv):
         default_depth = {"conj3": 3, "conj4": 3, "gn-reflection": 2}
         depth = argv[5] if "--d" in argv else default_depth.get(claim)
         at = f"n={order}" if depth is None else f"n={order} d={depth}"
-        assert err.startswith(f"error: {claim} {at}: row transfer over ")
+        # theorem4 and conj4 read the table of the order before they walk
+        cap = "refined counts" if claim in ("theorem4", "conj4") else "row transfer over "
+        assert err.startswith(f"error: {claim} {at}: {cap}")
+
+
+@pytest.mark.parametrize(
+    "claim, orders, summary",
+    [
+        ("theorem4", "15..16", "theorem4: PASS (15..16)"),
+        ("conj4", "15..16", "conj4: PASS (15..16)"),
+        ("conj3", "17", "conj3: PASS (17..17)"),
+    ],
+    ids=["theorem4", "conj4", "conj3"],
+)
+def test_verify_at_the_edge_of_the_walk_bound(capsys, claim, orders, summary):
+    # theorem4 walks at depth 2, and the conjectures at their default depth 3
+    code, out, err = run(capsys, "verify", claim, "--n", orders)
+    assert (code, err) == (0, "")
+    assert out.strip().endswith(summary)
 
 
 def test_verify_conj1_beyond_its_default_range(capsys):

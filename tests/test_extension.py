@@ -251,6 +251,23 @@ def test_special_values_explicit():
         assert matrix.entry(1, 1) == alternating
 
 
+def test_boundary_values_come_from_the_product_formulas(monkeypatch):
+    # no refined count is read, so an array of an order past the table cap
+    # can be checked too
+    matrix, table = matrix_for(6), build_table(6, 2)
+
+    def counted(*args):
+        raise AssertionError("a refined count was read")
+
+    monkeypatch.setattr(extension, "refined_count", counted)
+    assert verify_special_values(matrix).passed
+    assert entry_closed_form(6, 5, 1, table) == matrix.entry(5, 1)
+    assert verify_zw_chain(6, matrix).passed
+    report = verify_special_values(ExtendedMatrix(18, ((0,) * 18,) * 18))
+    assert not report.passed
+    assert [w.indices for w in report.witnesses] == [(18, j) for j in range(1, 18)]
+
+
 def test_closed_representation_hand_values():
     table = build_table(3, 2)
     assert entry_closed_form(3, 2, 1, table) == 1
@@ -461,7 +478,7 @@ def test_conjecture3_depth2_is_theorem1():
 def test_conjecture3_budget():
     # depth 3 is held by the row-transfer bound on the specialization's grid
     with pytest.raises(BudgetError):
-        verify_conjecture3(15, 3)
+        verify_conjecture3(20, 3)
     # the walk over the grid of gn_poly(5, 3) costs more than an order-7 sweep
     with pytest.raises(BudgetError, match="order-7 sweep"):
         verify_conjecture3(5, 3, Budget(table_max_n=7))

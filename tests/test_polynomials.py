@@ -453,7 +453,7 @@ def test_gn_poly_budget_and_validation(fail_if_counting):
     cached = gn_poly(3, 3)
     fail_if_counting()
     # the first order past the default budget at each depth, and depth 7
-    for n, d in ((16, 1), (15, 2), (15, 3), (14, 4), (10, 5), (8, 6), (7, 7)):
+    for n, d in ((20, 1), (20, 2), (20, 3), (14, 4), (10, 5), (8, 6), (7, 7)):
         with pytest.raises(BudgetError, match="order-16 sweep"):
             gn_poly(n, d)
     # gn_poly(3, 3) samples the grid of alpha_polynomial(3), shifted by one
@@ -889,11 +889,12 @@ def test_specialization_expansion_and_values_are_pinned(n, d):
 
 
 def test_pins_cover_every_specialization_of_the_default_budget(fail_if_counting):
-    # gn_poly(n, d) samples rows of width at least n, so the width check
-    # rejects every order above table_max_n
+    # the walk bound admits orders past table_max_n; the walk at depth d
+    # grows with n, so the loop stops at the first order that admits no depth
     fail_if_counting()
     cases = set()
-    for n in range(1, Budget().table_max_n + 1):
+    for n in itertools.count(1):
+        admitted = set()
         for d in range(1, n + 1):
             try:
                 gn_poly(n, d)
@@ -901,8 +902,11 @@ def test_pins_cover_every_specialization_of_the_default_budget(fail_if_counting)
                 continue
             except AssertionError:  # admitted, and counting started
                 pass
-            cases.add((n, d))
-    assert max(n for n, d in cases) == 15
+            admitted.add((n, d))
+        if not admitted:
+            break
+        cases |= admitted
+    assert n == 20 and max(order for order, _ in cases) == 19
     assert set(EXPANSION_PINS) == set(GN_VALUE_PINS) == cases
 
 

@@ -288,6 +288,20 @@ def test_refined_table_validation():
         table.value(9)
 
 
+@pytest.mark.parametrize(
+    "n, d, entries, message",
+    [
+        (5.0, 2, build_table(5, 2).entries, "order must be an integer, got 5.0"),
+        (0, 1, {}, "order must be positive, got 0"),
+    ],
+    ids=["float", "zero"],
+)
+def test_refined_table_checks_its_order_before_its_depth(n, d, entries, message):
+    with pytest.raises(ValidationError) as excinfo:
+        RefinedTable(n, d, entries)
+    assert str(excinfo.value) == message
+
+
 def test_budget_limits_enforced():
     tight = Budget(enumeration_max_n=3, table_max_n=3)
     with pytest.raises(BudgetError):
@@ -528,9 +542,11 @@ def test_transfer_counts_a_wide_row():
 
 
 def test_transfer_budget_raises_before_counting(fail_if_counting):
-    # the cap is the cost of the order-3 sweep: 3 * 3 * 2**3 = 72 cell updates
+    # the cap is the cost of the order-3 sweep: 3 * 3 * 2**3 = 72 cell updates;
+    # the walk over (0, 17) takes 1 column with no entry placed and 17 with
+    # one, 1 * 2 + 17 * 2 * 2 = 70 updates
     tight = Budget(table_max_n=3)
-    assert alpha_count((0, 8), tight) == 9  # width 9: 9 * 2 * 2**2 = 72
+    assert alpha_count((0, 17), tight) == 18
     # a tied row is capped by its width like a table
     assert alpha_count((0, 0, 2), tight) == alpha_count_dfs((0, 0, 2))
     asmref.clear_caches()
@@ -538,13 +554,13 @@ def test_transfer_budget_raises_before_counting(fail_if_counting):
     with pytest.raises(BudgetError):
         alpha_count((0, 0, 9), tight)
     with pytest.raises(BudgetError):
-        alpha_count((0, 9), tight)
+        alpha_count((0, 18), tight)  # 2 + 18 * 2 * 2 = 74
     with pytest.raises(BudgetError):
-        alpha_count_grid([(0,), (1, 9)], tight)
+        alpha_count_grid([(0,), (1, 18)], tight)
     with pytest.raises(BudgetError):
         alpha_count((0, 10**9))
     with pytest.raises(BudgetError):
-        alpha_count(range(17))
+        alpha_count(range(20))
 
 
 def test_grid_budget_bounds_the_whole_walk(fail_if_counting):
@@ -557,8 +573,8 @@ def test_grid_budget_bounds_the_whole_walk(fail_if_counting):
     # adding the candidate 2 makes it 3 * 2 + 21 * 2 * 2 = 90
     with pytest.raises(BudgetError, match="grid of 3 rows"):
         alpha_count_grid([(0, 1, 2), (8,)], tight)
-    # the per-row check passes the order-7 block grid and the 8 x 8 one, but
-    # their walks would cost about 5.3 and 144 order-16 sweeps
+    # the walks over the order-7 block grid and the 8 x 8 one would cost
+    # about 5.3 and 144 order-16 sweeps
     for k in (7, 8):
         with pytest.raises(BudgetError, match=f"grid of {k ** k} rows"):
             alpha_count_grid([range(i * k, i * k + k) for i in range(k)])
