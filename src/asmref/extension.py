@@ -38,7 +38,7 @@ from .errors import (
 from .linalg import solve_integer_system
 from .polynomials import BinomBasisExpansion, apply_axis, expand_in_binomial_basis, gn_poly
 from .reports import VerificationReport
-from .triangles import RefinedTable, build_table, refined_count
+from .triangles import RefinedTable, build_table
 
 
 def c_coeff(i: int, j: int, p: int, q: int) -> int:
@@ -101,9 +101,10 @@ def reflection_weights(n: int, d: int) -> list[list[int]]:
     """W[i-1][j-1] = (-1)^j binom(2n - i - d, j - i), the one-axis factor of the reflection.
 
     The depth-d equation at (i_1, ..., i_d) is E(i_1, ..., i_d) = (-1)^(nd)
-    times the sum over j of prod_r W[i_r][j_r] E(j_d, ..., j_1).  At d = 2, E
-    is the extended array (theorem1); at d >= 3 it is the coefficient array
-    of the depth-d specialization (conj3).
+    times the sum over j of prod_r W[i_r][j_r] E(j_d, ..., j_1).  E is the
+    extended array at d = 2 (theorem1), and the coefficient array of the
+    depth-d specialization at every depth (conj3); theorem4 equates the two
+    at d = 2.
     """
     cells = range(1, n + 1)
     return [[(-1) ** j * binom(2 * n - i - d, j - i) for j in cells] for i in cells]
@@ -272,11 +273,11 @@ def z_value(n: int, p: int, i: int) -> int:
     """
     p = as_size(p, "subset size", 0, n - 2)
     i = as_size(i, "column index", 0, n)
-    return _z_row(n, i, build_table(n, 2))[p]
+    return _z_row(n, i, build_table(n, 2).entries)[p]
 
 
-def _z_row(n: int, i: int, table: RefinedTable) -> list[int]:
-    """z(n, p, i) for p in 0..n-2, each row above a shifted row read as its table entry.
+def _z_row(n: int, i: int, counts: Mapping[tuple[int, int], int]) -> list[int]:
+    """z(n, p, i) for p in 0..n-2, each row above a shifted row read as the count of its pair.
 
     A row t above base + s leaves out a pair of 1..n and interlaces when
     t_(k-1) <= base_k + s_k <= t_k for every k, a floor and a cap on each
@@ -287,7 +288,7 @@ def _z_row(n: int, i: int, table: RefinedTable) -> list[int]:
     if i == 0:
         return row
     base = [v for v in range(1, n + 1) if v != i]
-    for pair, count in table.entries.items():
+    for pair, count in counts.items():
         t = [0] + [v for v in range(1, n + 1) if v not in pair] + base[-1:]
         forced = free = 0
         for k, b in enumerate(base):
@@ -305,7 +306,7 @@ def w_value(n: int, i: int, j: int) -> int:
     """Alternating binomial transform of the shift-subset sums."""
     i = as_size(i, "first index", 0, n)
     j = as_size(j, "second index", 1, n + 1)
-    return _binomial_transform(n, j, _z_row(n, i, build_table(n, 2)))
+    return _binomial_transform(n, j, _z_row(n, i, build_table(n, 2).entries))
 
 
 def _binomial_transform(n: int, j: int, z: list[int]) -> int:
@@ -321,12 +322,16 @@ def _binomial_transform(n: int, j: int, z: list[int]) -> int:
 
 
 def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> VerificationReport:
-    """The shift-subset route, read from the depth-2 table, reproduces every extended entry."""
+    """The shift-subset route, read from the array's i < j entries, reproduces every entry.
+
+    extend_matrix copies the counts to those entries and builds the rest from
+    them by other sums, so a wrong count fails this check.
+    """
     matrix = _array(n, matrix)
-    table = build_table(n, 2)
+    counts = {(i, j): v for (i, j), v in _entries(matrix).items() if i < j}
     total_prev = total_asm_count(n - 1)
     # every transform at column index i reads the same shift-subset sums; count them once
-    z = [_z_row(n, i, table) for i in range(n)]
+    z = [_z_row(n, i, counts) for i in range(n)]
 
     def value(i: int, j: int) -> int:
         total = -_binomial_transform(n, j + 1, z[i - 1])
@@ -532,20 +537,15 @@ def drefined_F(n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET) -> BinomBasi
     return expand_in_binomial_basis(gn_poly(n, d, budget))
 
 
-def _coefficient_array(n: int, d: int, budget: Budget) -> dict[tuple[int, ...], int]:
-    if d == 2:
-        return _entries(extend_matrix(build_table(n, 2, budget)))
-    indices = itertools.product(range(1, n + 1), repeat=d)
-    return dict(zip(indices, drefined_F(n, d, budget).coeffs))
-
-
 def verify_conjecture3(
     n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET
 ) -> VerificationReport:
     """The depth-d reflection equations hold for the expansion coefficients."""
     d = as_size(d, "depth", 2)
+    coeffs = drefined_F(n, d, budget).coeffs
+    indices = itertools.product(range(1, n + 1), repeat=d)
     checked = f"n={n}, d={d}, all {n ** d} index tuples"
-    cases = _reflection_cases(n, d, _coefficient_array(n, d, budget))
+    cases = _reflection_cases(n, d, dict(zip(indices, coeffs)))
     return VerificationReport.from_cases("conj3", checked, cases)
 
 
@@ -553,10 +553,7 @@ def verify_conjecture4(
     n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET
 ) -> VerificationReport:
     """Expansion coefficients equal the refined counts on increasing index tuples."""
-    # gn_poly's checks in its order, then the counts, so the table cap holds before
-    # the walk; gn_poly rejects a depth above the order, which has no tuples
-    d, n = as_size(d, "depth"), as_int(n, "order")
-    counts = {c: refined_count(n, c, budget) for c in itertools.combinations(range(1, n + 1), d)}
+    counts = build_table(n, d, budget).entries  # first, so the table cap holds before the walk
     expansion = drefined_F(n, d, budget)
     checked = f"n={n}, d={d}, all {len(counts)} increasing tuples"
     cases = ((combo, expansion.coefficient(combo), count) for combo, count in counts.items())

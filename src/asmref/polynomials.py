@@ -225,9 +225,8 @@ def gn_poly(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> PolyMulti:
     origins r*(n-1).  The budget of that transfer is checked before the cache
     is read.
     """
-    d, n = as_size(d, "depth"), as_int(n, "order")
-    if d > n:
-        raise ValidationError(f"depth {d} exceeds the order {n}")
+    n = as_size(n, "order")
+    d = as_size(d, "depth", 1, n)
     staircase = [(v,) for v in range(1, n - d + 1)]
     blocks = [range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n) for r in range(d)]
     grid = checked_grid(staircase + blocks, budget)
@@ -258,6 +257,8 @@ class BinomBasisExpansion:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        as_size(self.n, "order")
+        as_size(self.d, "depth")  # d may exceed n: more variables than basis elements per axis
         if len(self.coeffs) != self.n**self.d:
             raise ValidationError(f"expected {self.n ** self.d} coefficients")
         for pos, c in enumerate(self.coeffs):

@@ -210,7 +210,8 @@ def checked_grid(
         rows *= len(level)
     if cost > cap * cap * 2**cap:
         raise BudgetError(
-            f"row transfer over a grid of {rows} rows exceeds the budget of an order-{cap} sweep"
+            f"row transfer over a grid of {rows} rows of {n} entries up to column {grid[-1][-1]}"
+            f" exceeds the budget of an order-{cap} sweep"
         )
     return grid
 

@@ -133,8 +133,11 @@ def test_golden_oeis_check_output(argv, tmp_path, capsys):
 #: argv -> (exit code, sha256 of stdout) on corrupted input, recorded before
 #: the claims read the extended array's equations from one definition each;
 #: the conj2 and ilse digests before explicit_formula summed over one integer
-#: denominator and extend_matrix read a coefficient table; the zw-chain and
-#: theorem4 digests before z_value read the depth-2 table.
+#: denominator and extend_matrix read a coefficient table; the theorem4 digests
+#: before z_value read the depth-2 table.  The zw-chain digests were recorded
+#: when zw-chain began to read the counts from the array it checks: the wrong
+#: count then enters both sides, so (2, 3) is no witness, and 10 entries fail
+#: at order 5 and 15 at order 6.
 #: The table claims read order-5 and order-6 tables whose entry (2, 3) is one
 #: too large; conj3 reads expansions whose coefficient at (2, 3, 4) is one
 #: too large.  The conj4 and special-values digests were recorded before the
@@ -152,8 +155,8 @@ GOLDEN_FAILING = {
     "verify conj2 --n 5..6 --format json": (1, "b02a30d10249f37e0d7c3c27c70f376ddf8ad4507d02950fe89feb98e955fad6"),
     "verify ilse --n 5..6 --format pretty": (1, "d4fb3c356f469024b48033563ae40ac448354a6d089167e96338266fed7e91aa"),
     "verify ilse --n 5..6 --format json": (1, "21335f769f2a2cb5cd079dc0fbb827cf2c85ef00b3435d93e204d38e3f43b0ee"),
-    "verify zw-chain --n 5..6 --format pretty": (1, "f6aca275ed1dafe8eb81aa3cdcb1db04e0fa88ff16277210c129ac04defa0852"),
-    "verify zw-chain --n 5..6 --format json": (1, "f0babe0965506bbeb68092dfcdfc39ba5663091a6270a10eab0631688b9b44d8"),
+    "verify zw-chain --n 5..6 --format pretty": (1, "acb91645bf56b4175cba6e07e3b40f9219d80ca3caca92701a8b6f6fc6e3ef44"),
+    "verify zw-chain --n 5..6 --format json": (1, "c17c01b1cea48737308a0ba0d1b02a89598a8ffce0f16a7f3bbc645b4ea6ec5e"),
     "verify theorem4 --n 5..6 --format pretty": (1, "92d0304b919d0189cbc2c1026d55adf496e95713388e9deefaa8d6127f4ed934"),
     "verify theorem4 --n 5..6 --format json": (1, "d965b6a79ca7a442d858d518193b162b599465845aeb6c002deab94639db5d46"),
     "verify conj3 --n 4..5 --format pretty": (1, "50a5f87dee476d6a8d828345f726d74d277f5cf9c11793983cd7d5a612cadd0c"),
@@ -205,12 +208,7 @@ def test_golden_failing_output_of_a_wrong_expansion_coefficient(argv, monkeypatc
 def test_golden_failing_output_of_a_wrong_refined_count(argv, monkeypatch, capsys):
     # conj4 reads counted entries, special-values the product formula of its row
     if "conj4" in argv:
-        real = extension.refined_count
-        monkeypatch.setattr(
-            extension,
-            "refined_count",
-            lambda n, idx, budget=DEFAULT_BUDGET: real(n, idx, budget) + (tuple(idx) == (1, 2, 3)),
-        )
+        refined_count_one_too_large(monkeypatch)
     else:
         formula = extension.refined_asm_count
         monkeypatch.setattr(extension, "refined_asm_count", lambda n, k: formula(n, k) + (k == 2))
@@ -319,8 +317,11 @@ def test_table_claims_use_the_cache(claim, tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
         assert all((tmp_path / f"refined-n{n}-d2.json").exists() for n in range(3, 7))
-        # the warm run must be served from the cache alone
+        # the warm run must be served from the cache alone, with no table built
+        # and no column sweep run
         monkeypatch.setattr(claims, "build_table", None)
+        monkeypatch.setattr(triangles, "_sweep_memo", {})
+        monkeypatch.setattr(triangles, "_column_sweep", None)
 
 
 def test_a_cached_depth_3_table_is_read_back(tmp_path, monkeypatch, capsys):
@@ -488,13 +489,15 @@ def expansion_coefficient_one_too_large(monkeypatch):
 
 
 def refined_count_one_too_large(monkeypatch):
-    """The refined count at (1, 2, 3) is one too large."""
-    real = extension.refined_count
-    monkeypatch.setattr(
-        extension,
-        "refined_count",
-        lambda n, idx, budget=DEFAULT_BUDGET: real(n, idx, budget) + (tuple(idx) == (1, 2, 3)),
-    )
+    """The depth-3 table has the refined count at (1, 2, 3) one too large."""
+    real = extension.build_table
+
+    def build(n, d, budget=DEFAULT_BUDGET):
+        entries = dict(real(n, d, budget).entries)
+        entries[(1, 2, 3)] += 1
+        return RefinedTable(n, d, entries)
+
+    monkeypatch.setattr(extension, "build_table", build)
 
 
 def first_coordinate(num_vars: int) -> PolyMulti:

@@ -134,6 +134,13 @@ def test_verify_at_the_edge_of_the_walk_bound(capsys, claim, orders, summary):
     assert out.strip().endswith(summary)
 
 
+def test_verify_conj3_at_depth_2_past_the_tables(capsys):
+    # conj3 reads the expansion at every depth, so only the walk bound holds it
+    code, out, err = run(capsys, "verify", "conj3", "--n", "17", "--d", "2")
+    assert (code, err) == (0, "")
+    assert out.strip().endswith("conj3: PASS (17..17)")
+
+
 def test_verify_conj1_beyond_its_default_range(capsys):
     code, out, err = run(capsys, "verify", "conj1", "--n", "11..14")
     assert code == 0
@@ -805,8 +812,8 @@ def test_verify_conj2_below_order_3_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (("--n", "-1"), "error: conj4 n=-1 d=3: depth 3 exceeds the order -1\n"),
-        (("--n", "4", "--d", "-1"), "error: conj4 n=4 d=-1: depth must be positive, got -1\n"),
+        (("--n", "-1"), "error: conj4 n=-1 d=3: order must be positive, got -1\n"),
+        (("--n", "4", "--d", "-1"), "error: conj4 n=4 d=-1: depth must lie in 1..4, got -1\n"),
     ],
     ids=["order", "depth"],
 )

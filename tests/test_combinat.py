@@ -22,7 +22,7 @@ from asmref.combinat import (
 from asmref.errors import NonIntegralError, ValidationError
 from asmref.extension import ExtendedMatrix, extend_matrix, verify_conjecture2, verify_conjecture3
 from asmref.linalg import solve_integer_system
-from asmref.polynomials import PolyMulti, gn_poly
+from asmref.polynomials import BinomBasisExpansion, PolyMulti, gn_poly
 from asmref.triangles import RefinedTable, build_table, refined_count
 
 from oracles import falling_factorial_binom
@@ -228,8 +228,8 @@ def test_as_size_returns_the_int():
     "call, message",
     [
         (lambda: verify_conjecture2(2), "order must be at least 3, got 2"),
-        (lambda: gn_poly(4, -1), "depth must be positive, got -1"),
-        (lambda: gn_poly(-1, 3), "depth 3 exceeds the order -1"),
+        (lambda: gn_poly(4, -1), "depth must lie in 1..4, got -1"),
+        (lambda: gn_poly(-1, 3), "order must be positive, got -1"),
         (lambda: build_table(0, 1), "order must be positive, got 0"),
         (lambda: build_table(1, 0), "depth must lie in 1..1, got 0"),
         (lambda: refined_count(5.0, (2,)), "order must be an integer, got 5.0"),
@@ -237,11 +237,14 @@ def test_as_size_returns_the_int():
         (lambda: gn_poly(4, 2.0), "depth must be an integer, got 2.0"),
         (lambda: total_asm_count(5.0), "order must be an integer, got 5.0"),
         (lambda: verify_conjecture3(4, 3.0), "depth must be an integer, got 3.0"),
+        (lambda: BinomBasisExpansion(-1, 2, (1,)), "order must be positive, got -1"),
+        (lambda: BinomBasisExpansion(2.0, 1, (1, 2)), "order must be an integer, got 2.0"),
+        (lambda: BinomBasisExpansion(3, 0, (5,)), "depth must be positive, got 0"),
     ],
     ids=[
         "conj2-order", "gn-depth", "gn-depth-over-order", "table-order", "table-depth",
         "refined-float-order", "table-float-depth", "gn-float-depth", "total-float-order",
-        "conj3-float-depth",
+        "conj3-float-depth", "expansion-order", "expansion-float-order", "expansion-depth",
     ],
 )
 def test_sizes_from_a_caller_pass_as_size(call, message):

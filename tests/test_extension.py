@@ -33,6 +33,7 @@ from asmref.extension import (
     w_value,
     z_value,
 )
+from asmref.polynomials import BinomBasisExpansion
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, alpha_count, build_table, refined_count
 
@@ -162,11 +163,12 @@ def test_theorem1_witnesses_match_the_double_sum_oracle():
 @pytest.mark.parametrize("d, orders", [(2, range(3, 9)), (3, (4, 5)), (4, (5, 6)), (5, (5,))])
 def test_conjecture3_witnesses_match_the_shift_loop_oracle(d, orders, monkeypatch):
     rng = random.Random(d)
-    real = extension._coefficient_array
     for n in orders:
-        coeffs = real(n, d, Budget())
+        indices = itertools.product(range(1, n + 1), repeat=d)
+        coeffs = dict(zip(indices, drefined_F(n, d).coeffs))
         for array in [coeffs] + [perturbed(coeffs, rng) for _ in range(5)]:
-            monkeypatch.setattr(extension, "_coefficient_array", lambda n, d, budget: array)
+            expansion = BinomBasisExpansion(n, d, tuple(array.values()))
+            monkeypatch.setattr(extension, "drefined_F", lambda n, d, budget: expansion)
             report = verify_conjecture3(n, d)
             assert list(report.witnesses) == conjecture3_witnesses(array, n, d)
         assert not report.passed
@@ -252,20 +254,24 @@ def test_special_values_explicit():
 
 
 def test_boundary_values_come_from_the_product_formulas(monkeypatch):
-    # no refined count is read, so an array of an order past the table cap
-    # can be checked too
+    # no refined count or table is read, so an array of an order past the
+    # table cap can be checked too
     matrix, table = matrix_for(6), build_table(6, 2)
 
-    def counted(*args):
-        raise AssertionError("a refined count was read")
+    def built(*args):
+        raise AssertionError("a table was built")
 
-    monkeypatch.setattr(extension, "refined_count", counted)
+    monkeypatch.setattr(extension, "build_table", built)
     assert verify_special_values(matrix).passed
     assert entry_closed_form(6, 5, 1, table) == matrix.entry(5, 1)
     assert verify_zw_chain(6, matrix).passed
-    report = verify_special_values(ExtendedMatrix(18, ((0,) * 18,) * 18))
+    zeros = ExtendedMatrix(18, ((0,) * 18,) * 18)
+    report = verify_special_values(zeros)
     assert not report.passed
     assert [w.indices for w in report.witnesses] == [(18, j) for j in range(1, 18)]
+    report = verify_zw_chain(18, zeros)
+    assert not report.passed
+    assert report.witnesses[0].indices == (17, 1)
 
 
 def test_closed_representation_hand_values():
@@ -308,7 +314,7 @@ def test_z_row_matches_the_shifted_row_oracle():
         table = build_table(n, 2)
         for i in range(n + 1):
             expected = [shifted_row_z(n, p, i, alpha_count_dfs) for p in range(n - 1)]
-            assert extension._z_row(n, i, table) == expected, (n, i)
+            assert extension._z_row(n, i, table.entries) == expected, (n, i)
 
 
 def test_z_row_matches_the_shifted_row_oracle_on_random_tables():
@@ -323,7 +329,7 @@ def test_z_row_matches_the_shifted_row_oracle_on_random_tables():
 
             for i in range(n + 1):
                 expected = [shifted_row_z(n, p, i, count) for p in range(n - 1)]
-                assert extension._z_row(n, i, table) == expected, (n, i)
+                assert extension._z_row(n, i, table.entries) == expected, (n, i)
 
 
 def test_zw_chain_rejects_a_random_table(monkeypatch):
@@ -456,15 +462,15 @@ def test_conjecture3_and_4():
 def test_conjecture4_counts_under_its_budget(monkeypatch):
     budget = Budget(table_max_n=10)
     received = []
-    real = extension.refined_count
+    real = extension.build_table
 
-    def count(n, idx, budget=DEFAULT_BUDGET):
+    def build(n, d, budget=DEFAULT_BUDGET):
         received.append(budget)
-        return real(n, idx, budget)
+        return real(n, d, budget)
 
-    monkeypatch.setattr(extension, "refined_count", count)
+    monkeypatch.setattr(extension, "build_table", build)
     assert verify_conjecture4(4, 3, budget).passed
-    assert received == [budget] * 4
+    assert received == [budget]
 
 
 def test_conjecture3_depth2_is_theorem1():

@@ -557,7 +557,7 @@ def test_transfer_budget_raises_before_counting(fail_if_counting):
         alpha_count((0, 18), tight)  # 2 + 18 * 2 * 2 = 74
     with pytest.raises(BudgetError):
         alpha_count_grid([(0,), (1, 18)], tight)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=" 2 entries up to column 1000000000 "):
         alpha_count((0, 10**9))
     with pytest.raises(BudgetError):
         alpha_count(range(20))
