@@ -1,4 +1,4 @@
-"""The registry of checkable claims and the table provider they share.
+"""The registry of checkable claims.
 
 Each claim checks one order n at a time and returns VerificationReports; a
 mathematical failure is a failing report with its witnesses, never an
@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .combinat import as_size, refined_asm_count, total_asm_count
-from .documents import TableCache, table_document
-from .errors import NonIntegralError, ValidationError
+from .documents import TableCache
+from .errors import NonIntegralError
 from .extension import (
-    ExtendedMatrix,
     drefined_F,
     entry_cases,
-    extend_matrix,
-    last_column,
+    extended_matrix,
+    refined_table,
     solve_sufficiency,
     verify_conjecture2,
     verify_conjecture3,
@@ -35,54 +34,12 @@ from .extension import (
 from .polynomials import verify_alpha_identities, verify_gn_reflection
 from .reports import VerificationReport
 from .triangles import (
-    RefinedTable,
     alpha_count,
     asm_to_mt,
-    build_table,
     complete_monotone_triangles,
     mt_to_asm,
     refined_count,
 )
-
-
-def refined_table(n: int, d: int, cache: TableCache | None = None) -> RefinedTable:
-    """The depth-d table of order n, read from the cache or built and stored there.
-
-    The cache returns only files whose entries match their stored digest.  A
-    cached table is also rejected when it is not a valid table (its keys are
-    not the d-subsets of 1..n, or a count is negative) or when its cells with
-    a product formula disagree with it: the d=1 row, and at d=2 the last
-    column, whose entry (i, n) is refined_asm_count(n - 1, i).  A rejected
-    table is rebuilt and overwritten.
-    """
-    if cache is not None:
-        doc = cache.load("refined", n, d)
-        if doc is not None:
-            try:
-                table = RefinedTable(n, d, doc.int_entries())
-            except ValidationError:
-                pass  # not a valid table: rebuilt below
-            else:
-                if _matches_product_formulas(table):
-                    return table
-    table = build_table(n, d)
-    if cache is not None:
-        cache.store(table_document(table))
-    return table
-
-
-def _matches_product_formulas(table: RefinedTable) -> bool:
-    n = table.n
-    if table.d == 1:
-        return all(table.value(k) == refined_asm_count(n, k) for k in range(1, n + 1))
-    if table.d == 2:
-        return all(table.value(index) == value for index, value in last_column(n).items())
-    return True
-
-
-def extended_matrix(n: int, cache: TableCache | None = None) -> ExtendedMatrix:
-    """The extended square array of order n, from the cached depth-2 table."""
-    return extend_matrix(refined_table(n, 2, cache))
 
 
 def verify_bijection(n: int) -> VerificationReport:
@@ -181,7 +138,7 @@ CLAIMS: dict[str, Claim] = {
         ]),
         Claim("conj3", (4, 6), lambda n, d, seed, cache: [verify_conjecture3(n, d)],
               depth=lambda n: 3),
-        Claim("conj4", (4, 6), lambda n, d, seed, cache: [verify_conjecture4(n, d)],
+        Claim("conj4", (4, 6), lambda n, d, seed, cache: [verify_conjecture4(n, d, cache=cache)],
               depth=lambda n: 3),
         Claim("alpha-identities", (1, 5), lambda n, d, seed, cache: list(
             verify_alpha_identities(n, seed=seed)

@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .claims import CLAIMS, extended_matrix, refined_table
+from .claims import CLAIMS
 from .combinat import as_size, refined_asm_count, total_asm_count
 from .config import DEFAULT_SEED
 from .documents import (
@@ -27,6 +27,7 @@ from .documents import (
     with_meta,
 )
 from .errors import AsmrefError
+from .extension import extended_matrix, refined_table
 from .reports import VerificationReport
 from .triangles import refined_count
 

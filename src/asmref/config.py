@@ -17,8 +17,8 @@ DEFAULT_SEED = 1729
 class Budget:
     """Caps on the exhaustive computations: one cost bound and the enumeration cap.
 
-    table_max_n caps the order of every refined table and count: all depths
-    of an order are lookups into the same column sweep.  It also caps the
+    table_max_n caps the order of every refined table, cached or not, and
+    count: every depth of an order reads one column sweep.  It also caps the
     width of a row with a tie, whose alpha_count sums lookups into the sweep
     of that width, and the order of conj1's linear solve, which is compared
     with the table of its order.  Every row transfer has one cost estimate,

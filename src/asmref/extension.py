@@ -11,6 +11,7 @@ Each family of equations is stated once: the reflection by its one-axis factor
 reflection_weights at every depth (theorem1, conj3), the near-symmetry _mirror
 with _exceptional_entries (theorem2) and the boundary last_column.  conj1
 solves all three together, so it solves what theorem1 and theorem2 check.
+refined_table is the one table provider; it caps the order before the cache.
 
 Both closed forms run in ints.  extend_matrix reads every coefficient
 c_coeff(i, j, p, q) from one table of its order.  explicit_formula sums its
@@ -28,6 +29,7 @@ from typing import Callable, Container, Iterable, Iterator, Mapping
 
 from .combinat import as_int, as_size, binom, binom_plus, refined_asm_count, total_asm_count
 from .config import DEFAULT_BUDGET, Budget
+from .documents import TableCache, table_document
 from .errors import (
     BudgetError,
     ExcludedIndexError,
@@ -38,7 +40,7 @@ from .errors import (
 from .linalg import solve_integer_system
 from .polynomials import BinomBasisExpansion, apply_axis, expand_in_binomial_basis, gn_poly
 from .reports import VerificationReport
-from .triangles import RefinedTable, build_table
+from .triangles import RefinedTable, build_table, checked_table
 
 
 def c_coeff(i: int, j: int, p: int, q: int) -> int:
@@ -155,7 +157,7 @@ def entry_cases(
 def _array(n: int, matrix: ExtendedMatrix | None) -> ExtendedMatrix:
     """The array to check at order n: matrix, which must have order n, or the counted one."""
     if matrix is None:
-        return extend_matrix(build_table(n, 2))
+        return extended_matrix(n)
     if matrix.n != as_size(n, "order"):
         raise ValidationError(f"an array of order {n} is required, got order {matrix.n}")
     return matrix
@@ -187,6 +189,49 @@ def _exceptional_entries(
 def last_column(n: int) -> dict[tuple[int, int], int]:
     """The boundary A(n; i, n) = A_{n-1, i} for i < n, by the product formula."""
     return {(i, n): refined_asm_count(n - 1, i) for i in range(1, n)}
+
+
+def refined_table(
+    n: int, d: int, cache: TableCache | None = None, budget: Budget = DEFAULT_BUDGET
+) -> RefinedTable:
+    """The depth-d table of order n, read from the cache or built and stored there.
+
+    The order is capped first.  The cache returns only files whose entries
+    match their stored digest.  A cached table is also rejected when it is
+    not a valid table (its keys are not the d-subsets of 1..n, or a count is
+    negative) or when its cells with a product formula disagree with it: the
+    d=1 row, and at d=2 the last column, whose entry (i, n) is
+    refined_asm_count(n - 1, i).  A rejected table is rebuilt and overwritten.
+    """
+    n, d = checked_table(n, d, budget)
+    if cache is not None:
+        doc = cache.load("refined", n, d)
+        if doc is not None:
+            try:
+                table = RefinedTable(n, d, doc.int_entries())
+            except ValidationError:
+                pass  # not a valid table: rebuilt below
+            else:
+                if _matches_product_formulas(table):
+                    return table
+    table = build_table(n, d, budget)
+    if cache is not None:
+        cache.store(table_document(table))
+    return table
+
+
+def _matches_product_formulas(table: RefinedTable) -> bool:
+    n = table.n
+    if table.d == 1:
+        return all(table.value(k) == refined_asm_count(n, k) for k in range(1, n + 1))
+    if table.d == 2:
+        return all(table.value(index) == value for index, value in last_column(n).items())
+    return True
+
+
+def extended_matrix(n: int, cache: TableCache | None = None) -> ExtendedMatrix:
+    """The extended square array of order n, from the cached depth-2 table."""
+    return extend_matrix(refined_table(n, 2, cache))
 
 
 def verify_theorem2(
@@ -259,7 +304,7 @@ def entry_closed_form(n: int, i: int, j: int, table: RefinedTable) -> int:
 def verify_ilse(n: int, table: RefinedTable | None = None) -> VerificationReport:
     """The closed i < j representation reproduces every extended entry."""
     if table is None:
-        table = build_table(n, 2)
+        table = refined_table(n, 2)
     cases = entry_cases(extend_matrix(table), lambda i, j: entry_closed_form(n, i, j, table))
     return VerificationReport.from_cases("ilse", f"n={n}, all {n * n} index pairs", cases)
 
@@ -269,11 +314,11 @@ def z_value(n: int, p: int, i: int) -> int:
 
     Sums the counting function over all p-element subsets of the first n - 2
     positions of the row (1, ..., n) with i removed, each chosen position
-    shifted up by one; 0 when i = 0 by convention.  Read from build_table(n, 2).
+    shifted up by one; 0 when i = 0 by convention.  Read from refined_table(n, 2).
     """
     p = as_size(p, "subset size", 0, n - 2)
     i = as_size(i, "column index", 0, n)
-    return _z_row(n, i, build_table(n, 2).entries)[p]
+    return _z_row(n, i, refined_table(n, 2).entries)[p]
 
 
 def _z_row(n: int, i: int, counts: Mapping[tuple[int, int], int]) -> list[int]:
@@ -306,7 +351,7 @@ def w_value(n: int, i: int, j: int) -> int:
     """Alternating binomial transform of the shift-subset sums."""
     i = as_size(i, "first index", 0, n)
     j = as_size(j, "second index", 1, n + 1)
-    return _binomial_transform(n, j, _z_row(n, i, build_table(n, 2).entries))
+    return _binomial_transform(n, j, _z_row(n, i, refined_table(n, 2).entries))
 
 
 def _binomial_transform(n: int, j: int, z: list[int]) -> int:
@@ -550,10 +595,10 @@ def verify_conjecture3(
 
 
 def verify_conjecture4(
-    n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET
+    n: int, d: int = 3, budget: Budget = DEFAULT_BUDGET, cache: TableCache | None = None
 ) -> VerificationReport:
     """Expansion coefficients equal the refined counts on increasing index tuples."""
-    counts = build_table(n, d, budget).entries  # first, so the table cap holds before the walk
+    counts = refined_table(n, d, cache, budget).entries  # the table cap holds before the walk
     expansion = drefined_F(n, d, budget)
     checked = f"n={n}, d={d}, all {len(counts)} increasing tuples"
     cases = ((combo, expansion.coefficient(combo), count) for combo, count in counts.items())

@@ -289,7 +289,7 @@ def refined_count(n: int, indices: Sequence[int], budget: Budget = DEFAULT_BUDGE
         raise ValidationError("at least one index is required")
     if idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValidationError(f"indices must be strictly increasing in 1..{n}: {idx}")
-    _check_table_budget(n, budget)
+    checked_table(n, len(idx), budget)
     return _sweep_count(_staircase_counts(n), _complement_mask(n, idx))
 
 
@@ -322,9 +322,7 @@ class RefinedTable:
 
 def build_table(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> RefinedTable:
     """Build the complete d-fold refined table of order n."""
-    n = as_size(n, "order")
-    d = as_size(d, "depth", 1, n)
-    _check_table_budget(n, budget)
+    n, d = checked_table(n, d, budget)
     counts = _staircase_counts(n)
     entries = {
         combo: _sweep_count(counts, _complement_mask(n, combo))
@@ -333,10 +331,14 @@ def build_table(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> RefinedTable
     return RefinedTable(n, d, entries)
 
 
-def _check_table_budget(n: int, budget: Budget) -> None:
+def checked_table(n: int, d: int, budget: Budget) -> tuple[int, int]:
+    """The order and depth of a table as ints, once its order is within table_max_n."""
+    n = as_size(n, "order")
+    d = as_size(d, "depth", 1, n)
     cap = budget.table_max_n
     if n > cap:
         raise BudgetError(f"refined counts at n={n} exceed the budget cap {cap}")
+    return n, d
 
 
 # Column sweeps by order.  A sweep of order N maps the bitmask S of the empty

@@ -173,16 +173,18 @@ def _golden_failing(*claims: str) -> list[str]:
 
 
 @pytest.mark.parametrize("argv", _golden_failing(
-    "theorem1", "theorem2", "conj1", "conj2", "ilse", "zw-chain", "theorem4"
+    "theorem1", "theorem2", "conj1", "conj2", "ilse", "zw-chain", "theorem4", "conj4"
 ))
 def test_golden_failing_output_of_a_corrupt_cached_table(argv, tmp_path, capsys):
     cache = TableCache(tmp_path)
-    for n in (5, 6):
-        # the edit is signed, and entry (2, 3) has no product formula, so the
-        # cache serves it
-        entries = dict(claims.refined_table(n, 2, cache).entries)
-        entries[(2, 3)] += 1
-        cache.store(table_document(RefinedTable(n, 2, entries)))
+    # conj4 reads depth-3 tables, every other claim here the depth-2 table
+    d, orders, edited = (3, (4, 5), (1, 2, 3)) if "conj4" in argv else (2, (5, 6), (2, 3))
+    for n in orders:
+        # the edit is signed, and no product formula covers the edited entry,
+        # so the cache serves it
+        entries = dict(extension.refined_table(n, d, cache).entries)
+        entries[edited] += 1
+        cache.store(table_document(RefinedTable(n, d, entries)))
     code = cli.main(argv.split() + ["--cache-dir", str(tmp_path)])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_FAILING[argv]
@@ -286,7 +288,7 @@ def test_non_integral_formula_value_is_a_failed_claim(monkeypatch, capsys):
     code = cli.main(["verify", "conj2", "--n", "5", "--format", "json"])
     assert code == 1
     (report,) = json.loads(capsys.readouterr().out)["reports"]
-    matrix = extension.extend_matrix(claims.refined_table(5, 2))
+    matrix = extension.extend_matrix(extension.refined_table(5, 2))
     expected = []
     for i, j in itertools.product(range(1, 6), repeat=2):
         if (i, j) in {(4, 1), (5, 1), (5, 2)}:
@@ -319,7 +321,7 @@ def test_table_claims_use_the_cache(claim, tmp_path, monkeypatch, capsys):
         assert all((tmp_path / f"refined-n{n}-d2.json").exists() for n in range(3, 7))
         # the warm run must be served from the cache alone, with no table built
         # and no column sweep run
-        monkeypatch.setattr(claims, "build_table", None)
+        monkeypatch.setattr(extension, "build_table", None)
         monkeypatch.setattr(triangles, "_sweep_memo", {})
         monkeypatch.setattr(triangles, "_column_sweep", None)
 
@@ -332,9 +334,23 @@ def test_a_cached_depth_3_table_is_read_back(tmp_path, monkeypatch, capsys):
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out)
         assert (tmp_path / "refined-n6-d3.json").exists()
-        monkeypatch.setattr(claims, "build_table", None)
+        monkeypatch.setattr(extension, "build_table", None)
     assert outputs[0] == outputs[1]
     assert outputs[0].splitlines()[0].split() == ["1", "2", "3", "7"]
+
+
+def test_conj4_reads_its_tables_from_the_cache(tmp_path, monkeypatch, capsys):
+    argv = ["verify", "conj4", "--n", "4..6", "--cache-dir", str(tmp_path)]
+    outputs = []
+    for _ in ("cold", "warm"):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert all((tmp_path / f"refined-n{n}-d3.json").exists() for n in range(4, 7))
+        # the warm run builds no table and runs no column sweep
+        monkeypatch.setattr(extension, "build_table", None)
+        monkeypatch.setattr(triangles, "_sweep_memo", {})
+        monkeypatch.setattr(triangles, "_column_sweep", None)
+    assert outputs[0] == outputs[1]
 
 
 def test_a_rank_deficient_system_fails_conj1(monkeypatch, capsys):
@@ -460,14 +476,14 @@ def test_verify_range_runs_one_sweep(monkeypatch, capsys):
 
 def depth_2_count_one_too_large(monkeypatch):
     """The counting kernel's depth-2 table has entry (2, 3) one too large."""
-    real = claims.build_table
+    real = extension.build_table
 
-    def build(n, d):
-        entries = dict(real(n, d).entries)
+    def build(n, d, budget=DEFAULT_BUDGET):
+        entries = dict(real(n, d, budget).entries)
         entries[(2, 3)] += 1
         return RefinedTable(n, d, entries)
 
-    monkeypatch.setattr(claims, "build_table", build)
+    monkeypatch.setattr(extension, "build_table", build)
 
 
 def extension_binomial_one_too_large(monkeypatch):

@@ -21,6 +21,7 @@ import asmref.claims as claims
 import asmref.cli as cli
 import asmref.extension as extension
 from asmref.combinat import total_asm_count
+from asmref.config import Budget
 from asmref import documents
 from asmref.documents import TableCache, TableDocument, document_from_entries, table_document
 from asmref.reports import VerificationReport, Witness
@@ -412,6 +413,20 @@ def test_signed_cached_table_that_is_no_table_is_recomputed(tmp_path, capsys, ar
     # the file is overwritten with the recomputed table
     doc = cache.load("refined", 5, 2)
     assert RefinedTable(5, 2, doc.int_entries()) == build_table(5, 2)
+
+
+def test_a_cached_table_past_the_cap_is_refused(tmp_path, capsys, fail_if_counting):
+    # a valid order-17 table, stored under a raised cap, is refused at the
+    # default cap exactly as an uncached one is: the cap is checked first
+    extension.refined_table(17, 2, TableCache(tmp_path), Budget(table_max_n=17))
+    assert TableCache(tmp_path).load("refined", 17, 2) is not None
+    fail_if_counting()
+    for argv in (("count", "--n", "17", "--d", "2"), ("verify", "theorem1", "--n", "17")):
+        cached = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert cached == run(capsys, *argv)
+        code, out, err = cached
+        assert (code, out) == (2, "")
+        assert "refined counts at n=17 exceed the budget cap 16" in err
 
 
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):

@@ -338,7 +338,7 @@ def test_zw_chain_rejects_a_random_table(monkeypatch):
     rng = random.Random(17)
     for n, failures in ((5, 13), (6, 19), (8, 34)):
         table = random_table(n, rng)
-        monkeypatch.setattr(extension, "build_table", lambda n, d: table)
+        monkeypatch.setattr(extension, "build_table", lambda n, d, budget: table)
         report = verify_zw_chain(n)
         assert not report.passed
         assert len(report.witnesses) == failures, n
