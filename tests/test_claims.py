@@ -12,8 +12,6 @@ import hashlib
 import importlib.util
 import itertools
 import json
-from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -264,18 +262,22 @@ def test_depth_is_accepted_where_it_applies(capsys):
 
 
 def test_non_integral_solution_is_a_failed_claim(monkeypatch, capsys):
-    real = extension.solve_integer_system
+    # one last-column value one too large leaves the system consistent, with a
+    # solution that is not integral; the sparse solve must not run
+    real = extension.last_column
 
-    def solve(matrix, rhs):
-        result = real(matrix, rhs)
-        return replace(result, solution=(Fraction(1, 2),) + result.solution[1:])
+    def last_column(n):
+        column = real(n)
+        column[1, n] += 1
+        return column
 
-    monkeypatch.setattr(extension, "solve_integer_system", solve)
+    monkeypatch.setattr(extension, "last_column", last_column)
+    monkeypatch.setattr(extension, "sufficiency_system", None)
     code = cli.main(["verify", "conj1", "--n", "4"])
     captured = capsys.readouterr()
     assert code == 1
     assert "conj1 n=4: FAIL" in captured.out
-    assert "not an integer" in captured.out
+    assert "  at (4,): solved entry 17/5 is not an integer != an integer" in captured.out
     assert captured.err == ""
 
 
@@ -354,19 +356,74 @@ def test_conj4_reads_its_tables_from_the_cache(tmp_path, monkeypatch, capsys):
 
 
 def test_a_rank_deficient_system_fails_conj1(monkeypatch, capsys):
-    # without its n - 1 last-column rows the system leaves n - 1 unknowns free
-    real = extension.sufficiency_system
-
-    def without_last_column(n):
-        system = real(n)
-        return replace(system, matrix=system.matrix[:1 - n], rhs=system.rhs[:1 - n])
-
-    monkeypatch.setattr(extension, "sufficiency_system", without_last_column)
+    # without the last column the n - 1 boundary forms go: the certificate
+    # fails, and the sparse solve of the system without its n - 1 last-column
+    # rows leaves n - 1 unknowns free
+    monkeypatch.setattr(extension, "last_column", lambda n: {})
     assert cli.main(["verify", "conj1", "--n", "3..4"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "  at (3,): rank 7 != 9" in lines
     assert "  at (4,): rank 13 != 16" in lines
     assert lines[-1] == "conj1: FAIL (3..4)"
+
+
+def sparse_solves(monkeypatch) -> list[int]:
+    """The orders at which conj1's solve assembles the n^2-unknown system."""
+    orders = []
+    real = extension.sufficiency_system
+
+    def system(n):
+        orders.append(n)
+        return real(n)
+
+    monkeypatch.setattr(extension, "sufficiency_system", system)
+    return orders
+
+
+def no_krylov_inverse(monkeypatch):
+    """The certificate fails: det K is reported as 0."""
+    monkeypatch.setattr(extension, "adjugate", lambda rows: (0, None))
+
+
+@pytest.mark.parametrize("argv", [
+    "verify conj1 --n 3..6 --format pretty", "verify conj1 --n 3..6 --format json",
+])
+def test_a_failed_certificate_falls_back_to_the_sparse_solve(argv, monkeypatch, capsys):
+    orders = sparse_solves(monkeypatch)
+    no_krylov_inverse(monkeypatch)
+    code = cli.main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+    assert sorted(orders) == [3, 4, 5, 6]
+
+
+def test_a_wrong_boundary_value_fails_conj1_on_both_routes(monkeypatch, capsys):
+    real = extension.refined_asm_count
+    monkeypatch.setattr(extension, "refined_asm_count", lambda n, k: real(n, k) + 1)
+    orders = sparse_solves(monkeypatch)
+    outputs = []
+    for route in ("involutions", "sparse"):
+        assert cli.main(["verify", "conj1", "--n", "3..6"]) == 1
+        outputs.append(capsys.readouterr().out)
+        assert sorted(orders) == ([] if route == "involutions" else [3, 4, 5, 6])
+        no_krylov_inverse(monkeypatch)
+    assert outputs[0] == outputs[1]
+    assert "  at (3,): solved entry 1/2 is not an integer != an integer" in outputs[0]
+
+
+def test_a_wrong_solved_entry_fails_conj1(monkeypatch, capsys):
+    # past the row check, so only the comparison with the counted array sees it
+    real = extension._solve_by_involutions
+
+    def solve(n):
+        numerators, scale = real(n)
+        return [numerators[0] + scale] + numerators[1:], scale
+
+    monkeypatch.setattr(extension, "_solve_by_involutions", solve)
+    assert cli.main(["verify", "conj1", "--n", "3..6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("  at")] == ["  at (1, 1): 1 != 0"] * 4
+    assert lines[-1] == "conj1: FAIL (3..6)"
 
 
 def test_script_rejects_an_unknown_claim_before_running_any(script, capsys):

@@ -164,7 +164,8 @@ def test_conj1_budget_exceeded_before_solving(capsys, monkeypatch):
     def solve(*args):
         raise AssertionError("solving started")
 
-    monkeypatch.setattr(extension, "solve_integer_system", solve)
+    for name in ("_solve_by_involutions", "solve_integer_system"):
+        monkeypatch.setattr(extension, name, solve)
     code, out, err = run(capsys, "verify", "conj1", "--n", "17")
     assert code == 2
     assert out == ""

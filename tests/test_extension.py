@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from asmref import extension
 from asmref.combinat import refined_asm_count, total_asm_count
 from asmref.config import DEFAULT_BUDGET, Budget
-from asmref.errors import BudgetError, ExcludedIndexError, NonIntegralError, ValidationError
+from asmref.errors import (
+    BudgetError,
+    ExcludedIndexError,
+    NonIntegralError,
+    SingularSystemError,
+    ValidationError,
+)
 from asmref.extension import (
     ExtendedMatrix,
     c_coeff,
@@ -33,6 +40,7 @@ from asmref.extension import (
     w_value,
     z_value,
 )
+from asmref.linalg import solve_integer_system
 from asmref.polynomials import BinomBasisExpansion
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, alpha_count, build_table, refined_count
@@ -376,6 +384,33 @@ def test_solve_sufficiency_unique_and_correct():
         assert result.rank == result.num_unknowns == n * n
         assert result.unique
         assert result.solution == matrix_for(n)
+
+
+@pytest.mark.parametrize("n, budget", [(n, DEFAULT_BUDGET) for n in range(3, 17)] + [
+    (17, Budget(table_max_n=18)), (18, Budget(table_max_n=18)),
+])
+def test_the_involution_route_matches_the_sparse_solve(n, budget, monkeypatch):
+    system = sufficiency_system(n)
+    oracle = solve_integer_system(system.matrix, system.rhs)
+    # the route assembles no n^2-unknown system and never falls back here
+    monkeypatch.setattr(extension, "sufficiency_system", None)
+    result = solve_sufficiency(n, budget)
+    assert (result.rank, result.num_unknowns) == (oracle.rank, oracle.num_unknowns) == (n * n, n * n)
+    assert tuple(itertools.chain.from_iterable(result.solution.rows)) == oracle.solution
+    monkeypatch.undo()
+    assert result.system == system
+
+
+def test_a_wrong_solved_unknown_fails_a_row_of_the_system(monkeypatch):
+    real = extension.solve_integer_system
+
+    def solve(matrix, rhs):
+        result = real(matrix, rhs)
+        return replace(result, solution=(result.solution[0] + 1,) + result.solution[1:])
+
+    monkeypatch.setattr(extension, "solve_integer_system", solve)
+    with pytest.raises(SingularSystemError, match="at n=5 are inconsistent"):
+        solve_sufficiency(5)
 
 
 def test_solve_sufficiency_budget():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from asmref.errors import SingularSystemError
 from asmref.extension import sufficiency_system
-from asmref.linalg import LinearSolveResult, invert_matrix, solve_integer_system
+from asmref.linalg import LinearSolveResult, adjugate, invert_matrix, solve_integer_system
 
 
 def fraction_free_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -165,6 +165,16 @@ def test_solve_overdetermined_consistent():
     assert result.solution == (Fraction(4), Fraction(5))
 
 
+def laplace_det(rows) -> int:
+    """det by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * v * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, v in enumerate(rows[0])
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=1, max_value=4).flatmap(
@@ -292,3 +302,47 @@ def test_invert_random_matrices(rows):
         for j in range(n):
             entry = sum(Fraction(rows[i][k]) * inv[k][j] for k in range(n))
             assert entry == (1 if i == j else 0)
+
+
+def laplace_det(rows) -> int:
+    """det by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * v * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, v in enumerate(rows[0])
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_adjugate_matches_the_rational_inverse(rows):
+    det, adj = adjugate(rows)
+    try:
+        inv = invert_matrix([tuple(r) for r in rows])
+    except SingularSystemError:
+        assert (det, adj) == (0, None)
+        return
+    assert det == laplace_det(rows) != 0
+    assert adj == [[det * v for v in row] for row in inv]
+    n = len(rows)
+    assert [[sum(rows[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == [
+        [det * (i == j) for j in range(n)] for i in range(n)
+    ]
+
+
+def test_adjugate_with_swapped_pivots():
+    # a zero leading entry needs a swap; det = -1 keeps the swap's sign
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    assert adjugate([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == (30, [[0, 0, 6], [15, 0, 0], [0, 10, 0]])
+    assert adjugate([[1, 2], [2, 4]]) == (0, None)
+    with pytest.raises(ValueError):
+        adjugate([[1, 2]])
