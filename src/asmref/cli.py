@@ -166,8 +166,7 @@ def _grid_lines(rows: tuple[tuple[int, ...], ...]) -> list[str]:
 
 def _cmd_count(args, cache: TableCache | None) -> int:
     if args.indices is not None and args.d is not None:
-        print("error: --d and --indices are mutually exclusive", file=sys.stderr)
-        return 2
+        raise AsmrefError("--d and --indices are mutually exclusive")
     if args.indices is not None:
         value = refined_count(args.n, args.indices)
         if args.format == "json":
@@ -246,8 +245,7 @@ def _cmd_appendix_a(args, cache: TableCache | None) -> int:
 def _cmd_verify(args, cache: TableCache | None) -> int:
     claim = CLAIMS[args.claim]
     if args.d is not None and claim.depth is None:
-        print(f"error: {args.claim} takes no --d", file=sys.stderr)
-        return 2
+        raise AsmrefError(f"{args.claim} takes no --d")
     lo, hi = args.n or claim.orders
 
     def reports_at(n: int) -> list[VerificationReport]:
@@ -325,8 +323,7 @@ def _fetch_b_file(target: str, cache: TableCache | None) -> OeisReference:
 
 def _cmd_oeis_check(args, cache: TableCache | None) -> int:
     if (args.b_file is None) == (args.fetch is None):
-        print("error: exactly one of --b-file or --fetch is required", file=sys.stderr)
-        return 2
+        raise AsmrefError("exactly one of --b-file or --fetch is required")
     if args.limit is not None:
         as_size(args.limit, "--limit", 0)
     if args.b_file is not None:

@@ -11,6 +11,8 @@ Each family of equations is stated once: the reflection by its one-axis factor
 reflection_weights at every depth (theorem1, conj3), the near-symmetry _mirror
 with _exceptional_entries (theorem2) and the boundary last_column.  conj1
 solves all three together, so it solves what theorem1 and theorem2 check.
+The reflection reads every array as its row-major values, the form that
+ExtendedMatrix.rows and BinomBasisExpansion.coeffs already hold.
 refined_table is the one table provider; it caps the order before the cache.
 
 solve_sufficiency solves them through their structure, in ints: the
@@ -124,27 +126,25 @@ def reflection_weights(n: int, d: int) -> list[list[int]]:
     return [[(-1) ** j * binom(2 * n - i - d, j - i) for j in cells] for i in cells]
 
 
-def _reflection_cases(n: int, d: int, values: Mapping[tuple[int, ...], int]) -> Iterator[tuple]:
-    """Row-major cases (i, E(i), its reflection): W on every axis, d * n^(d+1) multiply-adds."""
+def _reflection_cases(n: int, d: int, values: Sequence[int]) -> Iterator[tuple]:
+    """Row-major cases (i, E(i), its reflection): W on every axis, d * n^(d+1) multiply-adds.
+
+    values holds E's n^d entries row-major, the last axis fastest.  The
+    reflection reads its image at the reversed index, whose row-major position
+    weighs axis r by n^r.
+    """
     weights = reflection_weights(n, d)
-    indices = list(itertools.product(range(1, n + 1), repeat=d))
-    image = flat = [values[index] for index in indices]
+    image = values
     for axis in range(d):
         image = apply_axis(image, n, d, axis, lambda fiber: [
             sum(map(operator.mul, row, fiber)) for row in weights
         ])
-    image_at = dict(zip(indices, image))
+    reversed_at = [0]
+    for r in range(d):
+        reversed_at = [p + k * n ** r for p in reversed_at for k in range(n)]
     sign = (-1) ** (n * d)
-    # the reflection reads its image at the reversed index
-    return ((index, lhs, sign * image_at[index[::-1]]) for index, lhs in zip(indices, flat))
-
-
-def _entries(matrix: ExtendedMatrix) -> dict[tuple[int, int], int]:
-    return {
-        (i, j): value
-        for i, row in enumerate(matrix.rows, 1)
-        for j, value in enumerate(row, 1)
-    }
+    indices = itertools.product(range(1, n + 1), repeat=d)
+    return ((index, lhs, sign * image[p]) for index, lhs, p in zip(indices, values, reversed_at))
 
 
 def entry_cases(
@@ -156,14 +156,15 @@ def entry_cases(
 
     A value that raises NonIntegralError has the error text as its left side.
     """
-    for index, expected in _entries(matrix).items():
-        if index in skip:
-            continue
-        try:
-            got = value(*index)
-        except NonIntegralError as exc:
-            got = str(exc)
-        yield index, got, expected
+    for i, row in enumerate(matrix.rows, 1):
+        for j, expected in enumerate(row, 1):
+            if (i, j) in skip:
+                continue
+            try:
+                got = value(i, j)
+            except NonIntegralError as exc:
+                got = str(exc)
+            yield (i, j), got, expected
 
 
 def _array(n: int, matrix: ExtendedMatrix | None) -> ExtendedMatrix:
@@ -178,9 +179,8 @@ def _array(n: int, matrix: ExtendedMatrix | None) -> ExtendedMatrix:
 def verify_theorem1(matrix: ExtendedMatrix) -> VerificationReport:
     """Check the reflection system of linear equations on the extended array."""
     n = matrix.n
-    return VerificationReport.from_cases(
-        "theorem1", f"n={n}, all {n * n} index pairs", _reflection_cases(n, 2, _entries(matrix))
-    )
+    cases = _reflection_cases(n, 2, list(itertools.chain.from_iterable(matrix.rows)))
+    return VerificationReport.from_cases("theorem1", f"n={n}, all {n * n} index pairs", cases)
 
 
 def _mirror(n: int, i: int, j: int) -> tuple[int, int]:
@@ -252,18 +252,18 @@ def verify_theorem2(
     """Check near-symmetry of the extended array with its two exceptional entries."""
     n = as_size(matrix.n, "order", 3)
     exceptional = _exceptional_entries(n, total_minus_1, total_minus_2)
-    values = _entries(matrix)
 
     def cases():
-        for index, value in values.items():
-            mirrored = values[_mirror(n, *index)]
-            if index not in exceptional:
-                yield index, value, mirrored
-                continue
-            yield index, value, exceptional[index]
-            # the exception must be genuine, not an accidental symmetry: the
-            # right side is the value itself unless the value is its mirror's
-            yield index, value, f"!= mirror {mirrored}" if value == mirrored else value
+        for i, row in enumerate(matrix.rows, 1):
+            for j, value in enumerate(row, 1):
+                mirrored = matrix.entry(*_mirror(n, i, j))
+                if (i, j) not in exceptional:
+                    yield (i, j), value, mirrored
+                    continue
+                yield (i, j), value, exceptional[i, j]
+                # the exception must be genuine, not an accidental symmetry: the
+                # right side is the value itself unless the value is its mirror's
+                yield (i, j), value, f"!= mirror {mirrored}" if value == mirrored else value
 
     return VerificationReport.from_cases(
         "theorem2", f"n={n}, all pairs, exceptional entries ({n - 1},1) and ({n},2)", cases()
@@ -385,7 +385,8 @@ def verify_zw_chain(n: int, matrix: ExtendedMatrix | None = None) -> Verificatio
     them by other sums, so a wrong count fails this check.
     """
     matrix = _array(n, matrix)
-    counts = {(i, j): v for (i, j), v in _entries(matrix).items() if i < j}
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    counts = {(i, j): matrix.rows[i - 1][j - 1] for i, j in pairs}
     total_prev = total_asm_count(n - 1)
     # every transform at column index i reads the same shift-subset sums; count them once
     z = [_z_row(n, i, counts) for i in range(n)]
@@ -577,14 +578,15 @@ def _solve_by_involutions(n: int) -> tuple[list[int], int] | None:
         for j, value in enumerate(times(adj_columns, row), 1)
     }
     scale = common * det
+    flat = list(values.values())
     holds = (
-        all(lhs == image for _, lhs, image in _reflection_cases(n, 2, values))
+        all(lhs == image for _, lhs, image in _reflection_cases(n, 2, flat))
         and all(v == values[_mirror(n, *ix)] for ix, v in values.items() if ix not in exceptional)
         and all(values[ix] == scale * v for ix, v in {**exceptional, **column}.items())
     )
     if not holds:
         raise SingularSystemError(_INCONSISTENT.format(n=n))
-    return list(values.values()), scale
+    return flat, scale
 
 
 _EXCLUDED_OFFSETS = ((-1, 1), (0, 1), (0, 2))
@@ -700,10 +702,8 @@ def verify_conjecture3(
 ) -> VerificationReport:
     """The depth-d reflection equations hold for the expansion coefficients."""
     d = as_size(d, "depth", 2)
-    coeffs = drefined_F(n, d, budget).coeffs
-    indices = itertools.product(range(1, n + 1), repeat=d)
     checked = f"n={n}, d={d}, all {n ** d} index tuples"
-    cases = _reflection_cases(n, d, dict(zip(indices, coeffs)))
+    cases = _reflection_cases(n, d, drefined_F(n, d, budget).coeffs)
     return VerificationReport.from_cases("conj3", checked, cases)
 
 

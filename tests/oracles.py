@@ -12,6 +12,12 @@ by hand, each on its own, as asmref.extension did before it stated every
 family of equations once.  The tests require the same witnesses and the same
 linear system from asmref.extension.
 
+keyed_reflection_cases reads the array to reflect from a dict keyed by index
+tuples and looks its image up in a second such dict, as
+asmref.extension._reflection_cases did before it read row-major values and
+found the reversed index through one position permutation.  The tests require
+the same cases from the row-major reader on random arrays of every depth.
+
 newton_interpolant_value interpolates in Fractions by divided differences on
 any distinct nodes, axis by axis, as asmref.polynomials did before it took
 integer forward differences on runs of consecutive integers.  The tests
@@ -73,12 +79,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from asmref.combinat import binom, binom_at, harmonic, refined_asm_count, total_asm_count
 from asmref.errors import ExcludedIndexError, NonIntegralError, ValidationError
-from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff
-from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point
+from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff, reflection_weights
+from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point, apply_axis
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, _interlacing_rows
 
@@ -431,6 +437,22 @@ def conjecture3_witnesses(
         if lhs != rhs:
             witnesses.append(Witness(index, lhs, rhs))
     return witnesses
+
+
+def keyed_reflection_cases(
+    n: int, d: int, values: Mapping[tuple[int, ...], int]
+) -> Iterator[tuple]:
+    """Row-major cases (i, E(i), its reflection), E and its image keyed by index tuples."""
+    weights = reflection_weights(n, d)
+    indices = list(itertools.product(range(1, n + 1), repeat=d))
+    image = flat = [values[index] for index in indices]
+    for axis in range(d):
+        image = apply_axis(image, n, d, axis, lambda fiber: [
+            sum(a * b for a, b in zip(row, fiber)) for row in weights
+        ])
+    image_at = dict(zip(indices, image))
+    sign = (-1) ** (n * d)
+    return ((index, lhs, sign * image_at[index[::-1]]) for index, lhs in zip(indices, flat))
 
 
 def dense_sufficiency_system(n: int) -> LinearSystem:

@@ -250,7 +250,7 @@ def test_depth_on_a_claim_without_depth_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "theorem1 takes no --d" in captured.err
+    assert captured.err == "error: theorem1 takes no --d\n"
 
 
 def test_depth_is_accepted_where_it_applies(capsys):

@@ -57,9 +57,10 @@ def test_count_indices_json(capsys):
 
 
 def test_count_d_and_indices_conflict(capsys):
-    code, _, err = run(capsys, "count", "--n", "4", "--d", "1", "--indices", "2")
+    code, out, err = run(capsys, "count", "--n", "4", "--d", "1", "--indices", "2")
     assert code == 2
-    assert "mutually exclusive" in err
+    assert out == ""
+    assert err == "error: --d and --indices are mutually exclusive\n"
 
 
 def test_count_json_and_csv(capsys):
@@ -546,15 +547,18 @@ def test_oeis_check_missing_file(tmp_path, capsys):
 
 
 def test_oeis_check_requires_exactly_one_source(tmp_path, capsys):
-    code, _, err = run(capsys, "oeis-check")
+    code, out, err = run(capsys, "oeis-check")
     assert code == 2
-    assert "exactly one" in err
+    assert out == ""
+    assert err == "error: exactly one of --b-file or --fetch is required\n"
     path = tmp_path / "b.txt"
     path.write_text("0 1\n")
-    code, _, err = run(
+    code, out, err = run(
         capsys, "oeis-check", "--b-file", str(path), "--fetch", "A005130"
     )
     assert code == 2
+    assert out == ""
+    assert err == "error: exactly one of --b-file or --fetch is required\n"
 
 
 def test_oeis_check_fetch_file_url(tmp_path, capsys):

@@ -7,6 +7,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asmref import extension
 from asmref.combinat import refined_asm_count, total_asm_count
@@ -51,6 +53,7 @@ from oracles import (
     conjecture3_witnesses,
     dense_sufficiency_system,
     fraction_explicit_formula,
+    keyed_reflection_cases,
     shifted_row_z,
     theorem1_witnesses,
     triangular_system_witnesses,
@@ -180,6 +183,22 @@ def test_conjecture3_witnesses_match_the_shift_loop_oracle(d, orders, monkeypatc
             report = verify_conjecture3(n, d)
             assert list(report.witnesses) == conjecture3_witnesses(array, n, d)
         assert not report.passed
+
+
+# every depth 1..6 at orders 2..4 with at most 1,000 entries; the conj3 oracle reaches 2..5
+REFLECTION_SHAPES = [(n, d) for n in (2, 3, 4) for d in range(1, 7) if n ** d <= 1000]
+
+
+@pytest.mark.parametrize("n, d", REFLECTION_SHAPES)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), container=st.sampled_from([list, tuple]))
+def test_reflection_cases_of_row_major_values_match_the_keyed_oracle(n, d, seed, container):
+    # a seed, not a drawn list, so that a failure of 729 values shrinks quickly
+    rng = random.Random(seed)
+    values = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n ** d)]
+    keyed = dict(zip(itertools.product(range(1, n + 1), repeat=d), values))
+    cases = list(extension._reflection_cases(n, d, container(values)))
+    assert cases == list(keyed_reflection_cases(n, d, keyed))
 
 
 def test_entry_witnesses_skip_pairs_and_record_non_integral_values():
