@@ -23,11 +23,10 @@ class Budget:
     of that width, and the order of conj1's linear solve, which is compared
     with the table of its order.  That solve goes through the two
     involutions of the system and n unknowns, with a run-time certificate of
-    its rank and the sparse solve of all n^2 unknowns as its fallback; at
-    order 16 it took 18 ms against 194 ms for the sparse solve, and at order
-    20 68 ms against 1.07 s.  Every row transfer has one cost estimate,
-    of its whole walk over a grid of n entries: the sum over i of its column
-    steps with i entries placed times n * binom(n, i).  It must stay within
+    its rank and the sparse solve of all n^2 unknowns as its fallback.
+    Every row transfer has one cost estimate, of its whole walk over a grid
+    of n entries: the sum over i of its column steps with i entries placed
+    times n * binom(n, i).  It must stay within
     table_max_n^2 * 2^table_max_n, the nominal cell updates of an unpruned
     sweep of the largest order: n cells on 2^n states in each of n rows.
     The sweep carries each row only to the subsets that contain column 1

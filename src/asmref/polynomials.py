@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,17 +53,20 @@ def _forward_differences(values: Sequence[int]) -> list[int]:
     return heads
 
 
-def apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> list:
-    """Apply fn to every length-k fiber along the given axis of a row-major tensor."""
-    stride = k ** (num_vars - axis - 1)
-    block = stride * k
+def apply_axes(flat: Sequence, k: int, fns: Sequence[Callable]) -> list:
+    """Apply fns[r] to every length-k fiber along axis r of a row-major tensor, r = 0, 1, ...
+
+    Every map takes a fiber as a list and must return its k new values.  The
+    input is not changed; each fiber is read and written as one extended slice.
+    """
     out = list(flat)
-    for start in range(0, len(flat), block):
-        for off in range(stride):
-            base = start + off
-            fiber = [out[base + t * stride] for t in range(k)]
-            for t, v in enumerate(fn(fiber)):
-                out[base + t * stride] = v
+    block = len(out)
+    for fn in fns:
+        stride = block // k
+        for start in range(0, len(out), block):
+            for base in range(start, start + stride):
+                out[base : start + block : stride] = fn(out[base : start + block : stride])
+        block = stride
     return out
 
 
@@ -124,8 +128,7 @@ class PolyMulti:
             raise ValidationError(
                 f"value tensor must have size {k**num_vars}, got {len(flat)}"
             )
-        for axis in range(num_vars):
-            flat = apply_axis(flat, k, num_vars, axis, _forward_differences)
+        flat = apply_axes(flat, k, [_forward_differences] * num_vars)
         return cls(num_vars, k - 1, tuple(ns[0] for ns in node_tuples), tuple(flat))
 
     def evaluate(self, point: Sequence) -> Fraction:
@@ -287,22 +290,21 @@ def expand_in_binomial_basis(poly: PolyMulti) -> BinomBasisExpansion:
     integer entries, so the coefficients are unique integers and come out by
     back-substitution in ints.
     """
-    n, d = poly.degree_bound + 1, poly.num_vars
+    n = poly.degree_bound + 1
 
-    def back_substitute(fiber: list[int], weights: list[list[int]]) -> list[int]:
-        for k in range(n - 2, -1, -1):
-            fiber[k] -= sum(c * w for c, w in zip(fiber[k + 1 :], weights[k]))
-        return fiber
-
-    coeffs = list(poly.coeffs)
-    for axis, origin in enumerate(poly.origins):
-        # weights[k] lists binom(m + axis + origin, m - k) for m = k + 1 .. n - 1
-        shift = axis + origin
+    def back_substitution(shift: int) -> Callable[[list[int]], list[int]]:
+        # weights[k] lists binom(m + shift, m - k) for m = k + 1 .. n - 1
         weights = [[binom(m + shift, m - k) for m in range(k + 1, n)] for k in range(n)]
-        coeffs = apply_axis(
-            coeffs, n, d, axis, lambda fiber, w=weights: back_substitute(fiber, w)
-        )
-    return BinomBasisExpansion(n, d, tuple(coeffs))
+
+        def solve(fiber: list[int]) -> list[int]:
+            for k in range(n - 2, -1, -1):
+                fiber[k] -= sum(map(operator.mul, fiber[k + 1 :], weights[k]))
+            return fiber
+
+        return solve
+
+    fns = [back_substitution(axis + origin) for axis, origin in enumerate(poly.origins)]
+    return BinomBasisExpansion(n, poly.num_vars, tuple(apply_axes(poly.coeffs, n, fns)))
 
 
 def _draw_point(rng: random.Random, dim: int, bound: int) -> tuple[Fraction, ...]:

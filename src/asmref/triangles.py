@@ -250,21 +250,15 @@ def complete_monotone_triangles(
         raise BudgetError(
             f"enumeration at n={n} exceeds the budget cap {budget.enumeration_max_n}"
         )
-    out: list[MonotoneTriangle] = []
-    stack: list[tuple[int, ...]] = [tuple(range(1, n + 1))]
 
-    def extend_upward():
-        top = stack[-1]
-        if len(top) == 1:
-            out.append(MonotoneTriangle(tuple(reversed(stack))))
-            return
-        for nxt in _interlacing_rows(top):
-            stack.append(nxt)
-            extend_upward()
-            stack.pop()
+    def extend_upward(rows: tuple[tuple[int, ...], ...]) -> Iterator[MonotoneTriangle]:
+        if len(rows[0]) == 1:
+            yield MonotoneTriangle(rows)
+        else:
+            for above in _interlacing_rows(rows[0]):
+                yield from extend_upward((above,) + rows)
 
-    extend_upward()
-    return out
+    return list(extend_upward((tuple(range(1, n + 1)),)))
 
 
 def enumerate_asms(n: int, budget: Budget = DEFAULT_BUDGET) -> list[Asm]:

@@ -18,6 +18,12 @@ asmref.extension._reflection_cases did before it read row-major values and
 found the reversed index through one position permutation.  The tests require
 the same cases from the row-major reader on random arrays of every depth.
 
+apply_axis maps the fibers of one axis, building each fiber index by index
+from its stride, as asmref.polynomials did before apply_axes mapped every
+axis in one call by extended slices.  keyed_reflection_cases applies it axis
+by axis, so the reflection oracle shares no fiber code with the program, and
+the tests require apply_axes to equal it on random tensors and random maps.
+
 newton_interpolant_value interpolates in Fractions by divided differences on
 any distinct nodes, axis by axis, as asmref.polynomials did before it took
 integer forward differences on runs of consecutive integers.  The tests
@@ -84,7 +90,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from asmref.combinat import binom, binom_at, harmonic, refined_asm_count, total_asm_count
 from asmref.errors import ExcludedIndexError, NonIntegralError, ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff, reflection_weights
-from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point, apply_axis
+from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, _interlacing_rows
 
@@ -437,6 +443,20 @@ def conjecture3_witnesses(
         if lhs != rhs:
             witnesses.append(Witness(index, lhs, rhs))
     return witnesses
+
+
+def apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> list:
+    """Apply fn to every length-k fiber along the given axis of a row-major tensor."""
+    stride = k ** (num_vars - axis - 1)
+    block = stride * k
+    out = list(flat)
+    for start in range(0, len(flat), block):
+        for off in range(stride):
+            base = start + off
+            fiber = [out[base + t * stride] for t in range(k)]
+            for t, v in enumerate(fn(fiber)):
+                out[base + t * stride] = v
+    return out
 
 
 def keyed_reflection_cases(

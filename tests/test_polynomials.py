@@ -32,6 +32,7 @@ from asmref.polynomials import (
     PolyMulti,
     alpha_eval,
     alpha_polynomial,
+    apply_axes,
     expand_in_binomial_basis,
     gn_poly,
     sample_rational_points,
@@ -45,6 +46,7 @@ from asmref.triangles import alpha_count
 from oracles import (
     alpha_count_dfs,
     alpha_identity_reports,
+    apply_axis,
     expansion_value,
     newton_interpolant_value,
 )
@@ -193,6 +195,25 @@ def test_interpolate_reproduces_samples():
     poly = PolyMulti.interpolate(nodes, values)
     for x, y in itertools.product(range(-3, 4), repeat=2):
         assert poly.evaluate((x, y)) == x * x + 3 * y
+
+
+@pytest.mark.parametrize(
+    "k, num_vars", [(k, m) for k in range(1, 6) for m in range(1, 7) if k**m <= 1000]
+)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32), container=st.sampled_from([list, tuple]))
+def test_apply_axes_matches_the_axis_by_axis_oracle(k, num_vars, seed, container):
+    # a map of its own on every axis, so that a swapped axis order fails
+    rng = random.Random(seed)
+    flat = [rng.randint(-100, 100) for _ in range(k**num_vars)]
+    maps = [[[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)] for _ in range(num_vars)]
+    fns = [lambda fiber, a=a: [sum(x * y for x, y in zip(row, fiber)) for row in a] for a in maps]
+    expected = flat
+    for axis, fn in enumerate(fns):
+        expected = apply_axis(expected, k, num_vars, axis, fn)
+    tensor = container(flat)
+    assert apply_axes(tensor, k, fns) == expected
+    assert list(tensor) == flat
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,7 +4,7 @@ perfbench/tracer.py names its targets as (module, attribute) pairs; a
 deleted or renamed function would break the traced run, so each pair must
 resolve in the package.  A stale name in asmref.__all__ would break
 `from asmref import *` in the same way.  A helper that two modules share,
-such as polynomials.apply_axis, is public within the package: no module
+such as polynomials.apply_axes, is public within the package: no module
 imports an underscore-prefixed name from another.  Every Budget field is
 read by the module whose computation it caps, so a cap nothing reads fails.
 Verifiers state their equations as cases, so only reports.py builds a Witness.
