@@ -33,11 +33,11 @@ from .triangles import refined_count
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, sep, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text if sep else lo_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"order range must be N or LO..HI, got {text!r}")
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi

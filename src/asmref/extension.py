@@ -10,9 +10,9 @@ d >= 3) conjectural analogues; the verifiers here check all of them exactly.
 Each family of equations is stated once: the reflection by its one-axis factor
 reflection_weights at every depth (theorem1, conj3), the near-symmetry _mirror
 with _exceptional_entries (theorem2) and the boundary last_column.  conj1
-solves all three together, so it solves what theorem1 and theorem2 check.
-The reflection reads every array as its row-major values, the form that
-ExtendedMatrix.rows and BinomBasisExpansion.coeffs already hold.
+solves all three together and checks its array with theorem1's and
+theorem2's verifiers.  The reflection reads row-major values: theorem1
+flattens ExtendedMatrix.rows, and BinomBasisExpansion.coeffs holds them.
 refined_table is the one table provider; it caps the order before the cache.
 
 solve_sufficiency solves them through their structure, in ints: the
@@ -20,8 +20,8 @@ reflection and the near-symmetry are involutions, so the first column of the
 array, n numbers, fixes it through a Krylov matrix, and the boundary fixes
 those n numbers.  A run-time certificate (W^2 = I, the Krylov matrix
 invertible, the n boundary forms independent) proves the system has rank
-n^2, and every row of it is checked on the built array.  When the
-certificate fails, the sparse solve of all n^2 unknowns in linalg runs
+n^2, and those verifiers and the last column check the built array.  When
+the certificate fails, the sparse solve of all n^2 unknowns in linalg runs
 instead and reports the exact rank.
 
 Both closed forms run in ints.  extend_matrix reads every coefficient
@@ -470,13 +470,13 @@ def solve_sufficiency(n: int, budget: Budget = DEFAULT_BUDGET) -> SufficiencyRes
     The route goes through the system's two involutions and solves for n
     unknowns (_solve_by_involutions).  Its run-time certificate, W^2 = I,
     det K != 0 and n independent boundary forms, proves the rank is n^2, and
-    the array it builds is checked against every row of the system.  When a
-    step of the certificate fails, the sparse solve of all n^2 unknowns runs
-    instead and gives the exact rank.  The solution is the same either way;
-    so are the errors: SingularSystemError when the system is inconsistent
-    and NonIntegralError, naming the first entry in row-major order, when the
-    solution is not integral.  The result's system is assembled only when it
-    is read.
+    the array it builds is checked with verify_theorem1, verify_theorem2 and
+    the last column.  When a step of the certificate fails, the sparse solve
+    of all n^2 unknowns runs instead and gives the exact rank.  The solution
+    is the same either way; so are the errors: SingularSystemError when the
+    system is inconsistent and NonIntegralError, naming the first entry in
+    row-major order, when the solution is not integral.  The result's system
+    is assembled only when it is read.
     """
     n = as_size(n, "order", 3)
     if n > budget.table_max_n:
@@ -522,15 +522,18 @@ def _solve_by_involutions(n: int) -> tuple[list[int], int] | None:
     v_0 = u = E.w and v_(k+1) = M.v_k + C.B^(k+1).w, so E = V.K^-1: the n
     numbers u fix E.  The last column gives n - 1 forms in u, since
     M^T.e_n = (-1)^n e_1 makes E.e_n = (-1)^n M.u + C.e_n, and E(n - 1, 1) =
-    u_(n-1) is the nth.
+    u_(n-1) = t2, with t2 = total_asm_count(n - 2), is the nth.
 
     The certificate: W^2 = I, det K != 0 and forms of rank n.  Then an array
     in the kernel of the system has u = 0 and so is 0, and the system has
     rank n^2.  None when a step fails.  Otherwise the forms are solved for u
     with solve_integer_system; with L the lcm of u's denominators and Q the
     adjugate of K, E = (L.V).Q / (L.det K), and the numerators L.V.Q are
-    returned with the scale L.det K, after every row of the system is checked
-    on them: a row that fails means the system is inconsistent.
+    returned with the scale L.det K.  Both theorems are linear, so
+    verify_theorem1, verify_theorem2 with the exceptional values times the
+    scale, and the last column check every row of the system on them; a row
+    that fails means the system is inconsistent.  The scaled exceptional
+    values differ by scale.t1 != 0, so theorem2's genuine exceptions hold.
     """
 
     def times(matrix: Iterable[Sequence[int]], vector: Sequence[int]) -> list[int]:
@@ -549,15 +552,14 @@ def _solve_by_involutions(n: int) -> tuple[list[int], int] | None:
     det, adj = adjugate([list(row) for row in zip(*krylov)])
     if det == 0:
         return None
-    t1 = total_asm_count(n - 1)
-    exceptional = _exceptional_entries(n, t1, total_asm_count(n - 2))
+    t1, t2 = total_asm_count(n - 1), total_asm_count(n - 2)
     column = last_column(n)
     c = [[t1 * (m[i][n - 1] * m[j][1] - m[i][n - 2] * m[j][0]) for j in cells] for i in cells]
     sign = (-1) ** n
     forms = [[sign * v for v in m[i - 1]] for i, _ in column]
     rhs = [value - c[i - 1][n - 1] for (i, _), value in column.items()]
     forms.append(identity[n - 2])
-    rhs.append(exceptional[n - 1, 1])
+    rhs.append(t2)
     result = solve_integer_system(forms, rhs)
     if not result.unique:
         return None
@@ -567,21 +569,16 @@ def _solve_by_involutions(n: int) -> tuple[list[int], int] | None:
         shifted = zip(times(m, columns[-1]), times(c, krylov[k]))
         columns.append([x + common * y for x, y in shifted])
     adj_columns = list(zip(*adj))
-    values = {
-        (i, j): value
-        for i, row in enumerate(zip(*columns), 1)
-        for j, value in enumerate(times(adj_columns, row), 1)
-    }
+    scaled = ExtendedMatrix(n, tuple(tuple(times(adj_columns, row)) for row in zip(*columns)))
     scale = common * det
-    flat = list(values.values())
     holds = (
-        all(lhs == image for _, lhs, image in _reflection_cases(n, 2, flat))
-        and all(v == values[_mirror(n, *ix)] for ix, v in values.items() if ix not in exceptional)
-        and all(values[ix] == scale * v for ix, v in {**exceptional, **column}.items())
+        verify_theorem1(scaled).passed
+        and verify_theorem2(scaled, scale * t1, scale * t2).passed
+        and all(scaled.entry(*index) == scale * v for index, v in column.items())
     )
     if not holds:
         raise SingularSystemError(_INCONSISTENT.format(n=n))
-    return flat, scale
+    return list(itertools.chain.from_iterable(scaled.rows)), scale
 
 
 _EXCLUDED_OFFSETS = ((-1, 1), (0, 1), (0, 2))

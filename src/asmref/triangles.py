@@ -226,17 +226,14 @@ def _normalized(bottom: Sequence[int]) -> tuple[int, ...]:
 
 def _interlacing_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All strictly increasing rows interlacing the given row from above."""
-    m = len(row)
-    buf = [0] * (m - 1)
 
     def rec(pos: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if pos == m - 1:
-            yield tuple(buf)
+        if pos == len(row) - 1:
+            yield ()
             return
-        start = row[pos] if row[pos] > lo else lo
-        for v in range(start, row[pos + 1] + 1):
-            buf[pos] = v
-            yield from rec(pos + 1, v + 1)
+        for v in range(max(row[pos], lo), row[pos + 1] + 1):
+            for rest in rec(pos + 1, v + 1):
+                yield (v,) + rest
 
     yield from rec(0, row[0])
 

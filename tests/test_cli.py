@@ -233,6 +233,13 @@ def test_verify_empty_range_is_usage_error(capsys):
         cli.main(["verify", "theorem1", "--n", "5..3"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # an order that is not an integer is named in the option's own terms
+    for text in ("x", "3..x", "..3"):
+        code, out, err = outcome(capsys, ("verify", "theorem1", "--n", text))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"asmref verify: error: argument --n: order range must be N or LO..HI, got {text!r}"
+        )
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

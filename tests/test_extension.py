@@ -420,14 +420,24 @@ def test_the_involution_route_matches_the_sparse_solve(n, budget, monkeypatch):
     assert result.system == system
 
 
-def test_a_wrong_solved_unknown_fails_a_row_of_the_system(monkeypatch):
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 9) for k in range(n)])
+def test_a_wrong_solved_unknown_fails_a_row_of_the_system(n, k, monkeypatch):
     real = extension.solve_integer_system
 
     def solve(matrix, rhs):
         result = real(matrix, rhs)
-        return replace(result, solution=(result.solution[0] + 1,) + result.solution[1:])
+        u = result.solution
+        return replace(result, solution=u[:k] + (u[k] + 1,) + u[k + 1:])
 
     monkeypatch.setattr(extension, "solve_integer_system", solve)
+    with pytest.raises(SingularSystemError, match=f"at n={n} are inconsistent"):
+        solve_sufficiency(n)
+
+
+@pytest.mark.parametrize("name", ["verify_theorem1", "verify_theorem2"])
+def test_the_route_checks_its_array_with_the_theorem_verifiers(name, monkeypatch):
+    failing = VerificationReport(name, "n=5", False, (Witness((1, 1), 0, 1),))
+    monkeypatch.setattr(extension, name, lambda *args: failing)
     with pytest.raises(SingularSystemError, match="at n=5 are inconsistent"):
         solve_sufficiency(5)
 
