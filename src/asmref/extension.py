@@ -58,10 +58,19 @@ from .triangles import RefinedTable, build_table, checked_table
 
 def c_coeff(i: int, j: int, p: int, q: int) -> int:
     """Extension coefficient tying entry (i, j) to the refined count at (p, q)."""
+    i, j, p, q = (as_int(v, "indices") for v in (i, j, p, q))
     if p < j:
         return 0
     sign = -1 if (i + q) % 2 == 0 else 1
     return sign * (binom_plus(p - j + 1, q - i) - binom_plus(p - j - 1, q - i - 1))
+
+
+def _checked_indices(n: int, i, j) -> tuple[int, int]:
+    """(i, j) through as_int, each in 1..n; else ValidationError."""
+    i, j = as_int(i, "indices"), as_int(j, "indices")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValidationError(f"indices must lie in 1..{n}, got ({i}, {j})")
+    return i, j
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,7 @@ class ExtendedMatrix:
             as_int(v)
 
     def entry(self, i: int, j: int) -> int:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValidationError(f"indices must lie in 1..{self.n}, got ({i}, {j})")
+        i, j = _checked_indices(self.n, i, j)
         return self.rows[i - 1][j - 1]
 
 
@@ -290,8 +298,7 @@ def entry_closed_form(n: int, i: int, j: int, table: RefinedTable) -> int:
     """Closed representation of extended entry (i, j) through the i < j counts."""
     if table.n != n or table.d != 2:
         raise ValidationError("a depth-2 table of matching order is required")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValidationError(f"indices must lie in 1..{n}, got ({i}, {j})")
+    i, j = _checked_indices(n, i, j)
     value = 0
     if i < j:
         value += table.value(i, j)
@@ -598,8 +605,7 @@ def explicit_formula(n: int, i: int, j: int) -> int:
     NonIntegralError rather than rounding.
     """
     n = as_size(n, "order", 3)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValidationError(f"indices must lie in 1..{n}, got ({i}, {j})")
+    i, j = _checked_indices(n, i, j)
     if (i, j) in _excluded_pairs(n):
         raise ExcludedIndexError(f"({i}, {j}) is an excluded pair at n={n}")
     return _formula_entry(n, i, j, *_harmonic_table(n))

@@ -12,17 +12,18 @@ every sample is an integer count, so each polynomial takes integer values at
 integer points.  Its coefficients in the basis prod binom(x_r - a_r, m_r),
 with a_r the first node on axis r, are the integer forward differences of
 the samples; that is the one polynomial representation.  It is evaluated at
-rational points by integer Horner, so every evaluation is exact.  The
-identity checks evaluate it at integer shifts of a point together, as one
-stencil that shares its partial reductions; each suite of identities is a
-table read by one report builder, and the six-term exchange of neighbouring
-entries is stated once for both suites.  gn_poly is the one builder: a
-specialization samples a staircase prefix followed by a block of n
-consecutive columns per variable and counts all of its rows in one row
-transfer, and the counting polynomial is the specialization of every entry,
-gn_poly(n, n), read at the entries.  The shifted binomial basis of the
-expansion is a unit-triangular change of basis from the coefficients, whose
-shape gives the basis size and the number of variables.
+rational points by contracting each axis with one integer vector of scaled
+basis values, so every evaluation is exact.  The identity checks evaluate it
+at integer shifts of a point together, as one stencil that shares its
+partial reductions; each suite of identities is a table read by one report
+builder, and the six-term exchange of neighbouring entries is stated once for
+both suites.  gn_poly is the one builder: a specialization samples a
+staircase prefix followed by a block of n consecutive columns per variable
+and counts all of its rows in one row transfer, and the counting polynomial
+is the specialization of every entry, gn_poly(n, n), read at the entries.
+The shifted binomial basis of the expansion is a unit-triangular change of
+basis from the coefficients, whose shape gives the basis size and the number
+of variables.
 """
 
 from __future__ import annotations
@@ -142,10 +143,12 @@ class PolyMulti:
         """Integer numerators of the values at point + s for every integer shift s.
 
         Returns the numerators in the order of shifts and their one common
-        scale.  With x = p/q on an axis of origin a, (k-1)! * q^(k-1) times
-        the sum of c_i * binom(x + s - a, i) over i < k is the integer Horner
-        sum acc*(p + (s - a - i)*q) + c_i*((k-1)!/i!)*q^(k-1-i), so an integer
-        shift changes only the differences and every value shares the scale
+        scale.  With x = p/q on an axis of origin a and top = (k-1)! * q^(k-1),
+        every distinct step s of that axis has one integer basis vector
+        top * binom(x + s - a, i), i < k, built by binom(y, i+1) =
+        binom(y, i) * (y - i)/(i + 1); each division is exact, as entry i is
+        (k-1)!/i! * q^(k-1-i) times an integer product.  The axis is
+        contracted with that vector, so every value shares the scale
         prod (k-1)! * q^(k-1).  Axes are reduced from the last to the first,
         and shifts that agree on the axes reduced so far share that partial
         reduction: the 2^m corners of a unit cube cost about
@@ -153,39 +156,32 @@ class PolyMulti:
         """
         _check_point(point, self.num_vars)
         shifts = [tuple(s) for s in shifts]
-        for s in shifts:
+        for pos, s in enumerate(shifts):
             if len(s) != self.num_vars:
                 raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
-            for v in s:
-                as_int(v, "shifts")
+            shifts[pos] = tuple(as_int(v, "shifts") for v in s)
         k = self.degree_bound + 1
-        falling = [math.prod(range(i + 1, k)) for i in range(k)]  # (k-1)!/i!
         # partial reductions keyed by the shift components of the axes reduced so far
         partial = {(): self.coeffs}
         scale = 1
         for axis in range(self.num_vars - 1, -1, -1):
             p, q = point[axis].numerator, point[axis].denominator
             origin = self.origins[axis]
-            weights = [f * q ** (k - 1 - i) for i, f in enumerate(falling)]
-            steps: dict[tuple, dict[int, None]] = {}
-            for s in shifts:
-                steps.setdefault(s[axis + 1 :], {})[s[axis]] = None
+            top = math.factorial(k - 1) * q ** (k - 1)
+            basis = {}
+            for step in {s[axis] for s in shifts}:
+                vector = basis[step] = [top]  # top * binom(x + step - origin, i) for i < k
+                for i in range(k - 1):
+                    vector.append(vector[i] * (p + (step - origin - i) * q) // ((i + 1) * q))
             reduced = {}
-            for tail, axis_steps in steps.items():
-                flat = partial[tail]
-                # column i holds c_i * (k-1)!/i! * q^(k-1-i) of every fiber along this axis
-                columns = [
-                    [c * w for c in flat[i::k]] if w != 1 else flat[i::k]
-                    for i, w in enumerate(weights)
-                ]
-                for step in axis_steps:
-                    acc = columns[-1]
-                    for i in range(k - 2, -1, -1):
-                        diff = p + (step - origin - i) * q
-                        acc = [a * diff + c for a, c in zip(acc, columns[i])]
-                    reduced[(step,) + tail] = acc
+            for head in {s[axis:] for s in shifts}:
+                flat, vector = partial[head[1:]], basis[head[0]]
+                acc = [vector[0] * c for c in flat[::k]]
+                for i, b in enumerate(vector[1:], 1):
+                    acc = [a + b * c for a, c in zip(acc, flat[i::k])]
+                reduced[head] = acc
             partial = reduced
-            scale *= weights[0]
+            scale *= top
         return [partial[s][0] for s in shifts], scale
 
 
@@ -273,6 +269,7 @@ class BinomBasisExpansion:
             raise ValidationError(f"need {self.d} indices, got {len(indices)}")
         pos = 0
         for j in indices:
+            j = as_int(j, "indices")
             if not 1 <= j <= self.n:
                 raise ValidationError(f"indices must lie in 1..{self.n}: {tuple(indices)}")
             pos = pos * self.n + (j - 1)

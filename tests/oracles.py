@@ -31,6 +31,13 @@ interpolate counts taken with alpha_count_dfs on the sample rows of
 alpha_polynomial and gn_poly and require the same values from
 PolyMulti.evaluate.
 
+fischer_coefficients builds the counting polynomial with no sample at all,
+by Fischer's operator formula ("The number of monotone triangles with
+prescribed bottom row", Adv. Appl. Math. 2006): the product over p < q of
+(id + E_p D_q) applied to prod (k_j - k_i)/(j - i).  It differences the
+product with apply_axis and applies the operators to the coefficients.  The
+tests require the origins and the coefficients of alpha_polynomial.
+
 expansion_value sums a binomial-basis expansion over its basis products in
 Fractions, axis by axis, as BinomBasisExpansion.evaluate did before
 PolyMulti became the one evaluator.  The tests require it to give the
@@ -457,6 +464,43 @@ def apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> li
             for t, v in enumerate(fn(fiber)):
                 out[base + t * stride] = v
     return out
+
+
+def fischer_coefficients(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Origins and coefficients of the counting polynomial by Fischer's operator formula.
+
+    alpha(n; k) is the product over p < q of (id + E_p D_q), with E the unit
+    shift and D the forward difference, applied to V(k) = prod over i < j of
+    (k_j - k_i)/(j - i).  V is sampled on the grid of origins r*n and
+    differenced axis by axis.  In the basis binom(k_r - r*n, m_r), D_q lowers
+    m_q by one, so each factor maps c[m] to c[m] + c[m + e_q] + c[m + e_p + e_q],
+    with zeros past degree n - 1.
+    """
+    origins = tuple(r * n for r in range(n))
+    pairs = list(itertools.combinations(range(n), 2))
+    denominator = math.prod(j - i for i, j in pairs)
+    coeffs = []
+    for k in itertools.product(*(range(a, a + n) for a in origins)):
+        value, rest = divmod(math.prod(k[j] - k[i] for i, j in pairs), denominator)
+        assert rest == 0
+        coeffs.append(value)
+
+    def differences(fiber: list) -> list:
+        return [sum((-1) ** (m - t) * math.comb(m, t) * fiber[t] for t in range(m + 1)) for m in range(n)]
+
+    for axis in range(n):
+        coeffs = apply_axis(coeffs, n, n, axis, differences)
+    strides = [n ** (n - 1 - r) for r in range(n)]
+    indices = list(itertools.product(range(n), repeat=n))
+    for p, q in pairs:
+        c = coeffs
+        coeffs = [
+            c[pos]
+            + (c[pos + strides[q]] if m[q] < n - 1 else 0)
+            + (c[pos + strides[p] + strides[q]] if m[p] < n - 1 and m[q] < n - 1 else 0)
+            for pos, m in enumerate(indices)
+        ]
+    return origins, tuple(coeffs)
 
 
 def keyed_reflection_cases(

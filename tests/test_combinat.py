@@ -20,9 +20,18 @@ from asmref.combinat import (
     total_asm_count,
 )
 from asmref.errors import NonIntegralError, ValidationError
-from asmref.extension import ExtendedMatrix, extend_matrix, verify_conjecture2, verify_conjecture3
+from asmref.extension import (
+    ExtendedMatrix,
+    c_coeff,
+    entry_closed_form,
+    explicit_formula,
+    extend_matrix,
+    extended_matrix,
+    verify_conjecture2,
+    verify_conjecture3,
+)
 from asmref.linalg import solve_integer_system
-from asmref.polynomials import BinomBasisExpansion, PolyMulti, gn_poly
+from asmref.polynomials import BinomBasisExpansion, PolyMulti, expand_in_binomial_basis, gn_poly
 from asmref.triangles import RefinedTable, build_table, refined_count
 
 from oracles import falling_factorial_binom
@@ -192,9 +201,29 @@ def test_integer_data_may_be_an_integral_rational():
     assert solve_integer_system([[Fraction(2)]], [4]).solution == (2,)
     poly = gn_poly(3, 2)
     point = (Fraction(1, 2), 3)
-    assert poly.evaluate_shifts(point, [(Fraction(1), 0)]) == poly.evaluate_shifts(point, [(1, 0)])
+    numerators, scale = poly.evaluate_shifts(point, [(Fraction(1), 0)])
+    assert (numerators, scale) == poly.evaluate_shifts(point, [(1, 0)])
+    assert all(type(v) is int for v in numerators)
     table = RefinedTable(3, 2, {(1, 2): Fraction(2), (1, 3): 3, (2, 3): 2})
     assert extend_matrix(table) == extend_matrix(RefinedTable(3, 2, {(1, 2): 2, (1, 3): 3, (2, 3): 2}))
+
+
+@pytest.mark.parametrize(
+    "at",
+    [
+        lambda v: extended_matrix(5).entry(v, 2),
+        lambda v: expand_in_binomial_basis(gn_poly(3, 2)).coefficient((v, 1)),
+        lambda v: explicit_formula(5, v, 3),
+        lambda v: entry_closed_form(5, v, 3, build_table(5, 2)),
+        lambda v: c_coeff(v, 1, 2, 3),
+    ],
+    ids=["matrix-entry", "expansion-coefficient", "explicit-formula", "closed-form", "c-coeff"],
+)
+def test_an_index_passes_as_int_before_its_range_check(at):
+    with pytest.raises(ValidationError, match="indices must be integers, got 1.5"):
+        at(1.5)
+    value = at(Fraction(2))
+    assert value == at(2) and type(value) is int
 
 
 @pytest.mark.parametrize(

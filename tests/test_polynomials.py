@@ -48,6 +48,7 @@ from oracles import (
     alpha_identity_reports,
     apply_axis,
     expansion_value,
+    fischer_coefficients,
     newton_interpolant_value,
 )
 from reference_tables import EXTENDED_MATRICES
@@ -165,6 +166,13 @@ def test_alpha_polynomial_degree_bound():
 def test_alpha_polynomial_is_the_specialization_of_every_entry(n):
     origins = tuple(r * n for r in range(n))
     assert alpha_polynomial(n) == dataclasses.replace(gn_poly(n, n), origins=origins)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_alpha_polynomial_is_fischers_operator_formula(n):
+    # a sample-free oracle: no count enters the operator formula
+    poly = alpha_polynomial(n)
+    assert (poly.origins, poly.coeffs) == fischer_coefficients(n)
 
 
 def test_alpha_polynomial_reads_the_specialization_cache(fail_if_counting):
