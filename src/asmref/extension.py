@@ -24,10 +24,10 @@ n^2, and those verifiers and the last column check the built array.  When
 the certificate fails, the sparse solve of all n^2 unknowns in linalg runs
 instead and reports the exact rank.
 
-Both closed forms run in ints.  extend_matrix reads every coefficient
-c_coeff(i, j, p, q) from one table of its order.  explicit_formula sums its
-harmonic terms over one common integer denominator, and one exact division
-at the end either gives the entry or raises NonIntegralError.
+Both closed forms run in ints.  extend_matrix sums c_coeff by one Pascal
+recurrence in O(n^2), and reads each half of its kernel at a shifted corner.
+explicit_formula sums its harmonic terms over one common integer denominator;
+one exact division at the end gives the entry or raises NonIntegralError.
 """
 
 from __future__ import annotations
@@ -97,26 +97,26 @@ def extend_matrix(table: RefinedTable) -> ExtendedMatrix:
     if table.d != 2:
         raise ValidationError(f"a depth-2 table is required, got depth {table.d}")
     n = table.n
-    # c_coeff(i, j, p, q) = (-1)^(i+q+1) g[p-j][q-i] for p >= j; the sign
-    # (-1)^q goes with the count and (-1)^(i+1) with the entry
-    g = [[binom_plus(a + 1, b) - binom_plus(a - 1, b - 1) for b in range(n + 1)] for a in range(n)]
-    signed = {(p, q): -v if q % 2 else v for (p, q), v in table.entries.items()}
+    # c_coeff(i, j, p, q) = (-1)^(i+q+1) (C(a+1, b) - C(a-1, b-1)), (a, b) =
+    # (p-j, q-i); the count takes the sign (-1)^q in s, and the entry (-1)^(i+1)
+    s = [[0] * (n + 2) for _ in range(n + 2)]
+    for (p, q), v in table.entries.items():
+        s[p][q] = -v if q % 2 else v
+    # by Pascal's rule f[j][i] is the sum of C(a, b) s[j+a][i+b] over a, b >= 0,
+    # the C(a+1, b) half is f[j-1][i] - s[j-1][i], the C(a-1, b-1) half f[j+1][i+1]
+    f = [[0] * (n + 2) for _ in range(n + 2)]
+    for j in range(n, -1, -1):
+        for i in range(n, 0, -1):
+            f[j][i] = s[j][i] + f[j + 1][i] + f[j + 1][i + 1]
+    # each row is tuple() of a list: tuple() of a generator is resized as it
+    # grows, and the freed tuples fill CPython's per-size free lists (1-2 MB)
     rows = []
     for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i < j:
-                row.append(table.value(i, j))
-                continue
-            # g[a][b] vanishes unless b <= a + 1, so only the pairs p < q
-            # with j <= p and i <= q <= p + i - j + 1 are summed
-            total = sum(
-                g[p - j][q - i] * signed[p, q]
-                for p in range(j, n + 1)
-                for q in range(max(p + 1, i), min(n, p + i - j + 1) + 1)
-            )
-            row.append(total if i % 2 else -total)
-        rows.append(tuple(row))
+        sign = 1 if i % 2 else -1
+        rows.append(tuple([
+            table.entries[i, j] if i < j else sign * (f[j - 1][i] - s[j - 1][i] - f[j + 1][i + 1])
+            for j in range(1, n + 1)
+        ]))
     return ExtendedMatrix(n, tuple(rows))
 
 

@@ -64,7 +64,8 @@ fraction_explicit_formula sums the entry formula of conj2 term by term in
 Fractions, each harmonic number a Fraction of its own, as
 asmref.extension did before it summed over one integer denominator.
 coefficient_extension sums c_coeff times the count over every pair, as
-extend_matrix did before it read its coefficients from one table per order.
+extend_matrix did before it summed c_coeff's kernel by one Pascal recurrence
+and two Pascal shifts, in O(n^2).
 The tests require the same values and the same exceptions from
 explicit_formula, and the same ExtendedMatrix from extend_matrix, on real
 and on random tables.

@@ -543,10 +543,19 @@ def depth_2_count_one_too_large(monkeypatch):
     monkeypatch.setattr(extension, "build_table", build)
 
 
-def extension_binomial_one_too_large(monkeypatch):
-    """extend_matrix builds its coefficient table with binom_plus(1, 1) = 2."""
-    real = extension.binom_plus
-    monkeypatch.setattr(extension, "binom_plus", lambda n, k: real(n, k) + ((n, k) == (1, 1)))
+def extended_entry_one_too_large(monkeypatch):
+    """extend_matrix has entry (2, 1) one too large.
+
+    The entry lies below the diagonal, so no count moves.
+    """
+    real = extension.extend_matrix
+
+    def extend_matrix(table):
+        rows = [list(row) for row in real(table).rows]
+        rows[1][0] += 1
+        return extension.ExtendedMatrix(table.n, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(extension, "extend_matrix", extend_matrix)
 
 
 def expansion_coefficient_one_too_large(monkeypatch):
@@ -622,7 +631,7 @@ FALSIFIERS = {
     "conj4": refined_count_one_too_large,
     "alpha-identities": first_coordinate_as_counting_polynomial,
     "gn-reflection": first_coordinate_as_specialization,
-    "triangular-system": extension_binomial_one_too_large,
+    "triangular-system": extended_entry_one_too_large,
     "bijection": mt_to_asm_one_order_too_large,
     "product-formulas": transfer_total_one_too_large,
 }

@@ -65,9 +65,9 @@ def matrix_for(n: int) -> ExtendedMatrix:
     return extend_matrix(build_table(n, 2))
 
 
-def random_table(n: int, rng: random.Random) -> RefinedTable:
+def random_table(n: int, rng: random.Random, bound: int = 10 ** 6) -> RefinedTable:
     pairs = itertools.combinations(range(1, n + 1), 2)
-    return RefinedTable(n, 2, {pair: rng.randrange(0, 10 ** 6) for pair in pairs})
+    return RefinedTable(n, 2, {pair: rng.randrange(0, bound) for pair in pairs})
 
 
 def test_c_coeff_hand_values():
@@ -86,18 +86,19 @@ def test_extend_matrix_reproduces_published_arrays():
 
 
 def test_extend_matrix_matches_sum_over_all_pairs():
-    # the coefficient table and the summed range give c_coeff's double sum
-    for n in range(2, 15):
+    # the Pascal recurrence and its two shifts give c_coeff's double sum
+    for n in range(2, DEFAULT_BUDGET.table_max_n + 1):
         table = build_table(n, 2)
         assert extend_matrix(table) == coefficient_extension(table), n
 
 
 def test_extend_matrix_matches_sum_over_all_pairs_on_random_tables():
-    # any table passes the triangular system, so the algebra itself must match
+    # any table passes the triangular system, so the algebra itself must
+    # match, past the table cap too (one draw an order there)
     rng = random.Random(16)
-    for n in range(2, 10):
-        for _ in range(3):
-            table = random_table(n, rng)
+    for n in range(2, 21):
+        for _ in range(3 if n <= DEFAULT_BUDGET.table_max_n else 1):
+            table = random_table(n, rng, 10 ** 30)
             assert extend_matrix(table) == coefficient_extension(table), n
 
 
