@@ -86,7 +86,7 @@ def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationR
     """The assembled system has full rank and its solution is the extended array."""
     checked = f"n={n}, rank of {n * n} unknowns plus solution comparison"
     try:
-        result = solve_sufficiency(n)
+        result = solve_sufficiency(n, cache=cache)
     except NonIntegralError as exc:
         cases = [((n,), str(exc), "an integer")]
     else:

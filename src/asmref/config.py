@@ -20,10 +20,10 @@ class Budget:
     table_max_n caps the order of every refined table, cached or not, and
     count: every depth of an order reads one column sweep.  It also caps the
     width of a row with a tie, whose alpha_count sums lookups into the sweep
-    of that width, and the order of conj1's linear solve, which is compared
-    with the table of its order.  That solve goes through the two
-    involutions of the system and n unknowns, with a run-time certificate of
-    its rank and the sparse solve of all n^2 unknowns as its fallback.
+    of that width, and the order of conj1's linear system, whose solution
+    is the table's array when a run-time certificate of its rank holds and
+    that array satisfies every row; otherwise the sparse solve of all n^2
+    unknowns runs.
     Every row transfer has one cost estimate, of its whole walk over a grid
     of n entries: the sum over i of its column steps with i entries placed
     times n * binom(n, i).  It must stay within

@@ -10,19 +10,21 @@ d >= 3) conjectural analogues; the verifiers here check all of them exactly.
 Each family of equations is stated once: the reflection by its one-axis factor
 reflection_weights at every depth (theorem1, conj3), the near-symmetry _mirror
 with _exceptional_entries (theorem2) and the boundary last_column.  conj1
-solves all three together and checks its array with theorem1's and
-theorem2's verifiers.  The reflection reads row-major values: theorem1
-flattens ExtendedMatrix.rows, and BinomBasisExpansion.coeffs holds them.
-refined_table is the one table provider; it caps the order before the cache.
+takes all three together as one linear system.  The reflection reads
+row-major values: theorem1 flattens ExtendedMatrix.rows, and
+BinomBasisExpansion.coeffs holds them.  refined_table is the one table
+provider; it caps the order before the cache.
 
-solve_sufficiency solves them through their structure, in ints: the
-reflection and the near-symmetry are involutions, so the first column of the
-array, n numbers, fixes it through a Krylov matrix, and the boundary fixes
-those n numbers.  A run-time certificate (W^2 = I, the Krylov matrix
-invertible, the n boundary forms independent) proves the system has rank
-n^2, and those verifiers and the last column check the built array.  When
-the certificate fails, the sparse solve of all n^2 unknowns in linalg runs
-instead and reports the exact rank.
+solve_sufficiency needs no solve when the system has full rank: a system of
+rank n^2 has at most one solution, so the counted array is that solution
+when it passes theorem1's and theorem2's verifiers and the last column,
+which together check every row.  The rank comes from a run-time certificate
+through the system's structure: the reflection and the near-symmetry are
+involutions, so the first column of an array in the kernel, n numbers, fixes
+it through a Krylov matrix, and the boundary fixes those n numbers (W^2 = I,
+the Krylov matrix of rank n, the n boundary forms of rank n).  When the
+certificate or a row fails, the sparse solve of all n^2 unknowns in linalg
+runs instead and reports the exact rank.
 
 Both closed forms run in ints.  extend_matrix sums c_coeff by one Pascal
 recurrence in O(n^2), and reads each half of its kernel at a shifted corner.
@@ -50,7 +52,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .linalg import adjugate, solve_integer_system
+from .linalg import solve_integer_system
 from .polynomials import BinomBasisExpansion, apply_axes, expand_in_binomial_basis, gn_poly
 from .reports import VerificationReport
 from .triangles import RefinedTable, build_table, checked_table
@@ -471,39 +473,43 @@ class SufficiencyResult:
         return sufficiency_system(math.isqrt(self.num_unknowns))
 
 
-def solve_sufficiency(n: int, budget: Budget = DEFAULT_BUDGET) -> SufficiencyResult:
+def solve_sufficiency(
+    n: int, budget: Budget = DEFAULT_BUDGET, cache: TableCache | None = None
+) -> SufficiencyResult:
     """Solve sufficiency_system(n) exactly, up to order table_max_n: its rank and solution.
 
-    The route goes through the system's two involutions and solves for n
-    unknowns (_solve_by_involutions).  Its run-time certificate, W^2 = I,
-    det K != 0 and n independent boundary forms, proves the rank is n^2, and
-    the array it builds is checked with verify_theorem1, verify_theorem2 and
-    the last column.  When a step of the certificate fails, the sparse solve
-    of all n^2 unknowns runs instead and gives the exact rank.  The solution
-    is the same either way; so are the errors: SingularSystemError when the
-    system is inconsistent and NonIntegralError, naming the first entry in
-    row-major order, when the solution is not integral.  The result's system
-    is assembled only when it is read.
+    A system of rank n^2 has at most one solution.  So when the run-time
+    certificate _full_rank holds and the counted array, extend_matrix of
+    refined_table(n, 2, cache), passes verify_theorem1, verify_theorem2 and
+    the last column, which together check every row of the system, that
+    array is the solution and nothing is solved.  When the certificate or a
+    row fails, the sparse solve of all n^2 unknowns runs instead and gives
+    the exact rank, SingularSystemError when the system is inconsistent, and
+    NonIntegralError, naming the first entry in row-major order, when the
+    solution is not integral.  The result's system is assembled only when it
+    is read.
     """
     n = as_size(n, "order", 3)
     if n > budget.table_max_n:
         raise BudgetError(
             f"sufficiency solve at n={n} exceeds the budget cap {budget.table_max_n}"
         )
-    solved = _solve_by_involutions(n)
-    if solved is None:
-        system = sufficiency_system(n)
-        result = solve_integer_system(system.matrix, system.rhs)
-        if not result.consistent:
-            raise SingularSystemError(_INCONSISTENT.format(n=n))
-        solution = _integral_array(n, result.solution) if result.unique else None
-        return SufficiencyResult(result.rank, n * n, solution)
-    numerators, scale = solved
-    solution = _integral_array(n, (Fraction(v, scale) for v in numerators))
-    return SufficiencyResult(n * n, n * n, solution)
-
-
-_INCONSISTENT = "the assembled equations at n={n} are inconsistent; this is a bug"
+    if _full_rank(n):
+        candidate = extend_matrix(refined_table(n, 2, cache, budget))
+        if (
+            verify_theorem1(candidate).passed
+            and verify_theorem2(candidate, total_asm_count(n - 1), total_asm_count(n - 2)).passed
+            and all(candidate.entry(*index) == v for index, v in last_column(n).items())
+        ):
+            return SufficiencyResult(n * n, n * n, candidate)
+    system = sufficiency_system(n)
+    result = solve_integer_system(system.matrix, system.rhs)
+    if not result.consistent:
+        raise SingularSystemError(
+            f"the assembled equations at n={n} are inconsistent; this is a bug"
+        )
+    solution = _integral_array(n, result.solution) if result.unique else None
+    return SufficiencyResult(result.rank, n * n, solution)
 
 
 def _integral_array(n: int, values: Iterable[Fraction]) -> ExtendedMatrix:
@@ -516,76 +522,35 @@ def _integral_array(n: int, values: Iterable[Fraction]) -> ExtendedMatrix:
     return ExtendedMatrix(n, tuple(tuple(flat[k:k + n]) for k in range(0, n * n, n)))
 
 
-def _solve_by_involutions(n: int) -> tuple[list[int], int] | None:
-    """The solution of sufficiency_system(n) as row-major numerators over one scale, in ints.
+def _full_rank(n: int) -> bool:
+    """The run-time certificate that sufficiency_system(n) has rank n^2.
 
     Write E for the array, W for reflection_weights(n, 2) and J for the
-    reversal.  The reflection rows say E = W.E^T.W^T, the mirror and
-    exceptional rows say J.E^T.J = E + F, where F is -t1 at (n - 1, 1), t1 at
-    (n, 2) and 0 elsewhere, with t1 = total_asm_count(n - 1).  Together
-    E = M.E.M^T + C with M = W.J and C = M.F.M^T, and when W^2 = I, M has the
-    inverse J.W, so E.B = M.E + C.B with B = W^T.J.  The columns of the
-    Krylov matrix K = [w, Bw, ..., B^(n-1)w], w = e_1, are then sent to
-    v_0 = u = E.w and v_(k+1) = M.v_k + C.B^(k+1).w, so E = V.K^-1: the n
-    numbers u fix E.  The last column gives n - 1 forms in u, since
-    M^T.e_n = (-1)^n e_1 makes E.e_n = (-1)^n M.u + C.e_n, and E(n - 1, 1) =
-    u_(n-1) = t2, with t2 = total_asm_count(n - 2), is the nth.
-
-    The certificate: W^2 = I, det K != 0 and forms of rank n.  Then an array
-    in the kernel of the system has u = 0 and so is 0, and the system has
-    rank n^2.  None when a step fails.  Otherwise the forms are solved for u
-    with solve_integer_system; with L the lcm of u's denominators and Q the
-    adjugate of K, E = (L.V).Q / (L.det K), and the numerators L.V.Q are
-    returned with the scale L.det K.  Both theorems are linear, so
-    verify_theorem1, verify_theorem2 with the exceptional values times the
-    scale, and the last column check every row of the system on them; a row
-    that fails means the system is inconsistent.  The scaled exceptional
-    values differ by scale.t1 != 0, so theorem2's genuine exceptions hold.
+    reversal.  On an array in the kernel of the system the reflection rows
+    say E = W.E^T.W^T, and the mirror rows with the two exceptional rows,
+    which set both exceptional entries to 0, say J.E^T.J = E.  So
+    E = M.E.M^T with M = W.J.  When W^2 = I, M has the
+    inverse J.W, and E.B = M.E with B = W^T.J: E's columns E.B^k.e_1 are
+    M^k.u, u = E.e_1.  When the Krylov matrix K = [e_1, B.e_1, ..., B^(n-1).e_1]
+    has rank n, those columns fix E, so u fixes E.  The last column rows say
+    E.e_n = (-1)^n M.u = 0 off entry n, and E(n - 1, 1) = u_(n-1) = 0: when
+    these n forms in u have rank n, u = 0, E = 0 and the rank is n^2.  The
+    forms are the rows of M named by last_column(n)'s keys and e_(n-1); their
+    determinant is +-binom(2n - 4, n - 2) for every n, W^2 = I holds for
+    every n, and only K's rank is not known in closed form.
     """
-
-    def times(matrix: Iterable[Sequence[int]], vector: Sequence[int]) -> list[int]:
-        return [sum(map(operator.mul, row, vector)) for row in matrix]
-
     weights = reflection_weights(n, 2)
     cells = range(n)
-    identity = [[int(i == j) for j in cells] for i in cells]
-    if [times(weights, column) for column in zip(*weights)] != identity:
-        return None
-    m = [row[::-1] for row in weights]
+    square = [[sum(map(operator.mul, row, column)) for column in zip(*weights)] for row in weights]
+    if square != [[int(i == j) for j in cells] for i in cells]:
+        return False
     b = [[weights[n - 1 - j][i] for j in cells] for i in cells]
     krylov = [[int(i == 0) for i in cells]]
     for _ in range(n - 1):
-        krylov.append(times(b, krylov[-1]))
-    det, adj = adjugate([list(row) for row in zip(*krylov)])
-    if det == 0:
-        return None
-    t1, t2 = total_asm_count(n - 1), total_asm_count(n - 2)
-    column = last_column(n)
-    c = [[t1 * (m[i][n - 1] * m[j][1] - m[i][n - 2] * m[j][0]) for j in cells] for i in cells]
-    sign = (-1) ** n
-    forms = [[sign * v for v in m[i - 1]] for i, _ in column]
-    rhs = [value - c[i - 1][n - 1] for (i, _), value in column.items()]
-    forms.append(identity[n - 2])
-    rhs.append(t2)
-    result = solve_integer_system(forms, rhs)
-    if not result.unique:
-        return None
-    common = math.lcm(*(v.denominator for v in result.solution))
-    columns = [[v.numerator * (common // v.denominator) for v in result.solution]]
-    for k in range(1, n):
-        shifted = zip(times(m, columns[-1]), times(c, krylov[k]))
-        columns.append([x + common * y for x, y in shifted])
-    adj_columns = list(zip(*adj))
-    scaled = ExtendedMatrix(n, tuple(tuple(times(adj_columns, row)) for row in zip(*columns)))
-    scale = common * det
-    holds = (
-        verify_theorem1(scaled).passed
-        and verify_theorem2(scaled, scale * t1, scale * t2).passed
-        and all(scaled.entry(*index) == scale * v for index, v in column.items())
-    )
-    if not holds:
-        raise SingularSystemError(_INCONSISTENT.format(n=n))
-    return list(itertools.chain.from_iterable(scaled.rows)), scale
+        krylov.append([sum(map(operator.mul, row, krylov[-1])) for row in b])
+    forms = [weights[i - 1][::-1] for i, _ in last_column(n)]
+    forms.append([int(k == n - 2) for k in cells])
+    return all(solve_integer_system(rows, [0] * len(rows)).rank == n for rows in (krylov, forms))
 
 
 _EXCLUDED_OFFSETS = ((-1, 1), (0, 1), (0, 2))

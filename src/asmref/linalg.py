@@ -2,9 +2,10 @@
 
 Everything is in Python ints and Fraction.  solve_integer_system works on
 sparse rows and touches only the rows that have a nonzero in the pivot
-column.  The dense Bareiss elimination it replaced, which rescales every
-remaining row at every pivot, is kept in the tests as its oracle.  adjugate
-is the fraction-free Gauss-Jordan inverse of a small dense integer matrix.
+column; it is the one elimination the program runs, for conj1's rank
+certificate and for its fallback solve of all n^2 unknowns.  The dense
+Bareiss elimination it replaced, which rescales every remaining row at every
+pivot, is kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -111,40 +112,6 @@ def solve_integer_system(
             x[c] = acc / row[c]
         solution = tuple(x)
     return LinearSolveResult(rank, ncols, True, solution)
-
-
-def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
-    """det A and the adjugate Q of a square integer matrix, A·Q = det A·I, or (0, None).
-
-    Fraction-free Gauss-Jordan on [A | I]: at each column the first row with
-    a nonzero there is swapped up as the pivot row, and every other row r
-    becomes (p*r - f*pivot_row) / q, with p the pivot, f the row's entry in
-    the column and q the previous pivot.  Each entry is then a minor of
-    [A | I], so the division is exact, and at the end the left block is the
-    last pivot times I.  That pivot is det A up to the sign of the swaps, and
-    the right block, with that sign, is Q.
-    """
-    n = len(rows)
-    work = [[as_int(v) for v in row] + [int(i == j) for j in range(n)]
-            for i, row in enumerate(rows)]
-    if any(len(row) != 2 * n for row in work):
-        raise ValueError("matrix must be square")
-    sign, previous = 1, 1
-    for c in range(n):
-        chosen = next((i for i in range(c, n) if work[i][c]), None)
-        if chosen is None:
-            return 0, None
-        if chosen != c:
-            work[c], work[chosen] = work[chosen], work[c]
-            sign = -sign
-        pivot_row = work[c]
-        p = pivot_row[c]
-        for i in range(n):
-            if i != c:
-                f = work[i][c]
-                work[i] = [(p * a - f * b) // previous for a, b in zip(work[i], pivot_row)]
-        previous = p
-    return sign * previous, [[sign * v for v in row[n:]] for row in work]
 
 
 def invert_matrix(rows: Sequence[Sequence]) -> list[list[Fraction]]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-import asmref.triangles as triangles
+from asmref import extension, triangles
 
 
 @pytest.fixture
@@ -19,3 +19,17 @@ def fail_if_counting(monkeypatch):
         monkeypatch.setattr(triangles, "_row_transfer", counted)
 
     return install
+
+
+@pytest.fixture
+def sparse_solves(monkeypatch) -> list[int]:
+    """The orders at which solve_sufficiency assembles the n^2-unknown system."""
+    orders = []
+    real = extension.sufficiency_system
+
+    def system(n):
+        orders.append(n)
+        return real(n)
+
+    monkeypatch.setattr(extension, "sufficiency_system", system)
+    return orders

@@ -85,6 +85,15 @@ random tables.
 falling_factorial_binom multiplies out n(n-1)...(n-k+1) and divides by k!,
 as asmref.combinat.binom did before it read math.comb.  The tests require the
 same values from binom, negative upper arguments included.
+
+krylov_solution solves the conj1 system through its two involutions: it
+solves the n boundary forms for the array's first column u and builds the
+array from u through the Krylov matrix K of the system and adjugate(K), the
+fraction-free Gauss-Jordan inverse, as asmref.extension did before its
+route became a rank certificate and a row check of the counted array.  The
+tests require the same array from solve_sufficiency and from the sparse
+solve of all n^2 unknowns, and the determinant that the certificate's proof
+gives the boundary forms, from adjugate.
 """
 
 from __future__ import annotations
@@ -93,11 +102,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from asmref.combinat import binom, binom_at, harmonic, refined_asm_count, total_asm_count
 from asmref.errors import ExcludedIndexError, NonIntegralError, ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff, reflection_weights
+from asmref.linalg import solve_integer_system
 from asmref.polynomials import BinomBasisExpansion, PolyMulti, _draw_point
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, _interlacing_rows
@@ -574,6 +584,88 @@ def dense_sufficiency_system(n: int) -> LinearSystem:
         rhs.append(refined_asm_count(n - 1, i))
 
     return LinearSystem(tuple(tuple(r) for r in rows), tuple(rhs), labels)
+
+
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """det A and the adjugate Q of a square integer matrix, A·Q = det A·I, or (0, None).
+
+    Fraction-free Gauss-Jordan on [A | I]: at each column the first row with
+    a nonzero there is swapped up as the pivot row, and every other row r
+    becomes (p*r - f*pivot_row) / q, with p the pivot, f the row's entry in
+    the column and q the previous pivot.  Each entry is then a minor of
+    [A | I], so the division is exact, and at the end the left block is the
+    last pivot times I.  That pivot is det A up to the sign of the swaps, and
+    the right block, with that sign, is Q.
+    """
+    n = len(rows)
+    work = [[int(v) for v in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(rows)]
+    if any(len(row) != 2 * n for row in work):
+        raise ValueError("matrix must be square")
+    sign, previous = 1, 1
+    for c in range(n):
+        chosen = next((i for i in range(c, n) if work[i][c]), None)
+        if chosen is None:
+            return 0, None
+        if chosen != c:
+            work[c], work[chosen] = work[chosen], work[c]
+            sign = -sign
+        pivot_row = work[c]
+        p = pivot_row[c]
+        for i in range(n):
+            if i != c:
+                f = work[i][c]
+                work[i] = [(p * a - f * b) // previous for a, b in zip(work[i], pivot_row)]
+        previous = p
+    return sign * previous, [[sign * v for v in row[n:]] for row in work]
+
+
+def krylov_solution(n: int) -> tuple[Fraction, ...]:
+    """The row-major solution of the conj1 system, solved for its first column, in ints.
+
+    Write E for the array, W for reflection_weights(n, 2) and J for the
+    reversal.  The reflection rows say E = W.E^T.W^T, the mirror and
+    exceptional rows say J.E^T.J = E + F, where F is -t1 at (n - 1, 1), t1 at
+    (n, 2) and 0 elsewhere, with t1 = total_asm_count(n - 1).  Together
+    E = M.E.M^T + C with M = W.J and C = M.F.M^T, and as W^2 = I, M has the
+    inverse J.W, so E.B = M.E + C.B with B = W^T.J.  The columns of the
+    Krylov matrix K = [w, Bw, ..., B^(n-1)w], w = e_1, are then sent to
+    v_0 = u = E.w and v_(k+1) = M.v_k + C.B^(k+1).w, so E = V.K^-1.  The last
+    column gives n - 1 forms in u, since M^T.e_n = (-1)^n e_1 makes
+    E.e_n = (-1)^n M.u + C.e_n, and E(n - 1, 1) = u_(n-1) = t2, with
+    t2 = total_asm_count(n - 2), is the nth.  The forms are solved for u;
+    with L the lcm of u's denominators and Q the adjugate of K,
+    E = (L.V).Q / (L.det K).
+    """
+
+    def times(matrix: Iterable[Sequence[int]], vector: Sequence[int]) -> list[int]:
+        return [sum(a * b for a, b in zip(row, vector)) for row in matrix]
+
+    weights = reflection_weights(n, 2)
+    cells = range(n)
+    m = [row[::-1] for row in weights]
+    b = [[weights[n - 1 - j][i] for j in cells] for i in cells]
+    krylov = [[int(i == 0) for i in cells]]
+    for _ in range(n - 1):
+        krylov.append(times(b, krylov[-1]))
+    det, adj = adjugate([list(row) for row in zip(*krylov)])
+    assert det, f"the Krylov matrix of order {n} is singular"
+    t1, t2 = total_asm_count(n - 1), total_asm_count(n - 2)
+    c = [[t1 * (m[i][n - 1] * m[j][1] - m[i][n - 2] * m[j][0]) for j in cells] for i in cells]
+    sign = (-1) ** n
+    forms = [[sign * v for v in m[i - 1]] for i in range(1, n)]
+    rhs = [refined_asm_count(n - 1, i) - c[i - 1][n - 1] for i in range(1, n)]
+    forms.append([int(k == n - 2) for k in cells])
+    rhs.append(t2)
+    u = solve_integer_system(forms, rhs).solution
+    common = math.lcm(*(v.denominator for v in u))
+    columns = [[v.numerator * (common // v.denominator) for v in u]]
+    for k in range(1, n):
+        shifted = zip(times(m, columns[-1]), times(c, krylov[k]))
+        columns.append([x + common * y for x, y in shifted])
+    adj_columns = list(zip(*adj))
+    scale = common * det
+    return tuple(Fraction(v, scale) for row in zip(*columns) for v in times(adj_columns, row))
 
 
 def _shift(point: tuple, positions: Sequence[int], amount: int = 1) -> tuple:

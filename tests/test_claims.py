@@ -12,6 +12,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -262,8 +263,9 @@ def test_depth_is_accepted_where_it_applies(capsys):
 
 
 def test_non_integral_solution_is_a_failed_claim(monkeypatch, capsys):
-    # one last-column value one too large leaves the system consistent, with a
-    # solution that is not integral; the sparse solve must not run
+    # one last-column value one too large fails the counted array's last
+    # column and leaves the system consistent, with a solution that is not
+    # integral: the fallback's sparse solve finds it
     real = extension.last_column
 
     def last_column(n):
@@ -272,7 +274,6 @@ def test_non_integral_solution_is_a_failed_claim(monkeypatch, capsys):
         return column
 
     monkeypatch.setattr(extension, "last_column", last_column)
-    monkeypatch.setattr(extension, "sufficiency_system", None)
     code = cli.main(["verify", "conj1", "--n", "4"])
     captured = capsys.readouterr()
     assert code == 1
@@ -367,59 +368,51 @@ def test_a_rank_deficient_system_fails_conj1(monkeypatch, capsys):
     assert lines[-1] == "conj1: FAIL (3..4)"
 
 
-def sparse_solves(monkeypatch) -> list[int]:
-    """The orders at which conj1's solve assembles the n^2-unknown system."""
-    orders = []
-    real = extension.sufficiency_system
-
-    def system(n):
-        orders.append(n)
-        return real(n)
-
-    monkeypatch.setattr(extension, "sufficiency_system", system)
-    return orders
-
-
-def no_krylov_inverse(monkeypatch):
-    """The certificate fails: det K is reported as 0."""
-    monkeypatch.setattr(extension, "adjugate", lambda rows: (0, None))
+def no_certificate(monkeypatch):
+    """The certificate fails: the system is not known to have full rank."""
+    monkeypatch.setattr(extension, "_full_rank", lambda n: False)
 
 
 @pytest.mark.parametrize("argv", [
     "verify conj1 --n 3..6 --format pretty", "verify conj1 --n 3..6 --format json",
 ])
-def test_a_failed_certificate_falls_back_to_the_sparse_solve(argv, monkeypatch, capsys):
-    orders = sparse_solves(monkeypatch)
-    no_krylov_inverse(monkeypatch)
+def test_a_failed_certificate_falls_back_to_the_sparse_solve(
+    argv, monkeypatch, capsys, sparse_solves
+):
+    no_certificate(monkeypatch)
     code = cli.main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
-    assert sorted(orders) == [3, 4, 5, 6]
+    assert sorted(sparse_solves) == [3, 4, 5, 6]
 
 
-def test_a_wrong_boundary_value_fails_conj1_on_both_routes(monkeypatch, capsys):
+def test_a_wrong_boundary_value_fails_conj1_on_both_routes(monkeypatch, capsys, sparse_solves):
+    # the counted array fails the wrong last column, so with the certificate
+    # or without it the sparse solve runs and finds the non-integral solution
     real = extension.refined_asm_count
     monkeypatch.setattr(extension, "refined_asm_count", lambda n, k: real(n, k) + 1)
-    orders = sparse_solves(monkeypatch)
     outputs = []
-    for route in ("involutions", "sparse"):
+    for route in ("certified", "uncertified"):
         assert cli.main(["verify", "conj1", "--n", "3..6"]) == 1
         outputs.append(capsys.readouterr().out)
-        assert sorted(orders) == ([] if route == "involutions" else [3, 4, 5, 6])
-        no_krylov_inverse(monkeypatch)
+        assert sorted(sparse_solves) == [3, 4, 5, 6]
+        sparse_solves.clear()
+        no_certificate(monkeypatch)
     assert outputs[0] == outputs[1]
     assert "  at (3,): solved entry 1/2 is not an integer != an integer" in outputs[0]
 
 
 def test_a_wrong_solved_entry_fails_conj1(monkeypatch, capsys):
-    # past the row check, so only the comparison with the counted array sees it
-    real = extension._solve_by_involutions
+    # the fallback's solve has entry (1, 1) one too large; it checks no row,
+    # so only the comparison with the counted array sees it
+    real = extension.solve_integer_system
 
-    def solve(n):
-        numerators, scale = real(n)
-        return [numerators[0] + scale] + numerators[1:], scale
+    def solve(matrix, rhs):
+        result = real(matrix, rhs)
+        return replace(result, solution=(result.solution[0] + 1,) + result.solution[1:])
 
-    monkeypatch.setattr(extension, "_solve_by_involutions", solve)
+    monkeypatch.setattr(extension, "solve_integer_system", solve)
+    no_certificate(monkeypatch)
     assert cli.main(["verify", "conj1", "--n", "3..6"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("  at")] == ["  at (1, 1): 1 != 0"] * 4

@@ -165,7 +165,7 @@ def test_conj1_budget_exceeded_before_solving(capsys, monkeypatch):
     def solve(*args):
         raise AssertionError("solving started")
 
-    for name in ("_solve_by_involutions", "solve_integer_system"):
+    for name in ("_full_rank", "refined_table", "solve_integer_system"):
         monkeypatch.setattr(extension, name, solve)
     code, out, err = run(capsys, "verify", "conj1", "--n", "17")
     assert code == 2

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +22,7 @@ from asmref.errors import (
 )
 from asmref.extension import (
     ExtendedMatrix,
+    LinearSystem,
     c_coeff,
     drefined_F,
     entry_cases,
@@ -48,12 +49,14 @@ from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, alpha_count, build_table, refined_count
 
 from oracles import (
+    adjugate,
     alpha_count_dfs,
     coefficient_extension,
     conjecture3_witnesses,
     dense_sufficiency_system,
     fraction_explicit_formula,
     keyed_reflection_cases,
+    krylov_solution,
     shifted_row_z,
     theorem1_witnesses,
     triangular_system_witnesses,
@@ -410,35 +413,85 @@ def test_solve_sufficiency_unique_and_correct():
     (17, Budget(table_max_n=18)), (18, Budget(table_max_n=18)),
 ])
 def test_the_involution_route_matches_the_sparse_solve(n, budget, monkeypatch):
+    # the certified counted array equals the sparse solve and the Krylov
+    # oracle, which solves for the first column through the two involutions
     system = sufficiency_system(n)
     oracle = solve_integer_system(system.matrix, system.rhs)
     # the route assembles no n^2-unknown system and never falls back here
     monkeypatch.setattr(extension, "sufficiency_system", None)
     result = solve_sufficiency(n, budget)
     assert (result.rank, result.num_unknowns) == (oracle.rank, oracle.num_unknowns) == (n * n, n * n)
-    assert tuple(itertools.chain.from_iterable(result.solution.rows)) == oracle.solution
+    flat = tuple(itertools.chain.from_iterable(result.solution.rows))
+    assert flat == oracle.solution == krylov_solution(n)
     monkeypatch.undo()
     assert result.system == system
 
 
-@pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 9) for k in range(n)])
-def test_a_wrong_solved_unknown_fails_a_row_of_the_system(n, k, monkeypatch):
+def test_the_certificate_holds_with_boundary_forms_of_the_proved_determinant(monkeypatch):
+    # the certificate makes two rank calls, on the Krylov vectors and on the n
+    # boundary forms; the forms' determinant is +-C(2n - 4, n - 2) for every n,
+    # so only the Krylov matrix needs the run-time check
+    calls = []
     real = extension.solve_integer_system
 
     def solve(matrix, rhs):
-        result = real(matrix, rhs)
-        u = result.solution
-        return replace(result, solution=u[:k] + (u[k] + 1,) + u[k + 1:])
+        calls.append(matrix)
+        return real(matrix, rhs)
 
     monkeypatch.setattr(extension, "solve_integer_system", solve)
-    with pytest.raises(SingularSystemError, match=f"at n={n} are inconsistent"):
-        solve_sufficiency(n)
+    for n in range(3, 31):
+        calls.clear()
+        assert extension._full_rank(n), n
+        krylov, forms = calls
+        assert len(krylov) == len(forms) == n
+        assert abs(adjugate(forms)[0]) == math.comb(2 * n - 4, n - 2), n
+
+
+def test_the_certificate_fails_without_the_last_column(monkeypatch):
+    # with no last column one form is left: the forms are read from
+    # last_column's keys, and each rank call gets one zero per row
+    monkeypatch.setattr(extension, "last_column", lambda n: {})
+    assert not any(extension._full_rank(n) for n in range(3, 7))
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(3, 9) for k in range(n)])
+def test_a_wrong_solved_unknown_fails_a_row_of_the_system(n, k, monkeypatch, sparse_solves):
+    # entry (k + 1, 1) of the counted array, one of the n numbers of the first
+    # column that fix the array, one too large: a row fails, and the sparse
+    # solve gives the true array
+    real = extension.extend_matrix
+
+    def wrong_extend_matrix(table):
+        rows = [list(row) for row in real(table).rows]
+        rows[k][0] += 1
+        return ExtendedMatrix(table.n, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(extension, "extend_matrix", wrong_extend_matrix)
+    result = solve_sufficiency(n)
+    assert (result.rank, result.solution) == (n * n, matrix_for(n))
+    assert sparse_solves == [n]
 
 
 @pytest.mark.parametrize("name", ["verify_theorem1", "verify_theorem2"])
-def test_the_route_checks_its_array_with_the_theorem_verifiers(name, monkeypatch):
+def test_the_route_checks_its_array_with_the_theorem_verifiers(name, monkeypatch, sparse_solves):
     failing = VerificationReport(name, "n=5", False, (Witness((1, 1), 0, 1),))
     monkeypatch.setattr(extension, name, lambda *args: failing)
+    assert solve_sufficiency(5).solution == matrix_for(5)
+    assert sparse_solves == [5]
+
+
+def test_an_inconsistent_system_raises_in_the_fallback(monkeypatch):
+    # the certificate fails, and the system gains the row E(1, 1) = 1 where
+    # every other row gives 0
+    real = extension.sufficiency_system
+
+    def system(n):
+        s = real(n)
+        row = (1,) + (0,) * (n * n - 1)
+        return LinearSystem(s.matrix + (row,), s.rhs + (1,), s.labels)
+
+    monkeypatch.setattr(extension, "_full_rank", lambda n: False)
+    monkeypatch.setattr(extension, "sufficiency_system", system)
     with pytest.raises(SingularSystemError, match="at n=5 are inconsistent"):
         solve_sufficiency(5)
 

@@ -1,4 +1,8 @@
-"""Sparse integer elimination against Bareiss and plain rational Gauss oracles."""
+"""Sparse integer elimination against Bareiss and plain rational Gauss oracles.
+
+The oracles' adjugate, which conj1's Krylov oracle inverts with, is checked
+here against the rational inverse.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,9 @@ from hypothesis import strategies as st
 
 from asmref.errors import SingularSystemError
 from asmref.extension import sufficiency_system
-from asmref.linalg import LinearSolveResult, adjugate, invert_matrix, solve_integer_system
+from asmref.linalg import LinearSolveResult, invert_matrix, solve_integer_system
+
+from oracles import adjugate
 
 
 def fraction_free_echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
