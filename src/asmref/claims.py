@@ -14,13 +14,12 @@ from typing import Callable
 
 from .combinat import as_size, refined_asm_count, total_asm_count
 from .documents import TableCache
-from .errors import NonIntegralError
 from .extension import (
     drefined_F,
     entry_cases,
     extended_matrix,
     refined_table,
-    solve_sufficiency,
+    verify_conjecture1,
     verify_conjecture2,
     verify_conjecture3,
     verify_conjecture4,
@@ -80,21 +79,6 @@ def verify_theorem4(n: int, cache: TableCache | None = None) -> VerificationRepo
     expansion = drefined_F(n, 2)
     cases = entry_cases(matrix, lambda i, j: expansion.coefficient((i, j)))
     return VerificationReport.from_cases("theorem4", f"n={n}, all {n * n} coefficients", cases)
-
-
-def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationReport:
-    """The assembled system has full rank and its solution is the extended array."""
-    checked = f"n={n}, rank of {n * n} unknowns plus solution comparison"
-    try:
-        result = solve_sufficiency(n, cache=cache)
-    except NonIntegralError as exc:
-        cases = [((n,), str(exc), "an integer")]
-    else:
-        if result.unique:
-            cases = entry_cases(extended_matrix(n, cache), result.solution.entry)
-        else:
-            cases = [((n,), f"rank {result.rank}", result.num_unknowns)]
-    return VerificationReport.from_cases("conj1", checked, cases)
 
 
 @dataclass(frozen=True)

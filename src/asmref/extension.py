@@ -15,16 +15,18 @@ row-major values: theorem1 flattens ExtendedMatrix.rows, and
 BinomBasisExpansion.coeffs holds them.  refined_table is the one table
 provider; it caps the order before the cache.
 
-solve_sufficiency needs no solve when the system has full rank: a system of
-rank n^2 has at most one solution, so the counted array is that solution
-when it passes theorem1's and theorem2's verifiers and the last column,
-which together check every row.  The rank comes from a run-time certificate
-through the system's structure: the reflection and the near-symmetry are
-involutions, so the first column of an array in the kernel, n numbers, fixes
-it through a Krylov matrix, and the boundary fixes those n numbers (W^2 = I,
-the Krylov matrix of rank n, the n boundary forms of rank n).  When the
-certificate or a row fails, the sparse solve of all n^2 unknowns in linalg
-runs instead and reports the exact rank.
+The system is decided by one route, _certified_solution, which takes its
+candidate solution as one array: solve_sufficiency passes the counted array,
+and conj1 passes the array it compares with, read once.  A system of rank
+n^2 has at most one solution, so a candidate that passes theorem1's and
+theorem2's verifiers and the last column, which together check every row,
+is that solution, and nothing is solved.  The rank comes from a run-time
+certificate through the system's structure: the reflection and the
+near-symmetry are involutions, so the first column of an array in the
+kernel, n numbers, fixes it through a Krylov matrix, and the boundary fixes
+those n numbers (W^2 = I, the Krylov matrix of rank n, the n boundary forms
+of rank n).  When the certificate or a row fails, the sparse solve of all
+n^2 unknowns in linalg runs instead and reports the exact rank.
 
 Both closed forms run in ints.  extend_matrix sums c_coeff by one Pascal
 recurrence in O(n^2), and reads each half of its kernel at a shifted corner.
@@ -478,30 +480,44 @@ def solve_sufficiency(
 ) -> SufficiencyResult:
     """Solve sufficiency_system(n) exactly, up to order table_max_n: its rank and solution.
 
-    A system of rank n^2 has at most one solution.  So when the run-time
-    certificate _full_rank holds and the counted array, extend_matrix of
-    refined_table(n, 2, cache), passes verify_theorem1, verify_theorem2 and
-    the last column, which together check every row of the system, that
-    array is the solution and nothing is solved.  When the certificate or a
-    row fails, the sparse solve of all n^2 unknowns runs instead and gives
-    the exact rank, SingularSystemError when the system is inconsistent, and
-    NonIntegralError, naming the first entry in row-major order, when the
-    solution is not integral.  The result's system is assembled only when it
-    is read.
+    The order is capped before any table is read.  _certified_solution then
+    decides from the counted array, extend_matrix of refined_table(n, 2, cache).
     """
+    n = _solve_order(n, budget)
+    return _certified_solution(extend_matrix(refined_table(n, 2, cache, budget)))
+
+
+def _solve_order(n: int, budget: Budget) -> int:
+    """n as an order of the system; BudgetError above table_max_n."""
     n = as_size(n, "order", 3)
     if n > budget.table_max_n:
         raise BudgetError(
             f"sufficiency solve at n={n} exceeds the budget cap {budget.table_max_n}"
         )
-    if _full_rank(n):
-        candidate = extend_matrix(refined_table(n, 2, cache, budget))
-        if (
-            verify_theorem1(candidate).passed
-            and verify_theorem2(candidate, total_asm_count(n - 1), total_asm_count(n - 2)).passed
-            and all(candidate.entry(*index) == v for index, v in last_column(n).items())
-        ):
-            return SufficiencyResult(n * n, n * n, candidate)
+    return n
+
+
+def _certified_solution(candidate: ExtendedMatrix) -> SufficiencyResult:
+    """The rank and solution of sufficiency_system(candidate.n), with candidate as the guess.
+
+    A system of rank n^2 has at most one solution.  So when the run-time
+    certificate _full_rank holds and candidate passes verify_theorem1,
+    verify_theorem2 and the last column, which together check every row of
+    the system, candidate is the solution and nothing is solved.  When the
+    certificate or a row fails, the sparse solve of all n^2 unknowns runs
+    instead and gives the exact rank, SingularSystemError when the system is
+    inconsistent, and NonIntegralError, naming the first entry in row-major
+    order, when the solution is not integral.  The result's system is
+    assembled only when it is read.
+    """
+    n = candidate.n
+    if (
+        _full_rank(n)
+        and verify_theorem1(candidate).passed
+        and verify_theorem2(candidate, total_asm_count(n - 1), total_asm_count(n - 2)).passed
+        and all(candidate.entry(*index) == v for index, v in last_column(n).items())
+    ):
+        return SufficiencyResult(n * n, n * n, candidate)
     system = sufficiency_system(n)
     result = solve_integer_system(system.matrix, system.rhs)
     if not result.consistent:
@@ -641,6 +657,27 @@ def _formula_entry(n: int, i: int, j: int, scale: int, h: list[int]) -> int:
     if rest:
         raise NonIntegralError(f"formula value at n={n}, ({i},{j}) is {Fraction(top, bottom)}")
     return value
+
+
+def verify_conjecture1(n: int, cache: TableCache | None = None) -> VerificationReport:
+    """The assembled system has full rank and its solution is the extended array.
+
+    The array is read once and is both the route's candidate and the
+    comparison's right side.
+    """
+    n = _solve_order(n, DEFAULT_BUDGET)
+    matrix = extended_matrix(n, cache)
+    checked = f"n={n}, rank of {n * n} unknowns plus solution comparison"
+    try:
+        result = _certified_solution(matrix)
+    except NonIntegralError as exc:
+        cases = [((n,), str(exc), "an integer")]
+    else:
+        if result.unique:
+            cases = entry_cases(matrix, result.solution.entry)
+        else:
+            cases = [((n,), f"rank {result.rank}", result.num_unknowns)]
+    return VerificationReport.from_cases("conj1", checked, cases)
 
 
 def verify_conjecture2(n: int, matrix: ExtendedMatrix | None = None) -> VerificationReport:

@@ -329,6 +329,26 @@ def test_table_claims_use_the_cache(claim, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(triangles, "_column_sweep", None)
 
 
+def test_conj1_reads_each_order_once(tmp_path, monkeypatch):
+    # the route certifies the array that conj1 then compares with, so each
+    # order's table is loaded or counted, and extended, once
+    loads, extended = [], []
+    load, extend = TableCache.load, extension.extend_matrix
+    monkeypatch.setattr(
+        TableCache, "load", lambda self, *key: loads.append(key) or load(self, *key)
+    )
+    monkeypatch.setattr(
+        extension, "extend_matrix", lambda table: extended.append(table.n) or extend(table)
+    )
+    assert cli.main(["verify", "conj1", "--n", "3..10"]) == 0
+    assert sorted(extended) == list(range(3, 11))
+    cached = ["verify", "conj1", "--n", "3..16", "--cache-dir", str(tmp_path)]
+    for _ in ("cold", "warm"):
+        loads.clear()
+        assert cli.main(cached) == 0
+    assert sorted(loads) == [("refined", n, 2) for n in range(3, 17)]
+
+
 def test_a_cached_depth_3_table_is_read_back(tmp_path, monkeypatch, capsys):
     # no product formula covers depth 3, so a valid stored table is taken as it is
     argv = ["count", "--n", "6", "--d", "3", "--cache-dir", str(tmp_path)]

@@ -427,6 +427,21 @@ def test_the_involution_route_matches_the_sparse_solve(n, budget, monkeypatch):
     assert result.system == system
 
 
+@pytest.mark.parametrize("n", [19, 22, 25])
+def test_the_route_certifies_an_array_passed_in_above_the_table_cap(n, monkeypatch):
+    # past table_max_n there is no counted array: the route takes the Krylov
+    # oracle's array as its candidate, reads no table and assembles no
+    # n^2-unknown system
+    solution = krylov_solution(n)
+    assert all(v.denominator == 1 for v in solution)
+    rows = tuple(tuple(int(v) for v in solution[k:k + n]) for k in range(0, n * n, n))
+    matrix = ExtendedMatrix(n, rows)
+    for name in ("refined_table", "build_table", "sufficiency_system"):
+        monkeypatch.setattr(extension, name, None)
+    result = extension._certified_solution(matrix)
+    assert (result.rank, result.num_unknowns, result.solution) == (n * n, n * n, matrix)
+
+
 def test_the_certificate_holds_with_boundary_forms_of_the_proved_determinant(monkeypatch):
     # the certificate makes two rank calls, on the Krylov vectors and on the n
     # boundary forms; the forms' determinant is +-C(2n - 4, n - 2) for every n,
