@@ -26,7 +26,7 @@ from .documents import (
     table_document,
     with_meta,
 )
-from .errors import AsmrefError
+from .errors import AsmrefError, BudgetError
 from .extension import extended_matrix, refined_table
 from .reports import VerificationReport
 from .triangles import refined_count
@@ -321,6 +321,15 @@ def _fetch_b_file(target: str, cache: TableCache | None) -> OeisReference:
     return reference
 
 
+#: The highest index oeis-check computes.  The total at 194 has 4276 digits and
+#: the one at 195 has 4321, past Python's default cap of 4300 on int-to-str
+#: conversion: a b-file could not hold that term, and a mismatch could not be
+#: printed.  A 0..194 file checks in 0.6 s (Python 3.11, one core of a shared
+#: Xeon host).  A constant, not a Budget field: the CLI passes no Budget, so no
+#: caller could change it.
+OEIS_MAX_INDEX = 194
+
+
 def _cmd_oeis_check(args, cache: TableCache | None) -> int:
     if (args.b_file is None) == (args.fetch is None):
         raise AsmrefError("exactly one of --b-file or --fetch is required")
@@ -333,18 +342,14 @@ def _cmd_oeis_check(args, cache: TableCache | None) -> int:
         reference = _fetch_b_file(args.fetch, cache)
 
     lowest = 0 if args.which == "totals" else 1
-    compared = []
-    for index, value in reference.items():
-        if index < lowest:
-            continue
-        if args.limit is not None and len(compared) >= args.limit:
-            break
-        expected = (
-            total_asm_count(index)
-            if args.which == "totals"
-            else refined_asm_count(index, 1)
+    terms = [(index, value) for index, value in reference.items() if index >= lowest][:args.limit]
+    if terms and terms[-1][0] > OEIS_MAX_INDEX:
+        raise BudgetError(
+            f"oeis-check computes indices up to {OEIS_MAX_INDEX}, "
+            f"got {terms[-1][0]}; --limit checks a prefix"
         )
-        compared.append((index, value, expected))
+    count = total_asm_count if args.which == "totals" else lambda n: refined_asm_count(n, 1)
+    compared = [(index, value, count(index)) for index, value in terms]
     mismatches = [term for term in compared if term[1] != term[2]]
     checked = len(compared)
 

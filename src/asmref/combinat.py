@@ -1,8 +1,8 @@
 """Exact binomial, harmonic, and product-formula arithmetic.
 
-Everything here is exact: integers are Python ints, rationals are
-fractions.Fraction. The binomial coefficient is the falling-factorial version
-that stays defined for a negative upper argument.
+Integers are Python ints and rationals Fractions; binom allows a negative n.
+The ASM counts divide exactly in ints: A(m+1) = A(m) (3m+1)! m!/((2m)! (2m+1)!)
+from A(0) = 1, and A(n, k) = A(n) C(n+k-2, k-1) C(2n-k-1, n-k)/C(3n-2, n-1).
 """
 
 from __future__ import annotations
@@ -74,29 +74,28 @@ def harmonic(m: int) -> Fraction:
     return Fraction(sum(denominator // d for d in range(1, m + 1)), denominator)
 
 
-def _integral(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegralError(f"{what} evaluated to the non-integer {value}")
-    return value.numerator
+def _exact_quotient(p: int, q: int, what: str) -> int:
+    """p / q, which must be an int; else NonIntegralError names what and p/q in lowest terms."""
+    quotient, remainder = divmod(p, q)
+    if remainder:
+        raise NonIntegralError(f"{what} evaluated to the non-integer {Fraction(p, q)}")
+    return quotient
 
 
 @lru_cache(maxsize=None, typed=True)
 def total_asm_count(n: int) -> int:
-    """Number of alternating sign matrices of order n, by the product formula."""
-    n = as_size(n, "order", 0)
-    value = Fraction(1)
-    for j in range(n):
-        value *= Fraction(math.factorial(3 * j + 1), math.factorial(n + j))
-    return _integral(value, f"total count at n={n}")
+    """Number of alternating sign matrices of order n, by the ratio of consecutive totals."""
+    value = 1
+    for m in range(as_size(n, "order", 0)):
+        top = value * math.perm(3 * m + 1, m)  # (3m+1)!/(2m+1)!; perm(2m, m) is (2m)!/m!
+        value = _exact_quotient(top, math.perm(2 * m, m), f"total count at n={m + 1}")
+    return value
 
 
 @lru_cache(maxsize=None, typed=True)
 def refined_asm_count(n: int, k: int) -> int:
-    """Number of order-n ASMs whose first row has its 1 in column k (product formula)."""
+    """Number of order-n ASMs whose first row has its 1 in column k: the total times binomials."""
     n = as_size(n, "order")
     k = as_size(k, "column index", 1, n)
-    value = Fraction(binom(n + k - 2, k - 1))
-    value *= Fraction(math.factorial(2 * n - k - 1), math.factorial(n - k))
-    for j in range(n - 1):
-        value *= Fraction(math.factorial(3 * j + 1), math.factorial(n + j))
-    return _integral(value, f"refined count at n={n}, k={k}")
+    share = total_asm_count(n) * math.comb(n + k - 2, k - 1) * math.comb(2 * n - k - 1, n - k)
+    return _exact_quotient(share, math.comb(3 * n - 2, n - 1), f"refined count at n={n}, k={k}")

@@ -88,8 +88,8 @@ class ExtendedMatrix:
         as_size(self.n, "order")
         if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
             raise ValidationError(f"need a {self.n} x {self.n} array")
-        for v in itertools.chain.from_iterable(self.rows):
-            as_int(v)
+        if not all(type(v) is int for v in itertools.chain.from_iterable(self.rows)):
+            object.__setattr__(self, "rows", tuple(tuple(map(as_int, row)) for row in self.rows))
 
     def entry(self, i: int, j: int) -> int:
         i, j = _checked_indices(self.n, i, j)

@@ -105,8 +105,9 @@ class PolyMulti:
         size = (self.degree_bound + 1) ** self.num_vars
         if len(self.coeffs) != size:
             raise ValidationError(f"coefficient tensor must have size {size}")
-        for v in itertools.chain(self.origins, self.coeffs):
-            as_int(v)
+        if not all(type(v) is int for v in itertools.chain(self.origins, self.coeffs)):
+            object.__setattr__(self, "origins", tuple(map(as_int, self.origins)))
+            object.__setattr__(self, "coeffs", tuple(map(as_int, self.coeffs)))
 
     @classmethod
     def interpolate(cls, nodes: Sequence[Sequence[int]], values: Sequence) -> "PolyMulti":

@@ -299,8 +299,11 @@ class RefinedTable:
             raise ValidationError(
                 f"a table needs one entry per increasing {self.d}-tuple in 1..{self.n}"
             )
+        if not all(type(v) is int for v in self.entries.values()):
+            counts = {key: as_int(value, "counts") for key, value in self.entries.items()}
+            object.__setattr__(self, "entries", counts)
         for key, value in self.entries.items():
-            if as_int(value, "counts") < 0:
+            if value < 0:
                 raise ValidationError(f"count at {key} is negative: {value}")
 
     def value(self, *indices: int) -> int:

@@ -86,6 +86,12 @@ falling_factorial_binom multiplies out n(n-1)...(n-k+1) and divides by k!,
 as asmref.combinat.binom did before it read math.comb.  The tests require the
 same values from binom, negative upper arguments included.
 
+fraction_total_asm_count and fraction_refined_asm_row multiply out the product
+formulas, prod over j < n of (3j+1)!/(n+j)! and the refined count's n-1 such
+factors times C(n+k-2, k-1) (2n-k-1)!/(n-k)!, in Fractions, as
+asmref.combinat did before the refined count read the total and both divided
+exactly in ints.  The tests require the same totals and the same rows.
+
 krylov_solution solves the conj1 system through its two involutions: it
 solves the n boundary forms for the array's first column u and builds the
 array from u through the Krylov matrix K of the system and adjugate(K), the
@@ -115,6 +121,26 @@ from asmref.triangles import RefinedTable, _interlacing_rows
 # The DFS memo.  Counting rows are translation invariant, so keys are
 # normalized to start at zero.
 _alpha_memo: dict[tuple[int, ...], int] = {}
+
+
+def fraction_total_asm_count(n: int) -> Fraction:
+    """prod over j < n of (3j+1)!/(n+j)!, in Fractions."""
+    value = Fraction(1)
+    for j in range(n):
+        value *= Fraction(math.factorial(3 * j + 1), math.factorial(n + j))
+    return value
+
+
+def fraction_refined_asm_row(n: int) -> list[Fraction]:
+    """The refined counts A(n, 1..n) by the product formula, in Fractions."""
+    common = Fraction(1)
+    for j in range(n - 1):
+        common *= Fraction(math.factorial(3 * j + 1), math.factorial(n + j))
+    return [
+        common * binom(n + k - 2, k - 1)
+        * Fraction(math.factorial(2 * n - k - 1), math.factorial(n - k))
+        for k in range(1, n + 1)
+    ]
 
 
 def falling_factorial_binom(n: int, k: int) -> int:

@@ -547,6 +547,71 @@ def test_oeis_check_negative_limit_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "--limit" in err
 
 
+@pytest.mark.parametrize("which", ["totals", "refined-row-1"])
+def test_oeis_check_refuses_an_index_past_its_bound_before_computing(
+    tmp_path, capsys, monkeypatch, which
+):
+    def computed(*args):
+        raise AssertionError("a term was computed")
+
+    monkeypatch.setattr(cli, "total_asm_count", computed)
+    monkeypatch.setattr(cli, "refined_asm_count", computed)
+    path = tmp_path / "b005130.txt"
+    path.write_text("2000 1\n")
+    code, out, err = run(capsys, "oeis-check", "--which", which, "--b-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: oeis-check computes indices up to {cli.OEIS_MAX_INDEX}, got 2000; "
+        "--limit checks a prefix\n"
+    )
+
+
+def test_oeis_check_prints_a_mismatch_at_its_bound(tmp_path, capsys):
+    # the total at the bound has 4276 digits, within Python's default str conversion cap
+    path = tmp_path / "b005130.txt"
+    path.write_text(f"{cli.OEIS_MAX_INDEX} 1\n")
+    code, out, _ = run(capsys, "oeis-check", "--b-file", str(path))
+    assert code == 1
+    assert out.startswith(f"mismatch at index {cli.OEIS_MAX_INDEX}: file has 1, computed 699")
+
+
+def write_terms(path, which: str, lo: int, hi: int, checked: int | None = None):
+    """A b-file of the sequence which over lo..hi; each term below it or past checked is 1."""
+    shift = 0 if which == "totals" else 1
+    last = hi if checked is None else checked
+    path.write_text("".join(
+        f"{i} {total_asm_count(i - shift) if shift <= i <= last else 1}\n"
+        for i in range(lo, hi + 1)
+    ))
+
+
+@pytest.mark.parametrize("which, lo", [("totals", 0), ("refined-row-1", 1)])
+def test_oeis_check_admits_the_index_at_its_bound(tmp_path, capsys, monkeypatch, which, lo):
+    monkeypatch.setattr(cli, "OEIS_MAX_INDEX", 5)
+    path = tmp_path / "b005130.txt"
+    write_terms(path, which, lo, 5)
+    code, out, _ = run(capsys, "oeis-check", "--which", which, "--b-file", str(path))
+    assert (code, out) == (0, f"A005130 {which}: PASS ({6 - lo} terms)\n")
+    write_terms(path, which, lo, 6)
+    code, out, err = run(capsys, "oeis-check", "--which", which, "--b-file", str(path))
+    assert (code, out) == (2, "")
+    assert "up to 5, got 6" in err
+
+
+@pytest.mark.parametrize(
+    "which, limit, code", [("totals", 6, 0), ("refined-row-1", 5, 0), ("refined-row-1", 6, 2)]
+)
+def test_oeis_check_bounds_the_prefix_that_limit_checks(
+    tmp_path, capsys, monkeypatch, which, limit, code
+):
+    # the refined row starts at index 1, so its sixth term is index 6
+    monkeypatch.setattr(cli, "OEIS_MAX_INDEX", 5)
+    path = tmp_path / "b005130.txt"
+    write_terms(path, which, 0, 2000, checked=6)
+    argv = ("oeis-check", "--which", which, "--b-file", str(path), "--limit", str(limit))
+    assert run(capsys, *argv)[0] == code
+
+
 def test_oeis_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "oeis-check", "--b-file", str(tmp_path / "nope.txt"))
     assert code == 2

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asmref.combinat import (
+    _exact_quotient,
     as_int,
     as_size,
     binom,
@@ -34,7 +35,7 @@ from asmref.linalg import solve_integer_system
 from asmref.polynomials import BinomBasisExpansion, PolyMulti, expand_in_binomial_basis, gn_poly
 from asmref.triangles import RefinedTable, build_table, refined_count
 
-from oracles import falling_factorial_binom
+from oracles import falling_factorial_binom, fraction_refined_asm_row, fraction_total_asm_count
 from reference_tables import REFINED_TRIANGLE, TOTALS
 
 ints = st.integers(min_value=-40, max_value=40)
@@ -133,6 +134,22 @@ def test_refined_asm_count_published_triangle():
         assert tuple(refined_asm_count(n, k) for k in range(1, n + 1)) == row
 
 
+def test_the_ratio_formulas_match_the_fraction_products():
+    total_asm_count.cache_clear()
+    refined_asm_count.cache_clear()
+    for n in range(151):
+        assert total_asm_count(n) == fraction_total_asm_count(n)
+    for n in range(1, 61):
+        assert [refined_asm_count(n, k) for k in range(1, n + 1)] == fraction_refined_asm_row(n)
+
+
+def test_an_inexact_quotient_names_the_reduced_non_integer():
+    assert _exact_quotient(-12, 4, "x") == -3
+    with pytest.raises(NonIntegralError) as excinfo:
+        _exact_quotient(6, 4, "refined count at n=3, k=2")
+    assert str(excinfo.value) == "refined count at n=3, k=2 evaluated to the non-integer 3/2"
+
+
 def test_refined_row_sums_to_total():
     for n in range(1, 16):
         assert sum(refined_asm_count(n, k) for k in range(1, n + 1)) == total_asm_count(n)
@@ -205,7 +222,25 @@ def test_integer_data_may_be_an_integral_rational():
     assert (numerators, scale) == poly.evaluate_shifts(point, [(1, 0)])
     assert all(type(v) is int for v in numerators)
     table = RefinedTable(3, 2, {(1, 2): Fraction(2), (1, 3): 3, (2, 3): 2})
+    assert all(type(v) is int for v in table.entries.values())
     assert extend_matrix(table) == extend_matrix(RefinedTable(3, 2, {(1, 2): 2, (1, 3): 3, (2, 3): 2}))
+    matrix = ExtendedMatrix(2, ((Fraction(2), 1), (0, Fraction(-4, 2))))
+    assert matrix.rows == ((2, 1), (0, -2))
+    assert all(type(v) is int for row in matrix.rows for v in row)
+    linear = PolyMulti(1, 1, (Fraction(0),), (Fraction(3), Fraction(2)))
+    assert all(type(v) is int for v in linear.origins + linear.coeffs)
+    numerators, scale = linear.evaluate_shifts((Fraction(1, 2),), [(0,), (1,)])
+    assert (numerators, scale) == ([8, 12], 2)
+    assert all(type(v) is int for v in numerators)
+
+
+def test_integer_data_is_not_copied():
+    rows = ((1, 2), (3, 4))
+    assert ExtendedMatrix(2, rows).rows is rows
+    coeffs = (3, 2)
+    assert PolyMulti(1, 1, (0,), coeffs).coeffs is coeffs
+    entries = {(1,): 1, (2,): 1}
+    assert RefinedTable(2, 1, entries).entries is entries
 
 
 @pytest.mark.parametrize(
