@@ -75,8 +75,8 @@ def _check_point(point: Sequence, num_vars: int) -> None:
     """Raise unless the point has num_vars coordinates, each an int or a Fraction."""
     if len(point) != num_vars:
         raise ValidationError(f"point must have {num_vars} coordinates, got {len(point)}")
-    for x in point:
-        if not isinstance(x, numbers.Rational):
+    for x in point:  # the exact types first: the ABC check is the slow one
+        if type(x) is not int and type(x) is not Fraction and not isinstance(x, numbers.Rational):
             raise ValidationError(f"coordinates must be rational, got {x!r}")
 
 
@@ -145,41 +145,58 @@ class PolyMulti:
 
         Returns the numerators in the order of shifts and their one common
         scale.  With x = p/q on an axis of origin a and top = (k-1)! * q^(k-1),
-        every distinct step s of that axis has one integer basis vector
-        top * binom(x + s - a, i), i < k, built by binom(y, i+1) =
-        binom(y, i) * (y - i)/(i + 1); each division is exact, as entry i is
-        (k-1)!/i! * q^(k-1-i) times an integer product.  The axis is
-        contracted with that vector, so every value shares the scale
-        prod (k-1)! * q^(k-1).  Axes are reduced from the last to the first,
-        and shifts that agree on the axes reduced so far share that partial
-        reduction: the 2^m corners of a unit cube cost about
-        2 * k^m / (1 - 2/k) multiply-adds instead of 2^m * k^m.
+        every distinct step s of that axis gets one integer basis vector
+        top * binom(z, i), i < k, z = x + s - a, on its first use, built by
+        binom(z, i+1) = binom(z, i) * (z - i)/(i + 1) on the integers q*z - i*q
+        and (i + 1)*q; each division is exact, as entry i is
+        (k-1)!/i! * q^(k-1-i) times an integer product.
+        The axis is contracted with that vector, so every value shares the
+        scale prod (k-1)! * q^(k-1).  Axes are reduced from the last to the
+        first in one pass over the shifts each, and every distinct suffix of
+        the shifts is reduced once: shifts that agree on the axes reduced so
+        far share that partial reduction, so the 2^m corners of a unit cube
+        cost about 2 * k^m / (1 - 2/k) multiply-adds instead of 2^m * k^m.
+        The first axis contracts a single fiber of k values, in one dot product.
         """
         _check_point(point, self.num_vars)
         shifts = [tuple(s) for s in shifts]
         for pos, s in enumerate(shifts):
             if len(s) != self.num_vars:
                 raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
-            shifts[pos] = tuple(as_int(v, "shifts") for v in s)
+            if not all(type(v) is int for v in s):
+                shifts[pos] = tuple(as_int(v, "shifts") for v in s)
         k = self.degree_bound + 1
+        factorial = math.factorial(k - 1)
         # partial reductions keyed by the shift components of the axes reduced so far
         partial = {(): self.coeffs}
         scale = 1
         for axis in range(self.num_vars - 1, -1, -1):
-            p, q = point[axis].numerator, point[axis].denominator
-            origin = self.origins[axis]
-            top = math.factorial(k - 1) * q ** (k - 1)
+            x = point[axis]
+            p, q = x.numerator, x.denominator
+            y0 = p - self.origins[axis] * q
+            top = factorial * q ** (k - 1)
             basis = {}
-            for step in {s[axis] for s in shifts}:
-                vector = basis[step] = [top]  # top * binom(x + step - origin, i) for i < k
-                for i in range(k - 1):
-                    vector.append(vector[i] * (p + (step - origin - i) * q) // ((i + 1) * q))
             reduced = {}
-            for head in {s[axis:] for s in shifts}:
-                flat, vector = partial[head[1:]], basis[head[0]]
-                acc = [vector[0] * c for c in flat[::k]]
-                for i, b in enumerate(vector[1:], 1):
-                    acc = [a + b * c for a, c in zip(acc, flat[i::k])]
+            for s in shifts:
+                head = s[axis:]
+                if head in reduced:
+                    continue
+                step = head[0]
+                vector = basis.get(step)
+                if vector is None:
+                    # top * binom(z, i) for i < k, with y = q * z
+                    vector = basis[step] = [top]
+                    value, y = top, y0 + step * q
+                    for i in range(1, k):
+                        value = value * (y - (i - 1) * q) // (i * q)
+                        vector.append(value)
+                flat = partial[head[1:]]
+                if len(flat) == k:  # one fiber left
+                    acc = [sum(map(operator.mul, vector, flat))]
+                else:
+                    acc = [top * c for c in flat[::k]]
+                    for i, b in enumerate(vector[1:], 1):
+                        acc = [a + b * c for a, c in zip(acc, flat[i::k])]
                 reduced[head] = acc
             partial = reduced
             scale *= top

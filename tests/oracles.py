@@ -100,17 +100,26 @@ route became a rank certificate and a row check of the counted array.  The
 tests require the same array from solve_sufficiency and from the sparse
 solve of all n^2 unknowns, and the determinant that the certificate's proof
 gives the boundary forms, from adjugate.
+
+stencil_oracle evaluates a PolyMulti at integer shifts of a point as
+PolyMulti.evaluate_shifts did before it reduced each axis in one pass over
+the shifts: on each axis it builds the basis vectors of the set of distinct
+steps first, then reduces the set of distinct suffixes, and it contracts
+every partial, the last fiber included, by k strided list comprehensions.
+Its input checks are the ones of that method.  The tests require the same
+numerators, the same scale and the same error messages from evaluate_shifts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from asmref.combinat import binom, binom_at, harmonic, refined_asm_count, total_asm_count
+from asmref.combinat import as_int, binom, binom_at, harmonic, refined_asm_count, total_asm_count
 from asmref.errors import ExcludedIndexError, NonIntegralError, ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff, reflection_weights
 from asmref.linalg import solve_integer_system
@@ -789,3 +798,39 @@ def alpha_identity_reports(
     finish("shift-expansion", ", powers 0..3, every variable")
 
     return tuple(reports)
+
+
+def stencil_oracle(poly: PolyMulti, point: Sequence, shifts: Iterable[Sequence[int]]):
+    """(numerators at point + s for every shift s, their common scale), by sets per axis."""
+    if len(point) != poly.num_vars:
+        raise ValidationError(f"point must have {poly.num_vars} coordinates, got {len(point)}")
+    for x in point:
+        if not isinstance(x, numbers.Rational):
+            raise ValidationError(f"coordinates must be rational, got {x!r}")
+    shifts = [tuple(s) for s in shifts]
+    for pos, s in enumerate(shifts):
+        if len(s) != poly.num_vars:
+            raise ValidationError(f"shifts must be {poly.num_vars} integers, got {s!r}")
+        shifts[pos] = tuple(as_int(v, "shifts") for v in s)
+    k = poly.degree_bound + 1
+    partial = {(): poly.coeffs}
+    scale = 1
+    for axis in range(poly.num_vars - 1, -1, -1):
+        p, q = point[axis].numerator, point[axis].denominator
+        origin = poly.origins[axis]
+        top = math.factorial(k - 1) * q ** (k - 1)
+        basis = {}
+        for step in {s[axis] for s in shifts}:
+            vector = basis[step] = [top]
+            for i in range(k - 1):
+                vector.append(vector[i] * (p + (step - origin - i) * q) // ((i + 1) * q))
+        reduced = {}
+        for head in {s[axis:] for s in shifts}:
+            flat, vector = partial[head[1:]], basis[head[0]]
+            acc = [vector[0] * c for c in flat[::k]]
+            for i, b in enumerate(vector[1:], 1):
+                acc = [a + b * c for a, c in zip(acc, flat[i::k])]
+            reduced[head] = acc
+        partial = reduced
+        scale *= top
+    return [partial[s][0] for s in shifts], scale

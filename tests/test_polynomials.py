@@ -9,6 +9,7 @@ and the polynomial disagree in meaning (weakly increasing vs arbitrary).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -50,6 +51,7 @@ from oracles import (
     expansion_value,
     fischer_coefficients,
     newton_interpolant_value,
+    stencil_oracle,
 )
 from reference_tables import EXTENDED_MATRICES
 
@@ -359,10 +361,83 @@ def test_evaluate_shifts_equals_evaluate_at_every_shifted_point(case):
         assert poly.evaluate_shifts(point, []) == ([], scale)
 
 
-@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (Fraction(1, 2), 0), (0.0, 1)], ids=repr)
-def test_evaluate_shifts_rejects_non_integer_shifts(bad):
-    with pytest.raises(ValidationError):
-        gn_poly(3, 2).evaluate_shifts((Fraction(1, 2), 3), [(0, 0), bad])
+def _stencil_evaluators(poly: PolyMulti) -> list:
+    """evaluate_shifts and the stencil oracle on the same polynomial."""
+    return [poly.evaluate_shifts, functools.partial(stencil_oracle, poly)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    pytest.param(bad, message, id=repr(bad)) for bad, message in [
+        ((1,), "shifts must be 2 integers, got (1,)"),
+        ((1, 2, 3), "shifts must be 2 integers, got (1, 2, 3)"),
+        ((Fraction(1, 2), 0), "shifts must be integers, got Fraction(1, 2)"),
+        ((0.0, 1), "shifts must be integers, got 0.0"),
+    ]
+])
+def test_evaluate_shifts_rejects_non_integer_shifts(bad, message):
+    for evaluate_shifts in _stencil_evaluators(gn_poly(3, 2)):
+        with pytest.raises(ValidationError) as raised:
+            evaluate_shifts((Fraction(1, 2), 3), [(0, 0), bad])
+        assert str(raised.value) == message
+
+
+STENCIL_CASES = list(dict.fromkeys([
+    *ORACLE_CASES,
+    ("alpha", 5),
+    *(("gn", n, 2) for n in range(2, 13)),
+    *(("gn", n, 3) for n in range(4, 7)),
+]))
+
+
+def _stencils(m: int, rng: random.Random) -> list[list[tuple[int, ...]]]:
+    """The zero shift, the unit-cube corners, negative, repeated and duplicate
+    shifts, the shift-expansion set and the empty list, for m variables."""
+    corners = list(itertools.product((0, 1), repeat=m))
+    negative = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(5)]
+    repeated = [_unit_shift(m, rng.randrange(m), z) for z in (1, 2, 3, -2)]
+    duplicated = [*negative[:2], (0,) * m, negative[0], (0,) * m, corners[-1], negative[1]]
+    expansion = corners + [_unit_shift(m, r, z) for r in range(m) for z in (2, 3)]
+    return [[(0,) * m], corners, negative, repeated, duplicated, expansion, []]
+
+
+def _unit_shift(m: int, axis: int, amount: int) -> tuple[int, ...]:
+    return tuple(amount if r == axis else 0 for r in range(m))
+
+
+@pytest.mark.parametrize("case", STENCIL_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_evaluate_shifts_equals_the_stencil_oracle(case):
+    poly, _ = oracle_case(case)
+    m = poly.num_vars
+    rng = random.Random(6007 + 31 * m + poly.degree_bound)
+    points = [
+        tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(m)),
+        tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(m)),
+        tuple(rng.randint(-12, 12) for _ in range(m)),
+        # ints and Fractions mixed, a node on the first axis
+        tuple(poly.origins[r] if r == 0 else Fraction(rng.randint(-9, 9), 3) for r in range(m)),
+    ]
+    for point in points:
+        for shifts in _stencils(m, rng):
+            expected = stencil_oracle(poly, point, shifts)
+            assert poly.evaluate_shifts(point, shifts) == expected
+            assert all(type(v) is int for v in expected[0])
+
+
+def test_evaluate_shifts_accepts_integral_shifts_and_rational_points():
+    poly, point = gn_poly(3, 2), (Fraction(1, 2), 3)
+    expected = stencil_oracle(poly, point, [(1, 0), (2, 0)])
+    for shifts in (
+        [(True, 0), (Fraction(2), 0)],
+        [[1, 0], (2, 0)],
+        (s for s in [(1, 0), (2, 0)]),
+    ):
+        numerators, scale = poly.evaluate_shifts(point, shifts)
+        assert (numerators, scale) == expected
+        assert all(type(v) is int for v in numerators)
+    at_int = poly.evaluate_shifts((1, 3), [(0, 0), (1, 1)])
+    numerators, scale = poly.evaluate_shifts((True, Fraction(3)), [(0, 0), (1, 1)])
+    assert (numerators, scale) == at_int
+    assert all(type(v) is int for v in numerators)
 
 
 def test_coefficients_have_tensor_shape_and_one_origin_per_axis():
@@ -382,12 +457,28 @@ def test_coefficients_have_tensor_shape_and_one_origin_per_axis():
         PolyMulti(2, 1, (0,), (1, 2, 3, 4))
 
 
-@pytest.mark.parametrize("bad", [0.1, 1.0, complex(1, 0), "1", None], ids=repr)
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, complex(1, 0), "1", None], ids=repr)
 def test_evaluation_rejects_non_rational_coordinates(bad):
-    with pytest.raises(ValidationError):
-        alpha_eval(3, (bad, 1, 2))
-    with pytest.raises(ValidationError):
-        gn_poly(3, 2).evaluate((Fraction(1, 2), bad))
+    poly = gn_poly(3, 2)
+    calls = [
+        lambda: alpha_eval(3, (bad, 1, 2)),
+        lambda: poly.evaluate((Fraction(1, 2), bad)),
+        *(
+            functools.partial(evaluate_shifts, (Fraction(1, 2), bad), [(0, 0)])
+            for evaluate_shifts in _stencil_evaluators(poly)
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as raised:
+            call()
+        assert str(raised.value) == f"coordinates must be rational, got {bad!r}"
+
+
+def test_evaluation_rejects_a_point_of_the_wrong_length():
+    for evaluate_shifts in _stencil_evaluators(gn_poly(3, 2)):
+        with pytest.raises(ValidationError) as raised:
+            evaluate_shifts((Fraction(1, 2),), [(0, 0)])
+        assert str(raised.value) == "point must have 2 coordinates, got 1"
 
 
 def test_interpolate_rejects_bad_shapes():
