@@ -68,7 +68,12 @@ from .triangles import (
 
 
 def clear_caches() -> None:
-    """Drop every internal memo table (counting and interpolation caches)."""
+    """Drop the counting and interpolation memos: the column sweeps and the polynomials.
+
+    The three lru_caches of asmref.combinat (harmonic, total_asm_count and
+    refined_asm_count) are kept; no answer depends on them.  A timing of a
+    cold layer must also call their cache_clear(), or run in a new process.
+    """
     from . import polynomials, triangles
 
     triangles.clear_caches()

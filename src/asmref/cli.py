@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cache_from(args) -> TableCache | None:
     directory = args.cache_dir or os.environ.get("ASMREF_CACHE")
-    return TableCache(Path(directory)) if directory else None
+    return TableCache(directory) if directory else None
 
 
 def _print_json(payload: dict) -> None:
@@ -202,10 +202,12 @@ _APPENDIX_MATRIX_ORDERS = (3, 4, 5, 6, 7)
 
 
 def _cmd_appendix_a(args, cache: TableCache | None) -> int:
-    triangle = {
+    # highest order first: its column sweep answers every lower order
+    rows = {
         n: [refined_count(n, (k,)) for k in range(1, n + 1)]
-        for n in range(1, _APPENDIX_TRIANGLE_MAX + 1)
+        for n in range(_APPENDIX_TRIANGLE_MAX, 0, -1)
     }
+    triangle = {n: rows[n] for n in range(1, _APPENDIX_TRIANGLE_MAX + 1)}
     matrices = {n: extended_matrix(n, cache).rows for n in _APPENDIX_MATRIX_ORDERS}
 
     if args.format == "json":

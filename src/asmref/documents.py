@@ -38,10 +38,22 @@ def with_meta(
     return {**payload, "meta": meta}
 
 
-def _expected_entry_count(kind: str, n: int, d: int) -> int:
-    if kind == "refined":
-        return math.comb(n, d)
-    return n**d
+#: More entries than a file can hold; no larger entry count is computed.
+_MAX_ENTRY_COUNT = 2**64
+
+
+def _entry_count(kind: str, n: int, d: int) -> int | None:
+    """C(n, d) entries for a refined table and n**d for an extended one, or None when too many.
+
+    With k = min(d, n - d) for C(n, d) = C(n, k), and k = d for n**d, both
+    counts are at least n and at least 2**k once n >= 2 and k >= 1.  So a
+    header such as d = 10**9 is refused from n and k alone, where computing
+    its count would not end; a count that is computed has at most 64 factors.
+    """
+    k = min(d, n - d) if kind == "refined" else d
+    if n >= 2 and k >= 1 and (n > _MAX_ENTRY_COUNT or k > 64):
+        return None
+    return math.comb(n, d) if kind == "refined" else n**d
 
 
 def _check_decimal(text: str) -> str:
@@ -70,10 +82,13 @@ class TableDocument:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        expected = _expected_entry_count(self.kind, self.n, self.d)
+        if self.n < 0 or self.d < 0:
+            raise ValidationError(f"n and d must be nonnegative, got n={self.n}, d={self.d}")
+        expected = _entry_count(self.kind, self.n, self.d)
         if len(self.entries) != expected:
+            needs = f"more than {_MAX_ENTRY_COUNT}" if expected is None else expected
             raise ValidationError(
-                f"a {self.kind} table at n={self.n}, d={self.d} needs {expected} "
+                f"a {self.kind} table at n={self.n}, d={self.d} needs {needs} "
                 f"entries, got {len(self.entries)}"
             )
         for indices, value in self.entries:
@@ -86,7 +101,8 @@ class TableDocument:
 
     def digest(self) -> str:
         """sha256 of the entries in their canonical JSON form."""
-        text = json.dumps([[list(indices), value] for indices, value in self.entries])
+        # JSON writes a tuple as an array, so this is the text of the entries as lists
+        text = json.dumps(self.entries)
         return hashlib.sha256(text.encode()).hexdigest()
 
     def to_json_dict(self) -> dict:
@@ -114,7 +130,7 @@ class TableDocument:
         try:
             meta = data["meta"]
             entries = tuple(
-                (tuple(int(i) for i in indices), str(value))
+                (tuple(map(int, indices)), str(value))
                 for indices, value in data["entries"]
             )
             return cls(
@@ -127,7 +143,7 @@ class TableDocument:
                 generated=meta.get("generated"),
                 sha256=meta.get("sha256"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int of inf
             raise ValidationError(f"malformed table document: {exc}") from exc
 
     @classmethod
@@ -163,14 +179,21 @@ def matrix_document(matrix) -> TableDocument:
     return document_from_entries(matrix.n, 2, "extended", entries)
 
 
+def _cache_name(kind: str, n: int, d: int) -> str:
+    return f"{kind}-n{n}-d{d}.json"
+
+
 @dataclass(frozen=True)
 class TableCache:
-    """Directory-backed cache of table documents, keyed by kind, n, d, version."""
+    """Directory-backed cache of table documents, keyed by kind, n, d, version.
 
-    directory: Path
+    The directory is a str or a Path; a read joins it to the file name as text.
+    """
+
+    directory: str | Path
 
     def path_for(self, kind: str, n: int, d: int) -> Path:
-        return Path(self.directory) / f"{kind}-n{n}-d{d}.json"
+        return Path(self.directory) / _cache_name(kind, n, d)
 
     def load(self, kind: str, n: int, d: int) -> TableDocument | None:
         """The cached document, or None when missing, stale, unreadable, or corrupt.
@@ -178,7 +201,7 @@ class TableCache:
         A file that is not UTF-8 text or not a table document is unreadable;
         a document is corrupt when its entries do not match its stored digest.
         """
-        doc = self.read(self.path_for(kind, n, d).name, TableDocument.from_json_text)
+        doc = self.read(_cache_name(kind, n, d), TableDocument.from_json_text)
         if doc is None or (doc.kind, doc.n, doc.d, doc.version) != (kind, n, d, TOOL_VERSION):
             return None
         return doc if doc.sha256 == doc.digest() else None
@@ -190,12 +213,15 @@ class TableCache:
         """
         stamp = doc.generated or datetime.now(timezone.utc).isoformat(timespec="seconds")
         doc = replace(doc, generated=stamp, sha256=doc.digest())
-        self.write(self.path_for(doc.kind, doc.n, doc.d).name, doc.to_json_text())
+        self.write(_cache_name(doc.kind, doc.n, doc.d), doc.to_json_text())
 
     def read(self, name: str, parse: Callable[[str], T]) -> T | None:
         """parse of the named file's text, or None if it is missing, not UTF-8 or rejected."""
         try:
-            return parse((Path(self.directory) / name).read_text(encoding="utf-8"))
+            # os.path.join and open, not pathlib: a warm load makes many reads
+            with open(os.path.join(self.directory, name), encoding="utf-8") as handle:
+                text = handle.read()
+            return parse(text)
         except (OSError, UnicodeDecodeError, AsmrefError):
             return None
 

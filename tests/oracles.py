@@ -108,11 +108,18 @@ steps first, then reduces the set of distinct suffixes, and it contracts
 every partial, the last fiber included, by k strided list comprehensions.
 Its input checks are the ones of that method.  The tests require the same
 numerators, the same scale and the same error messages from evaluate_shifts.
+
+list_entries_digest hashes a table document's entries after rebuilding each
+index tuple as a list, as TableDocument.digest did before it encoded the
+entries as they are.  The tests require the same hex digest from digest, so
+a cache file signed by either form loads as a hit under the other.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import numbers
 import random
@@ -834,3 +841,9 @@ def stencil_oracle(poly: PolyMulti, point: Sequence, shifts: Iterable[Sequence[i
         partial = reduced
         scale *= top
     return [partial[s][0] for s in shifts], scale
+
+
+def list_entries_digest(entries: Iterable[tuple[Sequence[int], str]]) -> str:
+    """sha256 of the JSON text of the entries, each index tuple rebuilt as a list."""
+    text = json.dumps([[list(indices), value] for indices, value in entries])
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -22,7 +22,7 @@ import asmref.cli as cli
 import asmref.extension as extension
 from asmref.combinat import total_asm_count
 from asmref.config import Budget
-from asmref import documents
+from asmref import documents, triangles
 from asmref.documents import TableCache, TableDocument, document_from_entries, table_document
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, build_table
@@ -293,6 +293,25 @@ def test_appendix_a_csv(capsys):
     lines = out.strip().splitlines()
     assert "triangle 5 3,135" in lines
     assert "matrix 4 4 1,-7" in lines
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_a_cold_appendix_a_runs_one_sweep(monkeypatch, capsys, tmp_path, cached):
+    real = triangles._column_sweep
+    orders = []
+
+    def sweep(n):
+        orders.append(n)
+        return real(n)
+
+    monkeypatch.delenv("ASMREF_CACHE", raising=False)
+    asmref.clear_caches()
+    monkeypatch.setattr(triangles, "_column_sweep", sweep)
+    argv = ["appendix-a"] + (["--cache-dir", str(tmp_path)] if cached else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert orders == [7]
+    assert out.startswith("singly refined counts, orders 1..7:\n")
 
 
 def test_cache_transparency(tmp_path, capsys):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,9 +19,15 @@ from asmref.documents import (
     TableCache,
     TableDocument,
     document_from_entries,
+    matrix_document,
     parse_b_file,
+    table_document,
 )
 from asmref.errors import BFileError, ValidationError
+from asmref.extension import extended_matrix, refined_table
+from asmref.triangles import build_table
+
+from oracles import list_entries_digest
 
 
 SAMPLE_ENTRIES = {(1,): 2, (2,): 3, (3,): 2}
@@ -55,10 +64,76 @@ def test_csv_rendering():
 
 
 def test_entry_count_is_validated():
-    with pytest.raises(ValidationError):
+    message = r"^a refined table at n=3, d=1 needs 3 entries, got 1$"
+    with pytest.raises(ValidationError, match=message):
         document_from_entries(3, 1, "refined", {(1,): 2})
-    with pytest.raises(ValidationError):
+    message = r"^a extended table at n=2, d=2 needs 4 entries, got 1$"
+    with pytest.raises(ValidationError, match=message):
         document_from_entries(2, 2, "extended", {(1, 1): 0})
+
+
+CAP = documents._MAX_ENTRY_COUNT
+
+#: Headers on either side of the cap, for each kind
+COUNTED_HEADERS = {
+    "refined": [(67, 33), (68, 34), (2**32, 2), (2**33, 2), (CAP, 1), (CAP + 1, 1), (CAP + 1, CAP)],
+    "extended": [(2, 64), (2, 65), (3, 40), (3, 41), (2**32, 2), (2**32 + 1, 2), (CAP + 1, 1)],
+}
+
+
+@pytest.mark.parametrize("kind", ["refined", "extended"])
+def test_entry_count_is_exact_up_to_its_cap(kind):
+    exact = math.comb if kind == "refined" else pow
+    for n, d in list(itertools.product(range(13), range(15))) + COUNTED_HEADERS[kind]:
+        count = documents._entry_count(kind, n, d)
+        assert count == exact(n, d) or (count is None and exact(n, d) > CAP), (n, d)
+
+
+# Headers whose counts are past any number of entries a file can hold; the
+# counts of the first two are too large to compute.
+HUGE_HEADERS = [
+    ("extended", 10, 10**9),
+    ("refined", 10**9, 5 * 10**8),
+    ("refined", 10**18, 3),
+]
+
+
+@pytest.mark.parametrize("kind, n, d", HUGE_HEADERS)
+def test_a_header_past_its_entries_is_refused_at_once(kind, n, d):
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"needs (more than )?\d+ entries, got 0$"):
+        TableDocument(n=n, d=d, kind=kind, entries=())
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("kind, n, d", HUGE_HEADERS)
+def test_a_cached_header_past_its_entries_is_a_miss_at_once(tmp_path, kind, n, d):
+    cache = TableCache(tmp_path)
+    meta = {"tool": "asmref", "version": TOOL_VERSION}
+    header = {"kind": kind, "n": n, "d": d, "entries": [], "meta": meta}
+    path = cache.path_for("refined", 10, 2)
+    path.write_text(json.dumps(header))
+    start = time.perf_counter()
+    assert cache.load("refined", 10, 2) is None
+    assert time.perf_counter() - start < 1
+    # the provider rebuilds the table over the file
+    assert refined_table(10, 2, cache).entries == build_table(10, 2).entries
+    assert cache.load("refined", 10, 2) is not None
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        '"kind": "extended", "n": 0, "d": -1',  # 0**-1 divides by zero
+        '"kind": "refined", "n": -3, "d": 2',
+        '"kind": "refined", "n": 1e400, "d": 2',  # an infinite float
+    ],
+)
+def test_a_cached_header_out_of_range_is_a_miss(tmp_path, header):
+    cache = TableCache(tmp_path)
+    text = '{%s, "entries": [], "meta": {"tool": "asmref", "version": "%s"}}'
+    cache.path_for("refined", 3, 2).write_text(text % (header, TOOL_VERSION))
+    assert cache.load("refined", 3, 2) is None
 
 
 def test_entries_must_be_canonical_decimals():
@@ -175,6 +250,62 @@ def test_digest_depends_on_every_entry():
     for key in SAMPLE_ENTRIES:
         changed = document_from_entries(3, 1, "refined", {**SAMPLE_ENTRIES, key: 9})
         assert changed.digest() != digest
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [table_document(build_table(n, d)) for n in (1, 4, 7) for d in (1, 2, 3) if d <= n]
+    + [matrix_document(extended_matrix(n)) for n in (3, 4, 6)]  # signed entries
+    + [document_from_entries(2, 2, "extended", {(1, 1): -5, (1, 2): 0, (2, 1): 7, (2, 2): -1})],
+    ids=lambda doc: f"{doc.kind}-n{doc.n}-d{doc.d}",
+)
+def test_digest_is_the_digest_of_the_entries_as_lists(doc):
+    assert doc.digest() == list_entries_digest(doc.entries)
+
+
+#: refined-n4-d2.json as stored by the cache when the digest rebuilt every
+#: index tuple as a list; a cache filled then must still load as a hit.
+EARLIER_FILE = {
+    "d": 2,
+    "entries": [
+        [[1, 2], "2"], [[1, 3], "3"], [[1, 4], "2"], [[2, 3], "4"], [[2, 4], "3"], [[3, 4], "2"],
+    ],
+    "kind": "refined",
+    "meta": {
+        "generated": "2009-03-30T00:00:00+00:00",
+        "sha256": "bab49a30087c219f256ad0975e0ede667f14bbe12ea38dedbfd853ec5358b72f",
+        "tool": "asmref",
+        "version": "0.1.0",
+    },
+    "n": 4,
+}
+
+
+def test_a_file_signed_by_the_list_digest_loads_as_a_hit(tmp_path):
+    cache = TableCache(tmp_path)
+    text = json.dumps(EARLIER_FILE, indent=2, sort_keys=True) + "\n"
+    cache.path_for("refined", 4, 2).write_text(text)
+    loaded = cache.load("refined", 4, 2)
+    assert loaded is not None
+    assert loaded.int_entries() == build_table(4, 2).entries
+    # storing the table again writes the same file
+    cache.store(replace(table_document(build_table(4, 2)), generated=loaded.generated))
+    assert cache.path_for("refined", 4, 2).read_text() == text
+
+
+def test_a_str_directory_is_a_path_directory(tmp_path):
+    as_str, as_path = TableCache(str(tmp_path / "str")), TableCache(tmp_path / "path")
+    doc = replace(sample_doc(), generated="2009-03-30T00:00:00+00:00")
+    for cache in (as_str, as_path):
+        assert cache.load("refined", 3, 1) is None
+        cache.store(doc)
+    text = as_path.path_for("refined", 3, 1).read_text()
+    assert as_str.path_for("refined", 3, 1).read_text() == text
+    assert as_str.load("refined", 3, 1) == as_path.load("refined", 3, 1)
+    assert TableCache(str(tmp_path / "path")).load("refined", 3, 1) == as_path.load("refined", 3, 1)
+    as_str.write("b.txt", "1 1\n")
+    assert as_str.read("b.txt", str) == "1 1\n"
+    assert as_str.read("missing.txt", str) is None
 
 
 def test_unknown_kind_is_rejected():
