@@ -50,6 +50,13 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"indices must be comma-separated ints: {text!r}")
 
 
+def _parse_cache_dir(text: str) -> Path:
+    # Path("") is the working directory, which an empty value must not select
+    if not text:
+        raise argparse.ArgumentTypeError("the cache directory must not be empty")
+    return Path(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, shared by every main() call; do not modify it.
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default pretty)",
     )
     common.add_argument(
-        "--cache-dir", type=Path, default=None,
+        "--cache-dir", type=_parse_cache_dir, default=None,
         help="cache directory for computed tables (default $ASMREF_CACHE, unset = no cache)",
     )
 

@@ -8,9 +8,11 @@ order-n matrices whose last d rows are unit rows with their 1s in those
 columns, read upward in increasing order.
 
 Two kernels compute it, one six-vertex cell rule (_cell) read along either
-axis of the ASM <-> domain-wall correspondence.  Both keep their states in two
-dicts split by the running sum h of the line being added, h0 and h1, keyed by
-the partial sums of the lines across it; the cell moves a state between them.
+axis of the ASM <-> domain-wall correspondence.  Both split their states by
+the running sum h of the line being added, h0 and h1, over the partial sums of
+the lines across it; the cell moves a state between them.  The row transfer
+keeps them in two dicts and visits one state at a time; the column sweep
+keeps them in blocks of lists and adds whole blocks at once.
 
 - the column sweep (_column_sweep) adds the matrix row by row and counts every
   subset of {1..n} at once; it carries and keeps only the subsets that
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -369,22 +372,87 @@ def _column_sweep(n: int) -> dict[int, int]:
     contain column 1 are h0, where the 0 in column 1 keeps them, and the
     translates of them inside {2..n}, each with column 1 added by a +1, are
     h1.  The other states, the k-subsets of {2..n} with a 0 in column 1, end
-    the row without column 1 and are never made.
+    the row without column 1 and are never made.  So h1 starts with every
+    (k + 1)-subset that contains column 1, and no cell adds a state.
+
+    The states are held in blocks, and a cell adds whole blocks at once.  A
+    state is split into its low columns L in {2..m} and its high columns H in
+    {m+1..n}, m = (n + 2) // 2, and the states of one size with |L| = a are
+    one flat row-major list, a row per L and a column per H, both in
+    itertools.combinations order.  The cell in column j is _cell's rule on
+    the pairs x in h0 and x + j in h1, which share every column but j.  For a
+    low j these are the rows L of an h0 block and L + j of the h1 block with
+    one more low column and the same width; for a high j they are the
+    columns H of an h0 block and H + j of the h1 block with the same rows,
+    as strided slices.  Both ends of a pair take the sum of their ways, by
+    one map over the two slices, or by one addition when the slices hold one
+    state each.
     """
+    add = operator.add
+    m = (n + 2) // 2
+    lows = _masks_by_size(range(2, m + 1))
+    highs = _masks_by_size(range(m + 1, n + 1))
+    low_cells = _cell_pairs(lows, range(2, m + 1))
+    high_cells = _cell_pairs(highs, range(m + 1, n + 1))
+    nl, nh = len(lows) - 1, len(highs) - 1
     counts = {0: 1, 2: 1}
-    row = {2: 1}  # row 1: the one triangle over column 1
-    for _ in range(1, n):
-        h1 = {
-            (state << t) | 2: ways
-            for state, ways in row.items()
-            for t in range(1, n + 2 - state.bit_length())
-        }
-        # the previous row is h0 itself; counts holds its own copy of it
-        for j in range(2, n + 1):
-            _cell(row, h1, j)
+    row = [[1]] + [[] for _ in range(nl)]  # row 1: the one triangle over column 1
+    for k in range(1, n):
+        # the columns but 1 of row k + 1's states, block by block
+        parts = [
+            [low | high for low in lows[a] for high in highs[k - a]] if 0 <= k - a <= nh else []
+            for a in range(nl + 1)
+        ]
+        # the previous row is h0 itself; counts holds its own copy of it, and
+        # each state of h1 counts what its translate in that row does
+        h0, h1 = row, [[counts[s // (s & -s) * 2] for s in part] for part in parts]
+        # an h0 block with a low columns has k - 1 - a high ones
+        for pairs in low_cells:
+            for a in range(max(0, k - 1 - nh), min(nl, k)):
+                w, b0, b1 = len(highs[k - 1 - a]), h0[a], h1[a + 1]
+                if w == 1:
+                    for i, j in pairs[a]:
+                        b0[i] = b1[j] = b0[i] + b1[j]
+                else:
+                    for i, j in pairs[a]:
+                        i, j = i * w, j * w
+                        ways = list(map(add, b0[i : i + w], b1[j : j + w]))
+                        b0[i : i + w] = b1[j : j + w] = ways
+        for pairs in high_cells:
+            for b in range(max(0, k - 1 - nl), min(nh, k)):
+                a = k - 1 - b
+                w0, w1, b0, b1 = len(highs[b]), len(highs[b + 1]), h0[a], h1[a]
+                if len(lows[a]) == 1:
+                    for i, j in pairs[b]:
+                        b0[i] = b1[j] = b0[i] + b1[j]
+                else:
+                    for i, j in pairs[b]:
+                        b0[i::w0] = b1[j::w1] = list(map(add, b0[i::w0], b1[j::w1]))
+        for part, block in zip(parts, h1):
+            counts.update(zip([s | 2 for s in part], block))
         row = h1
-        counts.update(row)
     return counts
+
+
+def _masks_by_size(columns: range) -> list[list[int]]:
+    """The bitmasks of the subsets of the columns, by size, in combinations order."""
+    bits = [1 << c for c in columns]
+    return [list(map(sum, itertools.combinations(bits, size))) for size in range(len(bits) + 1)]
+
+
+def _cell_pairs(masks: list[list[int]], columns: range) -> list[list[list[tuple[int, int]]]]:
+    """For each column c, by size, the positions of each mask x without c and of x + c.
+
+    The masks are those of _masks_by_size, and x + c has one size more.
+    """
+    position = {mask: i for level in masks for i, mask in enumerate(level)}
+    return [
+        [
+            [(i, position[x | bit]) for i, x in enumerate(level) if not x & bit]
+            for level in masks[:-1]
+        ]
+        for bit in (1 << c for c in columns)
+    ]
 
 
 def _sweep_count(counts: Mapping[int, int], mask: int) -> int:
@@ -441,8 +509,7 @@ def _cell(h0: dict[int, int], h1: dict[int, int], bit: int) -> None:
     end with the sum of their ways and every other state is kept.
 
     The pairs are found from h0 alone, so h0 must hold x whenever h1 holds
-    x + bit.  Both kernels start a line from every subset of one size (the
-    sweep, from its second cell on, from every one that contains column 1).
+    x + bit.  The row transfer starts a line from every subset of one size.
     If x + bit came from the start S, the cells before the bit added one
     element, since h went from 0 to 1, and the bit is in S.  So x, which is
     x + bit on the cells before the bit and S on the cells after it, has the

@@ -49,6 +49,12 @@ asmref.triangles did before it split the states by that sum and carried each
 row only to the subsets that contain column 1.  The tests require the same
 count for every subset from the pruned sweep, each read through _sweep_count.
 
+dict_column_sweep keeps the states of each row in two dicts, h0 and h1, and
+moves them through one cell at a time with triangles._cell, as
+asmref.triangles did before its sweep held the states in blocks of lists and
+added whole slices of them at once.  The tests require the same counts from
+_column_sweep at every order up to 16.
+
 fiber_transfer counts the rows of one prefix with each candidate last entry
 by its own row transfer, as asmref.triangles did before it counted a whole
 grid of candidate entries in one prefix-shared walk.  It reads the columns
@@ -126,6 +132,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from asmref import triangles
 from asmref.combinat import as_int, binom, binom_at, harmonic, refined_asm_count, total_asm_count
 from asmref.errors import ExcludedIndexError, NonIntegralError, ValidationError
 from asmref.extension import ExtendedMatrix, LinearSystem, c_coeff, reflection_weights
@@ -239,6 +246,28 @@ def column_sweep(n: int) -> dict[int, int]:
             states = cell(states, j)
         states = {state ^ 1: ways for state, ways in states.items() if state & 1}
         counts.update(states)
+    return counts
+
+
+def dict_column_sweep(n: int) -> dict[int, int]:
+    """alpha_count of the empty set and of every subset of {1..n} that contains column 1.
+
+    Each row starts from the previous one as h0 and from its translates, with
+    column 1 added, as h1, and visits one dict entry at a time through
+    triangles._cell, looked up on the module at each call.
+    """
+    counts = {0: 1, 2: 1}
+    row = {2: 1}
+    for _ in range(1, n):
+        h1 = {
+            (state << t) | 2: ways
+            for state, ways in row.items()
+            for t in range(1, n + 2 - state.bit_length())
+        }
+        for j in range(2, n + 1):
+            triangles._cell(row, h1, j)
+        row = h1
+        counts.update(row)
     return counts
 
 

@@ -464,6 +464,21 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "refined-n4-d1.json").exists()
 
 
+def test_an_empty_cache_dir_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # an empty --cache-dir would be Path("."), the working directory; an empty
+    # $ASMREF_CACHE keeps meaning no cache
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ASMREF_CACHE", raising=False)
+    code, out, err = outcome(capsys, ("count", "--n", "3", "--cache-dir", ""))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "asmref count: error: argument --cache-dir: the cache directory must not be empty"
+    )
+    monkeypatch.setenv("ASMREF_CACHE", "")
+    assert run(capsys, "count", "--n", "3") == (0, "2 3 2\n", "")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_concurrent_writers_never_change_an_answer(tmp_path, capsys):
     # four threads store and load one document in one directory: a load sees
     # a whole stored document or none, and no temporary file is left behind
