@@ -125,6 +125,71 @@ def test_triangle_validation():
     assert MonotoneTriangle(((1,), (1, 2))).is_complete
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ((), "matrix must be nonempty"),
+        (((1, 0),), "matrix must be square"),
+        (((0, 1), (1, 0), (0, 0)), "matrix must be square"),
+        (((1, 0), (0, 1, 0)), "matrix must be square"),
+        (((2, -1), (-1, 2)), "entries must be -1, 0 or 1, got 2"),
+        (((0, 1), (1, Fraction(1, 2))), "entries must be -1, 0 or 1, got 1/2"),
+        (((0, 1), (1, 0.5)), "entries must be -1, 0 or 1, got 0.5"),
+        (((0, 1), (1, None)), "entries must be -1, 0 or 1, got None"),
+        (((-1, 1), (1, -1)), "row 1: partial sums must stay in {0, 1}"),
+        (((1, 0), (1, 1)), "row 2: partial sums must stay in {0, 1}"),
+        (((1, 0), (1, 0)), "column 1: partial sums must stay in {0, 1}"),
+        (((0, 1), (0, 1)), "column 1: entries must sum to 1"),
+        (((0, 1, 0), (0, 1, 0), (1, -1, 1)), "column 2: partial sums must stay in {0, 1}"),
+        (((0, 0), (1, 0)), "row 1: entries must sum to 1"),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 0)), "row 3: entries must sum to 1"),
+        # the first failure in row-major order wins, rows before columns
+        (((1, 1), (2, 0)), "row 1: partial sums must stay in {0, 1}"),
+        (((0, 1), (2, 0)), "entries must be -1, 0 or 1, got 2"),
+        (((1, 0), (1, -1)), "row 2: entries must sum to 1"),
+    ],
+)
+def test_asm_validation_messages(entries, message):
+    with pytest.raises(ValidationError) as info:
+        Asm(entries)
+    assert str(info.value) == message
+
+
+def test_asm_validation_accepts_entries_equal_to_ints():
+    for one in (True, 1.0, Fraction(1)):
+        assert Asm(((0, one), (one, 0))).entries == ((0, 1), (1, 0))
+    assert Asm(((0, 1, 0), (1, -1.0, 1), (0, 1, False))).n == 3
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((), "triangle must be nonempty"),
+        (((1, 2),), "row 1 must have 1 entries, got 2"),
+        (((1,), (1, 2, 3)), "row 2 must have 2 entries, got 3"),
+        (((1,), (1, 1)), "row 2 must be strictly increasing: (1, 1)"),
+        (((2,), (1, 3), (1, 3, 2)), "row 3 must be strictly increasing: (1, 3, 2)"),
+        (((3,), (1, 2)), "rows (3,) over (1, 2) violate the interlacing condition"),
+        (((1,), (2, 3)), "rows (1,) over (2, 3) violate the interlacing condition"),
+        (((2,), (1, 3), (2, 3, 4)), "rows (1, 3) over (2, 3, 4) violate the interlacing condition"),
+        # every row's length and order are checked before any interlacing
+        (((5,), (1, 2), (1, 2)), "row 3 must have 3 entries, got 2"),
+        (((5,), (1, 2), (1, 1, 2)), "row 3 must be strictly increasing: (1, 1, 2)"),
+        (((1,), (2.5, 2)), "row 2 must be strictly increasing: (2.5, 2)"),
+    ],
+)
+def test_triangle_validation_messages(rows, message):
+    with pytest.raises(ValidationError) as info:
+        MonotoneTriangle(rows)
+    assert str(info.value) == message
+
+
+def test_triangle_validation_accepts_entries_equal_to_ints():
+    for one in (True, 1.0, Fraction(1)):
+        assert MonotoneTriangle(((one,), (one, 2))).rows == ((1,), (1, 2))
+    assert MonotoneTriangle(((Fraction(3, 2),), (1.0, 2))).is_complete
+
+
 def test_enumerate_counts_match_totals():
     for n in range(1, 6):
         asms = enumerate_asms(n)
