@@ -111,7 +111,8 @@ CLAIMS: dict[str, Claim] = {
             verify_special_values(extended_matrix(n, cache))
         ]),
         Claim("ilse", (3, 8), lambda n, d, seed, cache: [
-            verify_ilse(n, refined_table(n, 2, cache))
+            # the depth is not the caller's, so the order is checked first
+            verify_ilse(n, refined_table(as_size(n, "order", 2), 2, cache))
         ]),
         Claim("zw-chain", (3, 6), lambda n, d, seed, cache: [
             verify_zw_chain(n, extended_matrix(n, cache))

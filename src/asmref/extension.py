@@ -30,8 +30,10 @@ n^2 unknowns in linalg runs instead and reports the exact rank.
 
 Both closed forms run in ints.  extend_matrix sums c_coeff by one Pascal
 recurrence in O(n^2), and reads each half of its kernel at a shifted corner.
-explicit_formula sums its harmonic terms over one common integer denominator;
-one exact division at the end gives the entry or raises NonIntegralError.
+explicit_formula sums only the nonzero terms of its k-sum, each half over its
+own range, with the integer numerator kept over the running lcm of the term
+denominators; one exact division at the end gives the entry or raises
+NonIntegralError.
 """
 
 from __future__ import annotations
@@ -251,8 +253,11 @@ def _matches_product_formulas(table: RefinedTable) -> bool:
 
 
 def extended_matrix(n: int, cache: TableCache | None = None) -> ExtendedMatrix:
-    """The extended square array of order n, from the cached depth-2 table."""
-    return extend_matrix(refined_table(n, 2, cache))
+    """The extended square array of order n, from the cached depth-2 table.
+
+    The order is checked before the table's depth, which the caller did not give.
+    """
+    return extend_matrix(refined_table(as_size(n, "order", 2), 2, cache))
 
 
 def verify_theorem2(
@@ -324,7 +329,7 @@ def entry_closed_form(n: int, i: int, j: int, table: RefinedTable) -> int:
 def verify_ilse(n: int, table: RefinedTable | None = None) -> VerificationReport:
     """The closed i < j representation reproduces every extended entry."""
     if table is None:
-        table = refined_table(n, 2)
+        table = refined_table(as_size(n, "order", 2), 2)
     cases = entry_cases(extend_matrix(table), lambda i, j: entry_closed_form(n, i, j, table))
     return VerificationReport.from_cases("ilse", f"n={n}, all {n * n} index pairs", cases)
 
@@ -579,11 +584,11 @@ def _excluded_pairs(n: int) -> set[tuple[int, int]]:
 def explicit_formula(n: int, i: int, j: int) -> int:
     """Closed-form extended entry at (i, j); the three excluded pairs raise.
 
-    The inner sum over k is kept as one unreduced integer fraction: every
-    harmonic number it reads is an integer over L = lcm(1..3n), and each term
-    enters with its own denominator.  The prefactor is applied once, and one
-    exact division at the end either gives the entry or raises
-    NonIntegralError rather than rounding.
+    The inner sum over k visits only the k where a term can be nonzero, and is
+    kept as one integer numerator over the lcm of the term denominators: every
+    harmonic number it reads is an integer over L = lcm(1..3n).  The prefactor
+    is applied once, and one exact division at the end either gives the entry
+    or raises NonIntegralError rather than rounding.
     """
     n = as_size(n, "order", 3)
     i, j = _checked_indices(n, i, j)
@@ -605,40 +610,66 @@ def _harmonic_table(n: int) -> tuple[int, list[int]]:
     return scale, h
 
 
-def _formula_entry(n: int, i: int, j: int, scale: int, h: list[int]) -> int:
-    """explicit_formula at a valid, non-excluded (i, j), given _harmonic_table(n)."""
+def _lcm_sum(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the fractions t/d as one numerator over the lcm of the d."""
     num, den = 0, 1
-    for k in range(min(0, j - i), max(i - 1, j - 2) + 1):
-        pole = k - j + 3 - n
+    for term, term_den in terms:
+        g = math.gcd(den, term_den)
+        num, den = num * (term_den // g) + term * (den // g), den // g * term_den
+    return num, den
+
+
+def _formula_entry(n: int, i: int, j: int, scale: int, h: list[int]) -> int:
+    """explicit_formula at a valid, non-excluded (i, j), given _harmonic_table(n).
+
+    The x half of the k-sum is nonzero only for 0 <= k <= i - 1, and the y
+    half only for j - i <= k <= j - 2, so each runs over its own range and
+    zero terms are dropped.  Where the ranges overlap, both halves carry a
+    harmonic bracket over L and enter as one term over pole^2; those terms
+    and the plain ones are summed apart, each over the running lcm of its
+    denominators, and meet once, the bracketed sum over L.  A binomial whose
+    arguments are nonnegative over its range is read from math.comb.
+    """
+    bracketed, plain = [], []
+    for k in range(i):
         x = binom(3 * k - 3 * j + 4, k) * binom(2 * j + i - 2 * k - 5, i - k - 1)
+        pole = k - j + 3 - n
         if j - i <= k <= j - 2:
-            # sign * factor / pole * (bracket / L + 1 / pole)
+            # x: sign * factor / pole * (bracket / L + 1 / pole)
             bracket = (
                 3 * h[3 * j - 2 * k - 5] - 3 * h[3 * j - 3 * k - 5]
                 + 2 * h[2 * j + i - 2 * k - 5] - 2 * h[2 * j - k - 4]
                 + h[k - j + i] - h[j - k - 2]
             )
-            x *= binom(i - 2, k - j + i) * (i - 1) * (bracket * pole + scale)
-            if (j + k) % 2 == 0:
-                x = -x
-            x_den = pole * pole * scale
-        else:
-            x_den = binom(k - j + i, i - 1) * pole
+            x *= math.comb(i - 2, k - j + i) * (i - 1) * (bracket * pole + scale)
+            # y: sign * factor / pole * bracket / L, over pole^2 * L as x
+            y = (
+                binom(3 * k - 3 * j + 4, k + i - j)
+                * math.comb(3 * j - 2 * k - 5, j - k - 1)
+                * (j - k - 1)
+                * math.comb(i - 1, k)
+                * (h[3 * j - 2 * k - 5] - h[2 * j - k - 4] - h[k] + h[i - k - 1])
+                * pole
+            )
+            term = (x if (j + k) % 2 else -x) + (y if (i + k) % 2 == 0 else -y)
+            if term:
+                bracketed.append((term, pole * pole))
+        elif x:
+            plain.append((x, binom(k - j + i, i - 1) * pole))
+    for k in range(j - i, j - 1):
+        if 0 <= k < i:
+            continue  # bracketed above
         y = (
             binom(3 * k - 3 * j + 4, k + i - j)
-            * binom(3 * j - 2 * k - 5, j - k - 1)
+            * math.comb(3 * j - 2 * k - 5, j - k - 1)
             * (j - k - 1)
         )
-        if 0 <= k <= i - 1:
-            # sign * factor / pole * bracket / L
-            y *= binom(i - 1, k) * (h[3 * j - 2 * k - 5] - h[2 * j - k - 4] - h[k] + h[i - k - 1])
-            if (i + k) % 2 == 0:
-                y = -y
-            y_den = pole * scale
-        else:
-            y_den = binom(k, i) * pole * i
-        num = num * x_den * y_den + (x * y_den - y * x_den) * den
-        den *= x_den * y_den
+        if y:
+            plain.append((-y, binom(k, i) * (k - j + 3 - n) * i))
+    num, den = _lcm_sum(bracketed)
+    if num:
+        plain.append((num, den * scale))
+    num, den = _lcm_sum(plain)
     f = math.factorial
     quadratic = (
         2 + 2 * i + i * i - 3 * j - i * j + j * j - 2 * n - 2 * i * n + j * n + n * n

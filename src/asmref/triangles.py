@@ -53,16 +53,22 @@ class Asm:
         n = len(self.entries)
         if n == 0:
             raise ValidationError("matrix must be nonempty")
-        if any(len(row) != n for row in self.entries):
-            raise ValidationError("matrix must be square")
+        for row in self.entries:
+            if len(row) != n:
+                raise ValidationError("matrix must be square")
         for axis, lines in (("row", self.entries), ("column", zip(*self.entries))):
             for pos, line in enumerate(lines, 1):
                 partial = 0
                 for value in line:
-                    if value not in (-1, 0, 1):
+                    if value == 0:
+                        continue  # a valid entry that keeps the partial sum
+                    if value == 1:
+                        partial += 1
+                    elif value == -1:
+                        partial -= 1
+                    else:
                         raise ValidationError(f"entries must be -1, 0 or 1, got {value}")
-                    partial += value
-                    if partial not in (0, 1):
+                    if partial != 0 and partial != 1:
                         raise ValidationError(
                             f"{axis} {pos}: partial sums must stay in {{0, 1}}"
                         )
@@ -86,14 +92,19 @@ class MonotoneTriangle:
         for i, row in enumerate(self.rows, 1):
             if len(row) != i:
                 raise ValidationError(f"row {i} must have {i} entries, got {len(row)}")
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise ValidationError(f"row {i} must be strictly increasing: {row}")
+            a = row[0]
+            for b in row[1:]:
+                if a >= b:
+                    raise ValidationError(f"row {i} must be strictly increasing: {row}")
+                a = b
         for upper, lower in zip(self.rows, self.rows[1:]):
-            for j, value in enumerate(upper):
-                if not lower[j] <= value <= lower[j + 1]:
+            low = lower[0]
+            for value, high in zip(upper, lower[1:]):
+                if not low <= value <= high:
                     raise ValidationError(
                         f"rows {upper} over {lower} violate the interlacing condition"
                     )
+                low = high
 
     @property
     def n(self) -> int:
@@ -109,14 +120,17 @@ class MonotoneTriangle:
 
 
 def asm_to_mt(a: Asm) -> MonotoneTriangle:
-    """Map an ASM to the triangle of its partial column-sum 1-positions."""
-    n = a.n
-    sums = [0] * n
+    """Map an ASM to the triangle of its partial column-sum 1-positions.
+
+    The Asm is validated, so every partial column sum is 0 or 1 and is true
+    exactly where it is 1.
+    """
+    columns = range(1, a.n + 1)
+    sums = [0] * a.n
     rows = []
-    for i in range(n):
-        for j in range(n):
-            sums[j] += a.entries[i][j]
-        rows.append(tuple(j + 1 for j in range(n) if sums[j] == 1))
+    for row in a.entries:
+        sums = list(map(operator.add, sums, row))
+        rows.append(tuple(itertools.compress(columns, sums)))
     return MonotoneTriangle(tuple(rows))
 
 
@@ -126,14 +140,13 @@ def mt_to_asm(t: MonotoneTriangle) -> Asm:
         raise ValidationError(
             f"triangle is not complete: bottom row {t.bottom_row} is not 1..{t.n}"
         )
-    n = t.n
-    prev = [0] * n
+    prev = [0] * t.n
     entries = []
     for row in t.rows:
-        cur = [0] * n
+        cur = [0] * t.n
         for v in row:
             cur[v - 1] = 1
-        entries.append(tuple(cur[j] - prev[j] for j in range(n)))
+        entries.append(tuple(map(operator.sub, cur, prev)))
         prev = cur
     return Asm(tuple(entries))
 

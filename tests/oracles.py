@@ -76,6 +76,14 @@ The tests require the same values and the same exceptions from
 explicit_formula, and the same ExtendedMatrix from extend_matrix, on real
 and on random tables.
 
+product_formula_entry sums both halves of conj2's k-sum at every k from
+min(0, j - i) to max(i - 1, j - 2), zero terms included, and keeps the sum
+over the product of all the term denominators, as
+asmref.extension._formula_entry did before each half ran over its own
+nonzero range and the sum was kept over the running lcm.  The tests require
+the same entries, and the same NonIntegralError text on a harmonic table that
+no longer holds L * H(m).
+
 triangular_system_witnesses sums a rectangle, a column or a row of the
 extended array inside every check of the triangular system, as
 verify_triangular_system did before it read them from suffix sums built once
@@ -448,6 +456,60 @@ def fraction_explicit_formula(n: int, i: int, j: int) -> int:
     if value.denominator != 1:
         raise NonIntegralError(f"formula value at n={n}, ({i},{j}) is {value}")
     return value.numerator
+
+
+def product_formula_entry(n: int, i: int, j: int, scale: int, h: list[int]) -> int:
+    """_formula_entry as it summed every k of both halves over the product of the denominators."""
+    num, den = 0, 1
+    for k in range(min(0, j - i), max(i - 1, j - 2) + 1):
+        pole = k - j + 3 - n
+        x = binom(3 * k - 3 * j + 4, k) * binom(2 * j + i - 2 * k - 5, i - k - 1)
+        if j - i <= k <= j - 2:
+            # sign * factor / pole * (bracket / L + 1 / pole)
+            bracket = (
+                3 * h[3 * j - 2 * k - 5] - 3 * h[3 * j - 3 * k - 5]
+                + 2 * h[2 * j + i - 2 * k - 5] - 2 * h[2 * j - k - 4]
+                + h[k - j + i] - h[j - k - 2]
+            )
+            x *= binom(i - 2, k - j + i) * (i - 1) * (bracket * pole + scale)
+            if (j + k) % 2 == 0:
+                x = -x
+            x_den = pole * pole * scale
+        else:
+            x_den = binom(k - j + i, i - 1) * pole
+        y = (
+            binom(3 * k - 3 * j + 4, k + i - j)
+            * binom(3 * j - 2 * k - 5, j - k - 1)
+            * (j - k - 1)
+        )
+        if 0 <= k <= i - 1:
+            # sign * factor / pole * bracket / L
+            y *= binom(i - 1, k) * (h[3 * j - 2 * k - 5] - h[2 * j - k - 4] - h[k] + h[i - k - 1])
+            if (i + k) % 2 == 0:
+                y = -y
+            y_den = pole * scale
+        else:
+            y_den = binom(k, i) * pole * i
+        num = num * x_den * y_den + (x * y_den - y * x_den) * den
+        den *= x_den * y_den
+    f = math.factorial
+    quadratic = (
+        2 + 2 * i + i * i - 3 * j - i * j + j * j - 2 * n - 2 * i * n + j * n + n * n
+    )
+    top = (
+        total_asm_count(n - 1)
+        * f(2 * n - 2 - i) * f(2 * n - 2 - j) * f(n + i - 3) * f(n + j - 3)
+        * ((n + j - i - 1) * den + quadratic * num)
+    )
+    bottom = (
+        f(3 * n - 5) * f(n - 2)
+        * f(i - 1) * f(j - 1) * f(n - i) * f(n - j)
+        * den
+    )
+    value, rest = divmod(top, bottom)
+    if rest:
+        raise NonIntegralError(f"formula value at n={n}, ({i},{j}) is {Fraction(top, bottom)}")
+    return value
 
 
 def theorem1_witnesses(matrix: ExtendedMatrix) -> list[Witness]:

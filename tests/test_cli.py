@@ -967,6 +967,30 @@ def test_verify_names_the_claim_and_order_of_any_error(capsys):
     assert err.startswith("error: theorem1 n=1: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("extend",)]
+    + [
+        ("verify", claim)
+        for claim in (
+            "theorem1", "theorem2", "theorem4", "special-values", "zw-chain", "ilse",
+            "triangular-system",
+        )
+    ],
+    ids=" ".join,
+)
+def test_order_1_of_a_depth_2_command_names_the_order(capsys, argv):
+    # the depth is the program's choice there, so the order is the error
+    prefix = f"error: {argv[1]} n=1: " if argv[0] == "verify" else "error: "
+    err = f"{prefix}order must be at least 2, got 1\n"
+    assert run(capsys, *argv, "--n", "1") == (2, "", err)
+
+
+def test_count_at_order_1_names_the_depth_it_was_given(capsys):
+    err = "error: depth must lie in 1..1, got 2\n"
+    assert run(capsys, "count", "--n", "1", "--d", "2") == (2, "", err)
+
+
 EVERY_SUBCOMMAND = (
     ("count", "--n", "4", "--d", "2"),
     ("count", "--n", "4", "--indices", "2,3"),

@@ -57,6 +57,7 @@ from oracles import (
     fraction_explicit_formula,
     keyed_reflection_cases,
     krylov_solution,
+    product_formula_entry,
     shifted_row_z,
     theorem1_witnesses,
     triangular_system_witnesses,
@@ -548,6 +549,32 @@ def test_shared_harmonic_table_gives_both_formulas():
                 continue
             value = extension._formula_entry(n, i, j, *constants)
             assert value == explicit_formula(n, i, j) == fraction_explicit_formula(n, i, j), (n, i, j)
+
+
+@pytest.mark.parametrize("orders", [range(3, 25), [30]])
+def test_formula_entry_equals_the_product_denominator_oracle(orders):
+    # the entries of every order, and the same value or the same NonIntegralError
+    # text on a harmonic table that no longer holds L * H(m)
+    for n in orders:
+        scale, h = extension._harmonic_table(n)
+        skewed = [value + m % 3 for m, value in enumerate(h)]
+        excluded = extension._excluded_pairs(n)
+        for i, j in itertools.product(range(1, n + 1), repeat=2):
+            if (i, j) in excluded:
+                continue
+            value = extension._formula_entry(n, i, j, scale, h)
+            assert value == product_formula_entry(n, i, j, scale, h), (n, i, j)
+            if n <= 8:
+                expected = _integral_outcome(product_formula_entry, n, i, j, scale, skewed)
+                outcome = _integral_outcome(extension._formula_entry, n, i, j, scale, skewed)
+                assert outcome == expected, (n, i, j)
+
+
+def _integral_outcome(formula, *args):
+    try:
+        return formula(*args)
+    except NonIntegralError as exc:
+        return str(exc)
 
 
 def test_explicit_formula_excluded_pairs():

@@ -171,7 +171,10 @@ def test_asm_validation_accepts_entries_equal_to_ints():
         (((2,), (1, 3), (1, 3, 2)), "row 3 must be strictly increasing: (1, 3, 2)"),
         (((3,), (1, 2)), "rows (3,) over (1, 2) violate the interlacing condition"),
         (((1,), (2, 3)), "rows (1,) over (2, 3) violate the interlacing condition"),
-        (((2,), (1, 3), (2, 3, 4)), "rows (1, 3) over (2, 3, 4) violate the interlacing condition"),
+        (
+            ((2,), (1, 3), (2, 3, 4)),
+            "rows (1, 3) over (2, 3, 4) violate the interlacing condition",
+        ),
         # every row's length and order are checked before any interlacing
         (((5,), (1, 2), (1, 2)), "row 3 must have 3 entries, got 2"),
         (((5,), (1, 2), (1, 1, 2)), "row 3 must be strictly increasing: (1, 1, 2)"),
