@@ -85,14 +85,16 @@ def verify_theorem4(n: int, cache: TableCache | None = None) -> VerificationRepo
 class Claim:
     """One claim: its default orders, its default depth and its check of one order.
 
-    depth maps an order to the claim's default depth, the d that run takes
-    when none is given; it is None when the claim takes no depth.
+    depth is the claim's default depth, or None when the claim takes no depth.
+    verify runs order n at d = min(n, depth) when no d is given, and at d = 1
+    below order 1, where the order's own check refuses it.  run checks the
+    claim's lowest order before it reads a table or an expansion.
     """
 
     name: str
     orders: tuple[int, int]
     run: Callable[[int, int | None, int, TableCache | None], list[VerificationReport]]
-    depth: Callable[[int], int] | None = None
+    depth: int | None = None
 
 
 CLAIMS: dict[str, Claim] = {
@@ -101,11 +103,10 @@ CLAIMS: dict[str, Claim] = {
         Claim("theorem1", (3, 12), lambda n, d, seed, cache: [
             verify_theorem1(extended_matrix(n, cache))
         ]),
-        Claim("theorem2", (3, 12), lambda n, d, seed, cache: [
-            verify_theorem2(
-                extended_matrix(n, cache), total_asm_count(n - 1), total_asm_count(n - 2)
-            )
-        ]),
+        Claim("theorem2", (3, 12), lambda n, d, seed, cache: [verify_theorem2(
+            extended_matrix(as_size(n, "order", 3), cache),
+            total_asm_count(n - 1), total_asm_count(n - 2),
+        )]),
         Claim("theorem4", (3, 8), lambda n, d, seed, cache: [verify_theorem4(n, cache)]),
         Claim("special-values", (3, 12), lambda n, d, seed, cache: [
             verify_special_values(extended_matrix(n, cache))
@@ -119,18 +120,19 @@ CLAIMS: dict[str, Claim] = {
         ]),
         Claim("conj1", (3, 10), lambda n, d, seed, cache: [verify_conjecture1(n, cache)]),
         Claim("conj2", (3, 12), lambda n, d, seed, cache: [
-            verify_conjecture2(n, extended_matrix(n, cache))
+            verify_conjecture2(n, extended_matrix(as_size(n, "order", 3), cache))
         ]),
-        Claim("conj3", (4, 6), lambda n, d, seed, cache: [verify_conjecture3(n, d)],
-              depth=lambda n: 3),
+        Claim("conj3", (4, 6), lambda n, d, seed, cache: [
+            verify_conjecture3(as_size(n, "order", 2), d)
+        ], depth=3),
         Claim("conj4", (4, 6), lambda n, d, seed, cache: [verify_conjecture4(n, d, cache=cache)],
-              depth=lambda n: 3),
+              depth=3),
         Claim("alpha-identities", (1, 5), lambda n, d, seed, cache: list(
             verify_alpha_identities(n, seed=seed)
         )),
         Claim("gn-reflection", (1, 5), lambda n, d, seed, cache: list(
             verify_gn_reflection(n, d, seed=seed)
-        ), depth=lambda n: min(n, 2)),
+        ), depth=2),
         Claim("triangular-system", (3, 12), lambda n, d, seed, cache: [
             verify_triangular_system(n, extended_matrix(n, cache))
         ]),

@@ -258,13 +258,16 @@ def _cmd_verify(args, cache: TableCache | None) -> int:
     lo, hi = args.n or claim.orders
 
     def reports_at(n: int) -> list[VerificationReport]:
-        d = claim.depth(n) if args.d is None and claim.depth else args.d
+        d = min(max(n, 1), claim.depth) if args.d is None and claim.depth else args.d
         try:
             return claim.run(n, d, args.seed, cache)
-        except AsmrefError as exc:
-            # every error of an order names the claim and the order
+        except (AsmrefError, OSError, UnicodeDecodeError) as exc:
+            # every error of an order names the claim and the order; a
+            # UnicodeDecodeError cannot be rebuilt from one string, so an I/O
+            # or decode error is re-raised as an AsmrefError
             at = f"n={n}" if d is None else f"n={n} d={d}"
-            raise type(exc)(f"{args.claim} {at}: {exc}") from exc
+            error = type(exc) if isinstance(exc, AsmrefError) else AsmrefError
+            raise error(f"{args.claim} {at}: {exc}") from exc
 
     # highest order first: its column sweep answers every lower order
     by_order = {n: reports_at(n) for n in range(hi, lo - 1, -1)}

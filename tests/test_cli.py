@@ -938,7 +938,7 @@ def test_verify_conj2_below_order_3_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (("--n", "-1"), "error: conj4 n=-1 d=3: order must be positive, got -1\n"),
+        (("--n", "-1"), "error: conj4 n=-1 d=1: order must be positive, got -1\n"),
         (("--n", "4", "--d", "-1"), "error: conj4 n=4 d=-1: depth must lie in 1..4, got -1\n"),
     ],
     ids=["order", "depth"],
@@ -980,15 +980,122 @@ def test_verify_names_the_claim_and_order_of_any_error(capsys):
     ids=" ".join,
 )
 def test_order_1_of_a_depth_2_command_names_the_order(capsys, argv):
-    # the depth is the program's choice there, so the order is the error
+    # the depth is the program's choice there, so the order is the error;
+    # theorem2 is stated from order 3 and checks that floor first
     prefix = f"error: {argv[1]} n=1: " if argv[0] == "verify" else "error: "
-    err = f"{prefix}order must be at least 2, got 1\n"
+    floor = 3 if argv == ("verify", "theorem2") else 2
+    err = f"{prefix}order must be at least {floor}, got 1\n"
     assert run(capsys, *argv, "--n", "1") == (2, "", err)
 
 
 def test_count_at_order_1_names_the_depth_it_was_given(capsys):
     err = "error: depth must lie in 1..1, got 2\n"
     assert run(capsys, "count", "--n", "1", "--d", "2") == (2, "", err)
+
+
+AT_LEAST_2 = "n={n}: order must be at least 2, got {n}"
+AT_LEAST_3 = "n={n}: order must be at least 3, got {n}"
+POSITIVE = "n={n}: order must be positive, got {n}"
+D1_AT_LEAST_2 = "n={n} d=1: order must be at least 2, got {n}"
+D1_POSITIVE = "n={n} d=1: order must be positive, got {n}"
+PASS = "PASS"
+
+# what `verify CLAIM --n N` without --d gives at N = -1, 0, 1 and 2: an error,
+# after "error: CLAIM ", with exit 2 and nothing on stdout; or PASS, with exit 0
+# and "CLAIM: PASS (N..N)" last on stdout.  A claim that takes a depth runs at
+# min(N, its default) and at 1 below order 1.
+LOW_ORDERS = {
+    "theorem1": (AT_LEAST_2, AT_LEAST_2, AT_LEAST_2, PASS),
+    "theorem2": (AT_LEAST_3, AT_LEAST_3, AT_LEAST_3, AT_LEAST_3),
+    "theorem4": (AT_LEAST_2, AT_LEAST_2, AT_LEAST_2, PASS),
+    "special-values": (AT_LEAST_2, AT_LEAST_2, AT_LEAST_2, PASS),
+    "ilse": (AT_LEAST_2, AT_LEAST_2, AT_LEAST_2, PASS),
+    "zw-chain": (AT_LEAST_2, AT_LEAST_2, AT_LEAST_2, PASS),
+    "conj1": (AT_LEAST_3, AT_LEAST_3, AT_LEAST_3, AT_LEAST_3),
+    "conj2": (AT_LEAST_3, AT_LEAST_3, AT_LEAST_3, AT_LEAST_3),
+    "conj3": (D1_AT_LEAST_2, D1_AT_LEAST_2, D1_AT_LEAST_2, PASS),
+    "conj4": (D1_POSITIVE, D1_POSITIVE, PASS, PASS),
+    "alpha-identities": (POSITIVE, POSITIVE, PASS, PASS),
+    "gn-reflection": (D1_POSITIVE, D1_POSITIVE, PASS, PASS),
+    "triangular-system": (AT_LEAST_2, AT_LEAST_2, AT_LEAST_2, PASS),
+    "bijection": (POSITIVE, POSITIVE, PASS, PASS),
+    "product-formulas": (POSITIVE, POSITIVE, PASS, PASS),
+}
+
+
+def test_the_low_order_table_names_every_claim():
+    assert list(LOW_ORDERS) == list(claims.CLAIMS)
+
+
+@pytest.mark.parametrize(
+    "claim, n, expected",
+    [
+        pytest.param(claim, n, expected, id=f"{claim} {n}")
+        for claim, row in LOW_ORDERS.items()
+        for n, expected in zip((-1, 0, 1, 2), row)
+    ],
+)
+def test_every_claim_at_the_low_orders(capsys, fail_if_counting, claim, n, expected):
+    if expected == PASS:
+        code, out, err = run(capsys, "verify", claim, "--n", str(n))
+        assert (code, out.splitlines()[-1], err) == (0, f"{claim}: PASS ({n}..{n})", "")
+        return
+    # a refused order is refused before anything is counted
+    asmref.clear_caches()
+    fail_if_counting()
+    err = f"error: {claim} {expected.format(n=n)}\n"
+    assert run(capsys, "verify", claim, "--n", str(n)) == (2, "", err)
+
+
+def test_conj3_at_order_2_runs_at_depth_2(capsys):
+    code, out, _ = run(capsys, "verify", "conj3", "--n", "2", "--format", "json")
+    assert code == 0
+    assert [report["checked"] for report in json.loads(out)["reports"]] == [
+        "n=2, d=2, all 4 index tuples"
+    ]
+    assert run(capsys, "verify", "conj3", "--n", "2") == (
+        0, "conj3 n=2: PASS\nconj3: PASS (2..2)\n", ""
+    )
+
+
+def test_conj4_at_orders_1_and_2_runs_at_depths_1_and_2(capsys):
+    code, out, _ = run(capsys, "verify", "conj4", "--n", "1..2", "--format", "json")
+    assert code == 0
+    assert [report["checked"] for report in json.loads(out)["reports"]] == [
+        "n=1, d=1, all 1 increasing tuples", "n=2, d=2, all 1 increasing tuples",
+    ]
+    assert run(capsys, "verify", "conj4", "--n", "1..2") == (
+        0, "conj4 n=1: PASS\nconj4 n=2: PASS\nconj4: PASS (1..2)\n", ""
+    )
+
+
+def test_a_given_depth_is_passed_on_unchanged(capsys):
+    err = "error: conj4 n=2 d=3: depth must lie in 1..2, got 3\n"
+    assert run(capsys, "verify", "conj4", "--n", "2", "--d", "3") == (2, "", err)
+
+
+def test_verify_names_the_claim_and_order_of_a_cache_write_error(tmp_path, capsys):
+    # the cache directory lies under a regular file, so storing the table fails
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    asmref.clear_caches()
+    argv = ("verify", "theorem1", "--n", "3", "--cache-dir", str(blocker / "sub"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theorem1 n=3: [Errno ")
+    assert err.endswith(f"{str(blocker / 'sub')!r}\n")
+
+
+def test_verify_names_the_claim_and_order_of_a_decode_error(capsys, monkeypatch):
+    def undecodable(n):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr(claims, "verify_bijection", undecodable)
+    err = (
+        "error: bijection n=1: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+    assert run(capsys, "verify", "bijection", "--n", "1") == (2, "", err)
 
 
 EVERY_SUBCOMMAND = (
