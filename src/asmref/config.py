@@ -34,8 +34,9 @@ class Budget:
     the prune moved no admitted (n, d).  That bound is the one cap on the
     sample grids of gn_poly, and so of alpha_polynomial, which is
     gn_poly(n, n).  The estimate tracks time: at the default of 16, one
-    bound's worth of walk took 2-6 s at orders up to 17 and 4-8 s at orders
-    18 and 19 (Python 3.11 on one core of a shared Xeon host).  At that
+    bound's worth of block walk took 0.2-0.7 s on the gn grids (13, 4),
+    (9, 5), (7, 6), (16, 3) and (19, 1..3), best of 3 (Python 3.11 on one
+    core of a shared Xeon host).  At that
     default it admits alpha_polynomial up to order 6 and gn_poly at depths
     1..6 up to orders 19, 19, 19, 13, 9 and 7.
 

@@ -7,12 +7,13 @@ reduce to it: deleting d columns from the staircase row (1, ..., n) counts the
 order-n matrices whose last d rows are unit rows with their 1s in those
 columns, read upward in increasing order.
 
-Two kernels compute it, one six-vertex cell rule (_cell) read along either
-axis of the ASM <-> domain-wall correspondence.  Both split their states by
-the running sum h of the line being added, h0 and h1, over the partial sums of
-the lines across it; the cell moves a state between them.  The row transfer
-keeps them in two dicts and visits one state at a time; the column sweep
-keeps them in blocks of lists and adds whole blocks at once.
+One counting kernel computes it, _add_line, which adds one line of the
+matrix of the ASM <-> domain-wall correspondence along either axis.  It
+splits the states by the running sum h of the line being added, h0 and h1,
+over the partial sums of the lines across it; each cell moves a state
+between them.  The states are held in the blocks of lists of _Blocks, and a
+cell adds row slices, strided column slices or single pairs of them.  Two
+walks call it:
 
 - the column sweep (_column_sweep) adds the matrix row by row and counts every
   subset of {1..n} at once; it carries and keeps only the subsets that
@@ -388,59 +389,19 @@ def _column_sweep(n: int) -> dict[int, int]:
     the row without column 1 and are never made.  So h1 starts with every
     (k + 1)-subset that contains column 1, and no cell adds a state.
 
-    The states are held in blocks, and a cell adds whole blocks at once.  A
-    state is split into its low columns L in {2..m} and its high columns H in
-    {m+1..n}, m = (n + 2) // 2, and the states of one size with |L| = a are
-    one flat row-major list, a row per L and a column per H, both in
-    itertools.combinations order.  The cell in column j is _cell's rule on
-    the pairs x in h0 and x + j in h1, which share every column but j.  For a
-    low j these are the rows L of an h0 block and L + j of the h1 block with
-    one more low column and the same width; for a high j they are the
-    columns H of an h0 block and H + j of the h1 block with the same rows,
-    as strided slices.  Both ends of a pair take the sum of their ways, by
-    one map over the two slices, or by one addition when the slices hold one
-    state each.
+    The states over columns 2..n are blocks of _Blocks, and _add_line adds
+    a row's cells to them.
     """
-    add = operator.add
-    m = (n + 2) // 2
-    lows = _masks_by_size(range(2, m + 1))
-    highs = _masks_by_size(range(m + 1, n + 1))
-    low_cells = _cell_pairs(lows, range(2, m + 1))
-    high_cells = _cell_pairs(highs, range(m + 1, n + 1))
-    nl, nh = len(lows) - 1, len(highs) - 1
+    blocks = _Blocks(range(2, n + 1))
     counts = {0: 1, 2: 1}
-    row = [[1]] + [[] for _ in range(nl)]  # row 1: the one triangle over column 1
+    row = [[1]]  # row 1: the one triangle over column 1
     for k in range(1, n):
-        # the columns but 1 of row k + 1's states, block by block
-        parts = [
-            [low | high for low in lows[a] for high in highs[k - a]] if 0 <= k - a <= nh else []
-            for a in range(nl + 1)
-        ]
-        # the previous row is h0 itself; counts holds its own copy of it, and
-        # each state of h1 counts what its translate in that row does
-        h0, h1 = row, [[counts[s // (s & -s) * 2] for s in part] for part in parts]
-        # an h0 block with a low columns has k - 1 - a high ones
-        for pairs in low_cells:
-            for a in range(max(0, k - 1 - nh), min(nl, k)):
-                w, b0, b1 = len(highs[k - 1 - a]), h0[a], h1[a + 1]
-                if w == 1:
-                    for i, j in pairs[a]:
-                        b0[i] = b1[j] = b0[i] + b1[j]
-                else:
-                    for i, j in pairs[a]:
-                        i, j = i * w, j * w
-                        ways = list(map(add, b0[i : i + w], b1[j : j + w]))
-                        b0[i : i + w] = b1[j : j + w] = ways
-        for pairs in high_cells:
-            for b in range(max(0, k - 1 - nl), min(nh, k)):
-                a = k - 1 - b
-                w0, w1, b0, b1 = len(highs[b]), len(highs[b + 1]), h0[a], h1[a]
-                if len(lows[a]) == 1:
-                    for i, j in pairs[b]:
-                        b0[i] = b1[j] = b0[i] + b1[j]
-                else:
-                    for i, j in pairs[b]:
-                        b0[i::w0] = b1[j::w1] = list(map(add, b0[i::w0], b1[j::w1]))
+        # the columns but 1 of row k + 1's states, block by block; the previous
+        # row is h0 itself, counts holds its own copy of it, and each state of
+        # h1 counts what its translate in that row does
+        parts = blocks.masks(k)
+        h1 = [[counts[s // (s & -s) * 2] for s in part] for part in parts]
+        _add_line(blocks.plan(k - 1), row, h1)
         for part, block in zip(parts, h1):
             counts.update(zip([s | 2 for s in part], block))
         row = h1
@@ -451,21 +412,6 @@ def _masks_by_size(columns: range) -> list[list[int]]:
     """The bitmasks of the subsets of the columns, by size, in combinations order."""
     bits = [1 << c for c in columns]
     return [list(map(sum, itertools.combinations(bits, size))) for size in range(len(bits) + 1)]
-
-
-def _cell_pairs(masks: list[list[int]], columns: range) -> list[list[list[tuple[int, int]]]]:
-    """For each column c, by size, the positions of each mask x without c and of x + c.
-
-    The masks are those of _masks_by_size, and x + c has one size more.
-    """
-    position = {mask: i for level in masks for i, mask in enumerate(level)}
-    return [
-        [
-            [(i, position[x | bit]) for i, x in enumerate(level) if not x & bit]
-            for level in masks[:-1]
-        ]
-        for bit in (1 << c for c in columns)
-    ]
 
 
 def _sweep_count(counts: Mapping[int, int], mask: int) -> int:
@@ -492,48 +438,148 @@ def _row_transfer(grid: tuple[tuple[int, ...], ...]) -> list[int]:
     from its h0.  The count of a row is the weight of the all-ones state in
     h1 at the end of its last entry's column, with every row and that column
     summing to 1.
+
+    With i entries placed, the states are the i-subsets of the rows, held as
+    the blocks of _Blocks over rows 1..n.  Each column starts h1 from zero
+    blocks of the (i + 1)-subsets, and _add_line adds its n cells; a size's
+    cell plan is built the first time the walk reaches it.
     """
     n = len(grid)
-    done = (1 << (n + 1)) - 2
+    blocks = _Blocks(range(1, n + 1))
     candidates = [set(level) for level in grid]
     counts: list[int] = []
 
-    def walk(i: int, start: int, h0: dict[int, int]) -> None:
+    def walk(i: int, start: int, h0: list[list[int]]) -> None:
+        plan, shape = blocks.plan(i), blocks.shapes[i + 1]
         for c in range(start, grid[i][-1] + 1):
-            h1: dict[int, int] = {}
-            for bit in range(1, n + 1):
-                _cell(h0, h1, bit)
+            h1 = [[0] * size for size in shape]
+            _add_line(plan, h0, h1)
             if c in candidates[i]:
                 if i == n - 1:
-                    counts.append(h1.get(done, 0))
+                    counts.append(h1[0][0])  # the one n-subset: every row
                 else:
                     walk(i + 1, c + 1, h1)
 
-    walk(0, grid[0][0], {0: 1})
+    walk(0, grid[0][0], [[1]])
     return counts
 
 
-def _cell(h0: dict[int, int], h1: dict[int, int], bit: int) -> None:
-    """One six-vertex cell between the running sum h and the line sum at bit, in place.
+def _add_line(plan: list, h0: list[list[int]], h1: list[list[int]]) -> None:
+    """One line's cells, between the running sum h and each line across it, in place.
 
-    h0 and h1 hold the states with h at 0 and at 1, keyed by the line sums.
-    A +1 moves a state x of h0 without the bit up to x + bit in h1, a -1
-    moves x + bit down to x, and a 0 keeps a state, so x and x + bit both
-    end with the sum of their ways and every other state is kept.
-
-    The pairs are found from h0 alone, so h0 must hold x whenever h1 holds
-    x + bit.  The row transfer starts a line from every subset of one size.
-    If x + bit came from the start S, the cells before the bit added one
-    element, since h went from 0 to 1, and the bit is in S.  So x, which is
-    x + bit on the cells before the bit and S on the cells after it, has the
-    size of S: it is a start too, and 0s carry it to h0.
+    The one counting kernel: _column_sweep adds an ASM row with it and
+    _row_transfer a column.  h0 and h1 hold the states with h at 0 and at 1
+    as the blocks of _Blocks, h1's states one column larger than h0's, and
+    the plan is _Blocks.plan of h0's size.  The cell in column j acts on the
+    pairs x in h0 without j and x + j in h1: a +1 moves x up to x + j, a -1
+    moves x + j down to x, and a 0 keeps a state, so both end with the sum of
+    their ways and every other state is kept.  A step of the plan pairs one
+    h0 block with one h1 block, by single positions, by rows or by strided
+    columns of equal length; a slice pair takes the sum by one map, and both
+    ends get the result.
     """
-    mask = 1 << bit
-    # the loop changes values of h0 but adds no key
-    for state, ways in h0.items():
-        if not state & mask:
-            ways += h1.get(state | mask, 0)
-            h0[state] = h1[state | mask] = ways
+    add = operator.add
+    for a0, a1, pairs, w0, w1 in plan:
+        b0, b1 = h0[a0], h1[a1]
+        if w1:
+            for i, j in pairs:
+                b0[i::w0] = b1[j::w1] = list(map(add, b0[i::w0], b1[j::w1]))
+        elif w0 > 1:
+            for i, j in pairs:
+                i, j = i * w0, j * w0
+                ways = list(map(add, b0[i : i + w0], b1[j : j + w0]))
+                b0[i : i + w0] = b1[j : j + w0] = ways
+        else:
+            for i, j in pairs:
+                b0[i] = b1[j] = b0[i] + b1[j]
+
+
+class _Blocks:
+    """The states over a run of columns as blocks of lists, with each size's cell plan.
+
+    A state is split into its low columns L, the first `low` of the run, and
+    its high columns H, the rest, and the states of one size with |L| = a
+    are one block: a flat row-major list, a row per L and a column per H,
+    both in itertools.combinations order.  The blocks of a size run from the
+    least a it admits up.  The cell in a low column j pairs the rows L of an
+    h0 block with the rows L + j of the h1 block with one more low column and
+    the same width; the cell in a high column j pairs the columns H of an h0
+    block with the columns H + j of the h1 block with the same rows, as
+    strided slices.  A block of width 1, or of one row, pairs single
+    positions instead.
+
+    Up to 8 columns every column is low, so each size is one block of single
+    states and its cells one run of scalar pair updates; past that the first
+    (width + 1) // 2 columns are low, and the cells add whole slices.  Both
+    arms count the same; the threshold is where their measured times cross.
+
+    The masks are built at once; the pairs of a half's masks of one size,
+    and the plan of a size, are built the first time they are asked for,
+    and kept for the life of the object, one sweep or one walk.
+    """
+
+    def __init__(self, columns: range, low: int | None = None):
+        width = len(columns)
+        if low is None:
+            low = width if width <= 8 else (width + 1) // 2
+        self.lows = lows = _masks_by_size(columns[:low])
+        self.highs = highs = _masks_by_size(columns[low:])
+        sizes = range(width + 1)
+        # the a of each size's blocks, and their lengths
+        self.blocks = [range(max(0, s - len(highs) + 1), min(low, s) + 1) for s in sizes]
+        self.shapes = [[len(lows[a]) * len(highs[s - a]) for a in self.blocks[s]] for s in sizes]
+        self._pairs: tuple[dict, dict] = ({}, {})
+        self._plans: dict[int, list] = {}
+
+    def masks(self, size: int) -> list[list[int]]:
+        """The masks of the states of this size, block by block."""
+        lows, highs = self.lows, self.highs
+        return [[low | high for low in lows[a] for high in highs[size - a]] for a in self.blocks[size]]
+
+    def plan(self, size: int) -> list[tuple[int, int, list, int, int]]:
+        """The steps of _add_line from the states of this size.
+
+        A step is (h0 block, h1 block, pairs, w0, w1), with the pairs of
+        every column that pairs those two blocks, in column order.  They are
+        positions of rows of width w0 when w1 is 0, of single states when w0
+        is 1 too, and of columns of blocks w0 and w1 wide otherwise.  Steps
+        on other blocks touch other states, so the low cells can run block by
+        block, and then the high cells, and each block's columns keep their
+        order.
+        """
+        s = size
+        if s in self._plans:
+            return self._plans[s]
+        lows, highs = self.lows, self.highs
+        first, first1 = self.blocks[s][0], self.blocks[s + 1][0]
+        plan = self._plans[s] = []
+        for a in self.blocks[s]:
+            if a + 1 < len(lows):
+                plan.append((a - first, a + 1 - first1, self._half_pairs(0, a), len(highs[s - a]), 0))
+        for a in self.blocks[s]:
+            b = s - a
+            if b + 1 < len(highs):
+                pairs = self._half_pairs(1, b)
+                if len(lows[a]) == 1:
+                    plan.append((a - first, a - first1, pairs, 1, 0))
+                else:
+                    plan.append((a - first, a - first1, pairs, len(highs[b]), len(highs[b + 1])))
+        return plan
+
+    def _half_pairs(self, half: int, size: int) -> list[tuple[int, int]]:
+        """The positions of each mask x of a half of this size without a column, and of x + it.
+
+        The pairs of each column of the half follow those of the column before.
+        """
+        pairs = self._pairs[half]
+        if size not in pairs:
+            masks = (self.lows, self.highs)[half]
+            level, above = masks[size], masks[size + 1]
+            position = dict(zip(above, range(len(above))))
+            pairs[size] = [
+                (i, position[x | bit]) for bit in masks[1] for i, x in enumerate(level) if not x & bit
+            ]
+        return pairs[size]
 
 
 def _complement_mask(n: int, indices: Sequence[int]) -> int:

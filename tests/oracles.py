@@ -50,10 +50,14 @@ row only to the subsets that contain column 1.  The tests require the same
 count for every subset from the pruned sweep, each read through _sweep_count.
 
 dict_column_sweep keeps the states of each row in two dicts, h0 and h1, and
-moves them through one cell at a time with triangles._cell, as
-asmref.triangles did before its sweep held the states in blocks of lists and
-added whole slices of them at once.  The tests require the same counts from
-_column_sweep at every order up to 16.
+moves them through one cell at a time with dict_cell, as asmref.triangles
+did before its sweep held the states in blocks of lists and added whole
+slices of them at once.  dict_row_transfer walks a grid of candidate entries
+the same way, as triangles._row_transfer did before it held each level's
+states in the sweep's blocks.  The tests require the same counts from
+_column_sweep at every order up to 16, and from _row_transfer on every gn
+grid up to order 8 and on random grids under both arms of the low/high
+split.
 
 fiber_transfer counts the rows of one prefix with each candidate last entry
 by its own row transfer, as asmref.triangles did before it counted a whole
@@ -262,7 +266,7 @@ def dict_column_sweep(n: int) -> dict[int, int]:
 
     Each row starts from the previous one as h0 and from its translates, with
     column 1 added, as h1, and visits one dict entry at a time through
-    triangles._cell, looked up on the module at each call.
+    dict_cell, looked up on this module at each call.
     """
     counts = {0: 1, 2: 1}
     row = {2: 1}
@@ -273,10 +277,62 @@ def dict_column_sweep(n: int) -> dict[int, int]:
             for t in range(1, n + 2 - state.bit_length())
         }
         for j in range(2, n + 1):
-            triangles._cell(row, h1, j)
+            dict_cell(row, h1, j)
         row = h1
         counts.update(row)
     return counts
+
+
+def dict_row_transfer(grid: tuple[tuple[int, ...], ...]) -> list[int]:
+    """alpha_count of every row of a grid of candidate entries, from one dict walk.
+
+    The depth-first walk of triangles._row_transfer over the columns, with
+    each level's states in two dicts, h0 and h1, that visit one entry at a
+    time through dict_cell, looked up on this module at each call.  A
+    column's h1 starts empty; the rows with their entry at a candidate go on
+    from h1, and the rows with it further right from h0.
+    """
+    n = len(grid)
+    done = (1 << (n + 1)) - 2
+    candidates = [set(level) for level in grid]
+    counts: list[int] = []
+
+    def walk(i: int, start: int, h0: dict[int, int]) -> None:
+        for c in range(start, grid[i][-1] + 1):
+            h1: dict[int, int] = {}
+            for bit in range(1, n + 1):
+                dict_cell(h0, h1, bit)
+            if c in candidates[i]:
+                if i == n - 1:
+                    counts.append(h1.get(done, 0))
+                else:
+                    walk(i + 1, c + 1, h1)
+
+    walk(0, grid[0][0], {0: 1})
+    return counts
+
+
+def dict_cell(h0: dict[int, int], h1: dict[int, int], bit: int) -> None:
+    """One six-vertex cell between the running sum h and the line sum at bit, in place.
+
+    h0 and h1 hold the states with h at 0 and at 1, keyed by the line sums.
+    A +1 moves a state x of h0 without the bit up to x + bit in h1, a -1
+    moves x + bit down to x, and a 0 keeps a state, so x and x + bit both
+    end with the sum of their ways and every other state is kept.
+
+    The pairs are found from h0 alone, so h0 must hold x whenever h1 holds
+    x + bit.  The row transfer starts a line from every subset of one size.
+    If x + bit came from the start S, the cells before the bit added one
+    element, since h went from 0 to 1, and the bit is in S.  So x, which is
+    x + bit on the cells before the bit and S on the cells after it, has the
+    size of S: it is a start too, and 0s carry it to h0.
+    """
+    mask = 1 << bit
+    # the loop changes values of h0 but adds no key
+    for state, ways in h0.items():
+        if not state & mask:
+            ways += h1.get(state | mask, 0)
+            h0[state] = h1[state | mask] = ways
 
 
 def fiber_transfer(prefix: tuple[int, ...], lasts: Sequence[int]) -> list[int]:

@@ -499,15 +499,17 @@ def test_a_wrong_sweep_count_fails_product_formulas(monkeypatch, capsys, cold_sw
 
 def test_a_cell_rule_without_minus_ones_fails_product_formulas(monkeypatch, capsys, cold_sweeps):
     # without the -1 both kernels count permutation matrices: 2 per column and 6 in all;
-    # the sweep is the dict sweep, which reads its cells through _cell like the row transfer
+    # the sweep and the row transfer are the dict walks, which read their cells
+    # through the one dict_cell
     def plus_ones_only(h0, h1, bit):
         mask = 1 << bit
         for state, ways in h0.items():
             if not state & mask:
                 h1[state | mask] = h1.get(state | mask, 0) + ways
 
-    monkeypatch.setattr(triangles, "_cell", plus_ones_only)
+    monkeypatch.setattr(oracles, "dict_cell", plus_ones_only)
     monkeypatch.setattr(triangles, "_column_sweep", oracles.dict_column_sweep)
+    monkeypatch.setattr(triangles, "_row_transfer", oracles.dict_row_transfer)
     code, witnesses = product_formula_witnesses(3, capsys)
     assert code == 1
     # the counted row, its sum, and the row transfer's total

@@ -8,6 +8,7 @@ the defining inequalities, with no shared code with the package internals.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ from asmref.triangles import (
     refined_count,
 )
 
-from oracles import alpha_count_dfs, column_sweep, dict_column_sweep, fiber_transfer
+import oracles
+from oracles import alpha_count_dfs, column_sweep, dict_column_sweep, dict_row_transfer, fiber_transfer
 from reference_tables import REFINED_TRIANGLE, TOTALS
 
 
@@ -484,8 +486,8 @@ def random_strict_rows(count: int, seed: int):
 
 
 def test_cell_finds_every_pair_from_h0(monkeypatch):
-    # _cell reads the pairs off h0, so the row transfer must keep x in h0 for each x + bit in h1
-    real = triangles._cell
+    # dict_cell reads the pairs off h0, so the dict walk must keep x in h0 for each x + bit in h1
+    real = oracles.dict_cell
     bits = []
 
     def checked(h0, h1, bit):
@@ -494,14 +496,73 @@ def test_cell_finds_every_pair_from_h0(monkeypatch):
         bits.append(bit)
         real(h0, h1, bit)
 
-    monkeypatch.setattr(triangles, "_cell", checked)
-    grid = [(0, 1), (2, 4, 5), (6, 9), (10, 11, 14), (16, 17)]
-    assert alpha_count_grid(grid) == [
-        alpha_count_dfs(row) for row in itertools.product(*grid)
-    ]
+    monkeypatch.setattr(oracles, "dict_cell", checked)
+    grid = ((0, 1), (2, 4, 5), (6, 9), (10, 11, 14), (16, 17))
+    assert dict_row_transfer(grid) == [alpha_count_dfs(row) for row in itertools.product(*grid)]
     for row in random_strict_rows(30, seed=11):
-        assert alpha_count(row) == alpha_count_dfs(row)
+        assert dict_row_transfer(tuple((v,) for v in row)) == [alpha_count_dfs(row)]
     assert set(bits) == set(range(1, 7))
+
+
+def gn_grid(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The sample grid of gn_poly(n, d): the staircase 1..n-d, then a block of n columns per variable."""
+    return tuple((v,) for v in range(1, n - d + 1)) + tuple(
+        tuple(range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n)) for r in range(d)
+    )
+
+
+def random_grids(count: int, seed: int):
+    """Seeded grids of n <= 8 levels and at most 300 rows.
+
+    A level is a single candidate, a few spread out with gaps, or a wide run,
+    and the levels leave gaps of up to 3 columns between them.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        sizes = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(n)]
+        while math.prod(sizes) > 300:
+            sizes[sizes.index(max(sizes))] //= 2
+        grid, lo = [], rng.randint(-3, 3)
+        for size in sizes:
+            spread = size + rng.choice((0, 0, 1, 3))
+            level = sorted(rng.sample(range(lo, lo + spread), size))
+            grid.append(tuple(level))
+            lo = level[-1] + 1 + rng.randint(0, 3)
+        yield tuple(grid)
+
+
+def test_block_walk_equals_the_dict_walk(monkeypatch):
+    # every gn grid up to order 8 of at most 4096 rows, and random grids, under
+    # the split rule and under both of its arms, for any number of rows: every
+    # column low, and the first half low; the shorter of two paired slices
+    # would shift a block without an error, so map checks their lengths
+    real = triangles._Blocks
+    lengths = []
+
+    def checked_map(fn, *iterables):
+        if len(iterables) > 1:
+            assert len({len(seq) for seq in iterables}) == 1
+            lengths.append(len(iterables[0]))
+        return map(fn, *iterables)
+
+    monkeypatch.setattr(triangles, "map", checked_map, raising=False)
+    grids = [gn_grid(n, d) for n in range(1, 9) for d in range(1, n + 1) if n**d <= 4096]
+    grids += random_grids(300, seed=45)
+    assert {len(grid) for grid in grids} == set(range(1, 9))
+    arms = (None, lambda width: width, lambda width: (width + 1) // 2)
+    for grid in grids:
+        expected = dict_row_transfer(grid)
+        for arm in arms:
+            low = arm and arm(len(grid))
+            monkeypatch.setattr(triangles, "_Blocks", lambda columns: real(columns, low))
+            assert triangles._row_transfer(grid) == expected, (grid, low)
+    # the split arm at 8 rows adds row slices of C(4, 2) = 6 states
+    assert max(lengths) == 6
+    # the rule keeps up to 8 rows all low, and halves 9
+    assert len(real(range(1, 9)).highs) == 1
+    halves = real(range(1, 10))
+    assert (len(halves.lows), len(halves.highs)) == (6, 5)
 
 
 def test_transfer_matches_dfs_and_brute_force_on_random_strict_rows():
