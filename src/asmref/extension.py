@@ -140,19 +140,30 @@ def reflection_weights(n: int, d: int) -> list[list[int]]:
 
 
 def _reflection_cases(n: int, d: int, values: Sequence[int]) -> Iterator[tuple]:
-    """Row-major cases (i, E(i), its reflection): W on every axis, d * n^(d+1) multiply-adds.
+    """Row-major cases (i, E(i), its reflection): W on every axis, d * n^d * (n+1)/2 multiply-adds.
 
-    values holds E's n^d entries row-major, the last axis fastest.  The
+    values holds E's n^d entries row-major, the last axis fastest.  W is
+    upper triangular: row i of each axis sums the slabs j >= i at their
+    nonzero weights and replaces slab i, which no later row reads.  The
     reflection reads its image at the reversed index, whose row-major position
     weighs axis r by n^r.
     """
-    weights = reflection_weights(n, d)
-    image = apply_axes(values, n, [lambda fiber: [
-        sum(map(operator.mul, row, fiber)) for row in weights
-    ]] * d)
+    nonzero = [[(j, w) for j, w in enumerate(row) if w] for row in reflection_weights(n, d)]
+
+    def reflect(slabs: list[list[int]]) -> list[list[int]]:
+        for i, row in enumerate(nonzero):  # W[i][i] = +-1: no row is empty
+            acc = None
+            for j, w in row:
+                term = slabs[j] if w == 1 else map(operator.mul, slabs[j], itertools.repeat(w))
+                acc = term if acc is None else map(operator.add, acc, term)
+            slabs[i] = list(acc)
+        return slabs
+
+    image = apply_axes(values, n, [reflect] * d)
     reversed_at = [0]
     for r in range(d):
-        reversed_at = [p + k * n ** r for p in reversed_at for k in range(n)]
+        steps = range(0, n ** (r + 1), n ** r)
+        reversed_at = [p + step for p in reversed_at for step in steps]
     sign = (-1) ** (n * d)
     indices = itertools.product(range(1, n + 1), repeat=d)
     return ((index, lhs, sign * image[p]) for index, lhs, p in zip(indices, values, reversed_at))

@@ -13,14 +13,19 @@ integer points.  Its coefficients in the basis prod binom(x_r - a_r, m_r),
 with a_r the first node on axis r, are the integer forward differences of
 the samples; that is the one polynomial representation.  It is evaluated at
 rational points by contracting each axis with one integer vector of scaled
-basis values, so every evaluation is exact.  The identity checks evaluate it
-at integer shifts of a point together, as one stencil that shares its
-partial reductions; each suite of identities is a table read by one report
-builder, and the six-term exchange of neighbouring entries is stated once for
-both suites.  gn_poly is the one builder: a specialization samples a
-staircase prefix followed by a block of n consecutive columns per variable
-and counts all of its rows in one row transfer, and the counting polynomial
-is the specialization of every entry, gn_poly(n, n), read at the entries.
+basis values, so every evaluation is exact.  The forward differences, the
+change to the shifted binomial basis below and the reflection of
+asmref.extension are each one k x k integer map on every axis; apply_axes
+hands each map the k slabs of its axis, one list per index on that axis,
+which it combines by whole-list maps, with no Python call per fiber.  The
+identity checks evaluate the polynomial at integer shifts of a point
+together, as one stencil that shares its partial reductions; each suite of
+identities is a table read by one report builder, and the six-term exchange
+of neighbouring entries is stated once for both suites.  gn_poly is the one
+builder: a specialization samples a staircase prefix followed by a block of
+n consecutive columns per variable and counts all of its rows in one row
+transfer, and the counting polynomial is the specialization of every entry,
+gn_poly(n, n), read at the entries.
 The shifted binomial basis of the expansion is a unit-triangular change of
 basis from the coefficients, whose shape gives the basis size and the number
 of variables.
@@ -44,30 +49,38 @@ from .reports import VerificationReport
 from .triangles import alpha_count_grid, checked_grid
 
 
-def _forward_differences(values: Sequence[int]) -> list[int]:
-    """D^m f(a), m < k, of samples at a..a+k-1: the coefficients in binom(x - a, m)."""
-    heads = []
-    row = values
-    while row:
-        heads.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return heads
+def _forward_differences(slabs: list[list[int]]) -> list[list[int]]:
+    """D^m f(a), m < k, of the slabs at a..a+k-1: the coefficients in binom(x - a, m).
+
+    Pass i leaves the i-th differences in slabs i.., from the last slab down.
+    """
+    k = len(slabs)
+    for i in range(1, k):
+        for j in range(k - 1, i - 1, -1):
+            slabs[j] = list(map(operator.sub, slabs[j], slabs[j - 1]))
+    return slabs
 
 
 def apply_axes(flat: Sequence, k: int, fns: Sequence[Callable]) -> list:
-    """Apply fns[r] to every length-k fiber along axis r of a row-major tensor, r = 0, 1, ...
+    """Apply fns[r] along axis r of a row-major tensor of shape (k,) * len(fns), r = 0, 1, ...
 
-    Every map takes a fiber as a list and must return its k new values.  The
-    input is not changed; each fiber is read and written as one extended slice.
+    Every map takes the k slabs of its axis as a list of equal-length lists,
+    slab j holding the entries at index j on that axis in row-major order of
+    the other axes, and must return k new slabs of that length; it may
+    replace the slabs of its list in place.  The slabs of the leading axis
+    are contiguous slices.  Once mapped, that axis moves to the end by k
+    extended-slice assignments, so the next axis leads, and after the last
+    map every axis is back in place.  The input is not changed.
     """
     out = list(flat)
-    block = len(out)
     for fn in fns:
-        stride = block // k
-        for start in range(0, len(out), block):
-            for base in range(start, start + stride):
-                out[base : start + block : stride] = fn(out[base : start + block : stride])
-        block = stride
+        size = len(out) // k
+        slabs = [out[j * size : (j + 1) * size] for j in range(k)]
+        del out  # so that a map that replaces a slab frees its old entries
+        slabs = fn(slabs)
+        out = [None] * (k * size)
+        for j, slab in enumerate(slabs):
+            out[j::k] = slab
     return out
 
 
@@ -115,7 +128,7 @@ class PolyMulti:
 
         Every node list is an ascending run of one length k; a node or a sample
         may also be a rational equal to an int.  The coefficients are the forward
-        differences, axis by axis.
+        differences, axis by axis, each taken on the axis's slabs in place.
         """
         node_tuples = tuple(tuple(as_int(v, "nodes") for v in ns) for ns in nodes)
         if not node_tuples:
@@ -125,7 +138,9 @@ class PolyMulti:
         for ns in node_tuples:
             if not ns or ns != tuple(range(ns[0], ns[0] + k)):
                 raise ValidationError(f"need {k} ascending consecutive nodes, got {ns}")
-        flat = [as_int(v, "samples") for v in values]
+        flat = values  # a list of ints needs no second list of the tensor's size
+        if type(flat) is not list or not all(type(v) is int for v in flat):
+            flat = [as_int(v, "samples") for v in values]
         if len(flat) != k**num_vars:
             raise ValidationError(
                 f"value tensor must have size {k**num_vars}, got {len(flat)}"
@@ -303,18 +318,22 @@ def expand_in_binomial_basis(poly: PolyMulti) -> BinomBasisExpansion:
     binom(x + m + a, m) = sum_k binom(m + a + o, m - k) * binom(x - o, k) on
     axis a (0-based).  The change of basis is unit upper triangular with
     integer entries, so the coefficients are unique integers and come out by
-    back-substitution in ints.
+    back-substitution in ints, one slab at a time from the last, each as one
+    chain of lazy maps.
     """
     n = poly.degree_bound + 1
 
-    def back_substitution(shift: int) -> Callable[[list[int]], list[int]]:
+    def back_substitution(shift: int) -> Callable[[list[list[int]]], list[list[int]]]:
         # weights[k] lists binom(m + shift, m - k) for m = k + 1 .. n - 1
         weights = [[binom(m + shift, m - k) for m in range(k + 1, n)] for k in range(n)]
 
-        def solve(fiber: list[int]) -> list[int]:
+        def solve(slabs: list[list[int]]) -> list[list[int]]:
             for k in range(n - 2, -1, -1):
-                fiber[k] -= sum(map(operator.mul, fiber[k + 1 :], weights[k]))
-            return fiber
+                acc = slabs[k]
+                for slab, w in zip(slabs[k + 1 :], weights[k]):
+                    acc = map(operator.sub, acc, map(operator.mul, slab, itertools.repeat(w)))
+                slabs[k] = list(acc)
+            return slabs
 
         return solve
 

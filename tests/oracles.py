@@ -24,6 +24,17 @@ axis in one call by extended slices.  keyed_reflection_cases applies it axis
 by axis, so the reflection oracle shares no fiber code with the program, and
 the tests require apply_axes to equal it on random tensors and random maps.
 
+fiber_apply_axes calls a map once per length-k fiber of each axis, reading
+and writing the fiber as one extended slice, as asmref.polynomials.apply_axes
+did before it handed each map the k slabs of its axis and moved the mapped
+axis to the end.  fiber_differences, fiber_expansion and
+fiber_reflection_cases run the forward differences of PolyMulti.interpolate,
+the back-substitution of expand_in_binomial_basis and the reflection of
+asmref.extension._reflection_cases through it, fiber by fiber and with W's
+zero weights included.  The tests require the same coefficients, the same
+expansion and the same cases from the slab passes on gn grids, the sample
+grids gn_grid writes out as gn_poly builds them.
+
 newton_interpolant_value interpolates in Fractions by divided differences on
 any distinct nodes, axis by axis, as asmref.polynomials did before it took
 integer forward differences on runs of consecutive integers.  The tests
@@ -140,6 +151,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -664,6 +676,66 @@ def apply_axis(flat: list, k: int, num_vars: int, axis: int, fn: Callable) -> li
             for t, v in enumerate(fn(fiber)):
                 out[base + t * stride] = v
     return out
+
+
+def gn_grid(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The sample grid of gn_poly(n, d): the staircase 1..n-d, then a block of n columns per variable."""
+    return tuple((v,) for v in range(1, n - d + 1)) + tuple(
+        tuple(range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n)) for r in range(d)
+    )
+
+
+def fiber_apply_axes(flat: Sequence, k: int, fns: Sequence[Callable]) -> list:
+    """Apply fns[r] to every length-k fiber along axis r of a row-major tensor, r = 0, 1, ..."""
+    out = list(flat)
+    block = len(out)
+    for fn in fns:
+        stride = block // k
+        for start in range(0, len(out), block):
+            for base in range(start, start + stride):
+                out[base : start + block : stride] = fn(out[base : start + block : stride])
+        block = stride
+    return out
+
+
+def fiber_differences(values: Sequence[int]) -> list[int]:
+    """D^m f(a), m < k, of samples at a..a+k-1: the coefficients in binom(x - a, m)."""
+    heads = []
+    row = values
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return heads
+
+
+def fiber_expansion(poly: PolyMulti) -> list[int]:
+    """The shifted binomial-basis coefficients of poly, by back-substitution fiber by fiber."""
+    n = poly.degree_bound + 1
+
+    def back_substitution(shift: int) -> Callable[[list[int]], list[int]]:
+        weights = [[binom(m + shift, m - k) for m in range(k + 1, n)] for k in range(n)]
+
+        def solve(fiber: list[int]) -> list[int]:
+            for k in range(n - 2, -1, -1):
+                fiber[k] -= sum(map(operator.mul, fiber[k + 1 :], weights[k]))
+            return fiber
+
+        return solve
+
+    fns = [back_substitution(axis + origin) for axis, origin in enumerate(poly.origins)]
+    return fiber_apply_axes(poly.coeffs, n, fns)
+
+
+def fiber_reflection_cases(n: int, d: int, values: Sequence[int]) -> list[tuple]:
+    """Row-major cases (i, E(i), its reflection), W applied fiber by fiber on every axis."""
+    weights = reflection_weights(n, d)
+    image = fiber_apply_axes(values, n, [lambda fiber: [
+        sum(map(operator.mul, row, fiber)) for row in weights
+    ]] * d)
+    indices = list(itertools.product(range(1, n + 1), repeat=d))
+    image_at = dict(zip(indices, image))
+    sign = (-1) ** (n * d)
+    return [(index, lhs, sign * image_at[index[::-1]]) for index, lhs in zip(indices, values)]
 
 
 def fischer_coefficients(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asmref import extension
+from asmref import extension, triangles
 from asmref.combinat import refined_asm_count, total_asm_count
 from asmref.config import DEFAULT_BUDGET, Budget
 from asmref.errors import (
@@ -44,7 +44,7 @@ from asmref.extension import (
     z_value,
 )
 from asmref.linalg import solve_integer_system
-from asmref.polynomials import BinomBasisExpansion
+from asmref.polynomials import BinomBasisExpansion, gn_poly
 from asmref.reports import VerificationReport, Witness
 from asmref.triangles import RefinedTable, alpha_count, build_table, refined_count
 
@@ -54,7 +54,12 @@ from oracles import (
     coefficient_extension,
     conjecture3_witnesses,
     dense_sufficiency_system,
+    fiber_apply_axes,
+    fiber_differences,
+    fiber_expansion,
+    fiber_reflection_cases,
     fraction_explicit_formula,
+    gn_grid,
     keyed_reflection_cases,
     krylov_solution,
     product_formula_entry,
@@ -204,6 +209,19 @@ def test_reflection_cases_of_row_major_values_match_the_keyed_oracle(n, d, seed,
     keyed = dict(zip(itertools.product(range(1, n + 1), repeat=d), values))
     cases = list(extension._reflection_cases(n, d, container(values)))
     assert cases == list(keyed_reflection_cases(n, d, keyed))
+
+
+# CI runs the same comparison at (7, 6), (9, 5) and (13, 4)
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (6, 2), (5, 3), (8, 3), (4, 4), (5, 5)])
+def test_slab_passes_match_the_fiber_oracle_on_gn_grids(n, d):
+    poly = gn_poly(n, d)
+    samples = triangles._row_transfer(gn_grid(n, d))
+    assert list(poly.coeffs) == fiber_apply_axes(samples, n, [fiber_differences] * d)
+    expansion = drefined_F(n, d).coeffs
+    assert list(expansion) == fiber_expansion(poly)
+    assert list(extension._reflection_cases(n, d, expansion)) == fiber_reflection_cases(
+        n, d, expansion
+    )
 
 
 def test_entry_witnesses_skip_pairs_and_record_non_integral_values():

@@ -109,15 +109,15 @@ def expansion(monkeypatch, tmp_path):
 
 
 def tensor_pass(monkeypatch, tmp_path):
-    """The axis-0 map of every tensor pass returns its first value one too large."""
+    """The axis-0 map of every tensor pass returns its first slab one too large, entry by entry."""
     real = polynomials.apply_axes
 
     def apply_axes(flat, k, fns):
         first = fns[0]
 
-        def shifted(fiber):
-            values = first(fiber)
-            return [values[0] + 1] + list(values[1:])
+        def shifted(slabs):
+            slabs = first(slabs)
+            return [[v + 1 for v in slabs[0]]] + list(slabs[1:])
 
         return real(flat, k, [shifted] + list(fns[1:]))
 

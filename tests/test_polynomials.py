@@ -213,15 +213,33 @@ def test_interpolate_reproduces_samples():
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32), container=st.sampled_from([list, tuple]))
 def test_apply_axes_matches_the_axis_by_axis_oracle(k, num_vars, seed, container):
-    # a map of its own on every axis, so that a swapped axis order fails
+    # a map of its own on every axis, so that a swapped axis order fails; the
+    # axis-0 map is affine, so that running the axes last to first fails too
     rng = random.Random(seed)
     flat = [rng.randint(-100, 100) for _ in range(k**num_vars)]
     maps = [[[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)] for _ in range(num_vars)]
-    fns = [lambda fiber, a=a: [sum(x * y for x, y in zip(row, fiber)) for row in a] for a in maps]
+    offsets = [[rng.randint(1, 9) for _ in range(k)]] + [[0] * k] * (num_vars - 1)
+
+    def fiber_map(a, offset):
+        return lambda fiber: [sum(x * y for x, y in zip(row, fiber)) + c for row, c in zip(a, offset)]
+
+    def slab_map(a, offset):
+        def fn(slabs):
+            assert len(slabs) == k
+            assert all(type(slab) is list and len(slab) == k ** (num_vars - 1) for slab in slabs)
+            fibers = list(zip(*slabs))
+            # in place, as the program's maps are
+            slabs[:] = [[sum(x * y for x, y in zip(row, fiber)) + c for fiber in fibers]
+                        for row, c in zip(a, offset)]
+            return slabs
+
+        return fn
+
     expected = flat
-    for axis, fn in enumerate(fns):
-        expected = apply_axis(expected, k, num_vars, axis, fn)
+    for axis, (a, offset) in enumerate(zip(maps, offsets)):
+        expected = apply_axis(expected, k, num_vars, axis, fiber_map(a, offset))
     tensor = container(flat)
+    fns = [slab_map(a, offset) for a, offset in zip(maps, offsets)]
     assert apply_axes(tensor, k, fns) == expected
     assert list(tensor) == flat
 

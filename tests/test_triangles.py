@@ -36,7 +36,14 @@ from asmref.triangles import (
 )
 
 import oracles
-from oracles import alpha_count_dfs, column_sweep, dict_column_sweep, dict_row_transfer, fiber_transfer
+from oracles import (
+    alpha_count_dfs,
+    column_sweep,
+    dict_column_sweep,
+    dict_row_transfer,
+    fiber_transfer,
+    gn_grid,
+)
 from reference_tables import REFINED_TRIANGLE, TOTALS
 
 
@@ -502,13 +509,6 @@ def test_cell_finds_every_pair_from_h0(monkeypatch):
     for row in random_strict_rows(30, seed=11):
         assert dict_row_transfer(tuple((v,) for v in row)) == [alpha_count_dfs(row)]
     assert set(bits) == set(range(1, 7))
-
-
-def gn_grid(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """The sample grid of gn_poly(n, d): the staircase 1..n-d, then a block of n columns per variable."""
-    return tuple((v,) for v in range(1, n - d + 1)) + tuple(
-        tuple(range(n - d + 1 + r * n, n - d + 1 + (r + 1) * n)) for r in range(d)
-    )
 
 
 def random_grids(count: int, seed: int):
