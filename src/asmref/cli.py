@@ -325,7 +325,7 @@ def _fetch_b_file(target: str, cache: TableCache | None) -> OeisReference:
         # imported here: it loads http, email and ssl, which only a download needs
         import urllib.request
 
-        with urllib.request.urlopen(url) as response:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT_S) as response:
             text = response.read().decode("utf-8")
         # only a download that parses is kept, so a bad one is fetched again next time
         reference = parse(text)
@@ -340,6 +340,11 @@ def _fetch_b_file(target: str, cache: TableCache | None) -> OeisReference:
 #: Xeon host).  A constant, not a Budget field: the CLI passes no Budget, so no
 #: caller could change it.
 OEIS_MAX_INDEX = 194
+
+#: Seconds --fetch waits for the server to connect or to send more data.  A
+#: server that accepts and never answers would hang the run without it; the
+#: timeout is an OSError, so the run exits 2 with its message.
+FETCH_TIMEOUT_S = 30
 
 
 def _cmd_oeis_check(args, cache: TableCache | None) -> int:

@@ -744,9 +744,9 @@ def verify_conjecture3(
 ) -> VerificationReport:
     """The depth-d reflection equations hold for the expansion coefficients."""
     d = as_size(d, "depth", 2)
-    checked = f"n={n}, d={d}, all {n ** d} index tuples"
-    cases = _reflection_cases(n, d, drefined_F(n, d, budget).coeffs)
-    return VerificationReport.from_cases("conj3", checked, cases)
+    coeffs = drefined_F(n, d, budget).coeffs  # checks n and d before n**d is written
+    checked = f"n={n}, d={d}, all {len(coeffs)} index tuples"
+    return VerificationReport.from_cases("conj3", checked, _reflection_cases(n, d, coeffs))
 
 
 def verify_conjecture4(

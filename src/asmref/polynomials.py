@@ -291,8 +291,13 @@ class BinomBasisExpansion:
     def __post_init__(self):
         as_size(self.n, "order")
         as_size(self.d, "depth")  # d may exceed n: more variables than basis elements per axis
-        if len(self.coeffs) != self.n**self.d:
-            raise ValidationError(f"expected {self.n ** self.d} coefficients")
+        n, d, size = self.n, self.d, len(self.coeffs)
+        # for n >= 2, n**d >= 2**d exceeds a size of fewer than d bits, so such a
+        # d is refused without the power, which could fill memory; a count past
+        # 8192 bits is named as a power, since str() may refuse its digits
+        if n >= 2 and d > size.bit_length() or size != n**d:
+            count = n**d if n < 2 or d * n.bit_length() <= 8192 else f"{n}**{d}"
+            raise ValidationError(f"expected {count} coefficients")
         for pos, c in enumerate(self.coeffs):
             if not isinstance(c, int):
                 raise ValidationError(f"coefficient {pos} is not an int: {c!r}")

@@ -401,7 +401,7 @@ def _column_sweep(n: int) -> dict[int, int]:
         # h1 counts what its translate in that row does
         parts = blocks.masks(k)
         h1 = [[counts[s // (s & -s) * 2] for s in part] for part in parts]
-        _add_line(blocks.plan(k - 1), row, h1)
+        _add_line(blocks.plans[k - 1], row, h1)
         for part, block in zip(parts, h1):
             counts.update(zip([s | 2 for s in part], block))
         row = h1
@@ -441,8 +441,8 @@ def _row_transfer(grid: tuple[tuple[int, ...], ...]) -> list[int]:
 
     With i entries placed, the states are the i-subsets of the rows, held as
     the blocks of _Blocks over rows 1..n.  Each column starts h1 from zero
-    blocks of the (i + 1)-subsets, and _add_line adds its n cells; a size's
-    cell plan is built the first time the walk reaches it.
+    blocks of the (i + 1)-subsets, and _add_line adds its n cells by the
+    plan of size i, which _Blocks builds with every other size's at the start.
     """
     n = len(grid)
     blocks = _Blocks(range(1, n + 1))
@@ -450,7 +450,7 @@ def _row_transfer(grid: tuple[tuple[int, ...], ...]) -> list[int]:
     counts: list[int] = []
 
     def walk(i: int, start: int, h0: list[list[int]]) -> None:
-        plan, shape = blocks.plan(i), blocks.shapes[i + 1]
+        plan, shape = blocks.plans[i], blocks.shapes[i + 1]
         for c in range(start, grid[i][-1] + 1):
             h1 = [[0] * size for size in shape]
             _add_line(plan, h0, h1)
@@ -470,7 +470,7 @@ def _add_line(plan: list, h0: list[list[int]], h1: list[list[int]]) -> None:
     The one counting kernel: _column_sweep adds an ASM row with it and
     _row_transfer a column.  h0 and h1 hold the states with h at 0 and at 1
     as the blocks of _Blocks, h1's states one column larger than h0's, and
-    the plan is _Blocks.plan of h0's size.  The cell in column j acts on the
+    the plan is _Blocks.plans of h0's size.  The cell in column j acts on the
     pairs x in h0 without j and x + j in h1: a +1 moves x up to x + j, a -1
     moves x + j down to x, and a 0 keeps a state, so both end with the sum of
     their ways and every other state is kept.  A step of the plan pairs one
@@ -513,9 +513,15 @@ class _Blocks:
     (width + 1) // 2 columns are low, and the cells add whole slices.  Both
     arms count the same; the threshold is where their measured times cross.
 
-    The masks are built at once; the pairs of a half's masks of one size,
-    and the plan of a size, are built the first time they are asked for,
-    and kept for the life of the object, one sweep or one walk.
+    plans[s] holds the steps of _add_line from the states of size s, for
+    every s below the width: a sweep reads them all, and so does a walk that
+    reaches its last entry.  A step is (h0 block, h1 block, pairs, w0, w1),
+    with the pairs of every column that pairs those two blocks, in column
+    order.  They are positions of rows of width w0 when w1 is 0, of single
+    states when w0 is 1 too, and of columns of blocks w0 and w1 wide
+    otherwise.  Steps on other blocks touch other states, so the low cells
+    can run block by block, and then the high cells, and each block's
+    columns keep their order.  The masks of a size are built when asked for.
     """
 
     def __init__(self, columns: range, low: int | None = None):
@@ -528,58 +534,37 @@ class _Blocks:
         # the a of each size's blocks, and their lengths
         self.blocks = [range(max(0, s - len(highs) + 1), min(low, s) + 1) for s in sizes]
         self.shapes = [[len(lows[a]) * len(highs[s - a]) for a in self.blocks[s]] for s in sizes]
-        self._pairs: tuple[dict, dict] = ({}, {})
-        self._plans: dict[int, list] = {}
+        low_pairs = [_half_pairs(lows, a) for a in range(len(lows) - 1)]
+        high_pairs = [_half_pairs(highs, b) for b in range(len(highs) - 1)]
+        self.plans = []
+        for s in range(width):
+            first, first1 = self.blocks[s][0], self.blocks[s + 1][0]
+            plan = []
+            for a in self.blocks[s]:
+                if a < len(low_pairs):
+                    plan.append((a - first, a + 1 - first1, low_pairs[a], len(highs[s - a]), 0))
+            for a in self.blocks[s]:
+                b = s - a
+                if b < len(high_pairs):
+                    w0, w1 = (1, 0) if len(lows[a]) == 1 else (len(highs[b]), len(highs[b + 1]))
+                    plan.append((a - first, a - first1, high_pairs[b], w0, w1))
+            self.plans.append(plan)
 
     def masks(self, size: int) -> list[list[int]]:
         """The masks of the states of this size, block by block."""
         lows, highs = self.lows, self.highs
         return [[low | high for low in lows[a] for high in highs[size - a]] for a in self.blocks[size]]
 
-    def plan(self, size: int) -> list[tuple[int, int, list, int, int]]:
-        """The steps of _add_line from the states of this size.
 
-        A step is (h0 block, h1 block, pairs, w0, w1), with the pairs of
-        every column that pairs those two blocks, in column order.  They are
-        positions of rows of width w0 when w1 is 0, of single states when w0
-        is 1 too, and of columns of blocks w0 and w1 wide otherwise.  Steps
-        on other blocks touch other states, so the low cells can run block by
-        block, and then the high cells, and each block's columns keep their
-        order.
-        """
-        s = size
-        if s in self._plans:
-            return self._plans[s]
-        lows, highs = self.lows, self.highs
-        first, first1 = self.blocks[s][0], self.blocks[s + 1][0]
-        plan = self._plans[s] = []
-        for a in self.blocks[s]:
-            if a + 1 < len(lows):
-                plan.append((a - first, a + 1 - first1, self._half_pairs(0, a), len(highs[s - a]), 0))
-        for a in self.blocks[s]:
-            b = s - a
-            if b + 1 < len(highs):
-                pairs = self._half_pairs(1, b)
-                if len(lows[a]) == 1:
-                    plan.append((a - first, a - first1, pairs, 1, 0))
-                else:
-                    plan.append((a - first, a - first1, pairs, len(highs[b]), len(highs[b + 1])))
-        return plan
+def _half_pairs(masks: list[list[int]], size: int) -> list[tuple[int, int]]:
+    """The positions of each mask x of this size without a column of the half, and of x + it.
 
-    def _half_pairs(self, half: int, size: int) -> list[tuple[int, int]]:
-        """The positions of each mask x of a half of this size without a column, and of x + it.
-
-        The pairs of each column of the half follow those of the column before.
-        """
-        pairs = self._pairs[half]
-        if size not in pairs:
-            masks = (self.lows, self.highs)[half]
-            level, above = masks[size], masks[size + 1]
-            position = dict(zip(above, range(len(above))))
-            pairs[size] = [
-                (i, position[x | bit]) for bit in masks[1] for i, x in enumerate(level) if not x & bit
-            ]
-        return pairs[size]
+    masks are a half's masks by size; the pairs of each column follow those
+    of the column before.
+    """
+    level, above = masks[size], masks[size + 1]
+    position = dict(zip(above, range(len(above))))
+    return [(i, position[x | bit]) for bit in masks[1] for i, x in enumerate(level) if not x & bit]
 
 
 def _complement_mask(n: int, indices: Sequence[int]) -> int:

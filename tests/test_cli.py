@@ -8,9 +8,11 @@ import hashlib
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -797,6 +799,23 @@ def test_oeis_check_fetch_reads_an_a_number_from_its_b_file_entry(tmp_path, caps
     assert (code, out) == (0, "A005130 totals: PASS (7 terms)\n")
 
 
+def test_oeis_check_fetch_gives_up_on_a_server_that_never_answers(tmp_path, capsys, monkeypatch):
+    # the listener's backlog takes the connection, and nothing ever answers it
+    monkeypatch.setattr(cli, "FETCH_TIMEOUT_S", 0.5)
+    monkeypatch.setenv("no_proxy", "*")  # the request goes to the listener under any proxy setting
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        url = f"http://127.0.0.1:{server.getsockname()[1]}/b005130.txt"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oeis-check", "--fetch", url, "--cache-dir", str(cache_dir))
+        elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "timed out" in err
+    assert elapsed < 5
+    assert list(cache_dir.iterdir()) == []
+
+
 @pytest.mark.parametrize("target", ["foo", "A", "A12x", "B005130", "A-5"])
 def test_oeis_check_fetch_rejects_text_that_is_neither_an_a_number_nor_a_url(
     tmp_path, capsys, target
@@ -933,6 +952,13 @@ def test_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch, argv)
 def test_verify_conj2_below_order_3_is_a_usage_error(capsys):
     code, out, err = run(capsys, "verify", "conj2", "--n", "2")
     assert (code, out, err) == (2, "", "error: conj2 n=2: order must be at least 3, got 2\n")
+
+
+def test_verify_conj3_with_a_depth_past_the_order_is_a_usage_error(capsys):
+    # 4**8000 has 4817 digits, past str()'s default limit of 4300: the depth is
+    # checked before the report names the number of index tuples
+    err = "error: conj3 n=4 d=8000: depth must lie in 1..4, got 8000\n"
+    assert run(capsys, "verify", "conj3", "--n", "4", "--d", "8000") == (2, "", err)
 
 
 @pytest.mark.parametrize(

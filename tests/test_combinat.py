@@ -301,6 +301,8 @@ def test_as_size_returns_the_int():
         (lambda: gn_poly(4, 2.0), "depth must be an integer, got 2.0"),
         (lambda: total_asm_count(5.0), "order must be an integer, got 5.0"),
         (lambda: verify_conjecture3(4, 3.0), "depth must be an integer, got 3.0"),
+        # 4**(10**6) would be a 602,060-digit int: refused before it is made
+        (lambda: verify_conjecture3(4, 10**6), "depth must lie in 1..4, got 1000000"),
         (lambda: BinomBasisExpansion(-1, 2, (1,)), "order must be positive, got -1"),
         (lambda: BinomBasisExpansion(2.0, 1, (1, 2)), "order must be an integer, got 2.0"),
         (lambda: BinomBasisExpansion(3, 0, (5,)), "depth must be positive, got 0"),
@@ -308,7 +310,8 @@ def test_as_size_returns_the_int():
     ids=[
         "conj2-order", "gn-depth", "gn-depth-over-order", "table-order", "table-depth",
         "refined-float-order", "table-float-depth", "gn-float-depth", "total-float-order",
-        "conj3-float-depth", "expansion-order", "expansion-float-order", "expansion-depth",
+        "conj3-float-depth", "conj3-depth-past-order", "expansion-order", "expansion-float-order",
+        "expansion-depth",
     ],
 )
 def test_sizes_from_a_caller_pass_as_size(call, message):

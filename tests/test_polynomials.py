@@ -673,6 +673,24 @@ def test_expansion_flags_non_integral_coefficients():
     assert expansion_value(BinomBasisExpansion(2, 1, (0, 1)), (Fraction(2),)) == 3
 
 
+def test_expansion_refuses_a_depth_past_its_size_without_the_power():
+    # 2**100000 has 30,103 digits, past str()'s default limit of 4300, and
+    # 4**(10**9) would take 250 MB; a depth past the size's bit length is
+    # refused without either, and a count that str() can write is written out
+    cases = [
+        ((2, 100000, ()), "expected 2**100000 coefficients"),
+        ((4, 10**9, (1, 2)), "expected 4**1000000000 coefficients"),
+        ((2, 3, ()), "expected 8 coefficients"),
+        ((3, 2, (1,)), "expected 9 coefficients"),
+        ((1, 10**9, (1, 2)), "expected 1 coefficients"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValidationError) as excinfo:
+            BinomBasisExpansion(*args)
+        assert str(excinfo.value) == message, args
+    assert BinomBasisExpansion(2, 2, (1, 2, 3, 4)).coeffs == (1, 2, 3, 4)
+
+
 def test_expansion_coefficient_index_validation():
     expansion = expand_in_binomial_basis(gn_poly(3, 2))
     with pytest.raises(ValidationError):

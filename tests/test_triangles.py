@@ -445,7 +445,10 @@ def test_pruned_sweep_equals_the_unpruned_sweep():
 def test_block_sweep_equals_the_dict_sweep(monkeypatch):
     # map stops at its shortest input and a plain slice takes a list of any
     # length, so a pair of unequal slices would shift a block without an error;
-    # a translate missing from the counts of the row before raises a KeyError
+    # a translate missing from the counts of the row before raises a KeyError;
+    # the split rule runs to order 16, and both of its arms to order 12: every
+    # column low, and the first half low
+    real = triangles._Blocks
     lengths = []
 
     def checked_map(fn, *iterables):
@@ -457,6 +460,11 @@ def test_block_sweep_equals_the_dict_sweep(monkeypatch):
     monkeypatch.setattr(triangles, "map", checked_map, raising=False)
     for n in range(1, 17):
         assert triangles._column_sweep(n) == dict_column_sweep(n)
+    for arm in (lambda width: width, lambda width: (width + 1) // 2):
+        for n in range(1, 13):
+            low = arm(n - 1)  # the sweep's states are over columns 2..n
+            monkeypatch.setattr(triangles, "_Blocks", lambda columns: real(columns, low))
+            assert triangles._column_sweep(n) == dict_column_sweep(n), (n, low)
     # at order 16 the low cells' row slices reach C(7, 3) = 35 entries, the
     # high cells' strided slices C(8, 4) = 70
     assert max(lengths) == 70 and 35 in lengths
