@@ -26,6 +26,12 @@ def as_int(value, what: str = "entries") -> int:
         raise ValidationError(f"{what} must be integers, got {value!r}") from None
 
 
+def int_text(value: int) -> str:
+    """value in decimal, or named by its bit length past 8192 bits, where str() may refuse it."""
+    bits = value.bit_length()
+    return str(value) if bits <= 8192 else f"<{bits}-bit integer>"
+
+
 def as_size(value, what: str, low: int = 1, high: int | None = None) -> int:
     """value as an int in low..high, or at least low when high is None; else ValidationError."""
     try:
@@ -33,10 +39,10 @@ def as_size(value, what: str, low: int = 1, high: int | None = None) -> int:
     except ValidationError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
     if high is not None and not low <= size <= high:
-        raise ValidationError(f"{what} must lie in {low}..{high}, got {size}")
+        raise ValidationError(f"{what} must lie in {low}..{high}, got {int_text(size)}")
     if size < low:
         bound = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
-        raise ValidationError(f"{what} must be {bound}, got {size}")
+        raise ValidationError(f"{what} must be {bound}, got {int_text(size)}")
     return size
 
 

@@ -13,19 +13,24 @@ integer points.  Its coefficients in the basis prod binom(x_r - a_r, m_r),
 with a_r the first node on axis r, are the integer forward differences of
 the samples; that is the one polynomial representation.  It is evaluated at
 rational points by contracting each axis with one integer vector of scaled
-basis values, so every evaluation is exact.  The forward differences, the
-change to the shifted binomial basis below and the reflection of
-asmref.extension are each one k x k integer map on every axis; apply_axes
-hands each map the k slabs of its axis, one list per index on that axis,
-which it combines by whole-list maps, with no Python call per fiber.  The
-identity checks evaluate the polynomial at integer shifts of a point
-together, as one stencil that shares its partial reductions; each suite of
-identities is a table read by one report builder, and the six-term exchange
-of neighbouring entries is stated once for both suites.  gn_poly is the one
-builder: a specialization samples a staircase prefix followed by a block of
-n consecutive columns per variable and counts all of its rows in one row
-transfer, and the counting polynomial is the specialization of every entry,
-gn_poly(n, n), read at the entries.
+basis values.  The coefficients are packed once per polynomial into the
+fixed-width signed slots of k big integers, so contracting an axis is k
+big-integer products and k - 1 splits of the result, each exact because a
+slot is two bits wider than a bound on every partial value; there are no
+floats and no modular step, so every evaluation is exact.  The forward
+differences, the change to the shifted binomial basis below and the
+reflection of asmref.extension are each one k x k integer map on every axis;
+apply_axes hands each map the k slabs of its axis, one list per index on
+that axis, which it combines by whole-list maps, with no Python call per
+fiber.  The identity checks evaluate the polynomial at integer shifts of a
+point together, as one stencil that shares its partial reductions, and
+compare two values at unrelated points by their cross-multiplied numerators;
+each suite of identities is a table read by one report builder, and the
+six-term exchange of neighbouring entries is stated once for both suites.
+gn_poly is the one builder: a specialization samples a staircase prefix
+followed by a block of n consecutive columns per variable and counts all of
+its rows in one row transfer, and the counting polynomial is the
+specialization of every entry, gn_poly(n, n), read at the entries.
 The shifted binomial basis of the expansion is a unit-triangular change of
 basis from the coefficients, whose shape gives the basis size and the number
 of variables.
@@ -42,7 +47,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .combinat import as_int, as_size, binom
+from .combinat import as_int, as_size, binom, int_text
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .errors import ValidationError
 from .reports import VerificationReport
@@ -161,61 +166,146 @@ class PolyMulti:
         Returns the numerators in the order of shifts and their one common
         scale.  With x = p/q on an axis of origin a and top = (k-1)! * q^(k-1),
         every distinct step s of that axis gets one integer basis vector
-        top * binom(z, i), i < k, z = x + s - a, on its first use, built by
+        v = top * binom(z, i), i < k, z = x + s - a, built by
         binom(z, i+1) = binom(z, i) * (z - i)/(i + 1) on the integers q*z - i*q
         and (i + 1)*q; each division is exact, as entry i is
-        (k-1)!/i! * q^(k-1-i) times an integer product.
-        The axis is contracted with that vector, so every value shares the
-        scale prod (k-1)! * q^(k-1).  Axes are reduced from the last to the
-        first in one pass over the shifts each, and every distinct suffix of
-        the shifts is reduced once: shifts that agree on the axes reduced so
-        far share that partial reduction, so the 2^m corners of a unit cube
-        cost about 2 * k^m / (1 - 2/k) multiply-adds instead of 2^m * k^m.
-        The first axis contracts a single fiber of k values, in one dot product.
+        (k-1)!/i! * q^(k-1-i) times an integer product.  Contracting every axis
+        with its vector gives each value over the scale prod (k-1)! * q^(k-1).
+
+        The contraction runs on the coefficients packed by _pack into W-bit
+        signed slots of k big integers, the slabs of the last axis: the axis
+        is contracted by one sum(map(operator.mul, v, slabs)), a value whose
+        slots hold the partial reductions, and k - 1 balanced splits cut that
+        value into the k slabs of the next axis.  Axes are reduced from the
+        last to the first in one pass over the shifts each, and every distinct
+        suffix of the shifts is reduced once: shifts that agree on the axes
+        reduced so far share that partial reduction, so the 2^m corners of a
+        unit cube cost about 2 * k^m / (1 - 2/k) slot products instead of
+        2^m * k^m.  The first axis is left with k one-slot slabs, plain ints.
+
+        The splits are exact.  A partial value with axes a.. reduced is a sum
+        of coefficients times one entry of each of their vectors, so it is at
+        most max |c| * prod over those axes of sum_i |v_i| in absolute value,
+        and every such sum is at least its entry top >= 1.  So every partial
+        value is at most B = max |c| * prod over axes of max over steps of
+        sum_i |v_i|, and a width W >= B.bit_length() + 2 puts it below
+        2^(W-2).  A slab of u slots is then below 2^(W-2) * (1 + 2^W + ... +
+        2^(W*(u-1))) < 2^(W*u-1) in absolute value, so adding 2^(W*u-1) to
+        each slab of a value makes every slab a field of W*u bits in
+        0 .. 2^(W*u) - 1, read off with a mask and a shift and no borrow.
         """
         _check_point(point, self.num_vars)
-        shifts = [tuple(s) for s in shifts]
+        shifts = list(map(tuple, shifts))
         for pos, s in enumerate(shifts):
             if len(s) != self.num_vars:
                 raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
-            if not all(type(v) is int for v in s):
+            if {*map(type, s)} != {int}:
                 shifts[pos] = tuple(as_int(v, "shifts") for v in s)
         k = self.degree_bound + 1
         factorial = math.factorial(k - 1)
-        # partial reductions keyed by the shift components of the axes reduced so far
-        partial = {(): self.coeffs}
-        scale = 1
-        for axis in range(self.num_vars - 1, -1, -1):
-            x = point[axis]
+        # one basis vector per distinct step of each axis, and the bound on the
+        # partial values, mod the largest coefficient, that fixes the slot width
+        bases, scale, bound = [], 1, 1
+        for axis, x in enumerate(point):
             p, q = x.numerator, x.denominator
             y0 = p - self.origins[axis] * q
             top = factorial * q ** (k - 1)
-            basis = {}
-            reduced = {}
+            basis, most = {}, 1
+            for s in shifts:
+                step = s[axis]
+                if step not in basis:
+                    # top * binom(z, i) for i < k: y = q * (z - i + 1), d = i * q
+                    vector = basis[step] = [top]
+                    value, y, d = top, y0 + step * q, q
+                    for _ in range(1, k):
+                        value = value * y // d
+                        vector.append(value)
+                        y -= q
+                        d += q
+                    total = sum(map(abs, vector))
+                    if total > most:
+                        most = total
+            bases.append(basis)
+            bound *= most
+            scale *= top
+        packed = self._packed
+        if packed is None or bound > packed[0]:
+            packed = self._pack(bound)
+        _, _, slabs, levels = packed
+        # partial reductions keyed by the shift components of the axes reduced
+        # so far, each held as the k slabs of the next axis to reduce
+        partial = {(): slabs}
+        for axis in range(self.num_vars - 1, -1, -1):
+            basis, level, reduced = bases[axis], levels[axis], {}
             for s in shifts:
                 head = s[axis:]
-                if head in reduced:
-                    continue
-                step = head[0]
-                vector = basis.get(step)
-                if vector is None:
-                    # top * binom(z, i) for i < k, with y = q * z
-                    vector = basis[step] = [top]
-                    value, y = top, y0 + step * q
-                    for i in range(1, k):
-                        value = value * (y - (i - 1) * q) // (i * q)
-                        vector.append(value)
-                flat = partial[head[1:]]
-                if len(flat) == k:  # one fiber left
-                    acc = [sum(map(operator.mul, vector, flat))]
-                else:
-                    acc = [top * c for c in flat[::k]]
-                    for i, b in enumerate(vector[1:], 1):
-                        acc = [a + b * c for a, c in zip(acc, flat[i::k])]
-                reduced[head] = acc
+                if head not in reduced:
+                    value = sum(map(operator.mul, basis[head[0]], partial[head[1:]]))
+                    reduced[head] = _split(value, k, *level) if axis else value
             partial = reduced
-            scale *= top
-        return [partial[s][0] for s in shifts], scale
+        return [partial[s] for s in shifts], scale
+
+    #: (the largest bound that fits, W, slabs, levels) from _pack; not a
+    #: field, so ==, hash, repr and dataclasses.replace ignore it
+    _packed = None
+
+    def _pack(self, bound: int) -> tuple:
+        """Pack the coefficients in slots that hold partial values up to bound * max |c|.
+
+        The tensor is laid out with its axes reversed, so that the first axis
+        runs fastest, and each of its k slabs along the last axis becomes one
+        int of W-bit signed slots, slot j holding the slab's j-th coefficient.
+        W is B.bit_length() + 2, B = bound * max |c|, rounded up to a multiple
+        of 64, so one packed form serves every point of about the same size,
+        and a point that needs a wider slot repacks the polynomial wider,
+        never narrower.  levels[a], a >= 1, holds for a value reduced down to
+        axis a, which holds k slabs of u = k^(a-1) slots, the offset that adds
+        half = 2^(W*u-1) to each slab, the slab's width W*u in bits, its mask
+        and half; levels[0] is None, as the first axis is never split.
+        """
+        k, magnitude = self.degree_bound + 1, max(max(map(abs, self.coeffs)), 1)
+        width = -(-((magnitude * bound).bit_length() + 2) // 64) * 64
+        flat = _reversed_axes(self.coeffs, k)
+        size = len(flat) // k
+        slabs = [_pack_slots(flat[j * size : (j + 1) * size], width) for j in range(k)]
+        levels = [None]
+        for axis in range(1, self.num_vars):
+            bits = width * k ** (axis - 1)
+            half = 1 << (bits - 1)
+            offset = int.from_bytes(half.to_bytes(bits // 8, "little") * k, "little")
+            levels.append((offset, bits, (1 << bits) - 1, half))
+        packed = ((1 << (width - 2)) - 1) // magnitude, width, slabs, levels
+        object.__setattr__(self, "_packed", packed)
+        return packed
+
+
+def _reversed_axes(flat: Sequence[int], k: int) -> list[int]:
+    """A row-major tensor of shape (k,) * d with its axes in reverse order."""
+    if len(flat) <= k:
+        return list(flat)
+    out = []
+    for j in range(k):
+        out += _reversed_axes(flat[j::k], k)
+    return out
+
+
+def _pack_slots(values: Sequence[int], width: int) -> int:
+    """sum_j values[j] * 2^(width * j), each |values[j]| < 2^(width - 1), width a multiple of 8."""
+    nbytes, half = width // 8, 1 << (width - 1)
+    data = b"".join([(v + half).to_bytes(nbytes, "little") for v in values])
+    ones = half.to_bytes(nbytes, "little") * len(values)
+    return int.from_bytes(data, "little") - int.from_bytes(ones, "little")
+
+
+def _split(value: int, k: int, offset: int, bits: int, mask: int, half: int) -> list[int]:
+    """The k signed fields of bits bits of value, read off value + offset, each plus half."""
+    value += offset
+    fields = []
+    for _ in range(k - 1):
+        fields.append((value & mask) - half)
+        value >>= bits
+    fields.append(value - half)
+    return fields
 
 
 _gn_poly_cache: dict[tuple[int, int], PolyMulti] = {}
@@ -296,7 +386,8 @@ class BinomBasisExpansion:
         # d is refused without the power, which could fill memory; a count past
         # 8192 bits is named as a power, since str() may refuse its digits
         if n >= 2 and d > size.bit_length() or size != n**d:
-            count = n**d if n < 2 or d * n.bit_length() <= 8192 else f"{n}**{d}"
+            power = n < 2 or d * n.bit_length() <= 8192
+            count = n**d if power else f"{int_text(n)}**{int_text(d)}"
             raise ValidationError(f"expected {count} coefficients")
         for pos, c in enumerate(self.coeffs):
             if not isinstance(c, int):
@@ -372,11 +463,11 @@ def _reports(
 ) -> tuple[VerificationReport, ...]:
     """One report per row (name, detail, cases), each over num_points points of draw().
 
-    cases(pt) yields (label, lhs, rhs, scale): both sides are values, or the
-    numerators of a stencil over its scale, and they are the case at
-    label + pt.  Equal numerators over one scale are equal values, so only
-    unequal sides are divided by their scale.  The rows draw their points in
-    turn.
+    cases(pt) yields (label, lhs, rhs, scale): both sides are integer
+    numerators over one scale, of a stencil or of two values cross-multiplied
+    by _versus, and they are the case at label + pt.  Equal numerators over
+    one scale are equal values, so only unequal sides are divided by their
+    scale.  The rows draw their points in turn.
     """
     return tuple(
         VerificationReport.from_cases(name, checked + detail, (
@@ -387,6 +478,23 @@ def _reports(
         ))
         for name, detail, cases in rows
     )
+
+
+def _versus(label: tuple, left: tuple[int, int], right: tuple[int, int], sign: int = 1) -> tuple:
+    """The case left = sign * right of two (numerator, scale) values, over both scales' product."""
+    (a, r), (b, s) = left, right
+    return label, a * s, sign * b * r, r * s
+
+
+def _at(poly: PolyMulti) -> Callable[[tuple], tuple[int, int]]:
+    """poly's value at a point as (numerator, scale): the zero shift of evaluate_shifts."""
+    zero = [(0,) * poly.num_vars]
+
+    def at(pt: tuple) -> tuple[int, int]:
+        (value,), scale = poly.evaluate_shifts(pt, zero)
+        return value, scale
+
+    return at
 
 
 #: The shifts of the six-term exchange on the two exchanged axes: 0, e_i + e_(i+1), e_(i+1).
@@ -434,7 +542,7 @@ def verify_alpha_identities(
     """
     num_points = as_size(num_points, "number of points")
     poly = alpha_polynomial(n, budget)
-    ev = poly.evaluate
+    ev = _at(poly)
     rng = random.Random(seed)
     sign = 1 if n % 2 == 1 else -1
     corners = list(itertools.product((0, 1), repeat=n))
@@ -443,7 +551,7 @@ def verify_alpha_identities(
 
     def translation(pt):
         (t,) = _draw_point(rng, 1, 3 * n)  # drawn after its point
-        yield (), ev(pt), ev(tuple(x + t for x in pt)), 1
+        yield _versus((), ev(pt), ev(tuple(x + t for x in pt)))
 
     def annihilation(pt):
         # e_q(D) = sum over corners T of the unit cube of
@@ -472,9 +580,9 @@ def verify_alpha_identities(
     checked = f"n={n}, {num_points} rational points (seed {seed})"
     return _reports(lambda: _draw_point(rng, n, 3 * n), num_points, checked, [
         ("translation", "", translation),
-        ("reversal", "", lambda pt: [((), ev(pt), ev(tuple(-x for x in reversed(pt))), 1)]),
+        ("reversal", "", lambda pt: [_versus((), ev(pt), ev(tuple(-x for x in reversed(pt))))]),
         # moving the first variable to the end, shifted down by n
-        ("rotation", "", lambda pt: [((), ev(pt[1:] + (pt[0] - n,)), sign * ev(pt), 1)]),
+        ("rotation", "", lambda pt: [_versus((), ev(pt[1:] + (pt[0] - n,)), ev(pt), sign)]),
         ("six-term", f", all {max(n - 1, 0)} neighbour pairs", lambda pt: (
             _six_term(poly, pt, i, 0, (f"positions {i + 1},{i + 2}",)) for i in range(n - 1)
         )),
@@ -501,11 +609,11 @@ def verify_gn_reflection(
     """
     num_points = as_size(num_points, "number of points")
     poly = gn_poly(n, d, budget)
-    ev = poly.evaluate
+    ev = _at(poly)
     sign = 1 if ((n - 1) * d) % 2 == 0 else -1
     rng = random.Random(seed)
     rows = [("gn-reflection", "", lambda pt: [
-        ((), ev(pt), sign * ev(tuple(-2 * n - x for x in reversed(pt))), 1)
+        _versus((), ev(pt), ev(tuple(-2 * n - x for x in reversed(pt))), sign)
     ])]
     if d == 2:
         rows.append(("gn-six-term", "", lambda pt: [_six_term(poly, pt, 0, 1, ())]))

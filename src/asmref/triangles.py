@@ -39,7 +39,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .combinat import as_int, as_size
+from .combinat import as_int, as_size, int_text
 from .config import DEFAULT_BUDGET, Budget
 from .errors import BudgetError, ValidationError
 
@@ -227,7 +227,8 @@ def checked_grid(
         rows *= len(level)
     if cost > cap * cap * 2**cap:
         raise BudgetError(
-            f"row transfer over a grid of {rows} rows of {n} entries up to column {grid[-1][-1]}"
+            f"row transfer over a grid of {rows} rows of {n} entries"
+            f" up to column {int_text(grid[-1][-1])}"
             f" exceeds the budget of an order-{cap} sweep"
         )
     return grid

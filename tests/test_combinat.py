@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,19 @@ def test_as_size_states_the_range_it_refuses(args, message):
     with pytest.raises(ValidationError) as excinfo:
         as_size(*args)
     assert str(excinfo.value) == message
+
+
+def test_as_size_names_a_huge_size_by_its_bit_length():
+    started = time.perf_counter()
+    for args, message in [
+        ((10**5000, "depth", 1, 3), "depth must lie in 1..3, got <16610-bit integer>"),
+        ((-(10**5000), "order"), "order must be positive, got <16610-bit integer>"),
+        ((2**8192 - 1, "depth", 1, 3), f"depth must lie in 1..3, got {2**8192 - 1}"),
+    ]:
+        with pytest.raises(ValidationError) as excinfo:
+            as_size(*args)
+        assert str(excinfo.value) == message
+    assert time.perf_counter() - started < 0.1
 
 
 def test_as_size_returns_the_int():

@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -441,6 +442,69 @@ def test_evaluate_shifts_equals_the_stencil_oracle(case):
             assert all(type(v) is int for v in expected[0])
 
 
+WIDE_CASES = [*(("alpha", n) for n in range(1, 6)), ("gn", 12, 2), ("gn", 6, 3)]
+
+
+def _fresh(case: tuple) -> PolyMulti:
+    """The case's polynomial as a copy of its own, so a wide packing stays with the test."""
+    kind, *args = case
+    return dataclasses.replace(alpha_polynomial(*args) if kind == "alpha" else gn_poly(*args))
+
+
+@pytest.mark.parametrize("case", WIDE_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_evaluate_shifts_equals_the_stencil_oracle_past_one_machine_word(case):
+    # numerators near 10**40 over denominators near 10**6 need slots of
+    # hundreds to thousands of bits; a node makes every higher basis entry vanish
+    poly = _fresh(case)
+    m, k = poly.num_vars, poly.degree_bound + 1
+    rng = random.Random(8191 + 17 * m + k)
+
+    def huge() -> Fraction:
+        q = rng.randint(10**6 - 1000, 10**6)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(10**40 - 10**30, 10**40), q)
+
+    points = [tuple(huge() for _ in range(m)) for _ in range(2)]
+    points.append(tuple(a + rng.randrange(k) for a in poly.origins))
+    points.append(tuple(a if r % 2 else huge() for r, a in enumerate(poly.origins)))
+    corners = list(itertools.product((0, 1), repeat=m))
+    far = [tuple(rng.choice((-50, 50, rng.randint(-50, 50))) for _ in range(m)) for _ in range(4)]
+    for point in points:
+        for shifts in ([(0,) * m], corners, far + [(0,) * m, far[0]]):
+            assert poly.evaluate_shifts(point, shifts) == stencil_oracle(poly, point, shifts)
+    assert poly._packed[1] > 64 or k == 1  # alpha_polynomial(1) is the constant 1
+
+
+def test_a_wider_point_repacks_the_coefficients_wider():
+    poly = _fresh(("alpha", 4))
+    narrow, wide = (Fraction(1, 2), 3, -2, Fraction(5, 3)), (Fraction(10**40 + 1, 999983),) * 4
+    shifts = list(itertools.product((0, 1), repeat=4))
+    assert poly.evaluate_shifts(narrow, shifts) == stencil_oracle(poly, narrow, shifts)
+    narrow_form = poly._packed
+    assert poly.evaluate_shifts(wide, shifts) == stencil_oracle(poly, wide, shifts)
+    assert poly._packed[1] > narrow_form[1]
+    # the wide form serves the narrow point again, and is kept
+    wide_form = poly._packed
+    assert poly.evaluate_shifts(narrow, shifts) == stencil_oracle(poly, narrow, shifts)
+    assert poly._packed is wide_form
+
+
+def test_the_packed_form_leaves_equality_hash_repr_and_replace_alone():
+    poly = _fresh(("gn", 4, 2))
+    plain = PolyMulti(poly.num_vars, poly.degree_bound, poly.origins, poly.coeffs)
+    poly.evaluate((Fraction(10**40, 7), 3))
+    assert plain._packed is None and poly._packed is not None
+    assert poly == plain and hash(poly) == hash(plain) and repr(poly) == repr(plain)
+    moved = dataclasses.replace(poly, origins=(1, 4))
+    assert moved._packed is None
+    assert moved == dataclasses.replace(plain, origins=(1, 4))
+    assert dataclasses.replace(poly) == poly
+    assert [f.name for f in dataclasses.fields(poly)] == [
+        "num_vars", "degree_bound", "origins", "coeffs",
+    ]
+    # alpha_polynomial builds a new polynomial with replace at every call
+    assert alpha_polynomial(3)._packed is None
+
+
 def test_evaluate_shifts_accepts_integral_shifts_and_rational_points():
     poly, point = gn_poly(3, 2), (Fraction(1, 2), 3)
     expected = stencil_oracle(poly, point, [(1, 0), (2, 0)])
@@ -689,6 +753,18 @@ def test_expansion_refuses_a_depth_past_its_size_without_the_power():
             BinomBasisExpansion(*args)
         assert str(excinfo.value) == message, args
     assert BinomBasisExpansion(2, 2, (1, 2, 3, 4)).coeffs == (1, 2, 3, 4)
+
+
+def test_expansion_names_a_huge_order_by_its_bit_length():
+    started = time.perf_counter()
+    for args, message in [
+        ((10**5000, 1, ()), "expected <16610-bit integer>**1 coefficients"),
+        ((2, 10**5000, ()), "expected 2**<16610-bit integer> coefficients"),
+    ]:
+        with pytest.raises(ValidationError) as excinfo:
+            BinomBasisExpansion(*args)
+        assert str(excinfo.value) == message
+    assert time.perf_counter() - started < 0.1
 
 
 def test_expansion_coefficient_index_validation():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -717,6 +718,19 @@ def test_transfer_budget_raises_before_counting(fail_if_counting):
         alpha_count((0, 10**9))
     with pytest.raises(BudgetError):
         alpha_count(range(20))
+
+
+def test_a_budget_refusal_names_a_huge_column_by_its_bit_length(fail_if_counting):
+    # 10**5000 has 5001 digits, past str()'s default limit of 4300
+    fail_if_counting()
+    started = time.perf_counter()
+    with pytest.raises(BudgetError) as excinfo:
+        alpha_count((1, 10**5000))
+    assert time.perf_counter() - started < 0.1
+    assert str(excinfo.value) == (
+        "row transfer over a grid of 1 rows of 2 entries up to column <16610-bit integer>"
+        " exceeds the budget of an order-16 sweep"
+    )
 
 
 def test_grid_budget_bounds_the_whole_walk(fail_if_counting):
