@@ -203,8 +203,8 @@ class PolyMulti:
                 shifts[pos] = tuple(as_int(v, "shifts") for v in s)
         k = self.degree_bound + 1
         factorial = math.factorial(k - 1)
-        # one basis vector per distinct step of each axis, and the bound on the
-        # partial values, mod the largest coefficient, that fixes the slot width
+        # one basis vector per distinct step of each axis, and B / max |c|,
+        # the bound on the partial values that fixes the slot width
         bases, scale, bound = [], 1, 1
         for axis, x in enumerate(point):
             p, q = x.numerator, x.denominator
@@ -480,21 +480,12 @@ def _reports(
     )
 
 
-def _versus(label: tuple, left: tuple[int, int], right: tuple[int, int], sign: int = 1) -> tuple:
-    """The case left = sign * right of two (numerator, scale) values, over both scales' product."""
-    (a, r), (b, s) = left, right
-    return label, a * s, sign * b * r, r * s
-
-
-def _at(poly: PolyMulti) -> Callable[[tuple], tuple[int, int]]:
-    """poly's value at a point as (numerator, scale): the zero shift of evaluate_shifts."""
+def _versus(poly: PolyMulti, left: tuple, right: tuple, sign: int = 1) -> tuple:
+    """The case poly(left) = sign * poly(right), cross-multiplied over both scales' product."""
     zero = [(0,) * poly.num_vars]
-
-    def at(pt: tuple) -> tuple[int, int]:
-        (value,), scale = poly.evaluate_shifts(pt, zero)
-        return value, scale
-
-    return at
+    (a,), r = poly.evaluate_shifts(left, zero)
+    (b,), s = poly.evaluate_shifts(right, zero)
+    return (), a * s, sign * b * r, r * s
 
 
 #: The shifts of the six-term exchange on the two exchanged axes: 0, e_i + e_(i+1), e_(i+1).
@@ -542,7 +533,6 @@ def verify_alpha_identities(
     """
     num_points = as_size(num_points, "number of points")
     poly = alpha_polynomial(n, budget)
-    ev = _at(poly)
     rng = random.Random(seed)
     sign = 1 if n % 2 == 1 else -1
     corners = list(itertools.product((0, 1), repeat=n))
@@ -551,7 +541,7 @@ def verify_alpha_identities(
 
     def translation(pt):
         (t,) = _draw_point(rng, 1, 3 * n)  # drawn after its point
-        yield _versus((), ev(pt), ev(tuple(x + t for x in pt)))
+        yield _versus(poly, pt, tuple(x + t for x in pt))
 
     def annihilation(pt):
         # e_q(D) = sum over corners T of the unit cube of
@@ -580,9 +570,9 @@ def verify_alpha_identities(
     checked = f"n={n}, {num_points} rational points (seed {seed})"
     return _reports(lambda: _draw_point(rng, n, 3 * n), num_points, checked, [
         ("translation", "", translation),
-        ("reversal", "", lambda pt: [_versus((), ev(pt), ev(tuple(-x for x in reversed(pt))))]),
+        ("reversal", "", lambda pt: [_versus(poly, pt, tuple(-x for x in reversed(pt)))]),
         # moving the first variable to the end, shifted down by n
-        ("rotation", "", lambda pt: [_versus((), ev(pt[1:] + (pt[0] - n,)), ev(pt), sign)]),
+        ("rotation", "", lambda pt: [_versus(poly, pt[1:] + (pt[0] - n,), pt, sign)]),
         ("six-term", f", all {max(n - 1, 0)} neighbour pairs", lambda pt: (
             _six_term(poly, pt, i, 0, (f"positions {i + 1},{i + 2}",)) for i in range(n - 1)
         )),
@@ -609,11 +599,10 @@ def verify_gn_reflection(
     """
     num_points = as_size(num_points, "number of points")
     poly = gn_poly(n, d, budget)
-    ev = _at(poly)
     sign = 1 if ((n - 1) * d) % 2 == 0 else -1
     rng = random.Random(seed)
     rows = [("gn-reflection", "", lambda pt: [
-        _versus((), ev(pt), ev(tuple(-2 * n - x for x in reversed(pt))), sign)
+        _versus(poly, pt, tuple(-2 * n - x for x in reversed(pt)), sign)
     ])]
     if d == 2:
         rows.append(("gn-six-term", "", lambda pt: [_six_term(poly, pt, 0, 1, ())]))
