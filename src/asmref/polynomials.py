@@ -186,10 +186,11 @@ class PolyMulti:
         The splits are exact.  A partial value with axes a.. reduced is a sum
         of coefficients times one entry of each of their vectors, so it is at
         most max |c| * prod over those axes of sum_i |v_i| in absolute value,
-        and every such sum is at least its entry top >= 1.  So every partial
-        value is at most B = max |c| * prod over axes of max over steps of
-        sum_i |v_i|, and a width W >= B.bit_length() + 2 puts it below
-        2^(W-2).  A slab of u slots is then below 2^(W-2) * (1 + 2^W + ... +
+        and every such sum is at least its entry top >= 1.  Only values with
+        axes 1.. at most reduced sit in slots, as the first axis is reduced on
+        plain ints.  So every slot holds at most B = max |c| * prod over axes
+        1.. of max over steps of sum_i |v_i|, and a width
+        W >= B.bit_length() + 2 puts it below 2^(W-2).  A slab of u slots is then below 2^(W-2) * (1 + 2^W + ... +
         2^(W*(u-1))) < 2^(W*u-1) in absolute value, so adding 2^(W*u-1) to
         each slab of a value makes every slab a field of W*u bits in
         0 .. 2^(W*u) - 1, read off with a mask and a shift and no borrow.
@@ -203,12 +204,13 @@ class PolyMulti:
                 shifts[pos] = tuple(as_int(v, "shifts") for v in s)
         k = self.degree_bound + 1
         factorial = math.factorial(k - 1)
-        # one basis vector per distinct step of each axis, and B / max |c|,
-        # the bound on the partial values that fixes the slot width
+        # one basis vector per distinct step of each axis, and B / max |c|, the
+        # bound on the partial values that fixes the slot width; the first axis
+        # is reduced last, on plain ints, so its vectors take no part in it
         bases, scale, bound = [], 1, 1
         for axis, x in enumerate(point):
-            p, q = x.numerator, x.denominator
-            y0 = p - self.origins[axis] * q
+            q = x.denominator
+            y0 = x.numerator - self.origins[axis] * q
             top = factorial * q ** (k - 1)
             basis, most = {}, 1
             for s in shifts:
@@ -222,9 +224,10 @@ class PolyMulti:
                         vector.append(value)
                         y -= q
                         d += q
-                    total = sum(map(abs, vector))
-                    if total > most:
-                        most = total
+                    if axis:
+                        total = sum(map(abs, vector))
+                        if total > most:
+                            most = total
             bases.append(basis)
             bound *= most
             scale *= top
@@ -241,7 +244,7 @@ class PolyMulti:
                 head = s[axis:]
                 if head not in reduced:
                     value = sum(map(operator.mul, basis[head[0]], partial[head[1:]]))
-                    reduced[head] = _split(value, k, *level) if axis else value
+                    reduced[head] = _split(value, k, level) if axis else value
             partial = reduced
         return [partial[s] for s in shifts], scale
 
@@ -297,8 +300,12 @@ def _pack_slots(values: Sequence[int], width: int) -> int:
     return int.from_bytes(data, "little") - int.from_bytes(ones, "little")
 
 
-def _split(value: int, k: int, offset: int, bits: int, mask: int, half: int) -> list[int]:
-    """The k signed fields of bits bits of value, read off value + offset, each plus half."""
+def _split(value: int, k: int, level: tuple[int, int, int, int]) -> list[int]:
+    """The k signed fields of value, read off value + offset for a level (offset, bits, mask, half).
+
+    value + offset holds each field plus half in its bits bits.
+    """
+    offset, bits, mask, half = level
     value += offset
     fields = []
     for _ in range(k - 1):
