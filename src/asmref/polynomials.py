@@ -22,11 +22,16 @@ differences, the change to the shifted binomial basis below and the
 reflection of asmref.extension are each one k x k integer map on every axis;
 apply_axes hands each map the k slabs of its axis, one list per index on
 that axis, which it combines by whole-list maps, with no Python call per
-fiber.  The identity checks evaluate the polynomial at integer shifts of a
-point together, as one stencil that shares its partial reductions, and
-compare two values at unrelated points by their cross-multiplied numerators;
-each suite of identities is a table read by one report builder, and the
-six-term exchange of neighbouring entries is stated once for both suites.
+fiber.  One evaluator core, PolyMulti._evaluate, runs a stencil plan, the
+integer shifts compiled by _compile into the distinct steps of each axis and
+the distinct suffixes of each reduction level, at a point given as integer
+numerators and denominators; evaluate and evaluate_shifts check their input
+and call it.  The identity suites compile their fixed stencils once per
+call, draw each point as integers, derive the translated, reversed, rotated
+and reflected points in gcd-reduced ints, and sum or cross-multiply the
+numerators in ints, so a case that holds builds no Fraction; each suite is a
+table of identities read by one report builder, and the six-term exchange
+of neighbouring entries is stated once for both suites.
 gn_poly is the one builder: a specialization samples a staircase prefix
 followed by a block of n consecutive columns per variable and counts all of
 its rows in one row transfer, and the counting polynomial is the
@@ -155,8 +160,10 @@ class PolyMulti:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point: the zero shift of evaluate_shifts."""
-        numerators, scale = self.evaluate_shifts(point, [(0,) * self.num_vars])
-        return Fraction(numerators[0], scale)
+        _check_point(point, self.num_vars)
+        nums, dens = [x.numerator for x in point], [x.denominator for x in point]
+        (numerator,), scale = self._evaluate(nums, dens, _zero_plan(self.num_vars))
+        return Fraction(numerator, scale)
 
     def evaluate_shifts(
         self, point: Sequence, shifts: Iterable[Sequence[int]]
@@ -164,8 +171,35 @@ class PolyMulti:
         """Integer numerators of the values at point + s for every integer shift s.
 
         Returns the numerators in the order of shifts and their one common
-        scale.  With x = p/q on an axis of origin a and top = (k-1)! * q^(k-1),
-        every distinct step s of that axis gets one integer basis vector
+        scale.  The point and the shifts are checked here, the shifts are
+        compiled into a stencil plan by _compile, and _evaluate, the one
+        evaluator, runs the plan at the point's numerators and denominators,
+        which a rational keeps in lowest terms.  The identity suites compile
+        their fixed stencils once per call and run _evaluate on points drawn
+        as integers, which takes the suites at orders 1..4 from 22.1 to
+        14.9 ms and gn-reflection at (n, min(n, 2)), n = 1..5, from 4.6 to
+        3.1 ms (CPU time, best of 15 in one process, 2-vCPU Xeon, Python
+        3.11); at the 16 corners of order 4 the check and the compile take
+        about half of this method's time.
+        """
+        _check_point(point, self.num_vars)
+        shifts = list(map(tuple, shifts))
+        for pos, s in enumerate(shifts):
+            if len(s) != self.num_vars:
+                raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
+            if {*map(type, s)} != {int}:
+                shifts[pos] = tuple(as_int(v, "shifts") for v in s)
+        nums, dens = [x.numerator for x in point], [x.denominator for x in point]
+        return self._evaluate(nums, dens, _compile(shifts, self.num_vars))
+
+    def _evaluate(
+        self, nums: Sequence[int], dens: Sequence[int], plan: tuple
+    ) -> tuple[list[int], int]:
+        """The numerators of a stencil plan at the point nums[r] / dens[r], and their scale.
+
+        Every dens[r] is positive and in lowest terms with nums[r].  With
+        x = p/q on an axis of origin a and top = (k-1)! * q^(k-1), every step
+        s of that axis in the plan gets one integer basis vector
         v = top * binom(z, i), i < k, z = x + s - a, built by
         binom(z, i+1) = binom(z, i) * (z - i)/(i + 1) on the integers q*z - i*q
         and (i + 1)*q; each division is exact, as entry i is
@@ -177,14 +211,15 @@ class PolyMulti:
         is contracted by one sum(map(operator.mul, v, slabs)), a value whose
         slots hold the partial reductions, and k - 1 balanced splits cut that
         value into the k slabs of the next axis.  Axes are reduced from the
-        last to the first in one pass over the shifts each, and every distinct
-        suffix of the shifts is reduced once: shifts that agree on the axes
-        reduced so far share that partial reduction, so the 2^m corners of a
-        unit cube cost about 2 * k^m / (1 - 2/k) slot products instead of
-        2^m * k^m.  The first axis is left with k one-slot slabs, plain ints.
-        A single point takes about 16 us at order 4, 74 us at order 5 and
-        0.9 ms at order 6, a half to a quarter of the time of the Python
-        multiply-adds this replaced (one process, 2-vCPU Xeon, Python 3.11).
+        last to the first, and every distinct suffix of the shifts is reduced
+        once, from its parent suffix as the plan lists them: shifts that agree
+        on the axes reduced so far share that partial reduction, so the 2^m
+        corners of a unit cube cost about 2 * k^m / (1 - 2/k) slot products
+        instead of 2^m * k^m.  The first axis is left with k one-slot slabs,
+        plain ints.  A single point takes about 18 us at order 4, 60 us at
+        order 5 and 1.2 ms at order 6, a half to a quarter of the time of the
+        list contraction of tests/oracles.stencil_oracle (one process, 2-vCPU
+        Xeon, Python 3.11).
 
         The splits are exact.  A partial value with axes a.. reduced is a sum
         of coefficients times one entry of each of their vectors, so it is at
@@ -199,39 +234,31 @@ class PolyMulti:
         each slab of a value makes every slab a field of W*u bits in
         0 .. 2^(W*u) - 1, read off with a mask and a shift and no borrow.
         """
-        _check_point(point, self.num_vars)
-        shifts = list(map(tuple, shifts))
-        for pos, s in enumerate(shifts):
-            if len(s) != self.num_vars:
-                raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
-            if {*map(type, s)} != {int}:
-                shifts[pos] = tuple(as_int(v, "shifts") for v in s)
+        steps, heads, order = plan
         k = self.degree_bound + 1
         factorial = math.factorial(k - 1)
-        # one basis vector per distinct step of each axis, and B / max |c|, the
-        # bound on the partial values that fixes the slot width; the first axis
-        # is reduced last, on plain ints, so its vectors take no part in it
+        # one basis vector per step of each axis, and B / max |c|, the bound on
+        # the partial values that fixes the slot width; the first axis is
+        # reduced last, on plain ints, so its vectors take no part in it
         bases, scale, bound = [], 1, 1
-        for axis, x in enumerate(point):
-            q = x.denominator
-            y0 = x.numerator - self.origins[axis] * q
+        for axis, (p, q, origin) in enumerate(zip(nums, dens, self.origins)):
+            y0 = p - origin * q
             top = factorial * q ** (k - 1)
-            basis, most = {}, 1
-            for s in shifts:
-                step = s[axis]
-                if step not in basis:
-                    # top * binom(z, i) for i < k: y = q * (z - i + 1), d = i * q
-                    vector = basis[step] = [top]
-                    value, y, d = top, y0 + step * q, q
-                    for _ in range(1, k):
-                        value = value * y // d
-                        vector.append(value)
-                        y -= q
-                        d += q
-                    if axis:
-                        total = sum(map(abs, vector))
-                        if total > most:
-                            most = total
+            basis, most = [], 1
+            for step in steps[axis]:
+                # top * binom(z, i) for i < k: y = q * (z - i + 1), d = i * q
+                vector = [top]
+                value, y, d = top, y0 + step * q, q
+                for _ in range(1, k):
+                    value = value * y // d
+                    vector.append(value)
+                    y -= q
+                    d += q
+                basis.append(vector)
+                if axis:
+                    total = sum(map(abs, vector))
+                    if total > most:
+                        most = total
             bases.append(basis)
             bound *= most
             scale *= top
@@ -239,18 +266,16 @@ class PolyMulti:
         if packed is None or bound > packed[0]:
             packed = self._pack(bound)
         _, _, slabs, levels = packed
-        # partial reductions keyed by the shift components of the axes reduced
-        # so far, each held as the k slabs of the next axis to reduce
-        partial = {(): slabs}
+        # the partial reductions of one level's suffixes, each held as the k
+        # slabs of the next axis to reduce
+        partial = [slabs]
         for axis in range(self.num_vars - 1, -1, -1):
-            basis, level, reduced = bases[axis], levels[axis], {}
-            for s in shifts:
-                head = s[axis:]
-                if head not in reduced:
-                    value = sum(map(operator.mul, basis[head[0]], partial[head[1:]]))
-                    reduced[head] = _split(value, k, level) if axis else value
+            basis, level, reduced = bases[axis], levels[axis], []
+            for j, parent in heads[axis]:
+                value = sum(map(operator.mul, basis[j], partial[parent]))
+                reduced.append(_split(value, k, level) if axis else value)
             partial = reduced
-        return [partial[s] for s in shifts], scale
+        return list(map(partial.__getitem__, order)), scale
 
     #: (the largest bound that fits, W, slabs, levels) from _pack; not a
     #: field, so ==, hash, repr and dataclasses.replace ignore it
@@ -317,6 +342,31 @@ def _split(value: int, k: int, level: tuple[int, int, int, int]) -> list[int]:
         value >>= bits
     fields.append(value - half)
     return fields
+
+
+def _compile(shifts: Sequence[tuple[int, ...]], num_vars: int) -> tuple:
+    """The stencil plan (steps, heads, order) of integer shifts, for PolyMulti._evaluate.
+
+    steps[a] lists the distinct steps of axis a.  heads[a] lists the distinct
+    suffixes s[a:] of the shifts, each as the position of its step in
+    steps[a] and of its parent s[a+1:] in heads[a+1] (the one empty suffix
+    when a is the last axis).  order[i] is the position of shift i in heads[0].
+    """
+    steps, heads, parents = [None] * num_vars, [None] * num_vars, {(): 0}
+    for axis in range(num_vars - 1, -1, -1):
+        where, level, heads[axis] = {}, {}, []
+        for s in shifts:
+            head = s[axis:]
+            if head not in level:
+                level[head] = len(level)
+                heads[axis].append((where.setdefault(head[0], len(where)), parents[head[1:]]))
+        steps[axis], parents = list(where), level
+    return steps, heads, list(map(parents.__getitem__, shifts))
+
+
+def _zero_plan(num_vars: int) -> tuple:
+    """_compile([(0,) * num_vars], num_vars), built directly."""
+    return [(0,)] * num_vars, [((0, 0),)] * num_vars, (0,)
 
 
 _gn_poly_cache: dict[tuple[int, int], PolyMulti] = {}
@@ -448,13 +498,23 @@ def expand_in_binomial_basis(poly: PolyMulti) -> BinomBasisExpansion:
     return BinomBasisExpansion(n, poly.num_vars, tuple(apply_axes(poly.coeffs, n, fns)))
 
 
-def _draw_point(rng: random.Random, dim: int, bound: int) -> tuple[Fraction, ...]:
-    coords = []
+def _draw_ints(rng: random.Random, dim: int, bound: int) -> tuple[list[int], list[int]]:
+    """The numerators and denominators, in lowest terms, of _draw_point's coordinates.
+
+    randint(a, b) is randrange(a, b + 1), so both read the same draws.
+    """
+    randrange, nums, dens = rng.randrange, [], []
     for _ in range(dim):
-        q = rng.randint(1, 7)
-        p = rng.randint(-bound * q, bound * q)
-        coords.append(Fraction(p, q))
-    return tuple(coords)
+        q = randrange(1, 8)
+        p = randrange(-bound * q, bound * q + 1)
+        g = math.gcd(p, q)
+        nums.append(p // g)
+        dens.append(q // g)
+    return nums, dens
+
+
+def _draw_point(rng: random.Random, dim: int, bound: int) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, *_draw_ints(rng, dim, bound)))
 
 
 def sample_rational_points(
@@ -474,50 +534,71 @@ def _reports(
 ) -> tuple[VerificationReport, ...]:
     """One report per row (name, detail, cases), each over num_points points of draw().
 
-    cases(pt) yields (label, lhs, rhs, scale): both sides are integer
+    draw() gives a point as its lists of integer numerators and denominators,
+    and cases(pt) yields (label, lhs, rhs, scale): both sides are integer
     numerators over one scale, of a stencil or of two values cross-multiplied
-    by _versus, and they are the case at label + pt.  Equal numerators over
-    one scale are equal values, so only unequal sides are divided by their
-    scale.  The rows draw their points in turn.
+    by _versus, and they are the case at label + the point.  Equal numerators
+    over one scale are equal values, so a case that holds builds no
+    Fraction: only a failing case's point, label and sides are built, as
+    Fractions, and handed to from_cases.  The rows draw their points in turn.
     """
     return tuple(
         VerificationReport.from_cases(name, checked + detail, (
-            (label + pt, lhs, rhs) if lhs == rhs
-            else (label + pt, Fraction(lhs, scale), Fraction(rhs, scale))
+            (label + tuple(map(Fraction, *pt)), Fraction(lhs, scale), Fraction(rhs, scale))
             for pt in (draw() for _ in range(num_points))
             for label, lhs, rhs, scale in cases(pt)
+            if lhs != rhs
         ))
         for name, detail, cases in rows
     )
 
 
-def _versus(poly: PolyMulti, left: tuple, right: tuple, sign: int = 1) -> tuple:
-    """The case poly(left) = sign * poly(right), cross-multiplied over both scales' product."""
-    zero = [(0,) * poly.num_vars]
-    (a,), r = poly.evaluate_shifts(left, zero)
-    (b,), s = poly.evaluate_shifts(right, zero)
+def _versus(poly: PolyMulti, zero: tuple, left: tuple, right: tuple, sign: int = 1) -> tuple:
+    """The case poly(left) = sign * poly(right), cross-multiplied over both scales' product.
+
+    zero is the plan of the zero shift, and left and right are integer points.
+    """
+    (a,), r = poly._evaluate(*left, zero)
+    (b,), s = poly._evaluate(*right, zero)
     return (), a * s, sign * b * r, r * s
+
+
+def _reduced(nums: list[int], dens: list[int]) -> tuple[list[int], list[int]]:
+    """The fractions nums[r] / dens[r], dens[r] > 0, in lowest terms."""
+    common = list(map(math.gcd, nums, dens))
+    return list(map(operator.floordiv, nums, common)), list(map(operator.floordiv, dens, common))
+
+
+def _swapped(values: list, i: int) -> list:
+    return values[:i] + [values[i + 1], values[i]] + values[i + 2 :]
 
 
 #: The shifts of the six-term exchange on the two exchanged axes: 0, e_i + e_(i+1), e_(i+1).
 _SIX_TERM = ((0, 0), (1, 1), (0, 1))
 
 
-def _six_term(poly: PolyMulti, pt: tuple, i: int, offset: int, label: tuple) -> tuple:
-    """The six-term exchange of the entries of variables i and i + 1 at pt.
+def _six_term(poly: PolyMulti, i: int, offset: int, label: tuple) -> Callable[[tuple], tuple]:
+    """The case of the six-term exchange of the entries of variables i and i + 1, at a point.
 
-    The stencil is taken at pt and at pt with the two entries exchanged.
-    Variable i + 1's entry sits offset further along the row than variable
-    i's, so the exchanged point is pt[i + 1] + offset, pt[i] - offset: the
-    swapped coordinates, with the offset moved into the integer shifts.  Both
-    points have the same denominators, so both stencils share one scale.
+    The stencil is taken at the point and at the point with the two entries
+    exchanged; both stencils are compiled once here.  Variable i + 1's entry
+    sits offset further along the row than variable i's, so the exchanged
+    point of pt is pt[i + 1] + offset, pt[i] - offset: the swapped
+    coordinates, with the offset moved into the integer shifts.  Both points
+    have the same denominators, so both stencils share one scale.
     """
-    head, tail = (0,) * i, (0,) * (poly.num_vars - i - 2)
-    left, scale = poly.evaluate_shifts(pt, [head + s + tail for s in _SIX_TERM])
-    swapped = pt[:i] + (pt[i + 1], pt[i]) + pt[i + 2 :]
-    moved = [head + (a + offset, b - offset) + tail for a, b in _SIX_TERM]
-    right, _ = poly.evaluate_shifts(swapped, moved)
-    return label, left[0] + left[1] - left[2], -right[0] - right[1] + right[2], scale
+    m = poly.num_vars
+    head, tail = (0,) * i, (0,) * (m - i - 2)
+    left = _compile([head + s + tail for s in _SIX_TERM], m)
+    right = _compile([head + (a + offset, b - offset) + tail for a, b in _SIX_TERM], m)
+
+    def case(pt: tuple) -> tuple:
+        nums, dens = pt
+        u, scale = poly._evaluate(nums, dens, left)
+        v, _ = poly._evaluate(_swapped(nums, i), _swapped(dens, i), right)
+        return label, u[0] + u[1] - u[2], -v[0] - v[1] + v[2], scale
+
+    return case
 
 
 def verify_alpha_identities(
@@ -535,7 +616,7 @@ def verify_alpha_identities(
     polynomials in the difference operators, and the expansion of a repeated
     shift in one variable through shift subsets of the remaining variables.
     The last three evaluate the polynomial at integer shifts of a point, as
-    one evaluate_shifts stencil, and sum the numerators in ints.
+    one stencil compiled once per call, and sum the numerators in ints.
 
     Returns one report per identity.  A failing report lists every witness:
     the sample point, preceded for the six-term, annihilation and
@@ -546,47 +627,73 @@ def verify_alpha_identities(
     poly = alpha_polynomial(n, budget)
     rng = random.Random(seed)
     sign = 1 if n % 2 == 1 else -1
+    bound, zero = 3 * n, _zero_plan(n)
     corners = list(itertools.product((0, 1), repeat=n))
+    sizes = list(map(sum, corners))
+    corner_plan = _compile(corners, n)
+    # e_q(D) = sum over corners T of the unit cube of
+    # (-1)^(q - |T|) * binom(n - |T|, q - |T|) * E^T
+    annihilators = [
+        ((f"q={q}",), [(-1) ** (q - t) * binom(n - t, q - t) for t in range(q + 1)])
+        for q in range(1, n)
+    ]
     repeated = {(r, z): _unit_shift(n, (r,), z) for r in range(n) for z in range(4)}
     shifts = corners + [s for (_, z), s in repeated.items() if z > 1]
+    expansion_plan = _compile(shifts, n)
+    index = {s: j for j, s in enumerate(shifts)}
+    # for each variable r, the (size, position) of every corner free of r,
+    # and per power z its label, the position of z * e_r and its weights
+    expansions = [(
+        [(size, j) for j, (size, corner) in enumerate(zip(sizes, corners)) if corner[r] == 0],
+        [
+            ((f"variable {r + 1}, power {z}",), index[repeated[r, z]],
+             [(-1) ** z * binom(-n, z - p) for p in range(z + 1)])
+            for z in range(4)
+        ],
+    ) for r in range(n)]
+    pairs = [_six_term(poly, i, 0, (f"positions {i + 1},{i + 2}",)) for i in range(n - 1)]
 
     def translation(pt):
-        (t,) = _draw_point(rng, 1, 3 * n)  # drawn after its point
-        yield _versus(poly, pt, tuple(x + t for x in pt))
+        (tp,), (tq,) = _draw_ints(rng, 1, bound)  # drawn after its point
+        nums, dens = pt
+        moved = _reduced([p * tq + tp * q for p, q in zip(nums, dens)], [q * tq for q in dens])
+        yield _versus(poly, zero, pt, moved)
+
+    def reversal(pt):
+        nums, dens = pt
+        return [_versus(poly, zero, pt, ([-p for p in reversed(nums)], dens[::-1]))]
+
+    def rotation(pt):
+        # moving the first variable to the end, shifted down by n
+        nums, dens = pt
+        rotated = nums[1:] + [nums[0] - n * dens[0]], dens[1:] + dens[:1]
+        return [_versus(poly, zero, rotated, pt, sign)]
 
     def annihilation(pt):
-        # e_q(D) = sum over corners T of the unit cube of
-        # (-1)^(q - |T|) * binom(n - |T|, q - |T|) * E^T
-        values, scale = poly.evaluate_shifts(pt, corners)
+        values, scale = poly._evaluate(*pt, corner_plan)
         by_size = [0] * (n + 1)
-        for corner, value in zip(corners, values):
-            by_size[sum(corner)] += value
-        for q in range(1, n):
-            terms = ((-1) ** (q - t) * binom(n - t, q - t) * by_size[t] for t in range(q + 1))
-            yield (f"q={q}",), sum(terms), 0, scale
+        for size, value in zip(sizes, values):
+            by_size[size] += value
+        for label, weights in annihilators:
+            yield label, sum(map(operator.mul, weights, by_size)), 0, scale
 
     def shift_expansion(pt):
-        values, scale = poly.evaluate_shifts(pt, shifts)
-        at = dict(zip(shifts, values))
-        for r in range(n):
+        values, scale = poly._evaluate(*pt, expansion_plan)
+        for free, powers in expansions:
             # sums over the corners of the other variables, by size
             by_size = [0] * n
-            for corner in corners:
-                if corner[r] == 0:
-                    by_size[sum(corner)] += at[corner]
-            for z in range(4):
-                rhs = sum(binom(-n, z - p) * total for p, total in enumerate(by_size[: z + 1]))
-                yield (f"variable {r + 1}, power {z}",), at[repeated[r, z]], (-1) ** z * rhs, scale
+            for size, j in free:
+                by_size[size] += values[j]
+            for label, j, weights in powers:
+                yield label, values[j], sum(map(operator.mul, weights, by_size)), scale
 
     checked = f"n={n}, {num_points} rational points (seed {seed})"
-    return _reports(lambda: _draw_point(rng, n, 3 * n), num_points, checked, [
+    return _reports(lambda: _draw_ints(rng, n, bound), num_points, checked, [
         ("translation", "", translation),
-        ("reversal", "", lambda pt: [_versus(poly, pt, tuple(-x for x in reversed(pt)))]),
-        # moving the first variable to the end, shifted down by n
-        ("rotation", "", lambda pt: [_versus(poly, pt[1:] + (pt[0] - n,), pt, sign)]),
-        ("six-term", f", all {max(n - 1, 0)} neighbour pairs", lambda pt: (
-            _six_term(poly, pt, i, 0, (f"positions {i + 1},{i + 2}",)) for i in range(n - 1)
-        )),
+        ("reversal", "", reversal),
+        ("rotation", "", rotation),
+        ("six-term", f", all {max(n - 1, 0)} neighbour pairs",
+         lambda pt: [pair(pt) for pair in pairs]),
         # the elementary symmetric polynomials in the difference operators annihilate
         ("symmetric-difference-annihilation", f", q=1..{n - 1}", annihilation),
         # a repeated shift in one variable expands over shift subsets of the others
@@ -611,14 +718,19 @@ def verify_gn_reflection(
     num_points = as_size(num_points, "number of points")
     poly = gn_poly(n, d, budget)
     sign = 1 if ((n - 1) * d) % 2 == 0 else -1
-    rng = random.Random(seed)
-    rows = [("gn-reflection", "", lambda pt: [
-        _versus(poly, pt, tuple(-2 * n - x for x in reversed(pt)), sign)
-    ])]
+    rng, zero = random.Random(seed), _zero_plan(d)
+
+    def reflection(pt):
+        nums, dens = pt
+        reflected = [-2 * n * q - p for p, q in zip(reversed(nums), reversed(dens))]
+        return [_versus(poly, zero, pt, (reflected, dens[::-1]), sign)]
+
+    rows = [("gn-reflection", "", reflection)]
     if d == 2:
-        rows.append(("gn-six-term", "", lambda pt: [_six_term(poly, pt, 0, 1, ())]))
+        pair = _six_term(poly, 0, 1, ())
+        rows.append(("gn-six-term", "", lambda pt: [pair(pt)]))
     checked = f"n={n}, d={d}, {num_points} rational points (seed {seed})"
-    return _reports(lambda: _draw_point(rng, d, 3 * n), num_points, checked, rows)
+    return _reports(lambda: _draw_ints(rng, d, 3 * n), num_points, checked, rows)
 
 
 def clear_caches() -> None:

@@ -193,6 +193,12 @@ def alpha_count_grid(
     return _row_transfer(checked_grid(levels, budget))
 
 
+def _ints_text(values: tuple[int, ...]) -> str:
+    """str(values) for a tuple of ints, with every entry named by int_text."""
+    entries = ", ".join(map(int_text, values))
+    return f"({entries},)" if len(values) == 1 else f"({entries})"
+
+
 def checked_grid(
     levels: Sequence[Sequence[int]], budget: Budget = DEFAULT_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
@@ -211,11 +217,13 @@ def checked_grid(
     for level in grid:
         if not level or any(a >= b for a, b in zip(level, level[1:])):
             raise ValidationError(
-                f"levels must be nonempty and strictly increasing: {level}"
+                f"levels must be nonempty and strictly increasing: {_ints_text(level)}"
             )
     for below, above in zip(grid, grid[1:]):
         if below[-1] >= above[0]:
-            raise ValidationError(f"level {above} overlaps the level {below} before it")
+            raise ValidationError(
+                f"level {_ints_text(above)} overlaps the level {_ints_text(below)} before it"
+            )
     n, cap = len(grid), budget.table_max_n
     # the walk takes `steps` columns with i entries placed, each of n cells on
     # about binom(n, i) states, since i entries leave i row bits set
@@ -238,7 +246,7 @@ def _normalized(bottom: Sequence[int]) -> tuple[int, ...]:
     """The row as ints translated to start at zero; raises unless weakly increasing."""
     row = tuple(map(as_int, bottom))
     if any(a > b for a, b in zip(row, row[1:])):
-        raise ValidationError(f"bottom row must be weakly increasing: {row}")
+        raise ValidationError(f"bottom row must be weakly increasing: {_ints_text(row)}")
     return tuple(v - row[0] for v in row)
 
 

@@ -80,6 +80,12 @@ alpha_identity_reports evaluates the counting polynomial once per shifted
 point, in Fractions with a per-point memo, as asmref.polynomials did before it
 evaluated the shifts of each identity as one stencil.  The tests require the
 same reports, witnesses included, from verify_alpha_identities.
+gn_reflection_reports does the same for the specialization gn_poly(n, d):
+one evaluate call per point of its reflection and six-term exchange, on the
+Fractions of _draw_point, as asmref.polynomials did before the suites drew
+their points as integer numerators and denominators and ran compiled
+stencils on them.  The tests require the same reports from
+verify_gn_reflection.
 
 fraction_explicit_formula sums the entry formula of conj2 term by term in
 Fractions, each harmonic number a Fraction of its own, as
@@ -1023,6 +1029,34 @@ def alpha_identity_reports(
                 check((f"variable {r + 1}, power {z}",), pt, lhs, rhs)
     finish("shift-expansion", ", powers 0..3, every variable")
 
+    return tuple(reports)
+
+
+def gn_reflection_reports(
+    poly: PolyMulti, n: int, d: int, seed: int, num_points: int
+) -> tuple[VerificationReport, ...]:
+    """verify_gn_reflection on poly, one single evaluation per point."""
+    rng = random.Random(seed)
+    checked = f"n={n}, d={d}, {num_points} rational points (seed {seed})"
+    ev = poly.evaluate
+    sign = 1 if ((n - 1) * d) % 2 == 0 else -1
+    witnesses = []
+    for _ in range(num_points):
+        pt = _draw_point(rng, d, 3 * n)
+        lhs, rhs = ev(pt), sign * ev(tuple(-2 * n - x for x in reversed(pt)))
+        if lhs != rhs:
+            witnesses.append(Witness(pt, lhs, rhs))
+    reports = [VerificationReport.from_witnesses("gn-reflection", checked, witnesses)]
+    if d == 2:
+        witnesses = []
+        for _ in range(num_points):
+            # variable 2 shifts the entry one column past variable 1's
+            x, y = _draw_point(rng, 2, 3 * n)
+            lhs = ev((x, y)) + ev((x + 1, y + 1)) - ev((x, y + 1))
+            rhs = -ev((y + 1, x - 1)) - ev((y + 2, x)) + ev((y + 1, x))
+            if lhs != rhs:
+                witnesses.append(Witness((x, y), lhs, rhs))
+        reports.append(VerificationReport.from_witnesses("gn-six-term", checked, witnesses))
     return tuple(reports)
 
 

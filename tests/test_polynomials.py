@@ -51,6 +51,7 @@ from oracles import (
     apply_axis,
     expansion_value,
     fischer_coefficients,
+    gn_reflection_reports,
     newton_interpolant_value,
     stencil_oracle,
 )
@@ -827,6 +828,46 @@ def test_identity_stencils_match_the_oracle_on_a_corrupted_polynomial(n, monkeyp
     reports = verify_alpha_identities(n)
     assert not any(r.passed for r in reports)
     assert reports == alpha_identity_reports(corrupted, n, DEFAULT_SEED, 20)
+
+
+@pytest.mark.parametrize("seed", (1729, 5))
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 6) for d in range(1, min(n, 3) + 1)])
+def test_gn_reflection_matches_the_per_point_oracle(n, d, seed):
+    reports = verify_gn_reflection(n, d, seed=seed)
+    assert all(r.passed for r in reports)
+    assert reports == gn_reflection_reports(gn_poly(n, d), n, d, seed, 20)
+
+
+@pytest.mark.parametrize("n, d, pos", [(4, 1, 2), (5, 2, 7)])
+def test_gn_reflection_matches_the_oracle_on_a_corrupted_polynomial(n, d, pos, monkeypatch):
+    poly = gn_poly(n, d)
+    coeffs = list(poly.coeffs)
+    coeffs[pos] += 1
+    corrupted = dataclasses.replace(poly, coeffs=tuple(coeffs))
+    monkeypatch.setitem(polynomials._gn_poly_cache, (n, d), corrupted)
+    reports = verify_gn_reflection(n, d, seed=1729)
+    assert not any(r.passed for r in reports)
+    assert [r.claim for r in reports] == ["gn-reflection", "gn-six-term"][:d]
+    assert reports == gn_reflection_reports(corrupted, n, d, 1729, 20)
+
+
+@pytest.mark.parametrize("dim, bound, seed", [(1, 3, 1), (2, 12, 1729), (3, 9, 123), (5, 15, 5)])
+def test_integer_draws_read_as_the_sampled_fractions(dim, bound, seed):
+    # the draws of randint and Fraction, as the rational points were first drawn
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(40):
+        coords = []
+        for _ in range(dim):
+            q = rng.randint(1, 7)
+            coords.append(Fraction(rng.randint(-bound * q, bound * q), q))
+        expected.append(tuple(coords))
+    rng = random.Random(seed)
+    draws = [polynomials._draw_ints(rng, dim, bound) for _ in range(40)]
+    for nums, dens in draws:
+        assert all(q > 0 and math.gcd(p, q) == 1 for p, q in zip(nums, dens))
+    assert [tuple(map(Fraction, *draw)) for draw in draws] == expected
+    assert sample_rational_points(dim, 40, bound, seed) == expected
 
 
 def test_verify_alpha_identities_budget(fail_if_counting):

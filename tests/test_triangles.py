@@ -733,6 +733,45 @@ def test_a_budget_refusal_names_a_huge_column_by_its_bit_length(fail_if_counting
     )
 
 
+def _refused_quickly(call) -> str:
+    """The ValidationError text of call(), which must come within 0.1 s."""
+    started = time.perf_counter()
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    assert time.perf_counter() - started < 0.1
+    return str(excinfo.value)
+
+
+def test_a_decreasing_row_names_a_huge_entry_by_its_bit_length(fail_if_counting):
+    fail_if_counting()
+    assert _refused_quickly(lambda: alpha_count((10**5000, 1))) == (
+        "bottom row must be weakly increasing: (<16610-bit integer>, 1)"
+    )
+    assert _refused_quickly(lambda: alpha_count((3, 1))) == (
+        "bottom row must be weakly increasing: (3, 1)"
+    )
+
+
+def test_a_decreasing_level_names_a_huge_entry_by_its_bit_length(fail_if_counting):
+    fail_if_counting()
+    assert _refused_quickly(lambda: alpha_count_grid([(3, 10**5000, 2)])) == (
+        "levels must be nonempty and strictly increasing: (3, <16610-bit integer>, 2)"
+    )
+    assert _refused_quickly(lambda: alpha_count_grid([(3, 2)])) == (
+        "levels must be nonempty and strictly increasing: (3, 2)"
+    )
+
+
+def test_an_overlapping_level_names_a_huge_entry_by_its_bit_length(fail_if_counting):
+    fail_if_counting()
+    assert _refused_quickly(lambda: alpha_count_grid([(10**5000,), (1,)])) == (
+        "level (1,) overlaps the level (<16610-bit integer>,) before it"
+    )
+    assert _refused_quickly(lambda: alpha_count_grid([(3,), (1, 2)])) == (
+        "level (1, 2) overlaps the level (3,) before it"
+    )
+
+
 def test_grid_budget_bounds_the_whole_walk(fail_if_counting):
     # under the order-3 cap of 72 cell updates each row below is narrow
     # enough (width 9); the walk over (0, 1) then (8,) takes 2 columns with
