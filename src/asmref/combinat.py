@@ -26,10 +26,20 @@ def as_int(value, what: str = "entries") -> int:
         raise ValidationError(f"{what} must be integers, got {value!r}") from None
 
 
-def int_text(value: int) -> str:
-    """value in decimal, or named by its bit length past 8192 bits, where str() may refuse it."""
-    bits = value.bit_length()
+def int_text(value) -> str:
+    """str(value), but an int past 8192 bits, whose digits str() may refuse, by its bit length."""
+    bits = value.bit_length() if isinstance(value, int) else 0
     return str(value) if bits <= 8192 else f"<{bits}-bit integer>"
+
+
+def ints_text(values) -> str:
+    """str(values), each int entry of a tuple or a list named by int_text and any other by repr."""
+    if type(values) not in (tuple, list):
+        return str(values)
+    entries = ", ".join(int_text(v) if type(v) is int else repr(v) for v in values)
+    if type(values) is list:
+        return f"[{entries}]"
+    return f"({entries},)" if len(values) == 1 else f"({entries})"
 
 
 def as_size(value, what: str, low: int = 1, high: int | None = None) -> int:

@@ -46,7 +46,9 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from .combinat import as_int, as_size, binom, binom_plus, refined_asm_count, total_asm_count
+from .combinat import (
+    as_int, as_size, binom, binom_plus, ints_text, refined_asm_count, total_asm_count,
+)
 from .config import DEFAULT_BUDGET, Budget
 from .documents import TableCache, table_document
 from .errors import (
@@ -75,7 +77,7 @@ def _checked_indices(n: int, i, j) -> tuple[int, int]:
     """(i, j) through as_int, each in 1..n; else ValidationError."""
     i, j = as_int(i, "indices"), as_int(j, "indices")
     if not (1 <= i <= n and 1 <= j <= n):
-        raise ValidationError(f"indices must lie in 1..{n}, got ({i}, {j})")
+        raise ValidationError(f"indices must lie in 1..{n}, got {ints_text((i, j))}")
     return i, j
 
 

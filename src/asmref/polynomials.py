@@ -11,27 +11,30 @@ Every sample grid is a tensor product of runs of consecutive integers and
 every sample is an integer count, so each polynomial takes integer values at
 integer points.  Its coefficients in the basis prod binom(x_r - a_r, m_r),
 with a_r the first node on axis r, are the integer forward differences of
-the samples; that is the one polynomial representation.  It is evaluated at
-rational points by contracting each axis with one integer vector of scaled
-basis values.  The coefficients are packed once per polynomial into the
-fixed-width signed slots of k big integers, so contracting an axis is k
-big-integer products and k - 1 splits of the result, each exact because a
-slot is two bits wider than a bound on every partial value; there are no
-floats and no modular step, so every evaluation is exact.  The forward
+the samples; that is the one polynomial representation, a row-major tensor,
+and every pass over it reads the slabs of its leading axis.  The forward
 differences, the change to the shifted binomial basis below and the
 reflection of asmref.extension are each one k x k integer map on every axis;
 apply_axes hands each map the k slabs of its axis, one list per index on
 that axis, which it combines by whole-list maps, with no Python call per
-fiber.  One evaluator core, PolyMulti._evaluate, runs a stencil plan, the
-integer shifts compiled by _compile into the distinct steps of each axis and
-the distinct suffixes of each reduction level, at a point given as integer
-numerators and denominators; evaluate and evaluate_shifts check their input
-and call it.  The identity suites compile their fixed stencils once per
-call, draw each point as integers, derive the translated, reversed, rotated
-and reflected points in gcd-reduced ints, and sum or cross-multiply the
-numerators in ints, so a case that holds builds no Fraction; each suite is a
-table of identities read by one report builder, and the six-term exchange
-of neighbouring entries is stated once for both suites.
+fiber.  A polynomial is evaluated at rational points by contracting each
+axis, first to last, with one integer vector of scaled basis values.  Once
+per polynomial the k slabs of the first axis are packed as they lie, each
+into the fixed-width signed slots of one big integer, so contracting an axis
+is k big-integer products and k - 1 splits of the result into the slabs of
+the next axis, each exact because a slot is two bits wider than a bound on
+every partial value; there are no floats and no modular step, so every
+evaluation is exact.  One evaluator core, PolyMulti._evaluate, runs a
+stencil plan, the integer shifts compiled by _compile into the distinct
+steps of each axis and the distinct prefixes of each reduction level, at a
+point given as integer numerators and denominators; evaluate and
+evaluate_shifts check their input and call it.  The identity suites compile
+their fixed stencils once per call, draw each point as integers, derive the
+translated, reversed, rotated and reflected points in gcd-reduced ints, and
+sum or cross-multiply the numerators in ints, so a case that holds builds no
+Fraction; each suite is a table of identities read by one report builder,
+and the six-term exchange of neighbouring entries is stated once for both
+suites.
 gn_poly is the one builder: a specialization samples a staircase prefix
 followed by a block of n consecutive columns per variable and counts all of
 its rows in one row transfer, and the counting polynomial is the
@@ -52,7 +55,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .combinat import as_int, as_size, binom, int_text
+from .combinat import as_int, as_size, binom, int_text, ints_text
 from .config import DEFAULT_BUDGET, DEFAULT_SEED, Budget
 from .errors import ValidationError
 from .reports import VerificationReport
@@ -147,7 +150,7 @@ class PolyMulti:
         num_vars = len(node_tuples)
         for ns in node_tuples:
             if not ns or ns != tuple(range(ns[0], ns[0] + k)):
-                raise ValidationError(f"need {k} ascending consecutive nodes, got {ns}")
+                raise ValidationError(f"need {k} ascending consecutive nodes, got {ints_text(ns)}")
         flat = values  # a list of ints needs no second list of the tensor's size
         if type(flat) is not list or not all(type(v) is int for v in flat):
             flat = [as_int(v, "samples") for v in values]
@@ -183,14 +186,14 @@ class PolyMulti:
         about half of this method's time.
         """
         _check_point(point, self.num_vars)
-        shifts = list(map(tuple, shifts))
+        shifts, m = list(map(tuple, shifts)), self.num_vars
         for pos, s in enumerate(shifts):
-            if len(s) != self.num_vars:
-                raise ValidationError(f"shifts must be {self.num_vars} integers, got {s!r}")
+            if len(s) != m:
+                raise ValidationError(f"shifts must be {m} integers, got {ints_text(s)}")
             if {*map(type, s)} != {int}:
                 shifts[pos] = tuple(as_int(v, "shifts") for v in s)
         nums, dens = [x.numerator for x in point], [x.denominator for x in point]
-        return self._evaluate(nums, dens, _compile(shifts, self.num_vars))
+        return self._evaluate(nums, dens, _compile(shifts, m))
 
     def _evaluate(
         self, nums: Sequence[int], dens: Sequence[int], plan: tuple
@@ -207,27 +210,28 @@ class PolyMulti:
         with its vector gives each value over the scale prod (k-1)! * q^(k-1).
 
         The contraction runs on the coefficients packed by _pack into W-bit
-        signed slots of k big integers, the slabs of the last axis: the axis
-        is contracted by one sum(map(operator.mul, v, slabs)), a value whose
-        slots hold the partial reductions, and k - 1 balanced splits cut that
-        value into the k slabs of the next axis.  Axes are reduced from the
-        last to the first, and every distinct suffix of the shifts is reduced
-        once, from its parent suffix as the plan lists them: shifts that agree
-        on the axes reduced so far share that partial reduction, so the 2^m
-        corners of a unit cube cost about 2 * k^m / (1 - 2/k) slot products
-        instead of 2^m * k^m.  The first axis is left with k one-slot slabs,
-        plain ints.  A single point takes about 18 us at order 4, 60 us at
-        order 5 and 1.2 ms at order 6, a half to a quarter of the time of the
-        list contraction of tests/oracles.stencil_oracle (one process, 2-vCPU
+        signed slots of k big integers, the row-major slabs of the first
+        axis: the axis is contracted by one sum(map(operator.mul, v, slabs)),
+        a value whose slots hold the partial reductions in row-major order of
+        the remaining axes, and k - 1 balanced splits cut that value into the
+        k slabs of the next axis.  Axes are reduced from the first to the
+        last, and every distinct prefix of the shifts is reduced once, from
+        its parent prefix as the plan lists them: shifts that agree on the
+        axes reduced so far share that partial reduction, so the 2^m corners
+        of a unit cube cost about 2 * k^m / (1 - 2/k) slot products instead
+        of 2^m * k^m.  The last axis is left with k one-slot slabs, plain
+        ints.  A single point takes about 17 us at order 4, 60 us at order 5
+        and 0.9 ms at order 6, a half to a quarter of the time of the list
+        contraction of tests/oracles.stencil_oracle (one process, 2-vCPU
         Xeon, Python 3.11).
 
-        The splits are exact.  A partial value with axes a.. reduced is a sum
+        The splits are exact.  A partial value with axes 0..a reduced is a sum
         of coefficients times one entry of each of their vectors, so it is at
         most max |c| * prod over those axes of sum_i |v_i| in absolute value,
         and every such sum is at least its entry top >= 1.  The values that
-        sit in slots have at most the axes 1.. reduced, since the first axis
-        is reduced last, on plain ints.  So every slot holds at most
-        B = max |c| * prod over the axes 1.. of max over steps of
+        sit in slots have at most the axes 0..m-2 reduced, since the last axis
+        is reduced on plain ints.  So every slot holds at most
+        B = max |c| * prod over the axes 0..m-2 of max over steps of
         sum_i |v_i|, and a width W >= B.bit_length() + 2 puts it below
         2^(W-2).  A slab of u slots is then below 2^(W-2) * (1 + 2^W + ... +
         2^(W*(u-1))) < 2^(W*u-1) in absolute value, so adding 2^(W*u-1) to
@@ -238,9 +242,9 @@ class PolyMulti:
         k = self.degree_bound + 1
         factorial = math.factorial(k - 1)
         # one basis vector per step of each axis, and B / max |c|, the bound on
-        # the partial values that fixes the slot width; the first axis is
-        # reduced last, on plain ints, so its vectors take no part in it
-        bases, scale, bound = [], 1, 1
+        # the partial values that fixes the slot width; the last axis is
+        # reduced on plain ints, so its vectors take no part in it
+        bases, scale, bound, last = [], 1, 1, self.num_vars - 1
         for axis, (p, q, origin) in enumerate(zip(nums, dens, self.origins)):
             y0 = p - origin * q
             top = factorial * q ** (k - 1)
@@ -255,7 +259,7 @@ class PolyMulti:
                     y -= q
                     d += q
                 basis.append(vector)
-                if axis:
+                if axis < last:
                     total = sum(map(abs, vector))
                     if total > most:
                         most = total
@@ -266,14 +270,14 @@ class PolyMulti:
         if packed is None or bound > packed[0]:
             packed = self._pack(bound)
         _, _, slabs, levels = packed
-        # the partial reductions of one level's suffixes, each held as the k
+        # the partial reductions of one level's prefixes, each held as the k
         # slabs of the next axis to reduce
         partial = [slabs]
-        for axis in range(self.num_vars - 1, -1, -1):
+        for axis in range(self.num_vars):
             basis, level, reduced = bases[axis], levels[axis], []
             for j, parent in heads[axis]:
                 value = sum(map(operator.mul, basis[j], partial[parent]))
-                reduced.append(_split(value, k, level) if axis else value)
+                reduced.append(_split(value, k, level) if axis < last else value)
             partial = reduced
         return list(map(partial.__getitem__, order)), scale
 
@@ -284,41 +288,30 @@ class PolyMulti:
     def _pack(self, bound: int) -> tuple:
         """Pack the coefficients in slots that hold partial values up to bound * max |c|.
 
-        The tensor is laid out with its axes reversed, so that the first axis
-        runs fastest, and each of its k slabs along the last axis becomes one
-        int of W-bit signed slots, slot j holding the slab's j-th coefficient.
-        W is B.bit_length() + 2, B = bound * max |c|, rounded up to a multiple
-        of 64, so one packed form serves every point of about the same size,
-        and a point that needs a wider slot repacks the polynomial wider,
-        never narrower.  levels[a], a >= 1, holds for a value reduced down to
-        axis a, which holds k slabs of u = k^(a-1) slots, the offset that adds
+        Each of the k slabs of the first axis, the row-major slices that
+        apply_axes hands out, becomes one int of W-bit signed slots, slot j
+        holding the slab's j-th coefficient.  W is B.bit_length() + 2,
+        B = bound * max |c|, rounded up to a multiple of 64, so one packed
+        form serves every point of about the same size, and a point that
+        needs a wider slot repacks the polynomial wider, never narrower.
+        levels[a], a < m - 1, holds for a value with axes 0..a reduced, which
+        holds k slabs of u = k^(m-2-a) slots, the offset that adds
         half = 2^(W*u-1) to each slab, the slab's width W*u in bits, its mask
-        and half; levels[0] is None, as the first axis is never split.
+        and half; levels[m - 1] is None, as the last axis is never split.
         """
         k, magnitude = self.degree_bound + 1, max(max(map(abs, self.coeffs)), 1)
         width = -(-((magnitude * bound).bit_length() + 2) // 64) * 64
-        flat = _reversed_axes(self.coeffs, k)
-        size = len(flat) // k
-        slabs = [_pack_slots(flat[j * size : (j + 1) * size], width) for j in range(k)]
+        size = len(self.coeffs) // k
+        slabs = [_pack_slots(self.coeffs[j * size : (j + 1) * size], width) for j in range(k)]
         levels = [None]
-        for axis in range(1, self.num_vars):
-            bits = width * k ** (axis - 1)
+        for exponent in range(self.num_vars - 1):
+            bits = width * k**exponent
             half = 1 << (bits - 1)
             offset = int.from_bytes(half.to_bytes(bits // 8, "little") * k, "little")
-            levels.append((offset, bits, (1 << bits) - 1, half))
+            levels.insert(0, (offset, bits, (1 << bits) - 1, half))
         packed = ((1 << (width - 2)) - 1) // magnitude, width, slabs, levels
         object.__setattr__(self, "_packed", packed)
         return packed
-
-
-def _reversed_axes(flat: Sequence[int], k: int) -> list[int]:
-    """A row-major tensor of shape (k,) * d with its axes in reverse order."""
-    if len(flat) <= k:
-        return list(flat)
-    out = []
-    for j in range(k):
-        out += _reversed_axes(flat[j::k], k)
-    return out
 
 
 def _pack_slots(values: Sequence[int], width: int) -> int:
@@ -348,18 +341,19 @@ def _compile(shifts: Sequence[tuple[int, ...]], num_vars: int) -> tuple:
     """The stencil plan (steps, heads, order) of integer shifts, for PolyMulti._evaluate.
 
     steps[a] lists the distinct steps of axis a.  heads[a] lists the distinct
-    suffixes s[a:] of the shifts, each as the position of its step in
-    steps[a] and of its parent s[a+1:] in heads[a+1] (the one empty suffix
-    when a is the last axis).  order[i] is the position of shift i in heads[0].
+    prefixes s[:a+1] of the shifts, each as the position of its step in
+    steps[a] and of its parent s[:a] in heads[a-1] (the one empty prefix
+    when a is the first axis).  order[i] is the position of shift i in
+    heads[num_vars - 1].
     """
     steps, heads, parents = [None] * num_vars, [None] * num_vars, {(): 0}
-    for axis in range(num_vars - 1, -1, -1):
+    for axis in range(num_vars):
         where, level, heads[axis] = {}, {}, []
         for s in shifts:
-            head = s[axis:]
+            head = s[: axis + 1]
             if head not in level:
                 level[head] = len(level)
-                heads[axis].append((where.setdefault(head[0], len(where)), parents[head[1:]]))
+                heads[axis].append((where.setdefault(head[-1], len(where)), parents[head[:-1]]))
         steps[axis], parents = list(where), level
     return steps, heads, list(map(parents.__getitem__, shifts))
 
@@ -457,12 +451,12 @@ class BinomBasisExpansion:
     def coefficient(self, indices: Sequence[int]) -> int:
         if len(indices) != self.d:
             raise ValidationError(f"need {self.d} indices, got {len(indices)}")
-        pos = 0
+        pos, n = 0, self.n
         for j in indices:
             j = as_int(j, "indices")
-            if not 1 <= j <= self.n:
-                raise ValidationError(f"indices must lie in 1..{self.n}: {tuple(indices)}")
-            pos = pos * self.n + (j - 1)
+            if not 1 <= j <= n:
+                raise ValidationError(f"indices must lie in 1..{n}: {ints_text(tuple(indices))}")
+            pos = pos * n + (j - 1)
         return self.coeffs[pos]
 
 

@@ -39,7 +39,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .combinat import as_int, as_size, int_text
+from .combinat import as_int, as_size, int_text, ints_text
 from .config import DEFAULT_BUDGET, Budget
 from .errors import BudgetError, ValidationError
 
@@ -68,7 +68,7 @@ class Asm:
                     elif value == -1:
                         partial -= 1
                     else:
-                        raise ValidationError(f"entries must be -1, 0 or 1, got {value}")
+                        raise ValidationError(f"entries must be -1, 0 or 1, got {int_text(value)}")
                     if partial != 0 and partial != 1:
                         raise ValidationError(
                             f"{axis} {pos}: partial sums must stay in {{0, 1}}"
@@ -96,14 +96,15 @@ class MonotoneTriangle:
             a = row[0]
             for b in row[1:]:
                 if a >= b:
-                    raise ValidationError(f"row {i} must be strictly increasing: {row}")
+                    raise ValidationError(f"row {i} must be strictly increasing: {ints_text(row)}")
                 a = b
         for upper, lower in zip(self.rows, self.rows[1:]):
             low = lower[0]
             for value, high in zip(upper, lower[1:]):
                 if not low <= value <= high:
                     raise ValidationError(
-                        f"rows {upper} over {lower} violate the interlacing condition"
+                        f"rows {ints_text(upper)} over {ints_text(lower)}"
+                        " violate the interlacing condition"
                     )
                 low = high
 
@@ -139,7 +140,7 @@ def mt_to_asm(t: MonotoneTriangle) -> Asm:
     """Inverse of asm_to_mt; the triangle must be complete (bottom row 1..n)."""
     if not t.is_complete:
         raise ValidationError(
-            f"triangle is not complete: bottom row {t.bottom_row} is not 1..{t.n}"
+            f"triangle is not complete: bottom row {ints_text(t.bottom_row)} is not 1..{t.n}"
         )
     prev = [0] * t.n
     entries = []
@@ -193,12 +194,6 @@ def alpha_count_grid(
     return _row_transfer(checked_grid(levels, budget))
 
 
-def _ints_text(values: tuple[int, ...]) -> str:
-    """str(values) for a tuple of ints, with every entry named by int_text."""
-    entries = ", ".join(map(int_text, values))
-    return f"({entries},)" if len(values) == 1 else f"({entries})"
-
-
 def checked_grid(
     levels: Sequence[Sequence[int]], budget: Budget = DEFAULT_BUDGET
 ) -> tuple[tuple[int, ...], ...]:
@@ -217,12 +212,12 @@ def checked_grid(
     for level in grid:
         if not level or any(a >= b for a, b in zip(level, level[1:])):
             raise ValidationError(
-                f"levels must be nonempty and strictly increasing: {_ints_text(level)}"
+                f"levels must be nonempty and strictly increasing: {ints_text(level)}"
             )
     for below, above in zip(grid, grid[1:]):
         if below[-1] >= above[0]:
             raise ValidationError(
-                f"level {_ints_text(above)} overlaps the level {_ints_text(below)} before it"
+                f"level {ints_text(above)} overlaps the level {ints_text(below)} before it"
             )
     n, cap = len(grid), budget.table_max_n
     # the walk takes `steps` columns with i entries placed, each of n cells on
@@ -246,7 +241,7 @@ def _normalized(bottom: Sequence[int]) -> tuple[int, ...]:
     """The row as ints translated to start at zero; raises unless weakly increasing."""
     row = tuple(map(as_int, bottom))
     if any(a > b for a, b in zip(row, row[1:])):
-        raise ValidationError(f"bottom row must be weakly increasing: {_ints_text(row)}")
+        raise ValidationError(f"bottom row must be weakly increasing: {ints_text(row)}")
     return tuple(v - row[0] for v in row)
 
 
@@ -305,7 +300,7 @@ def refined_count(n: int, indices: Sequence[int], budget: Budget = DEFAULT_BUDGE
     if not idx:
         raise ValidationError("at least one index is required")
     if idx[0] < 1 or idx[-1] > n or any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ValidationError(f"indices must be strictly increasing in 1..{n}: {idx}")
+        raise ValidationError(f"indices must be strictly increasing in 1..{n}: {ints_text(idx)}")
     checked_table(n, len(idx), budget)
     return _sweep_count(_staircase_counts(n), _complement_mask(n, idx))
 
@@ -330,14 +325,14 @@ class RefinedTable:
             object.__setattr__(self, "entries", counts)
         for key, value in self.entries.items():
             if value < 0:
-                raise ValidationError(f"count at {key} is negative: {value}")
+                raise ValidationError(f"count at {key} is negative: {int_text(value)}")
 
     def value(self, *indices: int) -> int:
         key = indices[0] if len(indices) == 1 and isinstance(indices[0], tuple) else indices
         try:
             return self.entries[tuple(key)]
         except KeyError:
-            raise ValidationError(f"no entry at {key}") from None
+            raise ValidationError(f"no entry at {ints_text(key)}") from None
 
 
 def build_table(n: int, d: int, budget: Budget = DEFAULT_BUDGET) -> RefinedTable:

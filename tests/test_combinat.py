@@ -18,6 +18,8 @@ from asmref.combinat import (
     binom_at,
     binom_plus,
     harmonic,
+    int_text,
+    ints_text,
     refined_asm_count,
     total_asm_count,
 )
@@ -34,7 +36,9 @@ from asmref.extension import (
 )
 from asmref.linalg import solve_integer_system
 from asmref.polynomials import BinomBasisExpansion, PolyMulti, expand_in_binomial_basis, gn_poly
-from asmref.triangles import RefinedTable, build_table, refined_count
+from asmref.triangles import (
+    Asm, MonotoneTriangle, RefinedTable, build_table, mt_to_asm, refined_count,
+)
 
 from oracles import falling_factorial_binom, fraction_refined_asm_row, fraction_total_asm_count
 from reference_tables import REFINED_TRIANGLE, TOTALS
@@ -293,6 +297,77 @@ def test_as_size_names_a_huge_size_by_its_bit_length():
             as_size(*args)
         assert str(excinfo.value) == message
     assert time.perf_counter() - started < 0.1
+
+
+HUGE = 10**5000  # 5001 digits, past str()'s default limit of 4300
+HUGE_TEXT = "<16610-bit integer>"
+
+#: (call, message) of each library check that names a caller's int
+HUGE_MESSAGES = [
+    (lambda: Asm(((HUGE,),)), f"entries must be -1, 0 or 1, got {HUGE_TEXT}"),
+    (
+        lambda: MonotoneTriangle(((1,), (HUGE, 1))),
+        f"row 2 must be strictly increasing: ({HUGE_TEXT}, 1)",
+    ),
+    (
+        lambda: MonotoneTriangle(((HUGE,), (1, 2))),
+        f"rows ({HUGE_TEXT},) over (1, 2) violate the interlacing condition",
+    ),
+    (
+        lambda: mt_to_asm(MonotoneTriangle(((HUGE,),))),
+        f"triangle is not complete: bottom row ({HUGE_TEXT},) is not 1..1",
+    ),
+    (
+        lambda: refined_count(5, (HUGE,)),
+        f"indices must be strictly increasing in 1..5: ({HUGE_TEXT},)",
+    ),
+    (
+        lambda: RefinedTable(2, 1, {(1,): -HUGE, (2,): 1}),
+        f"count at (1,) is negative: {HUGE_TEXT}",
+    ),
+    (lambda: build_table(3, 1).value(HUGE), f"no entry at ({HUGE_TEXT},)"),
+    (
+        lambda: PolyMulti.interpolate([(HUGE, 1)], [1, 2]),
+        f"need 2 ascending consecutive nodes, got ({HUGE_TEXT}, 1)",
+    ),
+    (
+        lambda: PolyMulti(1, 1, (0,), (1, 2)).evaluate_shifts((1,), [(HUGE, 1)]),
+        f"shifts must be 1 integers, got ({HUGE_TEXT}, 1)",
+    ),
+    (
+        lambda: BinomBasisExpansion(2, 2, (1, 2, 3, 4)).coefficient((HUGE, 1)),
+        f"indices must lie in 1..2: ({HUGE_TEXT}, 1)",
+    ),
+    (
+        lambda: extended_matrix(4).entry(HUGE, 1),
+        f"indices must lie in 1..4, got ({HUGE_TEXT}, 1)",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", HUGE_MESSAGES, ids=[m for _, m in HUGE_MESSAGES])
+def test_a_message_names_a_huge_int_by_its_bit_length(call, message):
+    build_table(3, 1), extended_matrix(4)  # warm their memos, so the clock sees the refusal
+    started = time.perf_counter()
+    with pytest.raises(ValidationError) as excinfo:
+        call()
+    assert time.perf_counter() - started < 0.1
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("values", [
+    (), (3,), (1, -2, 3), [], [4], [1, 2], (True, Fraction(1, 2), "x", 2.5, None),
+    ((1, 2), [3]), range(3, 0, -1), (2**8192 - 1, 5),
+], ids=repr)
+def test_ints_text_is_str_for_values_that_fit(values):
+    assert ints_text(values) == str(values)
+
+
+def test_int_text_is_str_for_values_that_fit():
+    for value in (0, -7, 2**8192 - 1, -(2**8192) + 1, True, Fraction(3, 4), "3", 2.5):
+        assert int_text(value) == str(value)
+    assert int_text(2**8192) == "<8193-bit integer>"
+    assert ints_text([-(2**8192), "a"]) == "[<8193-bit integer>, 'a']"
 
 
 def test_as_size_returns_the_int():

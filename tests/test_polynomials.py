@@ -473,6 +473,16 @@ def test_evaluate_shifts_equals_the_stencil_oracle_past_one_machine_word(case):
         for shifts in ([(0,) * m], corners, far + [(0,) * m, far[0]]):
             assert poly.evaluate_shifts(point, shifts) == stencil_oracle(poly, point, shifts)
     assert poly._packed[1] > 64 or k == 1  # alpha_polynomial(1) is the constant 1
+    # a point wide on axis r alone, each on a copy of its own, since a packing
+    # never narrows: the slot width must count the vectors of every axis but
+    # the last, which is reduced on plain ints
+    for r in range(m):
+        point = tuple(
+            huge() if a == r else Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for a in range(m)
+        )
+        lone = _fresh(case)
+        for shifts in ([(0,) * m], corners):
+            assert lone.evaluate_shifts(point, shifts) == stencil_oracle(lone, point, shifts)
 
 
 def test_a_wider_point_repacks_the_coefficients_wider():

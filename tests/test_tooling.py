@@ -10,6 +10,8 @@ read by the module whose computation it caps, so a cap nothing reads fails.
 Verifiers state their equations as cases, so only reports.py builds a Witness.
 Sizes pass combinat.as_size, so no other module states an order's or a
 depth's range itself.  The README's library example prints what its comments say.
+Every inline `python -c` script of the CI workflow compiles, and each name it
+imports from the package or from tests/oracles.py exists.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,7 @@ from asmref.config import Budget
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 PACKAGE = Path(asmref.__file__).resolve().parent
 
 
@@ -135,3 +140,32 @@ def test_readme_library_example_prints_its_comments():
         else:
             exec(code, namespace)
     assert checked == 5
+
+
+def _inline_scripts(text: str) -> list[str]:
+    """The body of every `python -c "` block of a workflow, to the line that closes its quote."""
+    return [
+        textwrap.dedent(body)
+        for body in re.findall(r'python -c "\n(.*?)\n *"', text, flags=re.DOTALL)
+    ]
+
+
+def test_every_inline_workflow_script_imports_names_that_exist():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    scripts = _inline_scripts(text)
+    assert len(scripts) == text.count('python -c "') >= 5
+    imported = 0
+    for script in scripts:
+        compile(script, str(WORKFLOW), "exec")
+        for node in ast.walk(ast.parse(script)):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] in (
+                "asmref", "oracles",
+            ):
+                module = importlib.import_module(node.module)
+                missing = [a.name for a in node.names if not hasattr(module, a.name)]
+                assert not missing, (node.module, missing)
+                imported += len(node.names)
+    assert imported
