@@ -357,7 +357,7 @@ def test_a_message_names_a_huge_int_by_its_bit_length(call, message):
 
 @pytest.mark.parametrize("values", [
     (), (3,), (1, -2, 3), [], [4], [1, 2], (True, Fraction(1, 2), "x", 2.5, None),
-    ((1, 2), [3]), range(3, 0, -1), (2**8192 - 1, 5),
+    ((1, 2), [3]), range(3, 0, -1), (2**64, -5),
 ], ids=repr)
 def test_ints_text_is_str_for_values_that_fit(values):
     assert ints_text(values) == str(values)
@@ -366,6 +366,7 @@ def test_ints_text_is_str_for_values_that_fit(values):
 def test_int_text_is_str_for_values_that_fit():
     for value in (0, -7, 2**8192 - 1, -(2**8192) + 1, True, Fraction(3, 4), "3", 2.5):
         assert int_text(value) == str(value)
+    assert ints_text((2**8192 - 1, 5)) == str((2**8192 - 1, 5))
     assert int_text(2**8192) == "<8193-bit integer>"
     assert ints_text([-(2**8192), "a"]) == "[<8193-bit integer>, 'a']"
 
